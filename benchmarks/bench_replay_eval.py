@@ -84,8 +84,7 @@ def drive(
     simulator = DriftingSimulator(cluster)
     locat = LOCAT(simulator, app, rng=seed, replay_eval=mode, **TUNER)
     controller = OnlineController(
-        locat, datasize_margin=0.3, drift_factor=1.3, drift_patience=3,
-        detector="ph",
+        locat, datasize_margin=0.3,
         # The scenario stream records the trace itself (real rng keys
         # plus the drifted environment per step) — recording again at
         # observe() would duplicate every production run.

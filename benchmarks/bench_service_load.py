@@ -81,7 +81,6 @@ def durable_service(spec) -> TuningService:
         n_workers=spec.tuning_threads,
         eval_workers=spec.eval_workers,
         default_warm_start=spec.default_warm_start,
-        default_detector=spec.default_detector,
         max_pending=spec.max_pending,
         log_requests=spec.log_requests,
         admin=True,

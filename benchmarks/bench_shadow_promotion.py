@@ -19,8 +19,9 @@ same scenario streams and scores:
 
 The adversarial ``noisy_retune`` scenario is a drift-free stream where
 both the production measurements and the tuner's own evaluations are
-very noisy: the ratio detector false-alarms, every retune fits noise,
-and the immediate policy deploys regressions.  The shadow gate measures
+very noisy, and the controller runs a deliberately over-sensitive
+Page–Hinkley detector: it false-alarms, every retune fits noise, and the
+immediate policy deploys regressions.  The shadow gate measures
 each challenger under common random numbers — the shared noise cancels
 in the paired deltas — and must deploy **zero** regressions while the
 immediate policy deploys at least one.  On genuine-drift scenarios the
@@ -36,7 +37,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core import LOCAT
+from repro.core import LOCAT, PageHinkleyDetector
 from repro.core.online import OnlineController, config_key
 from repro.sparksim import get_application
 from repro.sparksim.cluster import get_cluster
@@ -78,35 +79,36 @@ def noisy_retune(n_steps: int = 24, datasize_gb: float = 100.0) -> Scenario:
     )
 
 
+def sensitive_detector() -> PageHinkleyDetector:
+    """A Page–Hinkley detector tuned to fire on noise: no drift
+    allowance and a quarter of the default threshold, so retunes fire
+    often and their winners are unreliable."""
+    return PageHinkleyDetector(delta=0.0, threshold=1.0)
+
+
 #: (scenario builder, tuner/simulator noise, production stream noise,
-#:  drift detector kwargs) per benchmark case.  The adversarial case
-#: cranks both noises and shortens the ratio rule's patience so retunes
-#: fire often and their winners are unreliable; the genuine-drift cases
-#: run at the default noise so the gate is also shown *adapting*.
+#:  drift detector factory — None for the default) per benchmark case.
+#: The adversarial case cranks both noises and injects the over-
+#: sensitive detector; the genuine-drift cases run at the default noise
+#: and detector so the gate is also shown *adapting*.
 CASES = {
     "noisy_retune": dict(
         scenario=noisy_retune,
         tuner_noise=0.5,
         stream_noise=0.35,
-        detector="ratio",
-        drift_factor=1.12,
-        drift_patience=2,
+        detector=sensitive_detector,
     ),
     "degradation": dict(
         scenario=cluster_degradation,
         tuner_noise=0.04,
         stream_noise=0.04,
-        detector="ph",
-        drift_factor=1.3,
-        drift_patience=3,
+        detector=None,
     ),
     "abrupt_skew": dict(
         scenario=abrupt_skew_drift,
         tuner_noise=0.04,
         stream_noise=0.04,
-        detector="ph",
-        drift_factor=1.3,
-        drift_patience=3,
+        detector=None,
     ),
 }
 
@@ -134,9 +136,7 @@ def drive(
     controller = OnlineController(
         locat,
         datasize_margin=0.3,
-        drift_factor=spec["drift_factor"],
-        drift_patience=spec["drift_patience"],
-        detector=spec["detector"],
+        detector=spec["detector"]() if spec["detector"] else None,
         promotion=promotion,
         shadow_runs=shadow_runs,
     )

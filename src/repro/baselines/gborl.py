@@ -96,9 +96,6 @@ class GBORL(BaselineTuner):
             max_iterations=bo_budget,
             ei_threshold=0.0,
             n_mcmc=0,
-            # Full-space point-estimate BO over a big fixed budget: reuse
-            # one surrogate engine (rank-1 extends) across the loop.
-            surrogate_mode="incremental",
             rng=self.rng,
         )
         loop.minimize(

@@ -82,10 +82,6 @@ class Tuneful(BaselineTuner):
             max_iterations=self.bo_iterations,
             ei_threshold=0.0,
             n_mcmc=0,  # Tuneful uses point-estimate GP hyper-parameters
-            # Long fixed-budget loop with no MCMC: the incremental engine
-            # (exact rank-1 extends instead of per-iteration refits) is a
-            # pure wall-clock win here.
-            surrogate_mode="incremental",
             rng=self.rng,
         )
         trace = loop.minimize(evaluate, datasize_gb)

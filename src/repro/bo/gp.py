@@ -25,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from repro.bo.acquisition import expected_improvement
 from repro.bo.kernels import Matern52Kernel, RBFKernel
-from repro.surrogate.incremental import LMLCache, cholesky_append, cholesky_downdate
+from repro.surrogate.incremental import LMLCache, cholesky_append
 
 _JITTER = 1e-8
 
@@ -192,42 +192,6 @@ class GaussianProcess:
         self._alpha = cho_solve(self._chol, self._y, check_finite=False)
         self._lml_cache.clear()
         return self
-
-    def remove_rows(self, indices) -> "GaussianProcess":
-        """Delete observations without a from-scratch refit.
-
-        The covariance factor shrinks by one O(n^2) Cholesky downdate
-        per removed row, the target standardization is recomputed over
-        the remaining targets, and the posterior equals a ``fit`` on the
-        reduced data up to floating-point round-off.  ``indices`` refer
-        to the current training matrix; duplicates are ignored.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("remove_rows() called before fit()")
-        idx = sorted({int(i) % self.n_samples for i in np.atleast_1d(indices)})
-        if not idx:
-            return self
-        if len(idx) >= self.n_samples:
-            raise ValueError("cannot remove every training row")
-        # Remove from the highest index down so lower indices stay valid.
-        for i in reversed(idx):
-            self._chol_lower = cholesky_downdate(self._chol_lower, i)
-        self._chol = (self._chol_lower, True)
-        keep = np.ones(self.n_samples, dtype=bool)
-        keep[idx] = False
-        self._x = self._x[keep]
-        if self._extra_noise is not None:
-            self._extra_noise = self._extra_noise[keep]
-        self._standardize(self._y_raw[keep])
-        self._alpha = cho_solve(self._chol, self._y, check_finite=False)
-        self._lml_cache.clear()
-        return self
-
-    def drop_oldest(self, k: int = 1) -> "GaussianProcess":
-        """Remove the ``k`` earliest observations (sliding-window step)."""
-        if k <= 0:
-            return self
-        return self.remove_rows(range(min(k, max(self.n_samples - 1, 0))))
 
     def lml_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the per-theta LML memo."""

@@ -16,12 +16,11 @@ Two engine-level properties of this implementation:
   non-mutating, per-theta memoized ``log_marginal_likelihood`` — the
   chain never refactorizes the model's own state, and re-evaluating the
   current chain state (once per coordinate update) is a cache hit.
-* **Warm starts.**  :func:`slice_sample_chain` accepts the final state
-  of a previous chain (``initial_theta``) and returns its own final
-  state.  A surrogate that extends its training set by one observation
-  between BO iterations resumes the chain near the posterior mode, so
-  the burn-in can be slashed from tens of steps to a handful (see
-  :class:`repro.core.dagp.DatasizeAwareGP`'s incremental path).
+* **Resumable chains.**  :func:`slice_sample_chain` accepts the final
+  state of a previous chain (``initial_theta``) and returns its own
+  final state.  (:class:`repro.core.dagp.DatasizeAwareGP` starts every
+  refresh from the model's own hyper-parameters instead: resumed chains
+  with a short burn-in tuned measurably worse.)
 """
 
 from __future__ import annotations

@@ -69,20 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
         "1 (default) reproduces the serial trajectory exactly",
     )
     tune.add_argument(
-        "--surrogate", choices=("full", "incremental"), default="full",
-        help="surrogate-engine mode: 'full' refits the GP from scratch every "
-        "BO iteration (bit-for-bit the historic trajectory), 'incremental' "
-        "reuses one engine with exact rank-k Cholesky extends and "
-        "warm-started MCMC chains (same quality, far lower optimizer time "
-        "on long histories)",
-    )
-    tune.add_argument(
         "--surrogate-backend", choices=SURROGATE_BACKENDS, default="exact",
-        help="surrogate GP backend: 'exact' (default, full-history GP, "
-        "bit-for-bit the historic trajectory), 'windowed' (recent window + "
-        "high-information coreset, O(W^2) per decision), 'sparse' (Nystrom "
-        "inducing points, O(m^2) per decision), or 'auto' (pick by history "
-        "size; see docs/architecture.md)",
+        help="surrogate GP backend: 'exact' (default, full-history GP), "
+        "'sparse' (Nystrom inducing points, O(m^2) per decision), or 'auto' "
+        "(exact for short histories, sparse for long ones; see "
+        "docs/architecture.md)",
     )
     tune.add_argument(
         "--replay-eval", choices=REPLAY_EVAL_MODES, default="off",
@@ -179,17 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         "tenant's history (default: cold)",
     )
     serve.add_argument(
-        "--drift-detector", default="ph", choices=("ph", "cusum", "ratio"),
-        help="default drift-detection mode for tenants that do not set "
-        "controller.detector themselves: 'ph' (Page-Hinkley over the "
-        "DAGP's standardized residuals, the default), 'cusum', or "
-        "'ratio' (the legacy fixed-window heuristic)",
-    )
-    serve.add_argument(
         "--surrogate-backend", default="exact", choices=SURROGATE_BACKENDS,
         help="default surrogate GP backend for tenants that do not set "
-        "tuner.surrogate_backend themselves: 'exact' (default), 'windowed', "
-        "'sparse', or 'auto' (pick by history size)",
+        "tuner.surrogate_backend themselves: 'exact' (default), 'sparse', "
+        "or 'auto' (pick by history size)",
     )
     serve.add_argument(
         "--promotion", default="immediate", choices=PROMOTION_MODES,
@@ -344,7 +328,6 @@ def cmd_tune(args) -> int:
     locat = LOCAT(
         simulator, app, rng=args.seed, max_iterations=args.iterations,
         n_workers=args.workers, transfer_from=plan,
-        surrogate_mode=args.surrogate,
         surrogate_backend=args.surrogate_backend,
         replay_eval=args.replay_eval,
     )
@@ -501,7 +484,6 @@ def cmd_serve(args) -> int:
             args.store, host=args.host, port=args.port,
             n_workers=args.tuning_threads, eval_workers=args.eval_workers,
             default_warm_start=args.warm_start,
-            default_detector=args.drift_detector,
             default_surrogate_backend=args.surrogate_backend,
             default_promotion=args.promotion,
             default_replay_eval=args.replay_eval,
@@ -516,7 +498,6 @@ def cmd_serve(args) -> int:
             args.store, host=args.host, port=args.port, workers=args.workers,
             tuning_threads=args.tuning_threads, eval_workers=args.eval_workers,
             default_warm_start=args.warm_start,
-            default_detector=args.drift_detector,
             default_surrogate_backend=args.surrogate_backend,
             default_promotion=args.promotion,
             default_replay_eval=args.replay_eval,

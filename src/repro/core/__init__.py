@@ -6,20 +6,13 @@
 * :mod:`repro.core.dagp` — the Datasize-Aware Gaussian Process surrogate,
 * :mod:`repro.core.tuner` — the EI-MCMC BO loop with LOCAT's stop rule,
 * :mod:`repro.core.locat` — the end-to-end orchestrator,
-* :mod:`repro.core.drift` — sequential drift detectors for the online
-  controller (:mod:`repro.core.online`).
+* :mod:`repro.core.drift` — the Page–Hinkley drift detector of the
+  online controller (:mod:`repro.core.online`).
 """
 
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
-from repro.core.drift import (
-    CusumDetector,
-    DriftDetector,
-    DurationPrediction,
-    PageHinkleyDetector,
-    RatioDriftDetector,
-    make_detector,
-)
+from repro.core.drift import DriftDetector, DurationPrediction, PageHinkleyDetector
 from repro.core.iicp import CPEResult, CPSResult, IICP, IICPResult
 from repro.core.locat import LOCAT
 from repro.core.objective import SparkSQLObjective, Trial
@@ -30,7 +23,6 @@ from repro.core.result import TuningResult
 __all__ = [
     "CPEResult",
     "CPSResult",
-    "CusumDetector",
     "DatasizeAwareGP",
     "DriftDetector",
     "DurationPrediction",
@@ -42,10 +34,8 @@ __all__ = [
     "ParallelEvaluator",
     "QCSA",
     "QCSAResult",
-    "RatioDriftDetector",
     "SparkSQLObjective",
     "Trial",
     "TuningResult",
-    "make_detector",
     "normalize_datasize",
 ]

@@ -30,12 +30,10 @@ The class implements the surrogate-engine lifecycle
   sampling chain, and one :class:`~repro.surrogate.stack.ModelStack`
   holding the ``n_mcmc`` per-sample ``(chol, alpha)`` states.
 * ``extend`` appends observations incrementally: the base GP and every
-  stacked model grow by an exact rank-k Cholesky update, and the
-  hyper-parameter chain is *warm-started* from its previous final state
-  with a slashed burn-in (``MCMC_WARM_BURN_IN`` instead of the cold
-  20).  Every ``mcmc_refresh_every``-th extend re-samples; in between,
-  the posterior samples are kept and merely extended — the dominant
-  O(n^3)-per-theta cost is paid a fraction of the iterations.
+  stacked model grow by an exact rank-k Cholesky update.  Every
+  ``mcmc_refresh_every``-th extend re-samples the hyper-parameters; in
+  between, the posterior samples are kept and merely extended — the
+  dominant O(n^3)-per-theta cost is paid a fraction of the iterations.
 * ``acquisition`` evaluates the marginalized EI over all samples in one
   vectorized pass (no per-clone Python loop).
 """
@@ -52,7 +50,6 @@ from repro.stats.sampling import ensure_rng
 from repro.surrogate.policy import BackendPolicy, validate_backend
 from repro.surrogate.sparse import SparseGP
 from repro.surrogate.stack import ModelStack
-from repro.surrogate.windowed import WindowedGP
 
 #: Datasize normalization reference: 1 TB, the largest size the paper uses.
 DATASIZE_REFERENCE_GB = 1024.0
@@ -64,17 +61,14 @@ DATASIZE_REFERENCE_GB = 1024.0
 #: enough to outvote a real observation nearby.
 TRANSFER_NOISE_VARIANCE = 0.5
 
-#: Burn-in of a warm-started hyper-parameter chain.  A chain resumed
-#: from the previous iteration's final state starts near the posterior
-#: mode of an almost-identical training set, so a handful of updates
-#: decorrelates it — against the cold default of 20.
-MCMC_WARM_BURN_IN = 4
-
 #: How many ``extend`` calls may reuse the current hyper-parameter
-#: samples before the chain is advanced again.  One new observation
-#: barely moves the hyper-parameter posterior; re-sampling every call
-#: would re-factorize ``n_mcmc`` models per iteration for no
-#: statistical gain.
+#: samples before they are drawn again.  One new observation barely
+#: moves the hyper-parameter posterior; re-sampling every call would
+#: re-factorize ``n_mcmc`` models per iteration for no statistical gain.
+#: Each refresh runs a fresh chain from the model's own hyper-parameters,
+#: exactly as ``fit`` does: resuming the previous chain with a short
+#: burn-in instead tuned measurably worse (TPC-DS sessions, and
+#: IICP-space sessions at growing datasizes over 30 seeds).
 MCMC_REFRESH_EVERY = 4
 
 
@@ -95,13 +89,11 @@ class DatasizeAwareGP:
     disables marginalization and uses the current point estimate).
 
     ``backend`` selects the GP implementation underneath: ``"exact"``
-    (the default — bit-for-bit the pre-backend engine), ``"windowed"``
-    (:class:`~repro.surrogate.windowed.WindowedGP`, O(W^2) per
-    decision), ``"sparse"``
-    (:class:`~repro.surrogate.sparse.SparseGP`, O(m^2), point-estimate
-    EI only), or ``"auto"``, which resolves through ``backend_policy``
-    by history size and refits into the next backend when a threshold
-    is crossed.
+    (the default), ``"sparse"``
+    (:class:`~repro.surrogate.sparse.SparseGP`, O(m^2) per decision,
+    point-estimate EI only), or ``"auto"``, which resolves through
+    ``backend_policy`` by history size and refits into the sparse
+    backend when the threshold is crossed.
     """
 
     def __init__(
@@ -110,7 +102,6 @@ class DatasizeAwareGP:
         n_mcmc: int = 8,
         noise_variance: float = 1e-3,
         transfer_noise_variance: float = TRANSFER_NOISE_VARIANCE,
-        mcmc_warm_burn_in: int = MCMC_WARM_BURN_IN,
         mcmc_refresh_every: int = MCMC_REFRESH_EVERY,
         backend: str = "exact",
         backend_policy: BackendPolicy | None = None,
@@ -125,7 +116,6 @@ class DatasizeAwareGP:
         self.n_mcmc = n_mcmc
         self.noise_variance = float(noise_variance)
         self.transfer_noise_variance = float(transfer_noise_variance)
-        self.mcmc_warm_burn_in = int(mcmc_warm_burn_in)
         self.mcmc_refresh_every = int(mcmc_refresh_every)
         self.backend = validate_backend(backend)
         self.backend_policy = backend_policy if backend_policy is not None else BackendPolicy()
@@ -140,8 +130,6 @@ class DatasizeAwareGP:
         self._fidelities: np.ndarray | None = None
         self._theta_samples: list[np.ndarray] = []
         self._stack: ModelStack | None = None
-        #: Final state of the last hyper-parameter chain (warm-start seed).
-        self._mcmc_state: np.ndarray | None = None
         self._extends_since_mcmc = 0
         #: True when the fitted inputs carry the transfer fidelity column.
         self._with_fidelity = False
@@ -159,14 +147,6 @@ class DatasizeAwareGP:
 
     def _new_gp(self, kernel, noise_variance: float):
         """Build the GP implementation for the active backend."""
-        if self._active_backend == "windowed":
-            policy = self.backend_policy
-            return WindowedGP(
-                kernel,
-                noise_variance=noise_variance,
-                window=policy.window,
-                coreset=policy.coreset,
-            )
         if self._active_backend == "sparse":
             return SparseGP(
                 kernel,
@@ -209,27 +189,16 @@ class DatasizeAwareGP:
             raise ValueError("fidelities must be non-negative")
         return fidelities
 
-    def _sample_hyperparameters(
-        self, rng: int | np.random.Generator | None, warm: bool, fast: bool = False
-    ) -> None:
+    def _sample_hyperparameters(self, rng: int | np.random.Generator | None) -> None:
         """(Re-)sample the hyper-parameter posterior and rebuild the stack.
 
-        ``warm=True`` resumes the chain from its previous final state
-        with the reduced burn-in; otherwise the chain starts cold from
-        the GP's current hyper-parameters with the full default burn-in.
-        ``fast=True`` builds the stack with precision matrices (the
-        incremental path's batched-matmul acquisition); ``False`` keeps
-        the exact mode whose floats match the historic per-clone loop.
+        The chain starts from the GP's own hyper-parameters with the
+        default burn-in, at every refresh (see :data:`MCMC_REFRESH_EVERY`).
         """
-        warm = warm and self._mcmc_state is not None
-        self._theta_samples, self._mcmc_state = slice_sample_chain(
-            self.gp,
-            n_samples=self.n_mcmc,
-            burn_in=self.mcmc_warm_burn_in if warm else 20,
-            rng=ensure_rng(rng),
-            initial_theta=self._mcmc_state if warm else None,
+        self._theta_samples, _ = slice_sample_chain(
+            self.gp, n_samples=self.n_mcmc, burn_in=20, rng=ensure_rng(rng)
         )
-        self._stack = ModelStack.from_gp(self.gp, self._theta_samples, fast=fast)
+        self._stack = ModelStack.from_gp(self.gp, self._theta_samples)
         self._extends_since_mcmc = 0
 
     def fit(
@@ -281,13 +250,12 @@ class DatasizeAwareGP:
             fidelities.copy() if fidelities is not None else np.zeros(x.shape[0])
         )
         self.gp.fit(x, self._log_t, extra_noise=extra_noise)
-        self._mcmc_state = None
         if (
             self.n_mcmc > 0
             and x.shape[0] >= 4
             and getattr(self.gp, "supports_mcmc", True)
         ):
-            self._sample_hyperparameters(rng, warm=False)
+            self._sample_hyperparameters(rng)
         else:
             self._theta_samples = []
             self._stack = None
@@ -306,9 +274,9 @@ class DatasizeAwareGP:
 
         The base GP and every stacked per-sample model grow by the block
         Cholesky update — O(n^2 k) per model instead of a refit — and
-        the hyper-parameter chain is advanced warm (previous final
-        state, reduced burn-in) every ``mcmc_refresh_every``-th call;
-        in between, the existing posterior samples are reused.
+        the hyper-parameters are re-sampled every
+        ``mcmc_refresh_every``-th call; in between, the existing
+        posterior samples are reused.
 
         New rows default to fidelity 0 (the caller's own observations).
         Toggling the fidelity column on or off relative to the fitted
@@ -357,12 +325,6 @@ class DatasizeAwareGP:
             extra_noise = self.transfer_noise_variance * new_fid
 
         self.gp.extend(x, np.log(durations), extra_noise=extra_noise)
-        # A windowed backend may have expired rows while absorbing the
-        # new ones; collect the removals so the stacked models can
-        # mirror them instead of refitting.
-        removed: list[int] = []
-        if hasattr(self.gp, "pop_removed_indices"):
-            removed = self.gp.pop_removed_indices()
         self._x = np.vstack([self._x, x])
         self._log_t = np.concatenate([self._log_t, np.log(durations)])
         self._datasizes_gb = np.concatenate(
@@ -376,29 +338,11 @@ class DatasizeAwareGP:
             and getattr(self.gp, "supports_mcmc", True)
         ):
             self._extends_since_mcmc += 1
-            # The first extend converts an exact (fit-built) stack to the
-            # fast precision-matrix form alongside its warm chain
-            # refresh; afterwards the chain is only advanced every
-            # ``mcmc_refresh_every``-th call and the stacked models are
-            # extended in place in between.  The shape guard catches the
-            # rare case where the windowed backend refit internally (a
-            # batch wider than its window): the stack no longer mirrors
-            # the active set and must be rebuilt.
-            stack_in_sync = (
-                self._stack is not None
-                and self._stack.n_samples - len(removed) + x.shape[0]
-                == self.gp.n_samples
-            )
-            if (
-                self._stack is None
-                or not self._stack.fast
-                or not stack_in_sync
-                or self._extends_since_mcmc >= self.mcmc_refresh_every
-            ):
-                self._sample_hyperparameters(rng, warm=True, fast=True)
+            # The samples are drawn again every ``mcmc_refresh_every``-th
+            # call; in between, the stacked models are extended in place.
+            if self._stack is None or self._extends_since_mcmc >= self.mcmc_refresh_every:
+                self._sample_hyperparameters(rng)
             else:
-                for index in removed:
-                    self._stack.remove_row(index)
                 self._stack.extend(
                     x,
                     self.gp.standardized_targets,

@@ -1,4 +1,4 @@
-"""Sequential drift detectors for the online controller.
+"""Sequential drift detection for the online controller.
 
 The paper's deployment story (section 3.1) is an application whose
 input grows over time while the cluster underneath it ages: disks slow
@@ -7,29 +7,21 @@ controller must notice that the deployed configuration has gone stale
 *from the production run stream alone* — every extra measurement is a
 production run it cannot schedule.
 
-Three detectors implement the :class:`DriftDetector` protocol:
+:class:`PageHinkleyDetector` runs the Page–Hinkley test over
+*standardized residuals* (measured log duration minus the DAGP's
+posterior mean, in posterior-std units).  It accumulates deviations
+above a self-calibrating baseline and alarms when the cumulative
+statistic exceeds its running minimum by ``threshold``: small sustained
+shifts integrate up, single noisy spikes do not
+(``benchmarks/bench_online_drift.py`` scores its detection delay and
+false triggers).
 
-* :class:`RatioDriftDetector` — the original heuristic, kept bit for
-  bit: a sliding window of measured/expected ratios, alarm when
-  ``patience`` consecutive runs exceed ``factor`` times the
-  expectation.  Simple, but blind to slow degradation below the factor
-  and slow (``patience`` runs) on abrupt shifts.
-* :class:`PageHinkleyDetector` — the Page–Hinkley test over
-  *standardized residuals* (measured log duration minus the DAGP's
-  posterior mean, in posterior-std units).  Accumulates deviations
-  above a self-calibrating baseline and alarms when the cumulative
-  statistic exceeds its running minimum by ``threshold``; small
-  sustained shifts integrate up, single noisy spikes do not.
-* :class:`CusumDetector` — a one-sided CUSUM on the same residuals: a
-  clamped-at-zero score that charges ``z - k`` per run, alarming above
-  ``threshold``.  Slightly quicker to forgive transients than
-  Page–Hinkley (the score resets to zero on any sub-baseline run).
-
-Detectors are deliberately dumb about *where* expectations come from:
+The detector is deliberately dumb about *where* expectations come from:
 the controller hands every ``update`` a :class:`DurationPrediction`
-(expected seconds plus log-space mean/std), built either from the DAGP
-surrogate or from the legacy nearest-run scaling.  All detector state
-is JSON-serializable (:meth:`DriftDetector.state` /
+(log-space mean/std of the deployed configuration's duration) built
+from the DAGP surrogate.  Any object implementing the
+:class:`DriftDetector` protocol may be injected instead.  Detector
+state is JSON-serializable (:meth:`DriftDetector.state` /
 :meth:`DriftDetector.restore`), so the tuning service can persist it in
 ``deployed.json`` and a restarted service resumes mid-window instead of
 silently starting blind.
@@ -48,18 +40,12 @@ from typing import Protocol, runtime_checkable
 #: unit scale for a healthy deployment.
 LOG_STD_FLOOR = 0.1
 
-#: Log-std assigned to the legacy nearest-run expectation, which carries
-#: no uncertainty estimate of its own.  Deliberately loose: the linear
-#: scaling is a rough guess, so model detectors running on it should
-#: need a larger shift before alarming.
-NEAREST_LOG_STD = 0.25
-
-#: Clamp on a single standardized residual before it enters a
-#: sequential detector.  One absurd measurement (a client reporting 0.0
+#: Clamp on a single standardized residual before it enters the
+#: detector.  One absurd measurement (a client reporting 0.0
 #: seconds, or milliseconds instead of seconds) would otherwise swing
 #: the running baseline by hundreds of sigmas and force a false alarm
 #: on the very next *normal* run.  The clamp is asymmetric because the
-#: detectors are one-sided: the slow side (``RESIDUAL_CLIP``) sits far
+#: detector is one-sided: the slow side (``RESIDUAL_CLIP``) sits far
 #: above the alarm thresholds so genuine drift still alarms at full
 #: speed, while the fast side (``RESIDUAL_CLIP_FAST``) is tight —
 #: a "too fast" run carries no drift evidence, and letting it drag the
@@ -72,20 +58,12 @@ RESIDUAL_CLIP_FAST = 2.0
 
 @dataclass(frozen=True)
 class DurationPrediction:
-    """Expected duration of the deployed configuration at one datasize.
+    """Expected duration of the deployed configuration at one datasize,
+    as a Gaussian over log duration (what the detector standardizes
+    against)."""
 
-    ``expected_s`` is the point expectation in seconds (what the ratio
-    rule divides by); ``log_mean`` / ``log_std`` describe the same
-    prediction as a Gaussian over log duration (what the sequential
-    detectors standardize against).  ``source`` records how it was
-    built: ``"model"`` (DAGP posterior) or ``"nearest"`` (legacy
-    nearest-run linear scaling).
-    """
-
-    expected_s: float
     log_mean: float
     log_std: float
-    source: str = "model"
 
     def standardized_residual(self, observed_s: float) -> float:
         """z-score of a measured duration under this prediction."""
@@ -94,7 +72,7 @@ class DurationPrediction:
 
     def clipped_residual(self, observed_s: float) -> float:
         """The residual clamped to [-``RESIDUAL_CLIP_FAST``,
-        ``RESIDUAL_CLIP``] (the sequential detectors' input)."""
+        ``RESIDUAL_CLIP``] (the detector's input)."""
         return max(
             -RESIDUAL_CLIP_FAST,
             min(RESIDUAL_CLIP, self.standardized_residual(observed_s)),
@@ -139,93 +117,16 @@ class DriftDetector(Protocol):
         ...
 
 
-class RatioDriftDetector:
-    """The original fixed-ratio window rule, bit for bit.
-
-    Alarm when the last ``patience`` runs were *all* slower than
-    ``factor`` times their expectation.  The ratio floats (including
-    the ``max(expected, 1e-9)`` guard) match the pre-detector
-    controller exactly, so a pinned run stream produces the identical
-    decision sequence.
-    """
-
-    name = "ratio"
-
-    def __init__(self, factor: float = 1.3, patience: int = 3):
-        if factor <= 1.0:
-            raise ValueError("factor must exceed 1.0")
-        if patience < 1:
-            raise ValueError("patience must be at least 1")
-        self.factor = float(factor)
-        self.patience = int(patience)
-        self.window: list[float] = []
-
-    def update(self, observed_s: float, prediction: DurationPrediction) -> bool:
-        self.window.append(float(observed_s) / max(prediction.expected_s, 1e-9))
-        self.window = self.window[-self.patience:]
-        return len(self.window) >= self.patience and all(
-            r > self.factor for r in self.window
-        )
-
-    def reset(self) -> None:
-        self.window.clear()
-
-    def reason(self) -> str:
-        return (
-            f"{self.patience} consecutive runs over "
-            f"{self.factor:.1f}x the expected duration"
-        )
-
-    def state(self) -> dict:
-        return {"recent_ratios": list(self.window)}
-
-    def restore(self, state: dict) -> None:
-        self.window = [float(r) for r in state.get("recent_ratios", [])]
-        self.window = self.window[-self.patience:]
-
-    def status(self) -> dict:
-        return {
-            "detector": self.name,
-            "window": list(self.window),
-            "patience": self.patience,
-            "factor": self.factor,
-        }
-
-
-class _ResidualBaseline:
-    """Shared running-mean baseline for the residual detectors.
+class PageHinkleyDetector:
+    """Page–Hinkley test over standardized log-duration residuals.
 
     Standardized residuals carry a systematic component the detector
     must not alarm on — calibration error of the deploy-time
-    full-application/RQA offset, simulator-vs-model bias — so both
-    sequential tests measure deviations against a running mean.  The
-    mean is anchored at zero with ``prior_weight`` pseudo-observations:
-    a genuinely drifted *first* run then stands out against the prior
-    instead of instantly becoming its own baseline.
-    """
-
-    def __init__(self, prior_weight: float):
-        self.prior_weight = float(prior_weight)
-        self.n = 0
-        self.total = 0.0
-
-    def update(self, z: float) -> float:
-        """Fold in one residual; returns the updated baseline mean."""
-        self.n += 1
-        self.total += z
-        return self.mean
-
-    @property
-    def mean(self) -> float:
-        return self.total / (self.prior_weight + self.n)
-
-    def reset(self) -> None:
-        self.n = 0
-        self.total = 0.0
-
-
-class PageHinkleyDetector:
-    """Page–Hinkley test over standardized log-duration residuals.
+    full-application/RQA offset, simulator-vs-model bias — so
+    deviations are measured against a running mean ``z̄`` of the
+    residuals.  That mean is anchored at zero with ``prior_weight``
+    pseudo-observations: a genuinely drifted *first* run then stands out
+    against the prior instead of instantly becoming its own baseline.
 
     Maintains the cumulative sum ``m_t = Σ (z_i - z̄_i - delta)`` and
     alarms when ``m_t`` exceeds its running minimum by ``threshold``:
@@ -233,7 +134,7 @@ class PageHinkleyDetector:
     ``shift - delta`` per run, so detection delay scales inversely with
     shift size — abrupt drift is caught in one or two runs, slow drift
     is still caught once it has accumulated ``threshold`` worth of
-    evidence (the ratio rule never catches it below its factor).
+    evidence.
     """
 
     name = "ph"
@@ -250,23 +151,29 @@ class PageHinkleyDetector:
             raise ValueError("delta must be non-negative")
         self.delta = float(delta)
         self.threshold = float(threshold)
-        self._baseline = _ResidualBaseline(prior_weight)
-        self.cumulative = 0.0
-        self.minimum = 0.0
+        self.prior_weight = float(prior_weight)
+        self.reset()
 
     @property
     def statistic(self) -> float:
         return self.cumulative - self.minimum
 
+    @property
+    def baseline(self) -> float:
+        """The running (prior-anchored) mean of the residuals."""
+        return self.total / (self.prior_weight + self.n)
+
     def update(self, observed_s: float, prediction: DurationPrediction) -> bool:
         z = prediction.clipped_residual(observed_s)
-        mean = self._baseline.update(z)
-        self.cumulative += z - mean - self.delta
+        self.n += 1
+        self.total += z
+        self.cumulative += z - self.baseline - self.delta
         self.minimum = min(self.minimum, self.cumulative)
         return self.statistic > self.threshold
 
     def reset(self) -> None:
-        self._baseline.reset()
+        self.n = 0
+        self.total = 0.0
         self.cumulative = 0.0
         self.minimum = 0.0
 
@@ -278,15 +185,15 @@ class PageHinkleyDetector:
 
     def state(self) -> dict:
         return {
-            "n": self._baseline.n,
-            "total": self._baseline.total,
+            "n": self.n,
+            "total": self.total,
             "cumulative": self.cumulative,
             "minimum": self.minimum,
         }
 
     def restore(self, state: dict) -> None:
-        self._baseline.n = int(state.get("n", 0))
-        self._baseline.total = float(state.get("total", 0.0))
+        self.n = int(state.get("n", 0))
+        self.total = float(state.get("total", 0.0))
         self.cumulative = float(state.get("cumulative", 0.0))
         self.minimum = float(state.get("minimum", 0.0))
 
@@ -295,91 +202,6 @@ class PageHinkleyDetector:
             "detector": self.name,
             "statistic": self.statistic,
             "threshold": self.threshold,
-            "observations": self._baseline.n,
-            "baseline_residual": self._baseline.mean,
+            "observations": self.n,
+            "baseline_residual": self.baseline,
         }
-
-
-class CusumDetector:
-    """One-sided CUSUM over standardized log-duration residuals.
-
-    ``score = max(0, score + z - z̄ - k)``; alarm above ``threshold``.
-    The clamp at zero makes CUSUM forgive isolated slow runs instantly,
-    at the cost of slightly longer delay than Page–Hinkley on drifts
-    barely above ``k``.
-    """
-
-    name = "cusum"
-
-    def __init__(
-        self,
-        k: float = 0.5,
-        threshold: float = 5.0,
-        prior_weight: float = 3.0,
-    ):
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        self.k = float(k)
-        self.threshold = float(threshold)
-        self._baseline = _ResidualBaseline(prior_weight)
-        self.score = 0.0
-
-    def update(self, observed_s: float, prediction: DurationPrediction) -> bool:
-        z = prediction.clipped_residual(observed_s)
-        mean = self._baseline.update(z)
-        self.score = max(0.0, self.score + z - mean - self.k)
-        return self.score > self.threshold
-
-    def reset(self) -> None:
-        self._baseline.reset()
-        self.score = 0.0
-
-    def reason(self) -> str:
-        return (
-            f"CUSUM drift score {self.score:.1f} exceeded "
-            f"{self.threshold:.1f} (sustained slowdown vs the model expectation)"
-        )
-
-    def state(self) -> dict:
-        return {
-            "n": self._baseline.n,
-            "total": self._baseline.total,
-            "score": self.score,
-        }
-
-    def restore(self, state: dict) -> None:
-        self._baseline.n = int(state.get("n", 0))
-        self._baseline.total = float(state.get("total", 0.0))
-        self.score = float(state.get("score", 0.0))
-
-    def status(self) -> dict:
-        return {
-            "detector": self.name,
-            "score": self.score,
-            "threshold": self.threshold,
-            "observations": self._baseline.n,
-            "baseline_residual": self._baseline.mean,
-        }
-
-
-#: Detector modes the controller (and the service API) accept by name.
-DETECTOR_MODES = ("ratio", "ph", "cusum")
-
-
-def make_detector(
-    name: str, drift_factor: float = 1.3, drift_patience: int = 3
-) -> DriftDetector:
-    """Build a detector by mode name.
-
-    ``drift_factor`` / ``drift_patience`` parameterize the ratio mode
-    only; the sequential detectors use their own calibrated defaults.
-    """
-    if name == "ratio":
-        return RatioDriftDetector(factor=drift_factor, patience=drift_patience)
-    if name == "ph":
-        return PageHinkleyDetector()
-    if name == "cusum":
-        return CusumDetector()
-    raise ValueError(f"unknown drift detector {name!r}; expected one of {DETECTOR_MODES}")

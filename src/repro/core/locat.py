@@ -78,6 +78,11 @@ from repro.transfer.fingerprint import WorkloadFingerprint, fingerprint_similari
 #: runs for QCSA CVs and a provisional CPS, a fraction of DEFAULT_N_QCSA.
 DEFAULT_N_TRANSFER_BOOTSTRAP = 8
 
+#: Fewest observations :meth:`LOCAT.restore` accepts, and the fewest the
+#: monitoring predictor fits on: every restored tenant can check its
+#: production runs against the model from its first observe on.
+MIN_RESTORE_OBSERVATIONS = 3
+
 
 @dataclass
 class _Observation:
@@ -114,7 +119,6 @@ class LOCAT:
         n_workers: int = 1,
         transfer_from: TransferPlan | None = None,
         n_transfer_bootstrap: int = DEFAULT_N_TRANSFER_BOOTSTRAP,
-        surrogate_mode: str = "full",
         surrogate_backend: str = "exact",
         n_adapt_iterations: int | None = None,
         replay_eval: str = "off",
@@ -141,20 +145,13 @@ class LOCAT:
         self.n_workers = int(n_workers)
         self.transfer_from = transfer_from
         self.n_transfer_bootstrap = int(n_transfer_bootstrap)
-        if surrogate_mode not in ("full", "incremental"):
-            raise ValueError("surrogate_mode must be 'full' or 'incremental'")
-        #: Surrogate-engine lifecycle for every BO loop this orchestrator
-        #: runs: "full" refits per iteration (the historic, bit-for-bit
-        #: reproducible path), "incremental" reuses one engine per loop
-        #: with exact rank-k extends and warm-started MCMC chains.
-        self.surrogate_mode = surrogate_mode
         #: GP implementation underneath every surrogate this orchestrator
         #: builds — the session loops *and* the monitoring predictor
-        #: behind :meth:`predict_log_duration`.  "exact" (default) is
-        #: bit-for-bit the single-backend engine; "windowed"/"sparse"
-        #: bound per-decision cost on long histories; "auto" resolves by
-        #: history size through the default
-        #: :class:`~repro.surrogate.policy.BackendPolicy`.
+        #: behind :meth:`predict_log_duration`.  "exact" (default),
+        #: "sparse" (bounded per-decision cost on long histories), or
+        #: "auto" (exact up to the default
+        #: :class:`~repro.surrogate.policy.BackendPolicy`'s ``n_exact``
+        #: rows, sparse above).
         self.surrogate_backend = validate_backend(surrogate_backend)
         if n_adapt_iterations is not None and int(n_adapt_iterations) < 1:
             raise ValueError("n_adapt_iterations must be at least 1")
@@ -277,7 +274,6 @@ class LOCAT:
             n_mcmc=min(self.n_mcmc, 4),
             n_candidates=192,
             batch_size=self.n_workers,
-            surrogate_mode=self.surrogate_mode,
             surrogate_backend=self.surrogate_backend,
             rng=self.rng,
         )
@@ -513,8 +509,10 @@ class LOCAT:
         if self.is_bootstrapped:
             raise RuntimeError("cannot restore into a bootstrapped LOCAT")
         observations = list(observations)
-        if len(observations) < 3:
-            raise ValueError("restore needs at least three observations")
+        if len(observations) < MIN_RESTORE_OBSERVATIONS:
+            raise ValueError(
+                f"restore needs at least {MIN_RESTORE_OBSERVATIONS} observations"
+            )
         self.qcsa_result = qcsa_result
         self._observations = [
             _Observation(
@@ -649,7 +647,7 @@ class LOCAT:
         the expectation production runs are checked against.
         """
         iicp = self.iicp_result
-        if iicp is None or len(self._observations) < 4:
+        if iicp is None or len(self._observations) < MIN_RESTORE_OBSERVATIONS:
             return None
         count = len(self._observations)
         stale = min(self._stale_before, count)
@@ -694,8 +692,8 @@ class LOCAT:
 
         This is what the online controller compares production runs
         against: the same DAGP knowledge the tuner pays to maintain,
-        with an uncertainty estimate the nearest-run heuristic never
-        had.  None before the bootstrap (or with under 4 observations).
+        with an uncertainty estimate.  None before the bootstrap (or
+        with under :data:`MIN_RESTORE_OBSERVATIONS` observations).
         """
         predictor = self._refresh_predictor()
         if predictor is None:
@@ -914,12 +912,9 @@ class LOCAT:
     ) -> TuningResult:
         datasize_gb = normalize_datasize(datasize_gb)
         # Session budgets: a partial (drift) session caps the iterations
-        # and always runs the incremental engine — extending a warm
-        # surrogate is the whole point; the default path keeps the
-        # configured mode so full sessions stay bit-for-bit reproducible.
+        # (the surrogate is warm; a few fresh evaluations re-anchor it).
         session_max = self.max_iterations if budget is None else min(budget, self.max_iterations)
         session_min = max(1, session_max // 3) if partial else self.min_iterations
-        session_surrogate = "incremental" if partial else self.surrogate_mode
         overhead_before = self.objective.overhead_s
         evals_before = self.objective.n_evaluations
         fresh_session = not self.is_bootstrapped
@@ -1106,7 +1101,6 @@ class LOCAT:
                 ei_threshold=self.ei_threshold,
                 n_mcmc=self.n_mcmc,
                 batch_size=self.n_workers,
-                surrogate_mode=session_surrogate,
                 surrogate_backend=self.surrogate_backend,
                 rng=self.rng,
             )

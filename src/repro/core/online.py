@@ -14,10 +14,9 @@ deployed configuration, and a tuning session is triggered when
 Expectations come from the DAGP surrogate LOCAT already maintains
 (posterior mean *and* uncertainty of the deployed configuration at any
 datasize, calibrated to full-application scale at deploy time), and
-drift is decided by a pluggable sequential change detector
-(:mod:`repro.core.drift`): Page–Hinkley by default, CUSUM as an
-alternative, and ``detector="ratio"`` for the original fixed-window
-heuristic bit for bit.
+drift is decided by a sequential change detector
+(:mod:`repro.core.drift`): Page–Hinkley over the standardized
+residuals, or any injected :class:`~repro.core.drift.DriftDetector`.
 
 Drift-triggered retunes are *partial* sessions
 (:meth:`~repro.core.locat.LOCAT.adapt`): a reduced BO budget over the
@@ -42,10 +41,9 @@ import numpy as np
 from repro.core.datasize import normalize_datasize
 from repro.core.drift import (
     LOG_STD_FLOOR,
-    NEAREST_LOG_STD,
     DriftDetector,
     DurationPrediction,
-    make_detector,
+    PageHinkleyDetector,
 )
 from repro.core.locat import LOCAT
 from repro.core.promotion import (
@@ -62,26 +60,18 @@ from repro.core.result import TuningResult
 from repro.stats.sampling import ensure_rng
 from repro.sparksim.configspace import Configuration
 
-#: Cap multiplier on the legacy-store calibration anchor: a deployment
-#: restored without a persisted ``log_offset`` may calibrate on its
-#: first measured run only up to this factor over the nearest-run
-#: (RQA-scale) expectation — generous enough for the systematic
-#: full-application/RQA gap, tight enough that an already-in-progress
-#: 2x drift cannot disguise itself as the baseline.
-LEGACY_CALIBRATION_ALLOWANCE = 1.5
-
 
 def config_key(config: Configuration) -> tuple:
-    """Canonical identity of a configuration for history matching.
+    """Canonical identity of a configuration for equality checks.
 
     Exact ``Configuration.__eq__`` is too brittle across process
     restarts: a configuration rehydrated from ``deployed.json`` must
-    match the LOCAT observations rehydrated from ``runs.jsonl``, and a
-    JSON float/type round trip (or any upstream arithmetic) may leave
-    the two off by one ulp — silently killing drift detection for the
-    rest of the service's life.  The key compares booleans as booleans
-    and every numeric value as a float rounded well below parameter
-    resolution, so equal logical configurations always collide.
+    match one a retune rebuilt from ``runs.jsonl`` (the shadow gate's
+    "retune re-confirmed the incumbent" check), and a JSON float/type
+    round trip (or any upstream arithmetic) may leave the two off by one
+    ulp.  The key compares booleans as booleans and every numeric value
+    as a float rounded well below parameter resolution, so equal logical
+    configurations always collide.
     """
     return tuple(
         (name, value if isinstance(value, bool) else round(float(value), 9))
@@ -122,14 +112,10 @@ class OnlineController:
     ``datasize_margin`` — relative distance to the nearest tuned
     datasize beyond which a new size triggers adaptation (default 30%:
     tuned at 300 GB covers ~210-390 GB).
-    ``detector`` — drift-detection mode: ``"ph"`` (Page–Hinkley over
-    DAGP-standardized residuals, the default), ``"cusum"``, or
-    ``"ratio"`` (the original heuristic, bit for bit); a
-    :class:`~repro.core.drift.DriftDetector` instance plugs in a custom
-    detector.
-    ``drift_factor`` / ``drift_patience`` — ratio-mode parameters:
-    re-tune after ``patience`` consecutive runs slower than ``factor``
-    times the expected duration.
+    ``detector`` — a :class:`~repro.core.drift.DriftDetector` instance
+    watching the deployment; None (default) builds a
+    :class:`~repro.core.drift.PageHinkleyDetector` over DAGP-standardized
+    residuals.
     ``partial_retunes`` — drift-triggered retunes always run as
     :meth:`~repro.core.locat.LOCAT.adapt` sessions (pre-drift history
     quarantined, incumbent and calibration anchored on fresh
@@ -157,9 +143,7 @@ class OnlineController:
         self,
         locat: LOCAT,
         datasize_margin: float = 0.3,
-        drift_factor: float = 1.3,
-        drift_patience: int = 3,
-        detector: str | DriftDetector = "ph",
+        detector: DriftDetector | None = None,
         partial_retunes: bool = True,
         promotion: str = "immediate",
         shadow_runs: int = 6,
@@ -171,18 +155,16 @@ class OnlineController:
     ):
         if datasize_margin <= 0:
             raise ValueError("datasize_margin must be positive")
-        if drift_factor <= 1.0:
-            raise ValueError("drift_factor must exceed 1.0")
-        if drift_patience < 1:
-            raise ValueError("drift_patience must be at least 1")
+        if detector is not None and not isinstance(detector, DriftDetector):
+            raise TypeError(
+                f"detector must be a DriftDetector instance, got {detector!r}"
+            )
         if promotion not in PROMOTION_MODES:
             raise ValueError(
                 f"promotion must be one of {PROMOTION_MODES}, got {promotion!r}"
             )
         self.locat = locat
         self.datasize_margin = datasize_margin
-        self.drift_factor = drift_factor
-        self.drift_patience = drift_patience
         self.partial_retunes = bool(partial_retunes)
         self.promotion = promotion
         # The gate validates shadow_runs/ab_alpha even in immediate mode
@@ -206,12 +188,7 @@ class OnlineController:
         #: Terminal promote/reject provenance records since the last
         #: drain (the service registry appends them to ``winners.json``).
         self.promotion_events: list[dict] = []
-        if isinstance(detector, str):
-            self._detector: DriftDetector = make_detector(
-                detector, drift_factor=drift_factor, drift_patience=drift_patience
-            )
-        else:
-            self._detector = detector
+        self._detector = detector if detector is not None else PageHinkleyDetector()
         self._state: _DeployedState | None = None
 
     # ------------------------------------------------------------------
@@ -231,18 +208,9 @@ class OnlineController:
         return list(self._state.tuned_datasizes) if self._state is not None else []
 
     @property
-    def detector_name(self) -> str:
-        return self._detector.name
-
-    @property
     def log_offset(self) -> float | None:
         """The deploy-time model calibration offset (None pre-deploy)."""
         return self._state.log_offset if self._state is not None else None
-
-    @property
-    def recent_ratios(self) -> list[float]:
-        """The ratio-mode drift window (empty for the model detectors)."""
-        return [float(r) for r in self._detector.state().get("recent_ratios", [])]
 
     def detector_state(self) -> dict:
         """JSON-safe detector snapshot for ``deployed.json``."""
@@ -251,9 +219,7 @@ class OnlineController:
     def drift_status(self) -> dict:
         """JSON-safe drift diagnostics (served by ``GET /apps/<id>``)."""
         status = dict(self._detector.status())
-        status["calibrated"] = (
-            self._detector.name == "ratio" or self.log_offset is not None
-        )
+        status["calibrated"] = self.log_offset is not None
         return status
 
     # ------------------------------------------------------------------
@@ -336,7 +302,6 @@ class OnlineController:
         self,
         config: Configuration,
         tuned_datasizes: list[float],
-        recent_ratios: list[float] | None = None,
         detector_state: dict | None = None,
         log_offset: float | None = None,
     ) -> None:
@@ -345,10 +310,7 @@ class OnlineController:
         Together with :meth:`LOCAT.restore` this lets a restarted service
         resume exactly where it stopped: the deployed configuration, the
         datasizes it covers, the model calibration, and the partially
-        filled detector window.  ``recent_ratios`` is the legacy
-        pre-detector window format; stores written by this version
-        persist ``detector_state`` instead (both are accepted, newest
-        wins).
+        filled detector window.
         """
         if not tuned_datasizes:
             raise ValueError("restore_state needs at least one tuned datasize")
@@ -360,9 +322,6 @@ class OnlineController:
         self._detector.reset()
         if detector_state:
             self._detector.restore(detector_state)
-        elif recent_ratios:
-            # Legacy deployed.json: only the ratio window was persisted.
-            self._detector.restore({"recent_ratios": [float(r) for r in recent_ratios]})
 
     def would_retune(self, datasize_gb: float) -> bool:
         """Whether an observe at this datasize *deterministically* starts
@@ -380,32 +339,6 @@ class OnlineController:
     # ------------------------------------------------------------------
     # Expectations
     # ------------------------------------------------------------------
-    @property
-    def _uses_model(self) -> bool:
-        """Model-backed expectation for every detector except ratio mode
-        (whose decisions are pinned to the legacy nearest-run floats)."""
-        return self._detector.name != "ratio"
-
-    def _nearest_prediction(self, datasize_gb: float) -> DurationPrediction | None:
-        """Legacy expectation: nearest run of the deployed config with
-        linear datasize scaling — deliberately simple and conservative.
-        Bit-for-bit the pre-detector ``_expected_duration`` floats."""
-        assert self._state is not None
-        key = config_key(self._state.config)
-        observations = [
-            o for o in self.locat._observations if config_key(o.config) == key
-        ]
-        if not observations:
-            return None
-        nearest = min(observations, key=lambda o: abs(o.datasize_gb - datasize_gb))
-        expected = nearest.rqa_duration_s * datasize_gb / nearest.datasize_gb
-        return DurationPrediction(
-            expected_s=expected,
-            log_mean=math.log(max(expected, 1e-9)),
-            log_std=NEAREST_LOG_STD,
-            source="nearest",
-        )
-
     def _calibrate(self, datasize_gb: float, full_duration_s: float) -> None:
         """Anchor the model's RQA-scale prediction to full-app seconds."""
         assert self._state is not None
@@ -424,12 +357,11 @@ class OnlineController:
             state.tuned_datasizes.append(datasize_gb)
         state.log_offset = None
         self._detector.reset()
-        if self._uses_model:
-            # The session's validation run is a measured full-application
-            # duration of the freshly deployed config: the one clean
-            # anchor tying the DAGP's RQA-scale posterior to the scale
-            # production durations arrive in.
-            self._calibrate(datasize_gb, result.best_duration_s)
+        # The session's validation run is a measured full-application
+        # duration of the freshly deployed config: the one clean anchor
+        # tying the DAGP's RQA-scale posterior to the scale production
+        # durations arrive in.
+        self._calibrate(datasize_gb, result.best_duration_s)
 
     # ------------------------------------------------------------------
     # Shadow evaluation internals
@@ -539,7 +471,7 @@ class OnlineController:
             state.tuned_datasizes.append(shadow.origin_datasize_gb)
         state.log_offset = None
         self._detector.reset()
-        if self._uses_model and shadow.pairs:
+        if shadow.pairs:
             # The freshest shadow measurement of the challenger is a
             # full-application duration at a production datasize — the
             # same role the validation run plays for immediate deploys.
@@ -737,87 +669,54 @@ class OnlineController:
                 trigger="datasize",
             )
 
-        if duration_s is not None:
-            prediction: DurationPrediction | None
-            if self._uses_model:
-                raw = self.locat.predict_log_duration(state.config, datasize_gb)
-                if raw is None:
-                    # No usable surrogate (a minimal restored history,
-                    # or a stubbed LOCAT): fall back to the legacy
-                    # expectation — a persisted calibration must never
-                    # leave drift detection silently dead.
-                    prediction = self._nearest_prediction(datasize_gb)
-                elif state.log_offset is None:
-                    # Deployment restored from a store that predates the
-                    # persisted calibration: anchor on this first
-                    # measured run (which therefore cannot alarm) and
-                    # detect drift from the next one on.  The anchor is
-                    # capped at the nearest-run expectation plus an
-                    # allowance — a restart often *follows* trouble, and
-                    # calibrating on an already-drifted run would bake
-                    # the slowdown into the baseline forever.  Under the
-                    # cap the drift stays visible as positive residuals;
-                    # at worst an extreme full-app/RQA ratio costs one
-                    # spurious partial retune, whose own validation run
-                    # then calibrates properly.
-                    anchor = math.log(max(float(duration_s), 1e-9))
-                    nearest = self._nearest_prediction(datasize_gb)
-                    if nearest is not None:
-                        # Clamped on *both* sides, asymmetrically like
-                        # the detectors themselves.  Above: at most the
-                        # allowance over the nearest-run expectation, so
-                        # an in-progress slowdown stays visible.  Below:
-                        # the nearest-run expectation itself — an
-                        # absurdly low first report (a client sending
-                        # 0.0) would otherwise calibrate the model to
-                        # expect near-instant runs and guarantee a
-                        # spurious alarm on the next normal one, while a
-                        # genuinely faster environment merely loses a
-                        # little sensitivity until the next retune
-                        # recalibrates properly.
-                        low = math.log(nearest.expected_s)
-                        high = math.log(
-                            nearest.expected_s * LEGACY_CALIBRATION_ALLOWANCE
-                        )
-                        anchor = min(max(anchor, low), high)
-                    state.log_offset = anchor - raw[0]
-                    prediction = None
-                else:
-                    log_mean = raw[0] + state.log_offset
-                    prediction = DurationPrediction(
-                        expected_s=float(np.exp(log_mean)),
-                        log_mean=float(log_mean),
-                        log_std=float(max(raw[1], LOG_STD_FLOOR)),
-                        source="model",
-                    )
-            else:
-                prediction = self._nearest_prediction(datasize_gb)
-            if prediction is not None and self._detector.update(duration_s, prediction):
-                reason = self._detector.reason()
-                # Drift retunes always run as quarantined adapt sessions
-                # (stale pre-drift history must not anchor the incumbent
-                # or the calibration); partial_retunes only decides the
-                # BO budget: reduced (default) or the full budget.
-                result = self.locat.adapt(
-                    datasize_gb,
-                    max_iterations=(
-                        None if self.partial_retunes else self.locat.max_iterations
-                    ),
+        # None only before the bootstrap: a LOCAT restores a history
+        # from as few observations as its predictor fits on.
+        raw = (
+            None if duration_s is None
+            else self.locat.predict_log_duration(state.config, datasize_gb)
+        )
+        if raw is not None and state.log_offset is None:
+            # Deployment restored from a store that predates the
+            # persisted calibration: anchor on this first measured run
+            # (which therefore cannot alarm) and detect drift from the
+            # next one on.  A full-application run is never faster than
+            # its RQA subset, so the offset is floored at zero: an
+            # absurdly low first report (a client sending 0.0) cannot
+            # calibrate the model to expect near-instant runs and force
+            # an alarm on the next normal one.
+            state.log_offset = max(0.0, math.log(max(float(duration_s), 1e-9)) - raw[0])
+        elif raw is not None and self._detector.update(
+            duration_s,
+            DurationPrediction(
+                log_mean=float(raw[0] + state.log_offset),
+                log_std=float(max(raw[1], LOG_STD_FLOOR)),
+            ),
+        ):
+            reason = self._detector.reason()
+            # Drift retunes always run as quarantined adapt sessions
+            # (stale pre-drift history must not anchor the incumbent
+            # or the calibration); partial_retunes only decides the
+            # BO budget: reduced (default) or the full budget.
+            result = self.locat.adapt(
+                datasize_gb,
+                max_iterations=(
+                    None if self.partial_retunes else self.locat.max_iterations
+                ),
+            )
+            if self.promotion == "shadow_ab":
+                return self._gate_candidate(
+                    result, datasize_gb, duration_s, "drift", reason
                 )
-                if self.promotion == "shadow_ab":
-                    return self._gate_candidate(
-                        result, datasize_gb, duration_s, "drift", reason
-                    )
-                self._deploy(result, datasize_gb)
-                return OnlineDecision(
-                    datasize_gb=datasize_gb,
-                    duration_s=duration_s,
-                    retuned=True,
-                    reason=reason,
-                    config=result.best_config,
-                    result=result,
-                    trigger="drift",
-                )
+            self._deploy(result, datasize_gb)
+            return OnlineDecision(
+                datasize_gb=datasize_gb,
+                duration_s=duration_s,
+                retuned=True,
+                reason=reason,
+                config=result.best_config,
+                result=result,
+                trigger="drift",
+            )
 
         return OnlineDecision(
             datasize_gb=datasize_gb,

@@ -12,7 +12,7 @@ below 0.1 literally means "under ~10% expected improvement", matching
 the paper's "EI drops below 10%" rule.
 
 With ``batch_size=q > 1`` (and a caller-provided ``evaluate_batch``),
-each surrogate refit proposes ``q`` points via greedy constant-liar
+each iteration proposes ``q`` points via greedy constant-liar
 q-EI and hands them to the caller as one batch — the parallel
 evaluation pipeline runs them concurrently.  ``batch_size=1`` follows
 the exact serial code path, so seeded serial trajectories are
@@ -22,31 +22,19 @@ estimate copy of the iteration's fitted model with the pending lies
 :meth:`repro.core.dagp.DatasizeAwareGP.point_estimate_copy`) instead of
 refitting a fresh model per pending point.
 
-``surrogate_mode`` selects the engine lifecycle
-(:mod:`repro.surrogate`):
+Each :meth:`BOLoop.minimize` call grows one surrogate
+(:mod:`repro.surrogate`): the first iteration fits a
+:class:`DatasizeAwareGP` on everything observed so far, and every later
+iteration appends the new observations via exact rank-k Cholesky
+updates and re-samples the hyper-parameters only every few iterations.
+Per-iteration surrogate cost is O(n^2) amortized instead of a
+from-scratch O(n^3) refit with an MCMC chain.
 
-* ``"full"`` (default) — one from-scratch :class:`DatasizeAwareGP` fit
-  per iteration, cold MCMC chain included.  This is the historic code
-  path: the shared RNG is consumed in exactly the same order as before
-  the surrogate engine existed, so seeded *serial* (``batch_size=1``)
-  trajectories are preserved bit for bit.  Batched runs stay seeded-
-  deterministic, but their liar surrogates now go through the
-  incremental machinery, so a ``batch_size>1`` trajectory can differ
-  from the pre-engine code at floating-point round-off level.
-* ``"incremental"`` — one persistent surrogate for the whole loop: each
-  iteration appends the new observations via exact rank-k Cholesky
-  updates and warm-starts the hyper-parameter chain from the previous
-  iteration's final state (slashed burn-in, periodic refresh).  Per-
-  iteration surrogate cost drops from O(n^3 x MCMC steps) to O(n^2)
-  amortized; the trajectory is statistically equivalent but not
-  RNG-identical to ``"full"``.
-
-``surrogate_backend`` independently selects the GP implementation
-underneath (:mod:`repro.surrogate.policy`): ``"exact"`` (default —
-bit-for-bit the single-backend engine), ``"windowed"`` / ``"sparse"``
-(bounded per-decision cost for long histories), or ``"auto"``
-(policy-resolved by history size).  A tuning session's few dozen
-evaluations stay below any sensible policy threshold, so ``"auto"``
+``surrogate_backend`` selects the GP implementation underneath
+(:mod:`repro.surrogate.policy`): ``"exact"`` (default), ``"sparse"``
+(bounded per-decision cost for long histories), or ``"auto"`` (exact up
+to the policy's ``n_exact`` rows, sparse above).  A tuning session's
+few dozen evaluations stay far below that threshold, so ``"auto"``
 behaves exactly like ``"exact"`` here; the setting matters for
 long-lived service tenants whose warm histories reach thousands of
 rows.
@@ -156,7 +144,6 @@ class BOLoop:
         n_candidates: int = 384,
         batch_size: int = 1,
         liar_strategy: str = "min",
-        surrogate_mode: str = "full",
         surrogate_backend: str = "exact",
         backend_policy: BackendPolicy | None = None,
         rng: int | np.random.Generator | None = None,
@@ -165,8 +152,6 @@ class BOLoop:
             raise ValueError("dim must be positive")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if surrogate_mode not in ("full", "incremental"):
-            raise ValueError("surrogate_mode must be 'full' or 'incremental'")
         validate_backend(surrogate_backend)
         n_init = min(n_init, max_iterations)  # small budgets shrink the design
         self.dim = dim
@@ -188,7 +173,6 @@ class BOLoop:
         self.n_candidates = n_candidates
         self.batch_size = batch_size
         self.liar_strategy = liar_strategy
-        self.surrogate_mode = surrogate_mode
         self.surrogate_backend = surrogate_backend
         self.backend_policy = backend_policy
         self.rng = ensure_rng(rng)
@@ -299,22 +283,16 @@ class BOLoop:
             observe(best_warm, float(evaluate(best_warm, datasize_gb)))
 
         iterations = 0
-        incremental = self.surrogate_mode == "incremental"
-        model: DatasizeAwareGP | None = None
+        model = DatasizeAwareGP(
+            self.dim,
+            n_mcmc=self.n_mcmc,
+            backend=self.surrogate_backend,
+            **({"backend_policy": self.backend_policy} if self.backend_policy is not None else {}),
+        )
         n_modeled = 0
         while trace.n_evaluations - n_warm < self.max_iterations:
             unit_points = self._to_unit(np.stack(trace.points))
-            if model is None or not incremental:
-                model = DatasizeAwareGP(
-                    self.dim,
-                    n_mcmc=self.n_mcmc,
-                    backend=self.surrogate_backend,
-                    **(
-                        {"backend_policy": self.backend_policy}
-                        if self.backend_policy is not None
-                        else {}
-                    ),
-                )
+            if not model.is_fitted:
                 model.fit(
                     unit_points,
                     np.array(trace.datasizes),
@@ -324,8 +302,7 @@ class BOLoop:
                 )
             elif trace.n_evaluations > n_modeled:
                 # New observations are always the caller's own (fidelity
-                # 0); the engine appends them with exact rank-k updates
-                # and a warm-started hyper-parameter chain.
+                # 0); the engine appends them with exact rank-k updates.
                 model.extend(
                     unit_points[n_modeled:],
                     np.array(trace.datasizes[n_modeled:]),

@@ -14,10 +14,12 @@ delay lands in the recorded latency instead of silently disappearing
 (the coordinated-omission trap).
 
 Both drivers classify every request: ``ok``, ``rejected`` (HTTP 429
-backpressure), or ``error`` (anything else).  Rejections are a distinct
-outcome because a loaded service answering 429-with-Retry-After is
-behaving correctly; conflating them with failures would punish
-backpressure.
+backpressure), or ``error`` (anything else — including an observe that
+retuned its tenant: provisioned tenants report steady durations, so a
+retune means the run no longer measures the steady-state path).
+Rejections are a distinct outcome because a loaded service answering
+429-with-Retry-After is behaving correctly; conflating them with
+failures would punish backpressure.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ class RequestRecord:
     n_observations: int
 
 
+def _retuned(job: dict | None) -> bool:
+    """Whether a finished observe (or observe_batch) job retuned."""
+    job = job or {}
+    decisions = job.get("decisions") or [job.get("decision") or {}]
+    return any(decision.get("retuned") for decision in decisions)
+
+
 def _issue(
     client: TuningClient,
     plan: TenantPlan,
@@ -74,15 +83,17 @@ def _issue(
                     }
                     for _ in range(batch_size)
                 ]
-                client.observe_batch(plan.app_id, observations)
+                job = client.observe_batch(plan.app_id, observations)
                 n_observations = batch_size
             else:
-                client.observe(
+                job = client.observe(
                     plan.app_id,
                     datasize_gb=plan.datasize_gb,
                     duration_s=plan.sample_duration(rng),
                 )
                 n_observations = 1
+            if _retuned(job):
+                return "error", 200, 0
         elif op == "status":
             client.app(plan.app_id)
         elif op == "config":

@@ -31,8 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.core.drift import DETECTOR_MODES
-from repro.core.locat import LOCAT
+from repro.core.locat import LOCAT, MIN_RESTORE_OBSERVATIONS
 from repro.core.online import OnlineController, OnlineDecision
 from repro.core.promotion import PROMOTION_MODES
 from repro.replay import REPLAY_EVAL_MODES
@@ -58,23 +57,18 @@ TUNER_KEYS = frozenset(
         "n_qcsa", "n_iicp", "scc_threshold", "kernel", "explained_variance",
         "min_iterations", "max_iterations", "ei_threshold", "n_mcmc",
         "refit_interval", "use_qcsa", "use_iicp", "use_dagp", "use_polish",
-        "n_workers", "n_transfer_bootstrap", "surrogate_mode",
-        "surrogate_backend", "n_adapt_iterations", "replay_eval",
-        "replay_capacity", "n_replays",
+        "n_workers", "n_transfer_bootstrap", "surrogate_backend",
+        "n_adapt_iterations", "replay_eval", "replay_capacity", "n_replays",
     }
 )
 
 #: OnlineController keyword arguments a tenant may override.
 CONTROLLER_KEYS = frozenset(
-    {"datasize_margin", "drift_factor", "drift_patience", "detector",
-     "partial_retunes", "promotion", "shadow_runs", "ab_alpha"}
+    {"datasize_margin", "partial_retunes", "promotion", "shadow_runs", "ab_alpha"}
 )
 
 #: How a new tenant's first bootstrap may be seeded.
 WARM_START_MODES = ("cold", "transfer")
-
-#: Minimum persisted tuning observations for a meaningful warm start.
-MIN_RESTORE_OBSERVATIONS = 3
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +110,6 @@ def _validate_tuner(tuner: dict) -> None:
                 raise ValueError(
                     f"tuner.{key} must be a positive integer, got {value!r}"
                 )
-    if tuner.get("surrogate_mode", "full") not in ("full", "incremental"):
-        raise ValueError(
-            "tuner.surrogate_mode must be 'full' or 'incremental', "
-            f"got {tuner['surrogate_mode']!r}"
-        )
     if tuner.get("surrogate_backend", "exact") not in SURROGATE_BACKENDS:
         raise ValueError(
             f"tuner.surrogate_backend must be one of {SURROGATE_BACKENDS}, "
@@ -137,11 +126,6 @@ def _validate_controller(controller: dict) -> None:
     if not CONTROLLER_KEYS.issuperset(controller):
         raise ValueError(
             f"unknown controller settings: {sorted(set(controller) - CONTROLLER_KEYS)}"
-        )
-    if controller.get("detector", DETECTOR_MODES[0]) not in DETECTOR_MODES:
-        raise ValueError(
-            f"controller.detector must be one of {DETECTOR_MODES}, "
-            f"got {controller['detector']!r}"
         )
     if "partial_retunes" in controller and not isinstance(
         controller["partial_retunes"], bool
@@ -172,6 +156,32 @@ def _validate_controller(controller: dict) -> None:
                 "controller.ab_alpha must be a number strictly between "
                 f"0 and 1, got {value!r}"
             )
+
+
+def _drop_retired_settings(app_id: str, meta: dict) -> dict:
+    """A copy of persisted tenant metadata without retired settings.
+
+    Earlier versions accepted tenant keys (and ``surrogate_backend``
+    values) that no longer exist.  A store carrying one still
+    rehydrates: each such setting is dropped with one warning on stderr
+    and the tenant runs on the current default for it.  Registration
+    keeps rejecting them (:func:`_validate_tuner`,
+    :func:`_validate_controller`).
+    """
+    tuner = dict(meta.get("tuner") or {})
+    controller = dict(meta.get("controller") or {})
+    retired = [("tuner", key) for key in sorted(set(tuner) - TUNER_KEYS)]
+    retired += [("controller", key) for key in sorted(set(controller) - CONTROLLER_KEYS)]
+    if tuner.get("surrogate_backend", "exact") not in SURROGATE_BACKENDS:
+        retired.append(("tuner", "surrogate_backend"))
+    for section, key in retired:
+        settings = tuner if section == "tuner" else controller
+        print(
+            f"warning: {app_id!r}: ignoring retired setting "
+            f"{section}.{key}={settings.pop(key)!r}",
+            file=sys.stderr,
+        )
+    return {**meta, "tuner": tuner, "controller": controller}
 
 
 class QuarantinedApplicationError(RuntimeError):
@@ -293,7 +303,6 @@ class TuningRegistry:
         default_eval_workers: int = 1,
         max_eval_workers: int | None = None,
         default_warm_start: str = "cold",
-        default_detector: str = "ph",
         default_surrogate_backend: str = "exact",
         default_promotion: str = "immediate",
         default_replay_eval: str = "off",
@@ -306,11 +315,6 @@ class TuningRegistry:
             raise ValueError(
                 f"default_warm_start must be one of {WARM_START_MODES}, "
                 f"got {default_warm_start!r}"
-            )
-        if default_detector not in DETECTOR_MODES:
-            raise ValueError(
-                f"default_detector must be one of {DETECTOR_MODES}, "
-                f"got {default_detector!r}"
             )
         if default_surrogate_backend not in SURROGATE_BACKENDS:
             raise ValueError(
@@ -330,9 +334,6 @@ class TuningRegistry:
         self.store = store
         #: Warm-start mode for registrations that do not choose one.
         self.default_warm_start = default_warm_start
-        #: Drift-detector mode for tenants that do not set
-        #: ``controller.detector`` themselves (service-level default).
-        self.default_detector = default_detector
         #: Surrogate backend for tenants that do not set
         #: ``tuner.surrogate_backend`` themselves (service-level
         #: default).  Applied at session construction, not persisted, so
@@ -474,7 +475,6 @@ class TuningRegistry:
             **tuner_kwargs,
         )
         controller_kwargs = dict(meta.get("controller", {}))
-        controller_kwargs.setdefault("detector", self.default_detector)
         controller_kwargs.setdefault("promotion", self.default_promotion)
         online = OnlineController(locat, **controller_kwargs)
         return AppSession(
@@ -506,7 +506,8 @@ class TuningRegistry:
 
     def _rehydrate(self, app_id: str) -> AppSession:
         """Rebuild one session from the store, warm-starting when possible."""
-        session = self._build_session(app_id, self.store.app_meta(app_id))
+        meta = _drop_retired_settings(app_id, self.store.app_meta(app_id))
+        session = self._build_session(app_id, meta)
         session.transfer_provenance = self.store.load_transfer(app_id)
         if session.locat.replay_eval != "off":
             # The replay trace is a rebuildable optimization cache, not
@@ -539,22 +540,15 @@ class TuningRegistry:
             session.restored = True
         deployment = self.store.load_deployment(app_id)
         if deployment is not None:
-            detector_state = deployment.get("detector_state")
-            persisted_detector = deployment.get("detector")
-            if (
-                persisted_detector is not None
-                and persisted_detector != session.controller.detector_name
-            ):
-                # The detector mode changed since the state was written
-                # (e.g. a new --drift-detector service default): its
-                # accumulators do not translate — start a fresh window
-                # rather than misreading another detector's state.
-                detector_state = None
+            # Stores written by earlier versions may carry more keys
+            # (the retired detectors' name and window); they are
+            # ignored.  A detector_state written by another detector
+            # restores only the keys Page-Hinkley shares with it (the
+            # residual baseline); the rest starts fresh.
             session.controller.restore_state(
                 config_from_dict(deployment["config"]),
                 deployment["tuned_datasizes"],
-                deployment.get("recent_ratios"),
-                detector_state=detector_state,
+                detector_state=deployment.get("detector_state"),
                 log_offset=deployment.get("log_offset"),
             )
             session.locat.restore_stale_boundary(
@@ -710,10 +704,6 @@ class TuningRegistry:
             state = {
                 "config": config_to_dict(session.controller.deployed_config),
                 "tuned_datasizes": session.controller.tuned_datasizes,
-                # Legacy field, kept so a store written here stays
-                # readable by pre-detector service versions.
-                "recent_ratios": session.controller.recent_ratios,
-                "detector": session.controller.detector_name,
                 "detector_state": session.controller.detector_state(),
                 "log_offset": session.controller.log_offset,
                 # The drift-quarantine boundary travels with the

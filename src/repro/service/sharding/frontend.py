@@ -66,7 +66,6 @@ class ShardedTuningService:
         tuning_threads: int = 4,
         eval_workers: int = 1,
         default_warm_start: str = "cold",
-        default_detector: str = "ph",
         default_surrogate_backend: str = "exact",
         default_promotion: str = "immediate",
         default_replay_eval: str = "off",
@@ -96,8 +95,7 @@ class ShardedTuningService:
                     tuning_threads=tuning_threads,
                     eval_workers=eval_workers,
                     default_warm_start=default_warm_start,
-                    default_detector=default_detector,
-                    default_surrogate_backend=default_surrogate_backend,
+                            default_surrogate_backend=default_surrogate_backend,
                     default_promotion=default_promotion,
                     default_replay_eval=default_replay_eval,
                     max_pending=max_pending,

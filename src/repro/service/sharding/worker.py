@@ -45,7 +45,6 @@ class WorkerSpec:
     tuning_threads: int = 4
     eval_workers: int = 1
     default_warm_start: str = "cold"
-    default_detector: str = "ph"
     default_surrogate_backend: str = "exact"
     default_promotion: str = "immediate"
     default_replay_eval: str = "off"
@@ -71,7 +70,6 @@ def default_service(spec: WorkerSpec) -> TuningService:
         eval_workers=spec.eval_workers,
         rehydrate=True,
         default_warm_start=spec.default_warm_start,
-        default_detector=spec.default_detector,
         default_surrogate_backend=spec.default_surrogate_backend,
         default_promotion=spec.default_promotion,
         default_replay_eval=spec.default_replay_eval,

@@ -10,38 +10,30 @@ of a long-lived service tenant — from being dominated by O(n^3) refits:
   :class:`~repro.bo.gp.GaussianProcess` and
   :class:`~repro.core.dagp.DatasizeAwareGP` implement and that the BO
   loop, LOCAT, and the GP-backed baselines consume.
-* :func:`~repro.surrogate.incremental.cholesky_append` /
-  :func:`~repro.surrogate.incremental.cholesky_downdate` and
+* :func:`~repro.surrogate.incremental.cholesky_append` and
   :class:`~repro.surrogate.incremental.LMLCache` — the exact rank-k
-  Cholesky update/downdate pair behind ``extend`` and sliding windows,
-  and the bounded LRU per-theta memo behind the slice sampler's
-  log-marginal-likelihood evaluations.
+  Cholesky update behind ``extend``, and the bounded LRU per-theta memo
+  behind the slice sampler's log-marginal-likelihood evaluations.
 * :class:`~repro.surrogate.stack.ModelStack` — the ``n_mcmc`` posterior
   hyper-parameter samples held as stacked ``(chol, alpha)`` state and
   evaluated in one vectorized pass, replacing the per-clone Python loop.
-* Scalable backends behind the same protocol:
-  :class:`~repro.surrogate.windowed.WindowedGP` (recent window + greedy
-  high-information coreset, O(W^2) per decision) and
+* A scalable backend behind the same protocol:
   :class:`~repro.surrogate.sparse.SparseGP` (Nystrom inducing points,
   O(m^2) per decision), selected per history size by
   :class:`~repro.surrogate.policy.BackendPolicy`.
 """
 
-from repro.surrogate.incremental import LMLCache, cholesky_append, cholesky_downdate
+from repro.surrogate.incremental import LMLCache, cholesky_append
 from repro.surrogate.policy import SURROGATE_BACKENDS, BackendPolicy, validate_backend
 from repro.surrogate.protocol import Surrogate
 from repro.surrogate.stack import ModelStack
 
 
 def __getattr__(name: str):
-    # The backend classes live above repro.bo (they wrap a
+    # The backend class lives above repro.bo (it wraps a
     # GaussianProcess) while repro.bo.gp imports this package's
-    # incremental primitives — resolve them lazily to keep the package
+    # incremental primitives — resolve it lazily to keep the package
     # importable from either direction.
-    if name == "WindowedGP":
-        from repro.surrogate.windowed import WindowedGP
-
-        return WindowedGP
     if name == "SparseGP":
         from repro.surrogate.sparse import SparseGP
 
@@ -55,8 +47,6 @@ __all__ = [
     "SURROGATE_BACKENDS",
     "SparseGP",
     "Surrogate",
-    "WindowedGP",
     "cholesky_append",
-    "cholesky_downdate",
     "validate_backend",
 ]

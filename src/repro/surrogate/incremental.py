@@ -1,6 +1,6 @@
 """Exact incremental linear algebra for Gaussian process surrogates.
 
-Three small primitives with an outsized effect on optimizer time:
+Two small primitives with an outsized effect on optimizer time:
 
 * :func:`cholesky_append` — the block (rank-k) Cholesky update.  Given
   the factor of the current training covariance, appending k
@@ -8,11 +8,6 @@ Three small primitives with an outsized effect on optimizer time:
   and the result is *algebraically identical* to factorizing the
   extended matrix from scratch (the block formula is exact; only
   floating-point round-off differs).
-* :func:`cholesky_downdate` — the mirror operation: remove one
-  row/column from a factored covariance in O(n^2) via a positive
-  rank-1 Cholesky update of the trailing block.  Appending with
-  :func:`cholesky_append` and downdating the oldest row slides a
-  fixed-size window across an unbounded history at O(W^2) per step.
 * :class:`LMLCache` — a bounded per-theta LRU memo for
   log-marginal-likelihood values.  Univariate slice sampling
   re-evaluates the posterior at the current state once per coordinate
@@ -65,59 +60,6 @@ def cholesky_append(
     # scipy raises numpy.linalg.LinAlgError on a non-PD Schur complement,
     # the same contract as a from-scratch factorization.
     out[n:, n:] = cholesky(schur, lower=True, check_finite=False)
-    return out
-
-
-def _rank_one_update(lower: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return the lower Cholesky factor of ``L @ L.T + v @ v.T``.
-
-    The classic Givens-style sweep: each step rotates the update vector
-    into one column of the factor.  Adding a positive rank-1 term keeps
-    the matrix positive definite, so — unlike the subtractive downdate —
-    this never breaks down.  O(n^2).
-    """
-    out = np.array(lower, dtype=float, copy=True)
-    v = np.array(v, dtype=float, copy=True)
-    n = out.shape[0]
-    for j in range(n):
-        d = out[j, j]
-        r = np.hypot(d, v[j])
-        c = r / d
-        s = v[j] / d
-        out[j, j] = r
-        if j + 1 < n:
-            out[j + 1 :, j] = (out[j + 1 :, j] + s * v[j + 1 :]) / c
-            v[j + 1 :] = c * v[j + 1 :] - s * out[j + 1 :, j]
-    return out
-
-
-def cholesky_downdate(lower: np.ndarray, index: int = 0) -> np.ndarray:
-    """Remove one row/column from a lower Cholesky factor in O(n^2).
-
-    With ``lower @ lower.T == K`` (n x n), returns the lower factor of
-    ``K`` with row/column ``index`` deleted — the mirror of
-    :func:`cholesky_append`.  The default ``index=0`` removes the
-    *oldest* observation, which is the sliding-window case; an arbitrary
-    index supports coreset eviction.
-
-    Partitioning ``lower`` around row ``i`` as ``[[L11, 0, 0],
-    [l21, l22, 0], [L31, l32, L33]]``, the reduced covariance keeps
-    ``L11`` and ``L31`` unchanged while the trailing block satisfies
-    ``L33' @ L33'.T == L33 @ L33.T + l32 @ l32.T`` — a positive rank-1
-    update, performed by a Givens sweep.  The result is algebraically
-    identical to factorizing the reduced matrix from scratch.
-    """
-    lower = np.asarray(lower, dtype=float)
-    n = lower.shape[0]
-    if lower.shape != (n, n):
-        raise ValueError("lower must be square")
-    if not -n <= index < n:
-        raise IndexError(f"index {index} out of range for factor of size {n}")
-    i = index % n
-    out = np.zeros((n - 1, n - 1))
-    out[:i, :i] = np.tril(lower[:i, :i])
-    out[i:, :i] = lower[i + 1 :, :i]
-    out[i:, i:] = _rank_one_update(lower[i + 1 :, i + 1 :], lower[i + 1 :, i])
     return out
 
 

@@ -1,24 +1,20 @@
 """Backend selection policy for the surrogate engine.
 
-Three backends implement the same ``Surrogate`` lifecycle with different
+Two backends implement the same ``Surrogate`` lifecycle with different
 cost/fidelity trade-offs:
 
 ========  ==============================  ======================
 backend   per-decision cost               posterior
 ========  ==============================  ======================
 exact     O(n^2) extend, O(n^3) refit     exact
-windowed  O(W^2), W = window + coreset    exact on the active set
 sparse    O(m^2), m = inducing points     Nystrom/DTC approximation
 ========  ==============================  ======================
 
 :class:`BackendPolicy` picks between them by history size: exact while
-the history is small enough that nobody can tell the difference,
-windowed once exact refits start to hurt, sparse once even a window
-discards too much of a very long history.  The thresholds are
-configurable per tenant; the defaults keep a tuning session (tens of
-evaluations) on the exact backend — and therefore bit-for-bit identical
-to the pre-policy engine — while a long-lived service tenant
-transitions automatically as its history grows.
+the history is small enough that exact refits stay cheap, sparse above.
+The threshold is configurable per tenant; the default keeps a tuning
+session (tens of evaluations) on the exact backend while a long-lived
+service tenant transitions automatically as its history grows.
 """
 
 from __future__ import annotations
@@ -27,47 +23,33 @@ from dataclasses import dataclass
 
 #: Accepted values for the ``surrogate_backend`` setting, everywhere it
 #: appears (DAGP, BOLoop, LOCAT, the service tenant key, the CLI).
-#: ``auto`` defers to a :class:`BackendPolicy`; the other three force
+#: ``auto`` defers to a :class:`BackendPolicy`; the other two force
 #: one backend unconditionally.
-SURROGATE_BACKENDS = ("auto", "exact", "windowed", "sparse")
+SURROGATE_BACKENDS = ("auto", "exact", "sparse")
 
 
 @dataclass(frozen=True)
 class BackendPolicy:
-    """Size thresholds and per-backend capacity knobs.
+    """Size threshold and the sparse backend's capacity.
 
-    ``select`` resolves a history size to a concrete backend:
-    exact for ``n <= n_exact``, windowed for ``n <= n_window``, sparse
-    above.  The capacity knobs (``window``/``coreset`` for the windowed
-    backend, ``n_inducing`` for the sparse one) travel with the policy
-    so a tenant's whole scaling behavior is one configuration object.
+    ``select`` resolves a history size to a concrete backend: exact for
+    ``n <= n_exact``, sparse above.  ``n_inducing`` travels with the
+    policy so a tenant's whole scaling behavior is one configuration
+    object.
     """
 
     n_exact: int = 512
-    n_window: int = 4096
-    window: int = 256
-    coreset: int = 64
     n_inducing: int = 128
 
     def __post_init__(self):
         if self.n_exact < 1:
             raise ValueError("n_exact must be positive")
-        if self.n_window < self.n_exact:
-            raise ValueError("n_window must be >= n_exact")
-        if self.window < 2:
-            raise ValueError("window must be at least 2")
-        if self.coreset < 0:
-            raise ValueError("coreset must be non-negative")
         if self.n_inducing < 2:
             raise ValueError("n_inducing must be at least 2")
 
     def select(self, n_observations: int) -> str:
         """The backend this policy prescribes for a history of size n."""
-        if n_observations <= self.n_exact:
-            return "exact"
-        if n_observations <= self.n_window:
-            return "windowed"
-        return "sparse"
+        return "exact" if n_observations <= self.n_exact else "sparse"
 
 
 def validate_backend(backend: str) -> str:

@@ -1,9 +1,9 @@
 """Inducing-point (Nystrom / subset-of-regressors) GP backend.
 
-For the very-long-history regime even a sliding window wastes
-information: tens of thousands of observations cover the configuration
-space densely, and what limits accuracy is the *global* shape of the
-surface, not the most recent rows.  :class:`SparseGP` compresses the
+For the very-long-history regime an exact GP pays O(n^2) per decision
+and O(n^3) per refit, yet tens of thousands of observations cover the
+configuration space densely: what limits accuracy is the *global* shape
+of the surface, not every individual row.  :class:`SparseGP` compresses the
 history through ``m`` inducing inputs Z and keeps only the m x m
 sufficient statistics
 

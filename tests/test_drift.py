@@ -1,4 +1,4 @@
-"""Tests for the sequential drift detectors (:mod:`repro.core.drift`)."""
+"""Tests for the Page–Hinkley drift detector (:mod:`repro.core.drift`)."""
 
 import json
 import math
@@ -6,22 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.drift import (
-    CusumDetector,
-    DriftDetector,
-    DurationPrediction,
-    PageHinkleyDetector,
-    RatioDriftDetector,
-    make_detector,
-)
+from repro.core.drift import DriftDetector, DurationPrediction, PageHinkleyDetector
 
 
 def prediction(expected_s: float, log_std: float = 0.1) -> DurationPrediction:
-    return DurationPrediction(
-        expected_s=expected_s,
-        log_mean=math.log(expected_s),
-        log_std=log_std,
-    )
+    return DurationPrediction(log_mean=math.log(expected_s), log_std=log_std)
 
 
 class TestDurationPrediction:
@@ -30,41 +19,6 @@ class TestDurationPrediction:
         assert p.standardized_residual(100.0) == pytest.approx(0.0)
         assert p.standardized_residual(100.0 * math.e**0.2) == pytest.approx(2.0)
         assert p.standardized_residual(100.0 / math.e**0.1) == pytest.approx(-1.0)
-
-
-class TestRatioDetector:
-    def test_matches_the_legacy_window_rule_on_random_streams(self):
-        """Bit-for-bit: the detector's decisions equal the pre-detector
-        controller's inline window logic for arbitrary streams."""
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            factor = float(rng.uniform(1.05, 2.0))
-            patience = int(rng.integers(1, 5))
-            expected = float(rng.uniform(10.0, 500.0))
-            durations = expected * rng.uniform(0.5, 3.0, size=60)
-
-            detector = RatioDriftDetector(factor=factor, patience=patience)
-            window: list[float] = []
-            for duration in durations:
-                # The legacy rule, verbatim (including the 1e-9 guard).
-                window.append(float(duration) / max(expected, 1e-9))
-                window = window[-patience:]
-                legacy = len(window) >= patience and all(r > factor for r in window)
-                got = detector.update(float(duration), prediction(expected))
-                assert got == legacy
-                if legacy:
-                    window.clear()
-                    detector.reset()
-
-    def test_reason_matches_the_legacy_string(self):
-        detector = RatioDriftDetector(factor=1.3, patience=2)
-        assert detector.reason() == "2 consecutive runs over 1.3x the expected duration"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RatioDriftDetector(factor=1.0)
-        with pytest.raises(ValueError):
-            RatioDriftDetector(patience=0)
 
 
 class TestPageHinkley:
@@ -155,62 +109,23 @@ class TestPageHinkley:
         }
 
 
-class TestCusum:
-    def test_no_alarm_on_centered_noise(self):
-        detector = CusumDetector()
-        rng = np.random.default_rng(11)
-        for z in rng.normal(0.0, 1.0, size=500):
-            assert not detector.update(100.0 * math.exp(0.05 * z), prediction(100.0))
-
-    def test_sustained_shift_detected(self):
-        detector = CusumDetector()
-        for _ in range(10):
-            detector.update(100.0, prediction(100.0))
-        alarmed = False
-        for _ in range(6):
-            if detector.update(140.0, prediction(100.0)):
-                alarmed = True
-                break
-        assert alarmed
-
-    def test_score_resets_on_recovery(self):
-        detector = CusumDetector()
-        for _ in range(10):
-            detector.update(100.0, prediction(100.0))
-        detector.update(150.0, prediction(100.0))
-        assert detector.score > 0
-        for _ in range(6):
-            detector.update(100.0, prediction(100.0))
-        assert detector.score == 0.0
-
-    def test_state_round_trips_through_json(self):
-        detector = CusumDetector()
-        for d in (100.0, 130.0, 125.0):
-            detector.update(d, prediction(100.0))
-        restored = CusumDetector()
-        restored.restore(json.loads(json.dumps(detector.state())))
-        assert restored.state() == detector.state()
-
-
-class TestFactoryAndProtocol:
-    @pytest.mark.parametrize("name,cls", [
-        ("ratio", RatioDriftDetector),
-        ("ph", PageHinkleyDetector),
-        ("cusum", CusumDetector),
-    ])
-    def test_make_detector(self, name, cls):
-        detector = make_detector(name, drift_factor=1.5, drift_patience=4)
-        assert isinstance(detector, cls)
+class TestProtocol:
+    def test_page_hinkley_satisfies_the_protocol(self):
+        detector = PageHinkleyDetector()
         assert isinstance(detector, DriftDetector)  # runtime protocol check
-        assert detector.name == name
-        # Every detector serves a JSON-safe status and state.
+        assert detector.name == "ph"
+        # The detector serves a JSON-safe status and state.
         json.dumps(detector.status())
         json.dumps(detector.state())
 
-    def test_ratio_factory_forwards_parameters(self):
-        detector = make_detector("ratio", drift_factor=1.5, drift_patience=4)
-        assert detector.factor == 1.5 and detector.patience == 4
-
-    def test_unknown_detector(self):
-        with pytest.raises(ValueError, match="unknown drift detector"):
-            make_detector("oracle")
+    def test_foreign_state_restores_only_the_shared_baseline(self):
+        """Stores written by earlier versions may hold another
+        detector's state: the residual baseline (``n``/``total``) it
+        shares carries over, everything else starts fresh."""
+        detector = PageHinkleyDetector()
+        detector.restore({"recent_ratios": [1.4, 1.5]})
+        assert detector.state() == PageHinkleyDetector().state()
+        detector.restore({"n": 4, "total": 2.0, "score": 3.5})
+        assert detector.state() == {
+            "n": 4, "total": 2.0, "cumulative": 0.0, "minimum": 0.0,
+        }

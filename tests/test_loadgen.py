@@ -238,6 +238,26 @@ class TestIssueTaxonomy:
         assert _issue(client, self._plan(), "config", rng, 1) == ("ok", 200, 0)
         assert client.calls[1] == ("observe_batch", "t", 32)
 
+    def test_retune_in_the_measured_window_is_an_error(self):
+        """Provisioned tenants report steady durations: an observe that
+        retuned means the run stopped measuring the steady state."""
+
+        class RetuningClient(self._StubClient):
+            def observe(self, app_id, datasize_gb, duration_s):
+                super().observe(app_id, datasize_gb, duration_s)
+                return {"decision": {"retuned": True}}
+
+            def observe_batch(self, app_id, observations):
+                super().observe_batch(app_id, observations)
+                return {"decisions": [{"retuned": False}, {"retuned": True}]}
+
+        client = RetuningClient()
+        rng = ensure_rng(1)
+        assert _issue(client, self._plan(), "observe", rng, 1) == ("error", 200, 0)
+        assert _issue(client, self._plan(), "observe", rng, 2) == ("error", 200, 0)
+        steady = self._StubClient()
+        assert _issue(steady, self._plan(), "observe", rng, 1) == ("ok", 200, 1)
+
     def test_429_is_rejected_not_error(self):
         client = self._StubClient(exc=ServiceError(429, "saturated", retry_after=2.0))
         outcome = _issue(client, self._plan(), "observe", ensure_rng(1), 1)

@@ -1,7 +1,7 @@
 """Tests for the online tuning controller."""
 
 import math
-from dataclasses import dataclass
+import re
 
 import pytest
 
@@ -20,16 +20,6 @@ def make_locat(cluster, app, seed=7):
 
 @pytest.fixture()
 def controller(x86, join_app):
-    """Ratio-mode controller: the legacy drift semantics, bit for bit."""
-    return OnlineController(
-        make_locat(x86, join_app),
-        datasize_margin=0.3, drift_factor=1.3, drift_patience=2, detector="ratio",
-    )
-
-
-@pytest.fixture()
-def model_controller(x86, join_app):
-    """Default (Page-Hinkley over DAGP residuals) controller."""
     return OnlineController(make_locat(x86, join_app), datasize_margin=0.3)
 
 
@@ -98,18 +88,17 @@ class TestDriftDetection:
     def test_consistent_slowdown_triggers_retune(self, controller):
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        # Two consecutive runs far above expectation -> drift.
-        controller.observe(100.0, duration_s=baseline * 3.0)
+        # A run far above expectation integrates past the threshold.
         decision = controller.observe(100.0, duration_s=baseline * 3.0)
         assert decision.retuned
         assert decision.trigger == "drift"
-        assert "consecutive" in decision.reason
+        assert "Page-Hinkley" in decision.reason
 
     def test_single_slow_run_tolerated(self, controller):
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        decision = controller.observe(100.0, duration_s=baseline * 3.0)
-        assert not decision.retuned  # patience = 2
+        decision = controller.observe(100.0, duration_s=baseline * 1.4)
+        assert not decision.retuned  # under the threshold on its own
 
     def test_normal_runs_never_retune(self, controller):
         first = controller.observe(100.0)
@@ -120,42 +109,39 @@ class TestDriftDetection:
 
 
 class TestDriftReason:
-    def test_drift_reason_names_patience_and_factor(self, controller):
+    def test_drift_reason_names_statistic_and_threshold(self, controller):
         """Durations drifting above the expectation retune with the
-        exact reason string the service exposes over the API."""
+        reason string the service exposes over the API."""
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        decision = controller.observe(100.0, duration_s=baseline * 2.0)
-        assert not decision.retuned  # one slow run is inside the patience window
-        decision = controller.observe(100.0, duration_s=baseline * 2.0)
+        decision = controller.observe(100.0, duration_s=baseline * 3.0)
         assert decision.retuned
-        assert decision.reason == "2 consecutive runs over 1.3x the expected duration"
+        assert re.fullmatch(
+            r"Page-Hinkley drift statistic \d+\.\d exceeded 4\.0 "
+            r"\(sustained slowdown vs the model expectation\)",
+            decision.reason,
+        )
 
     def test_drift_window_clears_after_retune(self, controller):
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        controller.observe(100.0, duration_s=baseline * 3.0)
         retuned = controller.observe(100.0, duration_s=baseline * 3.0)
         assert retuned.retuned
-        assert controller.recent_ratios == []
-        # The next slow run starts a fresh window instead of re-triggering.
-        decision = controller.observe(100.0, duration_s=baseline * 3.0)
+        assert controller.detector_state()["n"] == 0
+        # The next mildly slow run starts a fresh window instead of
+        # re-triggering on the old evidence.
+        decision = controller.observe(
+            100.0, duration_s=retuned.result.best_duration_s * 1.4
+        )
         assert not decision.retuned
 
     def test_fast_run_interrupts_the_streak(self, controller):
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        controller.observe(100.0, duration_s=baseline * 3.0)
+        controller.observe(100.0, duration_s=baseline * 1.4)
         controller.observe(100.0, duration_s=baseline)  # recovery run
-        decision = controller.observe(100.0, duration_s=baseline * 3.0)
+        decision = controller.observe(100.0, duration_s=baseline * 1.4)
         assert not decision.retuned  # the streak was broken
-
-
-@dataclass
-class _StubObservation:
-    config: object
-    datasize_gb: float
-    rqa_duration_s: float
 
 
 class _StubLocat:
@@ -163,11 +149,8 @@ class _StubLocat:
 
     max_iterations = 25
 
-    def __init__(self, space, rqa_duration_s=50.0, datasize_gb=100.0):
+    def __init__(self, space):
         self.config = space.default()
-        self._observations = [
-            _StubObservation(self.config, datasize_gb, rqa_duration_s)
-        ]
         self.tune_calls = []
         self.adapt_calls = []
 
@@ -182,62 +165,20 @@ class _StubLocat:
         self.tune_calls.append(datasize_gb)
         return self._result(datasize_gb)
 
+    def predict_log_duration(self, config, datasize_gb):
+        # The fixed expectation, as a near-certain model prediction.
+        return math.log(50.0 * datasize_gb / 100.0), 0.0
+
     def adapt(self, datasize_gb, max_iterations=None):
         self.adapt_calls.append((datasize_gb, max_iterations))
         return self._result(datasize_gb)
 
-    def predict_log_duration(self, config, datasize_gb):
-        return None
 
-
-class TestRatioModeBitForBit:
-    """detector="ratio" reproduces the pre-detector controller's retune
-    decisions bit for bit on a pinned run stream."""
-
-    #: Pinned stream of measured durations at 100 GB against the stub's
-    #: fixed 50 s expectation: ratios straddle the 1.3 factor, including
-    #: exact-boundary values (65.0 is *not* over 1.3x: strict >).
-    STREAM = [
-        50.0, 66.0, 66.0, 64.0, 66.0, 66.0, 66.0,  # retune at the 3rd full window
-        65.0, 66.0, 66.0, 66.0,                     # 65.0 == 1.3x exactly: no drift yet
-        200.0, 40.0, 200.0, 200.0, 200.0,           # recovery run breaks the streak
-        66.0000001, 66.0, 66.0,
-    ]
-
-    @staticmethod
-    def legacy_decisions(stream, expected_s, factor, patience):
-        """The pre-detector drift rule, verbatim."""
-        window: list[float] = []
-        decisions = []
-        for duration in stream:
-            window.append(duration / max(expected_s, 1e-9))
-            window = window[-patience:]
-            drifted = len(window) >= patience and all(r > factor for r in window)
-            if drifted:
-                window.clear()
-            decisions.append(drifted)
-        return decisions
-
-    def test_pinned_stream_decisions_match_legacy(self, space_x86):
-        locat = _StubLocat(space_x86)
-        controller = OnlineController(
-            locat, drift_factor=1.3, drift_patience=3, detector="ratio"
-        )
-        controller.observe(100.0)  # deploy
-        observed = [
-            controller.observe(100.0, duration_s=d).retuned for d in self.STREAM
-        ]
-        expected = self.legacy_decisions(self.STREAM, 50.0, 1.3, 3)
-        assert observed == expected
-        assert any(observed), "the pinned stream must exercise at least one retune"
-
+class TestDriftRetuneSessions:
     def test_drift_retunes_are_partial_sessions(self, space_x86):
         locat = _StubLocat(space_x86)
-        controller = OnlineController(
-            locat, drift_factor=1.3, drift_patience=2, detector="ratio"
-        )
+        controller = OnlineController(locat)
         controller.observe(100.0)
-        controller.observe(100.0, duration_s=200.0)
         decision = controller.observe(100.0, duration_s=200.0)
         assert decision.retuned
         assert locat.adapt_calls == [(100.0, None)]  # drift -> partial session
@@ -249,82 +190,62 @@ class TestRatioModeBitForBit:
         the incumbent (and the calibration) on stale pre-drift trials
         and loop forever."""
         locat = _StubLocat(space_x86)
-        controller = OnlineController(
-            locat, drift_factor=1.3, drift_patience=1, detector="ratio",
-            partial_retunes=False,
-        )
+        controller = OnlineController(locat, partial_retunes=False)
         controller.observe(100.0)
         assert controller.observe(100.0, duration_s=200.0).retuned
         assert locat.adapt_calls == [(100.0, 25)]  # full budget, adapt path
         assert locat.tune_calls == [100.0]
 
 
-class TestModelDetectorFallback:
-    def test_restored_calibration_without_surrogate_still_detects(self, space_x86):
-        """A persisted log_offset plus a LOCAT whose surrogate cannot
-        predict (e.g. a minimal restored history) must fall back to the
-        nearest-run expectation — not leave drift detection silently
-        dead for the deployment's lifetime."""
-        locat = _StubLocat(space_x86)  # predict_log_duration -> None
-        controller = OnlineController(locat, detector="ph")
-        controller.restore_state(
-            locat.config, [100.0], log_offset=0.05  # calibration survived
-        )
-        alarmed = False
-        for _ in range(6):
-            if controller.observe(100.0, duration_s=50.0 * 4.0).retuned:
-                alarmed = True
-                break
-        assert alarmed, "drift must fire through the nearest-run fallback"
-
-
 class TestModelDetector:
-    def test_deploy_calibrates_the_model(self, model_controller):
-        model_controller.observe(100.0)
-        assert model_controller.log_offset is not None
-        status = model_controller.drift_status()
+    def test_deploy_calibrates_the_model(self, controller):
+        controller.observe(100.0)
+        assert controller.log_offset is not None
+        status = controller.drift_status()
         assert status["detector"] == "ph"
         assert status["calibrated"]
 
-    def test_sustained_slowdown_triggers_partial_retune(self, model_controller):
-        first = model_controller.observe(100.0)
+    def test_sustained_slowdown_triggers_partial_retune(self, controller):
+        first = controller.observe(100.0)
         baseline = first.result.best_duration_s
         for _ in range(3):
-            model_controller.observe(100.0, duration_s=baseline)
+            controller.observe(100.0, duration_s=baseline)
         decision = None
         for _ in range(6):
-            decision = model_controller.observe(100.0, duration_s=baseline * 2.0)
+            decision = controller.observe(100.0, duration_s=baseline * 2.0)
             if decision.retuned:
                 break
         assert decision is not None and decision.retuned
         assert decision.trigger == "drift"
         assert decision.result.details["partial"] is True
 
-    def test_single_spike_tolerated(self, model_controller):
-        first = model_controller.observe(100.0)
+    def test_single_spike_tolerated(self, controller):
+        first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        decision = model_controller.observe(100.0, duration_s=baseline * 1.6)
+        decision = controller.observe(100.0, duration_s=baseline * 1.6)
         assert not decision.retuned
         # A recovery run keeps the statistic from accumulating.
         for _ in range(4):
-            decision = model_controller.observe(100.0, duration_s=baseline)
+            decision = controller.observe(100.0, duration_s=baseline)
             assert not decision.retuned
 
-    def test_mild_degradation_below_ratio_factor_still_detected(self, model_controller):
-        """A 20% slowdown never crosses the ratio rule's 1.3 factor, but
-        the sequential detector integrates it up."""
-        first = model_controller.observe(100.0)
+    def test_mild_degradation_below_ratio_factor_still_detected(self, controller):
+        """A 20% slowdown is small run by run (below a fixed 1.3x
+        factor), but the sequential detector integrates it up."""
+        first = controller.observe(100.0)
         baseline = first.result.best_duration_s
         retuned = False
         for _ in range(25):
-            if model_controller.observe(100.0, duration_s=baseline * 1.2).retuned:
+            if controller.observe(100.0, duration_s=baseline * 1.2).retuned:
                 retuned = True
                 break
         assert retuned
 
     def test_invalid_detector_rejected(self, x86, join_app):
-        with pytest.raises(ValueError, match="detector"):
-            OnlineController(make_locat(x86, join_app), detector="oracle")
+        # Detection modes are no longer named: a detector is an instance.
+        for name in ("oracle", "ph", "ratio"):
+            with pytest.raises(TypeError, match="detector"):
+                OnlineController(make_locat(x86, join_app), detector=name)
 
 
 class TestConfigKeyMatching:
@@ -336,34 +257,17 @@ class TestConfigKeyMatching:
         assert config != perturbed  # exact equality is brittle...
         assert config_key(config) == config_key(perturbed)  # ...the key is not
 
-    def test_drift_survives_a_rehydrated_config(self, space_x86):
-        """A deployed config that no longer compares equal to the
-        LOCAT-restored observations must still find its expectation."""
-        locat = _StubLocat(space_x86)
-        controller = OnlineController(
-            locat, drift_factor=1.3, drift_patience=2, detector="ratio"
-        )
-        drifted_config = locat.config.replace(
-            **{"memory.fraction": locat.config["memory.fraction"] + 1e-12}
-        )
-        controller.restore_state(drifted_config, [100.0])
-        assert controller.observe(100.0, duration_s=200.0).retuned is False
-        decision = controller.observe(100.0, duration_s=200.0)
-        assert decision.retuned, "drift detection must survive the restart"
-
 
 class TestStateRestore:
     def test_restore_state_round_trip(self, controller):
         first = controller.observe(100.0)
-        fresh = OnlineController(
-            controller.locat, datasize_margin=0.3, drift_factor=1.3,
-            drift_patience=2, detector="ratio",
-        )
+        fresh = OnlineController(controller.locat, datasize_margin=0.3)
         assert not fresh.is_deployed
         fresh.restore_state(
             controller.deployed_config,
             controller.tuned_datasizes,
-            controller.recent_ratios,
+            detector_state=controller.detector_state(),
+            log_offset=controller.log_offset,
         )
         assert fresh.is_deployed
         assert fresh.deployed_config == first.config
@@ -374,68 +278,47 @@ class TestStateRestore:
     def test_restored_drift_window_completes_the_pattern(self, controller):
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        controller.observe(100.0, duration_s=baseline * 3.0)  # half the window
-        fresh = OnlineController(
-            controller.locat, datasize_margin=0.3, drift_factor=1.3,
-            drift_patience=2, detector="ratio",
-        )
+        # One mildly slow run: evidence, but under the threshold.
+        assert not controller.observe(100.0, duration_s=baseline * 1.4).retuned
+        fresh = OnlineController(controller.locat, datasize_margin=0.3)
         fresh.restore_state(
             controller.deployed_config,
             controller.tuned_datasizes,
-            controller.recent_ratios,
+            detector_state=controller.detector_state(),
+            log_offset=controller.log_offset,
         )
-        decision = fresh.observe(100.0, duration_s=baseline * 3.0)
+        decision = fresh.observe(100.0, duration_s=baseline * 1.4)
         assert decision.retuned
-        assert "consecutive" in decision.reason
+        assert "Page-Hinkley" in decision.reason
 
-    def test_legacy_restore_cannot_absorb_in_progress_drift(self, model_controller):
-        """A restart often *follows* trouble: restoring a legacy store
-        (no persisted log_offset) while the environment is already 2x
-        slower must not calibrate the slowdown into the baseline — the
-        capped anchor keeps the drift visible and the detector fires."""
-        first = model_controller.observe(100.0)
+    def test_legacy_restore_survives_a_garbage_low_first_report(self, controller):
+        """The legacy calibration anchor is clamped below: a 0.0 s first
+        report must not calibrate the model to expect nanosecond runs
+        (which would guarantee a spurious alarm right after)."""
+        first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        legacy = OnlineController(model_controller.locat, datasize_margin=0.3)
+        legacy = OnlineController(controller.locat, datasize_margin=0.3)
         legacy.restore_state(
-            model_controller.deployed_config,
-            model_controller.tuned_datasizes,
-            # no detector_state, no log_offset: a pre-detector store
-        )
-        alarmed = False
-        for _ in range(10):
-            if legacy.observe(100.0, duration_s=baseline * 2.5).retuned:
-                alarmed = True
-                break
-        assert alarmed, "in-progress drift must survive a legacy restore"
-
-    def test_legacy_restore_survives_a_garbage_low_first_report(self, model_controller):
-        """The legacy calibration anchor is clamped below too: a 0.0 s
-        first report must not calibrate the model to expect nanosecond
-        runs (which would guarantee a spurious alarm right after)."""
-        first = model_controller.observe(100.0)
-        baseline = first.result.best_duration_s
-        legacy = OnlineController(model_controller.locat, datasize_margin=0.3)
-        legacy.restore_state(
-            model_controller.deployed_config, model_controller.tuned_datasizes
+            controller.deployed_config, controller.tuned_datasizes
         )
         legacy.observe(100.0, duration_s=0.0)  # garbage calibration run
         for _ in range(8):
             decision = legacy.observe(100.0, duration_s=baseline)
             assert not decision.retuned, decision.reason
 
-    def test_detector_state_round_trip(self, model_controller):
-        first = model_controller.observe(100.0)
+    def test_detector_state_round_trip(self, controller):
+        first = controller.observe(100.0)
         baseline = first.result.best_duration_s
         for _ in range(3):
-            model_controller.observe(100.0, duration_s=baseline * 1.2)
-        state = model_controller.detector_state()
-        offset = model_controller.log_offset
+            controller.observe(100.0, duration_s=baseline * 1.2)
+        state = controller.detector_state()
+        offset = controller.log_offset
         assert state["n"] == 3 and offset is not None
 
-        fresh = OnlineController(model_controller.locat, datasize_margin=0.3)
+        fresh = OnlineController(controller.locat, datasize_margin=0.3)
         fresh.restore_state(
-            model_controller.deployed_config,
-            model_controller.tuned_datasizes,
+            controller.deployed_config,
+            controller.tuned_datasizes,
             detector_state=state,
             log_offset=offset,
         )
@@ -452,7 +335,6 @@ class TestStateRestore:
         locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=0)
         fresh = OnlineController(locat)
         assert fresh.tuned_datasizes == []
-        assert fresh.recent_ratios == []
         assert fresh.log_offset is None
 
 
@@ -461,7 +343,3 @@ class TestValidation:
         locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=0)
         with pytest.raises(ValueError):
             OnlineController(locat, datasize_margin=0.0)
-        with pytest.raises(ValueError):
-            OnlineController(locat, drift_factor=1.0)
-        with pytest.raises(ValueError):
-            OnlineController(locat, drift_patience=0)

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -224,25 +223,15 @@ class TestPromotionGate:
 # ----------------------------------------------------------------------
 # Controller integration (stubbed LOCAT: free retunes, pure gate logic)
 # ----------------------------------------------------------------------
-@dataclass
-class _StubObservation:
-    config: object
-    datasize_gb: float
-    rqa_duration_s: float
-
-
 class _StubLocat:
     """Fixed expectation, free retunes, distinct challenger config."""
 
     max_iterations = 25
 
-    def __init__(self, space, rqa_duration_s=50.0, datasize_gb=100.0):
+    def __init__(self, space):
         self.space = space
         self.config = space.default()
         self.challenger = space.sample(0)
-        self._observations = [
-            _StubObservation(self.config, datasize_gb, rqa_duration_s)
-        ]
         self.tune_calls = []
         self.adapt_calls = []
 
@@ -265,11 +254,12 @@ class _StubLocat:
         return self._result(datasize_gb, self.challenger)
 
     def predict_log_duration(self, config, datasize_gb):
-        return None
+        # The fixed expectation, as a near-certain model prediction.
+        return math.log(50.0 * datasize_gb / 100.0), 0.0
 
 
 def make_shadow_controller(space, challenger_factor, **kwargs):
-    """Ratio-detector controller whose shadow measure is deterministic:
+    """Shadow-mode controller whose shadow measure is deterministic:
     the incumbent takes 50s/100GB, the challenger ``challenger_factor``
     times that (``<1`` means faster)."""
     locat = _StubLocat(space)
@@ -282,16 +272,14 @@ def make_shadow_controller(space, challenger_factor, **kwargs):
 
     kwargs.setdefault("shadow_runs", 3)
     controller = OnlineController(
-        locat, drift_factor=1.3, drift_patience=2, detector="ratio",
-        promotion="shadow_ab", shadow_measure=measure, **kwargs,
+        locat, promotion="shadow_ab", shadow_measure=measure, **kwargs,
     )
     return controller, locat
 
 
 def force_drift(controller, base=50.0):
-    """Two slow runs at 100 GB trip the patience-2 ratio detector."""
+    """One 3x-slow run at 100 GB trips the drift detector."""
     controller.observe(100.0)  # initial deploy
-    controller.observe(100.0, duration_s=base * 3.0)
     return controller.observe(100.0, duration_s=base * 3.0)
 
 
@@ -397,10 +385,7 @@ class TestControllerShadow:
         stream = [50.0, 66.0, 66.0, 64.0, 200.0, 200.0, 50.0, 66.0]
 
         def run(**kwargs):
-            controller = OnlineController(
-                _StubLocat(space_x86), drift_factor=1.3, drift_patience=2,
-                detector="ratio", **kwargs,
-            )
+            controller = OnlineController(_StubLocat(space_x86), **kwargs)
             controller.observe(100.0)
             return [controller.observe(100.0, duration_s=d) for d in stream]
 
@@ -436,9 +421,7 @@ class TestControllerShadow:
         force_drift(controller)
         snapshot = controller.promotion_state()
 
-        immediate = OnlineController(
-            _StubLocat(space_x86), detector="ratio", promotion="immediate"
-        )
+        immediate = OnlineController(_StubLocat(space_x86), promotion="immediate")
         immediate.observe(100.0)
         immediate.restore_promotion(snapshot)
         # The unvetted challenger must not deploy; the shadow is dropped.
@@ -469,10 +452,7 @@ TINY_TUNER = {
     "min_iterations": 3, "n_mcmc": 0,
 }
 
-SHADOW_CONTROLLER = {
-    "detector": "ratio", "drift_factor": 1.3, "drift_patience": 2,
-    "promotion": "shadow_ab", "shadow_runs": 2, "ab_alpha": 0.05,
-}
+SHADOW_CONTROLLER = {"promotion": "shadow_ab", "shadow_runs": 2, "ab_alpha": 0.05}
 
 
 class TestServicePromotion:
@@ -537,7 +517,6 @@ class TestServicePromotion:
         )
         first = registry.observe("app", 100.0)
         base = first.result.best_duration_s
-        registry.observe("app", 100.0, duration_s=base * 3.0)
         opened = registry.observe("app", 100.0, duration_s=base * 3.0)
         assert opened.promotion["phase"] == "shadow_started"
         in_flight = registry.observe("app", 100.0, duration_s=base)

@@ -339,10 +339,7 @@ class TestControllerReplay:
             SparkSQLSimulator(x86, noise=noise), get_application("join"),
             rng=7, replay_eval="race", **TINY_TUNER,
         )
-        controller = OnlineController(
-            locat, datasize_margin=0.3, drift_factor=1.3, drift_patience=3,
-            detector="ratio", **controller_kwargs,
-        )
+        controller = OnlineController(locat, datasize_margin=0.3, **controller_kwargs)
         return controller, locat
 
     def test_observe_captures_trace(self, x86):
@@ -369,11 +366,11 @@ class TestControllerReplay:
         controller, locat = self.make_controller(
             x86, promotion="shadow_ab", shadow_runs=3, ab_alpha=0.05,
         )
-        controller.observe(100.0)  # initial deployment
-        base = controller.deployed_config
+        first = controller.observe(100.0)  # initial deployment
+        normal_s = first.result.best_duration_s
         decision = None
-        for _ in range(3):
-            decision = controller.observe(100.0, duration_s=500.0)
+        for duration in (normal_s, normal_s, 10.0 * normal_s):
+            decision = controller.observe(100.0, duration_s=duration)
         assert decision.retuned
         assert decision.promotion is not None
         # The trace held >= 3 production runs, so the gate saw a full

@@ -1,5 +1,6 @@
 """Tests for the tuning service: store, scheduler, registry, HTTP API."""
 
+import json
 import threading
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from timing_helpers import wait_until
 from repro.core.iicp import CPSResult
+from repro.core.locat import MIN_RESTORE_OBSERVATIONS
 from repro.core.qcsa import QCSAResult
 from repro.service import (
     HistoryStore,
@@ -451,25 +453,16 @@ class TestTuningRegistry:
         assert "bad-0" not in registry
         assert not store.has_app("bad-0")
 
-    def test_surrogate_mode_is_a_tenant_setting(self, tmp_path):
-        store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store)
-        session = registry.register(
-            "app", "scan", seed=1, tuner={**TINY_TUNER, "surrogate_mode": "incremental"}
-        )
-        assert session.locat.surrogate_mode == "incremental"
-        # The mode is persisted and survives rehydration.
-        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"))
-        assert rehydrated.get("app").locat.surrogate_mode == "incremental"
-
     def test_invalid_surrogate_mode_rejected_before_persisting(self, tmp_path):
-        """Value (not just key) validation must run before the store write:
-        a rejected registration that left its meta behind would crash
-        every later rehydration of the whole service."""
+        """The retired surrogate_mode key is rejected, whatever its value,
+        and before the store write: a rejected registration that left
+        its meta behind would crash every later rehydration of the whole
+        service."""
         store = HistoryStore(tmp_path / "store")
         registry = TuningRegistry(store)
-        with pytest.raises(ValueError, match="surrogate_mode"):
-            registry.register("bad", "scan", tuner={"surrogate_mode": "turbo"})
+        for mode in ("turbo", "full", "incremental"):
+            with pytest.raises(ValueError, match="surrogate_mode"):
+                registry.register("bad", "scan", tuner={"surrogate_mode": mode})
         assert "bad" not in registry
         assert not store.has_app("bad")
         # The store stays rehydratable.
@@ -512,16 +505,15 @@ class TestTuningRegistry:
         stay attributed to the configuration it was measured under."""
         store = HistoryStore(tmp_path)
         registry = TuningRegistry(store)
-        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER,
-                          controller={"drift_patience": 2, "detector": "ratio"})
+        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
         old_config = first.config
         slow = first.result.best_duration_s * 3.0
-        registry.observe("app", 100.0, duration_s=slow)
         retuned = registry.observe("app", 100.0, duration_s=slow)
         assert retuned.retuned
+        assert retuned.config != old_config
         rows = store.observations("app", source=SOURCE_PRODUCTION)
-        assert len(rows) == 2
+        assert len(rows) == 1
         assert all(config_from_dict(r.config) == old_config for r in rows)
 
     def test_duration_before_first_deployment_not_recorded(self, tmp_path):
@@ -534,8 +526,7 @@ class TestTuningRegistry:
     def test_restart_resumes_without_bootstrap(self, tmp_path):
         store_dir = tmp_path / "store"
         registry = TuningRegistry(HistoryStore(store_dir))
-        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER,
-                          controller={"drift_patience": 2})
+        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
         evaluations_paid = registry.get("app").locat.objective.n_evaluations
         assert evaluations_paid > 0
@@ -556,17 +547,17 @@ class TestTuningRegistry:
     def test_restart_preserves_drift_window(self, tmp_path):
         store_dir = tmp_path / "store"
         registry = TuningRegistry(HistoryStore(store_dir))
-        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER,
-                          controller={"drift_patience": 2, "detector": "ratio"})
+        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
-        slow = first.result.best_duration_s * 3.0
-        registry.observe("app", 100.0, duration_s=slow)  # half the patience window
+        slow = first.result.best_duration_s * 1.4
+        # One mildly slow run: evidence, but under the alarm threshold.
+        assert not registry.observe("app", 100.0, duration_s=slow).retuned
 
         rehydrated = TuningRegistry(HistoryStore(store_dir))
-        assert len(rehydrated.get("app").controller.recent_ratios) == 1
+        assert rehydrated.get("app").controller.detector_state()["n"] == 1
         decision = rehydrated.observe("app", 100.0, duration_s=slow)
-        assert decision.retuned  # the restored half-window completed the pattern
-        assert "consecutive" in decision.reason
+        assert decision.retuned  # the restored evidence completed the alarm
+        assert "Page-Hinkley" in decision.reason
 
     def test_unknown_app_raises(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path))
@@ -577,28 +568,18 @@ class TestTuningRegistry:
 class TestDriftDetectionService:
     """The drift-aware controller through the service stack."""
 
-    def test_detector_is_a_validated_controller_setting(self, tmp_path):
+    def test_retired_drift_keys_rejected_at_registration(self, tmp_path):
         store = HistoryStore(tmp_path / "store")
         registry = TuningRegistry(store)
-        with pytest.raises(ValueError, match="detector"):
-            registry.register("bad", "scan", controller={"detector": "oracle"})
+        for key, value in (
+            ("detector", "ph"), ("detector", "ratio"),
+            ("drift_factor", 1.3), ("drift_patience", 3),
+        ):
+            with pytest.raises(ValueError, match=key):
+                registry.register("bad", "scan", controller={key: value})
         assert "bad" not in registry and not store.has_app("bad")
         with pytest.raises(ValueError, match="partial_retunes"):
             registry.register("bad2", "scan", controller={"partial_retunes": "yes"})
-        session = registry.register(
-            "app", "scan", tuner=TINY_TUNER, controller={"detector": "cusum"}
-        )
-        assert session.controller.detector_name == "cusum"
-        # Persisted: a rehydrated registry keeps the tenant's choice even
-        # under a different service default.
-        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"),
-                                    default_detector="ratio")
-        assert rehydrated.get("app").controller.detector_name == "cusum"
-
-    def test_default_detector_applies_to_unset_tenants(self, tmp_path):
-        registry = TuningRegistry(HistoryStore(tmp_path), default_detector="ratio")
-        session = registry.register("app", "scan", tuner=TINY_TUNER)
-        assert session.controller.detector_name == "ratio"
 
     def test_status_exposes_drift_diagnostics(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path))
@@ -670,28 +651,11 @@ class TestDriftDetectionService:
         registry.register("app", "join", seed=7, tuner=TINY_TUNER)
         registry.observe("app", 100.0)
         deployment = store.load_deployment("app")
-        assert deployment["detector"] == "ph"
         assert "detector_state" in deployment
         assert deployment["log_offset"] is not None
-
-    def test_detector_mode_change_discards_foreign_state(self, tmp_path):
-        """deployed.json written under one detector must not be misread
-        by another: after a service-default change, the new detector
-        starts a fresh window instead of inheriting ph accumulators."""
-        store_dir = tmp_path / "store"
-        registry = TuningRegistry(HistoryStore(store_dir))  # default ph
-        registry.register("app", "join", seed=7, tuner=TINY_TUNER)
-        first = registry.observe("app", 100.0)
-        base = first.result.best_duration_s
-        registry.observe("app", 100.0, duration_s=base * 1.2)
-        assert registry.get("app").controller.detector_state()["n"] == 1
-
-        switched = TuningRegistry(HistoryStore(store_dir), default_detector="cusum")
-        controller = switched.get("app").controller
-        assert controller.detector_name == "cusum"
-        assert controller.detector_state() == {"n": 0, "total": 0.0, "score": 0.0}
-        # The calibration offset is detector-independent and survives.
-        assert controller.log_offset is not None
+        # The retired detectors' name and window are no longer written.
+        assert "detector" not in deployment
+        assert "recent_ratios" not in deployment
 
     def test_corrupt_tenant_is_quarantined_not_fatal(self, tmp_path):
         """One tenant's damaged run table must not keep the whole
@@ -760,25 +724,110 @@ class TestDriftDetectionService:
 
     def test_legacy_deployment_without_detector_state_rehydrates(self, tmp_path):
         """A deployed.json written by the pre-detector service (only
-        recent_ratios) must still restore — and a ratio-mode tenant
-        resumes its half-filled window from it."""
+        recent_ratios, no detector state, no calibration) must still
+        restore: the first measured run calibrates the model and drift
+        detection works from the next one on."""
         store_dir = tmp_path / "store"
         store = HistoryStore(store_dir)
         registry = TuningRegistry(store)
-        registry.register("app", "join", seed=7, tuner=TINY_TUNER,
-                          controller={"detector": "ratio", "drift_patience": 2})
+        registry.register("app", "join", seed=7, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
-        slow = first.result.best_duration_s * 3.0
-        registry.observe("app", 100.0, duration_s=slow)
+        baseline = first.result.best_duration_s
         deployment = store.load_deployment("app")
-        for key in ("detector", "detector_state", "log_offset"):
-            deployment.pop(key, None)  # simulate the old schema
+        for key in ("detector_state", "log_offset"):
+            deployment.pop(key)
+        deployment["recent_ratios"] = [3.0]  # simulate the old schema
         store.save_deployment("app", deployment)
 
         rehydrated = TuningRegistry(HistoryStore(store_dir))
-        assert len(rehydrated.get("app").controller.recent_ratios) == 1
-        decision = rehydrated.observe("app", 100.0, duration_s=slow)
-        assert decision.retuned
+        controller = rehydrated.get("app").controller
+        assert controller.deployed_config == first.config
+        assert controller.log_offset is None
+        assert not rehydrated.observe("app", 100.0, duration_s=baseline).retuned
+        assert controller.log_offset is not None
+        decision = rehydrated.observe("app", 100.0, duration_s=baseline * 3.0)
+        assert decision.retuned and decision.trigger == "drift"
+
+
+class TestRetiredSettings:
+    """Stores written before the detector, surrogate-mode and windowed
+    backend settings were retired still rehydrate."""
+
+    def write_parent_format_store(self, store_dir):
+        """A tenant whose app.json and deployed.json carry every retired
+        setting, in the format earlier versions wrote."""
+        store = HistoryStore(store_dir)
+        registry = TuningRegistry(store)
+        registry.register("app", "join", seed=7, tuner=TINY_TUNER)
+        first = registry.observe("app", 100.0)
+        registry.observe("app", 100.0, duration_s=first.result.best_duration_s * 1.2)
+        meta_path = store_dir / "app" / "app.json"
+        meta = json.loads(meta_path.read_text())
+        meta["tuner"].update(surrogate_mode="full", surrogate_backend="windowed")
+        meta["controller"].update(detector="ratio", drift_factor=1.3, drift_patience=2)
+        meta_path.write_text(json.dumps(meta))
+        deployment = store.load_deployment("app")
+        deployment.update(
+            detector="ratio",
+            recent_ratios=[1.2],
+            detector_state={"recent_ratios": [1.2]},
+        )
+        store.save_deployment("app", deployment)
+        return first, deployment
+
+    def test_parent_format_store_keeps_deployment_and_calibration(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        first, deployment = self.write_parent_format_store(store_dir)
+        capsys.readouterr()
+
+        rehydrated = TuningRegistry(HistoryStore(store_dir))
+        assert rehydrated.quarantined == {}
+        session = rehydrated.get("app")
+        assert session.restored
+        assert session.controller.deployed_config == first.config
+        assert session.controller.log_offset == deployment["log_offset"]
+        # Retired values fall back to the current defaults.
+        assert session.locat.surrogate_backend == "exact"
+        assert session.controller.drift_status()["detector"] == "ph"
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "retired setting" in line
+        ]
+        assert len(warnings) == 5
+        for setting in (
+            "tuner.surrogate_mode", "tuner.surrogate_backend",
+            "controller.detector", "controller.drift_factor",
+            "controller.drift_patience",
+        ):
+            assert sum(setting + "=" in line for line in warnings) == 1, setting
+        # The ratio window does not translate: the detector starts fresh.
+        assert session.controller.detector_state()["n"] == 0
+
+    def test_tenant_restored_at_the_minimum_detects_drift(self, tmp_path):
+        """A tenant restored from exactly MIN_RESTORE_OBSERVATIONS tuning
+        rows still checks production runs against the model: a
+        sustained 2x slowdown raises a drift alarm."""
+        store_dir = tmp_path / "store"
+        registry = TuningRegistry(HistoryStore(store_dir))
+        registry.register("app", "join", seed=7, tuner=TINY_TUNER)
+        baseline = registry.observe("app", 100.0).result.best_duration_s
+        runs = store_dir / "app" / "runs.jsonl"
+        rows = runs.read_text().splitlines()
+        runs.write_text("\n".join(rows[:MIN_RESTORE_OBSERVATIONS]) + "\n")
+
+        rehydrated = TuningRegistry(HistoryStore(store_dir))
+        session = rehydrated.get("app")
+        assert session.restored
+        assert session.persisted_observations == MIN_RESTORE_OBSERVATIONS
+        assert session.locat.predict_log_duration(
+            session.controller.deployed_config, 100.0
+        ) is not None
+        decision = None
+        for _ in range(8):
+            decision = rehydrated.observe("app", 100.0, duration_s=baseline * 2.0)
+            if decision.retuned:
+                break
+        assert decision.retuned and decision.trigger == "drift"
 
 
 class TestServiceIntegration:

@@ -255,11 +255,12 @@ class TestDrain:
             benchmark="join",
             seed=11,
             tuner=TINY_TUNER,
-            # Loose drift gates: the fabricated durations below must
-            # count as production rows, not trigger a retune mid-drain.
-            controller={"detector": "ratio", "drift_factor": 8.0, "drift_patience": 10_000},
         )
-        client.observe("drainy", datasize_gb=10.0)  # bootstrap synchronously
+        # Bootstrap synchronously.  The durations reported below are the
+        # deployment's own validated duration: they count as production
+        # rows and never trigger a retune mid-drain.
+        bootstrap = client.observe("drainy", datasize_gb=10.0)
+        steady_s = bootstrap["decision"]["tuning"]["best_duration_s"]
         shard_dir = str(
             service.shard_map.shard_dir(tmp_path, service.shard_map.shard_of("drainy"))
         )
@@ -267,7 +268,9 @@ class TestDrain:
         # Queue async observes and shut down immediately: drain must
         # land them all before the workers exit.
         for _ in range(3):
-            job = client.observe("drainy", datasize_gb=10.0, duration_s=52.0, wait=False)
+            job = client.observe(
+                "drainy", datasize_gb=10.0, duration_s=steady_s, wait=False
+            )
             assert job["status"] in ("queued", "running")
         client.close()
         service.close()
@@ -391,19 +394,13 @@ class TestShardedBatchEquivalence:
 
     RUNS = [
         (10.0, None),        # bootstrap tune
-        (10.0, 1.0e6),       # 2x over-factor runs -> drift alarm
-        (10.0, 1.0e6),       #   -> retune -> shadow opens
-        (10.0, 55.0),        # CRN shadow pairs until the gate rules
+        (10.0, 1.0e6),       # far-slow run -> drift alarm -> retune -> shadow opens
+        (10.0, 1.0e6),       # CRN shadow pairs until the gate rules
+        (10.0, 55.0),
         (10.0, 55.0),
         (10.0, 55.0),
     ]
-    CONTROLLER = {
-        "detector": "ratio",
-        "drift_factor": 1.3,
-        "drift_patience": 2,
-        "promotion": "shadow_ab",
-        "shadow_runs": 2,
-    }
+    CONTROLLER = {"promotion": "shadow_ab", "shadow_runs": 2}
 
     def _register(self, client):
         # seed=5 pinned: its drift retune yields a *different* winner,

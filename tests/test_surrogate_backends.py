@@ -1,15 +1,12 @@
-"""Tests for the scalable surrogate backends behind the Surrogate protocol.
+"""Tests for the scalable surrogate backend behind the Surrogate protocol.
 
 Four layers of guarantees:
 
-* **Algebraic equivalence** — ``cholesky_downdate`` matches a
-  from-scratch factorization of the reduced matrix and round-trips
-  ``cholesky_append``; ``GaussianProcess.remove_rows`` matches a fresh
-  refit on the surviving rows; a ``WindowedGP`` that slid its window
-  matches a fresh GP fit on the active rows; ``SparseGP.extend`` across
-  an inducing-point re-selection matches a from-scratch fit.
-* **Policy** — the exact/windowed/sparse switchover points are pinned,
-  and ``DatasizeAwareGP(backend="auto")`` transitions exactly there.
+* **Algebraic equivalence** — ``SparseGP.extend`` across an
+  inducing-point re-selection matches a from-scratch fit, and the
+  sparse posterior tracks the exact GP's.
+* **Policy** — the exact/sparse switchover point is pinned, and
+  ``DatasizeAwareGP(backend="auto")`` transitions exactly there.
 * **Bit-for-bit default** — ``surrogate_backend="exact"`` reproduces
   the unconfigured seeded BO trajectory float for float.
 * **Service semantics** — ``tuner.surrogate_backend`` is validated
@@ -20,7 +17,6 @@ Four layers of guarantees:
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
 
 from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel
@@ -32,9 +28,6 @@ from repro.surrogate import (
     BackendPolicy,
     LMLCache,
     SparseGP,
-    WindowedGP,
-    cholesky_append,
-    cholesky_downdate,
     validate_backend,
 )
 
@@ -56,49 +49,6 @@ def make_data(n=25, dim=3, seed=0):
 
 def make_kernel(dim=3):
     return Matern52Kernel(dim=dim, lengthscale=0.4)
-
-
-def spd_matrix(n=10, seed=0):
-    x, _ = make_data(n=n, dim=4, seed=seed)
-    k = make_kernel(dim=4)(x, x)
-    k[np.diag_indices_from(k)] += 0.05
-    return k
-
-
-class TestCholeskyDowndate:
-    def test_matches_full_factorization_at_every_index(self):
-        k = spd_matrix(n=10, seed=1)
-        lower = cholesky(k, lower=True)
-        for index in range(10):
-            keep = [j for j in range(10) if j != index]
-            reduced = cholesky(k[np.ix_(keep, keep)], lower=True)
-            np.testing.assert_allclose(
-                cholesky_downdate(lower, index), reduced, rtol=1e-9, atol=1e-11
-            )
-
-    def test_round_trips_append(self):
-        k = spd_matrix(n=9, seed=2)
-        lower = cholesky(k[:8, :8], lower=True)
-        grown = cholesky_append(lower, k[:8, 8:], k[8:, 8:])
-        np.testing.assert_allclose(
-            cholesky_downdate(grown, 8), lower, rtol=1e-12, atol=1e-14
-        )
-
-    def test_repeated_downdates_stay_accurate(self):
-        k = spd_matrix(n=12, seed=3)
-        lower = cholesky(k, lower=True)
-        for _ in range(6):  # drop the oldest row six times
-            lower = cholesky_downdate(lower, 0)
-            k = k[1:, 1:]
-        np.testing.assert_allclose(lower, cholesky(k, lower=True), rtol=1e-9, atol=1e-11)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cholesky_downdate(np.zeros((3, 2)), 0)
-        lower = cholesky(spd_matrix(n=4), lower=True)
-        for bad in (-5, 4, 7):
-            with pytest.raises(IndexError):
-                cholesky_downdate(lower, bad)
 
 
 class TestLRUCache:
@@ -134,79 +84,6 @@ class TestLRUCache:
         assert stats == {"hits": 1, "misses": 1, "evictions": 1, "size": 0, "maxsize": 1}
 
 
-class TestGPRemoveRows:
-    def test_remove_rows_matches_refit(self):
-        x, y = make_data(n=25, seed=4)
-        gp = GaussianProcess(make_kernel(), noise_variance=1e-3).fit(x, y)
-        gp.remove_rows([0, 7, 24])
-        keep = np.ones(25, dtype=bool)
-        keep[[0, 7, 24]] = False
-        ref = GaussianProcess(make_kernel(), noise_variance=1e-3).fit(x[keep], y[keep])
-        xs = np.random.default_rng(5).random((9, 3))
-        np.testing.assert_allclose(gp.predict(xs)[0], ref.predict(xs)[0], atol=1e-8)
-        np.testing.assert_allclose(gp.predict(xs)[1], ref.predict(xs)[1], atol=1e-8)
-        assert gp.n_samples == 22
-
-    def test_drop_oldest(self):
-        x, y = make_data(n=10, seed=6)
-        gp = GaussianProcess(make_kernel(), noise_variance=1e-3).fit(x, y)
-        gp.drop_oldest(3)
-        ref = GaussianProcess(make_kernel(), noise_variance=1e-3).fit(x[3:], y[3:])
-        xs = np.random.default_rng(7).random((5, 3))
-        np.testing.assert_allclose(gp.predict(xs)[0], ref.predict(xs)[0], atol=1e-8)
-
-    def test_cannot_remove_every_row(self):
-        x, y = make_data(n=4, seed=8)
-        gp = GaussianProcess(make_kernel(), noise_variance=1e-3).fit(x, y)
-        with pytest.raises(ValueError):
-            gp.remove_rows(range(4))
-
-
-class TestWindowedGP:
-    def test_slide_matches_fresh_refit(self):
-        """After sliding past the window, the model must equal a fresh GP
-        fit on exactly its active rows — the downdates lose nothing."""
-        x, y = make_data(n=40, seed=9)
-        gp = WindowedGP(make_kernel(), noise_variance=1e-3, window=12, coreset=0)
-        gp.fit(x[:12], y[:12])
-        for i in range(12, 40):
-            gp.extend(x[i : i + 1], y[i : i + 1])
-        assert gp.n_samples == 12  # active set stays at the window size
-        assert gp.n_total == 40  # ...while the full history is retained
-        ref = GaussianProcess(make_kernel(), noise_variance=1e-3).fit(x[28:], y[28:])
-        xs = np.random.default_rng(10).random((9, 3))
-        np.testing.assert_allclose(gp.predict(xs)[0], ref.predict(xs)[0], atol=1e-8)
-        np.testing.assert_allclose(gp.predict(xs)[1], ref.predict(xs)[1], atol=1e-8)
-
-    def test_coreset_keeps_active_set_bounded(self):
-        x, y = make_data(n=60, seed=11)
-        gp = WindowedGP(make_kernel(), noise_variance=1e-3, window=10, coreset=5)
-        gp.fit(x[:10], y[:10])
-        for i in range(10, 60):
-            gp.extend(x[i : i + 1], y[i : i + 1])
-        assert gp.n_samples <= 15
-        assert gp.n_total == 60
-        # The active set is still a genuine GP: mean at training points
-        # tracks their targets.
-        active = gp.training_inputs
-        mean, _ = gp.predict(active)
-        raw = gp.target_mean + gp.target_std * gp.standardized_targets
-        np.testing.assert_allclose(mean, raw, atol=0.3)
-
-    def test_pop_removed_indices_reports_each_removal_once(self):
-        x, y = make_data(n=14, seed=12)
-        gp = WindowedGP(make_kernel(), noise_variance=1e-3, window=12, coreset=0)
-        gp.fit(x[:12], y[:12])
-        gp.extend(x[12:], y[12:])
-        removed = gp.pop_removed_indices()
-        assert len(removed) == 2
-        assert gp.pop_removed_indices() == []
-
-    def test_supports_mcmc(self):
-        gp = WindowedGP(make_kernel(), window=8, coreset=2)
-        assert gp.supports_mcmc is True
-
-
 class TestSparseGP:
     def test_extend_across_reselection_matches_fresh_fit(self):
         """Growing past the re-selection threshold rebuilds from the full
@@ -239,36 +116,31 @@ class TestBackendPolicy:
         policy = BackendPolicy()
         assert policy.select(1) == "exact"
         assert policy.select(512) == "exact"
-        assert policy.select(513) == "windowed"
-        assert policy.select(4096) == "windowed"
-        assert policy.select(4097) == "sparse"
+        assert policy.select(513) == "sparse"
+        assert policy.select(50_000) == "sparse"
 
     def test_custom_thresholds(self):
-        policy = BackendPolicy(n_exact=10, n_window=20)
-        assert [policy.select(n) for n in (10, 11, 20, 21)] == [
-            "exact", "windowed", "windowed", "sparse",
-        ]
+        policy = BackendPolicy(n_exact=10)
+        assert [policy.select(n) for n in (10, 11)] == ["exact", "sparse"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BackendPolicy(n_exact=0)
         with pytest.raises(ValueError):
-            BackendPolicy(n_exact=100, n_window=50)
-        with pytest.raises(ValueError):
-            BackendPolicy(window=1)
-        with pytest.raises(ValueError):
             BackendPolicy(n_inducing=1)
 
     def test_validate_backend(self):
+        assert SURROGATE_BACKENDS == ("auto", "exact", "sparse")
         for backend in SURROGATE_BACKENDS:
             assert validate_backend(backend) == backend
-        with pytest.raises(ValueError, match="surrogate_backend"):
-            validate_backend("turbo")
+        for retired in ("turbo", "windowed"):
+            with pytest.raises(ValueError, match="surrogate_backend"):
+                validate_backend(retired)
 
 
 class TestDAGPBackends:
     def test_auto_transitions_at_policy_thresholds(self):
-        policy = BackendPolicy(n_exact=20, n_window=40, window=16, coreset=4, n_inducing=8)
+        policy = BackendPolicy(n_exact=20, n_inducing=8)
         rng = np.random.default_rng(17)
 
         def batch(n):
@@ -281,12 +153,12 @@ class TestDAGPBackends:
         assert model.active_backend == "exact"
         model.extend(*batch(10))  # n = 20: at the threshold, still exact
         assert model.active_backend == "exact"
-        model.extend(*batch(1))  # n = 21: crosses into windowed
-        assert model.active_backend == "windowed"
-        assert isinstance(model.gp, WindowedGP)
-        model.extend(*batch(20))  # n = 41: crosses into sparse
+        model.extend(*batch(1))  # n = 21: crosses into sparse
         assert model.active_backend == "sparse"
         assert isinstance(model.gp, SparseGP)
+        model.extend(*batch(20))  # later extends stay sparse
+        assert model.active_backend == "sparse"
+        assert model.n_observations == 41
         # The model keeps producing usable predictions across transitions.
         mean = model.predict(rng.random((5, 3)), 100.0)[0]
         assert np.all(np.isfinite(mean))
@@ -309,10 +181,10 @@ class TestDAGPBackends:
         assert np.array_equal(np.stack(default.points), np.stack(explicit.points))
         assert default.durations == explicit.durations
 
-    def test_windowed_backend_still_converges(self):
-        policy = BackendPolicy(n_exact=512, n_window=4096, window=8, coreset=2)
+    def test_sparse_backend_still_converges(self):
+        policy = BackendPolicy(n_inducing=8)
         loop = BOLoop(dim=2, n_init=3, min_iterations=10, max_iterations=16,
-                      n_mcmc=2, surrogate_backend="windowed", backend_policy=policy,
+                      n_mcmc=2, surrogate_backend="sparse", backend_policy=policy,
                       rng=21)
         trace = loop.minimize(quadratic, 100.0)
         _, duration = trace.best(100.0)
@@ -324,12 +196,12 @@ class TestServiceBackendSetting:
         store = HistoryStore(tmp_path / "store")
         registry = TuningRegistry(store)
         session = registry.register(
-            "app", "scan", seed=1, tuner={**TINY_TUNER, "surrogate_backend": "windowed"}
+            "app", "scan", seed=1, tuner={**TINY_TUNER, "surrogate_backend": "sparse"}
         )
-        assert session.locat.surrogate_backend == "windowed"
+        assert session.locat.surrogate_backend == "sparse"
         # The backend is persisted and survives rehydration.
         rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"))
-        assert rehydrated.get("app").locat.surrogate_backend == "windowed"
+        assert rehydrated.get("app").locat.surrogate_backend == "sparse"
 
     def test_invalid_backend_rejected_before_persisting(self, tmp_path):
         """Value (not just key) validation must run before the store
@@ -346,19 +218,19 @@ class TestServiceBackendSetting:
 
     def test_service_default_applies_but_is_not_persisted(self, tmp_path):
         store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store, default_surrogate_backend="windowed")
+        registry = TuningRegistry(store, default_surrogate_backend="sparse")
         defaulted = registry.register("app-default", "scan", seed=1, tuner=TINY_TUNER)
         explicit = registry.register(
             "app-explicit", "scan", seed=1,
-            tuner={**TINY_TUNER, "surrogate_backend": "sparse"},
+            tuner={**TINY_TUNER, "surrogate_backend": "auto"},
         )
-        assert defaulted.locat.surrogate_backend == "windowed"
-        assert explicit.locat.surrogate_backend == "sparse"
+        assert defaulted.locat.surrogate_backend == "sparse"
+        assert explicit.locat.surrogate_backend == "auto"
         # On restart a registry with a different default re-homes the
         # defaulted tenant; the explicit tenant keeps its own choice.
         rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"))
         assert rehydrated.get("app-default").locat.surrogate_backend == "exact"
-        assert rehydrated.get("app-explicit").locat.surrogate_backend == "sparse"
+        assert rehydrated.get("app-explicit").locat.surrogate_backend == "auto"
 
     def test_invalid_registry_default_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="surrogate_backend"):
@@ -395,8 +267,8 @@ class TestCLIBackendFlags:
     def test_tune_flag_parses(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["tune", "--surrogate-backend", "windowed"])
-        assert args.surrogate_backend == "windowed"
+        args = build_parser().parse_args(["tune", "--surrogate-backend", "sparse"])
+        assert args.surrogate_backend == "sparse"
         assert build_parser().parse_args(["tune"]).surrogate_backend == "exact"
 
     def test_serve_flag_parses(self):
@@ -408,5 +280,6 @@ class TestCLIBackendFlags:
     def test_unknown_backend_rejected(self):
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tune", "--surrogate-backend", "turbo"])
+        for retired in ("turbo", "windowed"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["tune", "--surrogate-backend", retired])
