@@ -11,10 +11,10 @@ benchmark measures both:
   BO iteration pays an O(n^3) factorization, ~36 slice-sampling steps
   each costing a fresh Cholesky-backed log-marginal-likelihood, then
   n_mcmc stacked models factorized again.  The engine every BO loop now
-  uses grows one surrogate instead, with exact rank-k Cholesky extends
-  and hyper-parameters re-sampled every fourth extend.  The pinned claim: **at 200-observation
-  histories extend is at least 3x faster per iteration than a fresh
-  fit**.
+  uses grows one surrogate instead, with exact rank-k extends and
+  hyper-parameters re-sampled by a resumed chain every second row.  The
+  pinned claim: **at 200-observation histories extend is at least 3x
+  faster per iteration than a fresh fit**.
 * **Section B — backends** (``surrogate_backend``).  Even the
   incremental engine carries O(n^2) per-decision cost and an O(n^3)
   refit whenever hyper-parameters move, so service tenants with

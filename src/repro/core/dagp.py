@@ -28,12 +28,14 @@ The class implements the surrogate-engine lifecycle
 
 * ``fit`` trains from scratch — full factorization, a cold slice-
   sampling chain, and one :class:`~repro.surrogate.stack.ModelStack`
-  holding the ``n_mcmc`` per-sample ``(chol, alpha)`` states.
+  holding the ``n_mcmc`` per-sample ``(alpha, K^-1)`` states.
 * ``extend`` appends observations incrementally: the base GP and every
-  stacked model grow by an exact rank-k Cholesky update.  Every
-  ``mcmc_refresh_every``-th extend re-samples the hyper-parameters; in
-  between, the posterior samples are kept and merely extended — the
-  dominant O(n^3)-per-theta cost is paid a fraction of the iterations.
+  stacked model grow by an exact rank-k update.  Once
+  ``MCMC_REFRESH_ROWS`` rows have arrived since the last draw, the
+  hyper-parameters are re-sampled by resuming the previous chain with a
+  short burn-in; in between, the posterior samples are kept and merely
+  extended — the dominant O(n^3)-per-theta cost is paid a fraction of
+  the iterations.
 * ``acquisition`` evaluates the marginalized EI over all samples in one
   vectorized pass (no per-clone Python loop).
 """
@@ -61,15 +63,18 @@ DATASIZE_REFERENCE_GB = 1024.0
 #: enough to outvote a real observation nearby.
 TRANSFER_NOISE_VARIANCE = 0.5
 
-#: How many ``extend`` calls may reuse the current hyper-parameter
-#: samples before they are drawn again.  One new observation barely
-#: moves the hyper-parameter posterior; re-sampling every call would
-#: re-factorize ``n_mcmc`` models per iteration for no statistical gain.
-#: Each refresh runs a fresh chain from the model's own hyper-parameters,
-#: exactly as ``fit`` does: resuming the previous chain with a short
-#: burn-in instead tuned measurably worse (TPC-DS sessions, and
-#: IICP-space sessions at growing datasizes over 30 seeds).
-MCMC_REFRESH_EVERY = 4
+#: Burn-in of a resumed hyper-parameter chain.  A refresh continues the
+#: previous chain from its final state, which already sits in the
+#: posterior of an almost identical training set, so a handful of
+#: updates decorrelates it — against the cold default of 20.
+MCMC_WARM_BURN_IN = 4
+
+#: How many appended rows may reuse the current hyper-parameter samples
+#: before they are drawn again.  One new observation barely moves the
+#: hyper-parameter posterior; re-sampling at every row would
+#: re-factorize ``n_mcmc`` models per BO iteration for no measurable
+#: gain.
+MCMC_REFRESH_ROWS = 2
 
 
 def datasize_coordinate(datasize_gb: float | np.ndarray) -> np.ndarray:
@@ -102,7 +107,6 @@ class DatasizeAwareGP:
         n_mcmc: int = 8,
         noise_variance: float = 1e-3,
         transfer_noise_variance: float = TRANSFER_NOISE_VARIANCE,
-        mcmc_refresh_every: int = MCMC_REFRESH_EVERY,
         backend: str = "exact",
         backend_policy: BackendPolicy | None = None,
     ):
@@ -110,13 +114,10 @@ class DatasizeAwareGP:
             raise ValueError("config_dim must be positive")
         if transfer_noise_variance < 0:
             raise ValueError("transfer_noise_variance must be non-negative")
-        if mcmc_refresh_every < 1:
-            raise ValueError("mcmc_refresh_every must be at least 1")
         self.config_dim = config_dim
         self.n_mcmc = n_mcmc
         self.noise_variance = float(noise_variance)
         self.transfer_noise_variance = float(transfer_noise_variance)
-        self.mcmc_refresh_every = int(mcmc_refresh_every)
         self.backend = validate_backend(backend)
         self.backend_policy = backend_policy if backend_policy is not None else BackendPolicy()
         #: The concrete backend currently in force ("auto" resolves at
@@ -130,7 +131,10 @@ class DatasizeAwareGP:
         self._fidelities: np.ndarray | None = None
         self._theta_samples: list[np.ndarray] = []
         self._stack: ModelStack | None = None
-        self._extends_since_mcmc = 0
+        #: Final state of the last hyper-parameter chain (resumed by the
+        #: next refresh) and the history length that chain saw.
+        self._mcmc_state: np.ndarray | None = None
+        self._rows_at_draw = 0
         #: True when the fitted inputs carry the transfer fidelity column.
         self._with_fidelity = False
 
@@ -189,17 +193,26 @@ class DatasizeAwareGP:
             raise ValueError("fidelities must be non-negative")
         return fidelities
 
-    def _sample_hyperparameters(self, rng: int | np.random.Generator | None) -> None:
+    def _sample_hyperparameters(
+        self, rng: int | np.random.Generator | None, resume: bool
+    ) -> None:
         """(Re-)sample the hyper-parameter posterior and rebuild the stack.
 
-        The chain starts from the GP's own hyper-parameters with the
-        default burn-in, at every refresh (see :data:`MCMC_REFRESH_EVERY`).
+        ``resume=True`` continues the previous chain from its final state
+        with the short :data:`MCMC_WARM_BURN_IN`; otherwise the chain
+        starts from the GP's own hyper-parameters with the default
+        burn-in of 20.
         """
-        self._theta_samples, _ = slice_sample_chain(
-            self.gp, n_samples=self.n_mcmc, burn_in=20, rng=ensure_rng(rng)
+        resume = resume and self._mcmc_state is not None
+        self._theta_samples, self._mcmc_state = slice_sample_chain(
+            self.gp,
+            n_samples=self.n_mcmc,
+            burn_in=MCMC_WARM_BURN_IN if resume else 20,
+            rng=ensure_rng(rng),
+            initial_theta=self._mcmc_state if resume else None,
         )
         self._stack = ModelStack.from_gp(self.gp, self._theta_samples)
-        self._extends_since_mcmc = 0
+        self._rows_at_draw = self.n_observations
 
     def fit(
         self,
@@ -250,16 +263,16 @@ class DatasizeAwareGP:
             fidelities.copy() if fidelities is not None else np.zeros(x.shape[0])
         )
         self.gp.fit(x, self._log_t, extra_noise=extra_noise)
+        self._mcmc_state = None
         if (
             self.n_mcmc > 0
             and x.shape[0] >= 4
             and getattr(self.gp, "supports_mcmc", True)
         ):
-            self._sample_hyperparameters(rng)
+            self._sample_hyperparameters(rng, resume=False)
         else:
             self._theta_samples = []
             self._stack = None
-            self._extends_since_mcmc = 0
         return self
 
     def extend(
@@ -272,11 +285,11 @@ class DatasizeAwareGP:
     ) -> "DatasizeAwareGP":
         """Append observations incrementally (exact rank-k updates).
 
-        The base GP and every stacked per-sample model grow by the block
-        Cholesky update — O(n^2 k) per model instead of a refit — and
-        the hyper-parameters are re-sampled every
-        ``mcmc_refresh_every``-th call; in between, the existing
-        posterior samples are reused.
+        The base GP and every stacked per-sample model grow by a rank-k
+        update — O(n^2 k) per model instead of a refit — and the
+        hyper-parameters are re-sampled, resuming the previous chain,
+        once :data:`MCMC_REFRESH_ROWS` rows have arrived since the last
+        draw; in between, the existing posterior samples are reused.
 
         New rows default to fidelity 0 (the caller's own observations).
         Toggling the fidelity column on or off relative to the fitted
@@ -337,11 +350,11 @@ class DatasizeAwareGP:
             and self._x.shape[0] >= 4
             and getattr(self.gp, "supports_mcmc", True)
         ):
-            self._extends_since_mcmc += 1
-            # The samples are drawn again every ``mcmc_refresh_every``-th
-            # call; in between, the stacked models are extended in place.
-            if self._stack is None or self._extends_since_mcmc >= self.mcmc_refresh_every:
-                self._sample_hyperparameters(rng)
+            # The samples are drawn again every MCMC_REFRESH_ROWS rows;
+            # in between, the stacked models are extended in place.
+            grown = self.n_observations - self._rows_at_draw
+            if self._stack is None or grown >= MCMC_REFRESH_ROWS:
+                self._sample_hyperparameters(rng, resume=True)
             else:
                 self._stack.extend(
                     x,

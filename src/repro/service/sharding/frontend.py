@@ -95,7 +95,7 @@ class ShardedTuningService:
                     tuning_threads=tuning_threads,
                     eval_workers=eval_workers,
                     default_warm_start=default_warm_start,
-                            default_surrogate_backend=default_surrogate_backend,
+                    default_surrogate_backend=default_surrogate_backend,
                     default_promotion=default_promotion,
                     default_replay_eval=default_replay_eval,
                     max_pending=max_pending,

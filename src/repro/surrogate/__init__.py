@@ -15,7 +15,7 @@ of a long-lived service tenant — from being dominated by O(n^3) refits:
   Cholesky update behind ``extend``, and the bounded LRU per-theta memo
   behind the slice sampler's log-marginal-likelihood evaluations.
 * :class:`~repro.surrogate.stack.ModelStack` — the ``n_mcmc`` posterior
-  hyper-parameter samples held as stacked ``(chol, alpha)`` state and
+  hyper-parameter samples held as stacked ``(alpha, K^-1)`` state and
   evaluated in one vectorized pass, replacing the per-clone Python loop.
 * A scalable backend behind the same protocol:
   :class:`~repro.surrogate.sparse.SparseGP` (Nystrom inducing points,

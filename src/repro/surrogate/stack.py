@@ -8,17 +8,16 @@ call — hundreds of calls per BO iteration, each paying per-clone kernel
 builds and Python dispatch.
 
 :class:`ModelStack` keeps the per-sample state as stacked arrays
-(``thetas``, Cholesky factors, ``alpha`` vectors and precision matrices
-``K^-1``) over one shared training set and evaluates all models'
-posteriors in a single vectorized pass: the cross-covariance tensors for
+(``thetas``, ``alpha`` vectors and precision matrices ``K^-1``) over
+one shared training set and evaluates all models' posteriors in a
+single vectorized pass: the cross-covariance tensors for
 every sample are built with one broadcast distance computation, and the
 means and variances are batched matmuls — no per-model triangular
 solves.  (That form cut the acquisition search's time by about a third
 against per-model solves on traced cold TPC-DS sessions, at equal fit
 cost.)  It also supports the engine's incremental contract: ``extend``
-performs the exact rank-k Cholesky append and block-inverse update *per
-sample*, so appending observations never refits any of the ``n_mcmc``
-models.
+performs the exact rank-k block-inverse update *per sample*, so
+appending observations never refits any of the ``n_mcmc`` models.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from scipy.linalg import cho_solve, cholesky
 
 from repro.bo.acquisition import expected_improvement
 from repro.bo.kernels import stacked_cross
-from repro.surrogate.incremental import cholesky_append
 
 _JITTER = 1e-8
 
@@ -48,7 +46,6 @@ class ModelStack:
         self,
         kernels: list,
         noises: np.ndarray,
-        lowers: list[np.ndarray],
         alphas: list[np.ndarray],
         precisions: list[np.ndarray],
         x: np.ndarray,
@@ -58,7 +55,6 @@ class ModelStack:
     ):
         self.kernels = kernels
         self.noises = np.asarray(noises, dtype=float)
-        self.lowers = lowers
         self.alphas = alphas
         #: Per-model precision matrices K^-1: prediction runs as pure
         #: batched matmuls through them.
@@ -76,7 +72,7 @@ class ModelStack:
         """Factorize the GP's training set at each hyper-parameter sample.
 
         Equivalent to ``[gp.clone_with_theta(t) for t in thetas]`` — each
-        model's ``(chol, alpha)`` is computed from the same covariance a
+        model's ``(alpha, K^-1)`` is computed from the same covariance a
         fitted clone would build — without constructing GP objects.
         Each model's precision matrix costs one O(n^3/3) triangular
         solve, paid once per MCMC refresh.
@@ -88,7 +84,7 @@ class ModelStack:
         x = gp.training_inputs
         y = gp.standardized_targets
         extra = gp.extra_noise_vector
-        kernels, noises, lowers, alphas, precisions = [], [], [], [], []
+        kernels, noises, alphas, precisions = [], [], [], []
         for theta in thetas:
             theta = np.asarray(theta, dtype=float)
             kernel = gp.kernel.clone()
@@ -101,19 +97,18 @@ class ModelStack:
             lower = cholesky(k, lower=True, check_finite=False)
             kernels.append(kernel)
             noises.append(noise)
-            lowers.append(lower)
             alphas.append(cho_solve((lower, True), y, check_finite=False))
             precisions.append(
                 cho_solve((lower, True), np.eye(x.shape[0]), check_finite=False)
             )
         return cls(
-            kernels, np.asarray(noises), lowers, alphas, precisions,
+            kernels, np.asarray(noises), alphas, precisions,
             x, gp.target_mean, gp.target_std, list(thetas),
         )
 
     @property
     def n_models(self) -> int:
-        return len(self.lowers)
+        return len(self.precisions)
 
     @property
     def n_samples(self) -> int:
@@ -163,7 +158,7 @@ class ModelStack:
 
         ``y_standardized`` is the *full* standardized target vector after
         the append (appending shifts the shared target standardization,
-        which only touches the ``alpha`` solves — the covariance factors
+        which only touches the ``alpha`` vectors — the precision matrices
         are target-free).  ``extra_noise_new`` is per-new-row additional
         observation noise (standardized units), mirroring
         :meth:`repro.bo.gp.GaussianProcess.extend`.
@@ -180,8 +175,6 @@ class ModelStack:
             c[np.diag_indices_from(c)] += self.noises[s] + _JITTER
             if extra_noise_new is not None:
                 c[np.diag_indices_from(c)] += np.asarray(extra_noise_new, dtype=float).ravel()
-            self.lowers[s] = cholesky_append(self.lowers[s], b, c)
-            self.alphas[s] = cho_solve((self.lowers[s], True), y_standardized, check_finite=False)
             # Block-inverse update, O(n^2 k): with W = K^-1 B and the
             # Schur complement S = C - B^T W,
             #   [[K, B], [B^T, C]]^-1 =
@@ -196,6 +189,7 @@ class ModelStack:
             # Keep the quadratic forms stable across many rank-k
             # updates: the formula is symmetric, round-off is not.
             self.precisions[s] = (grown + grown.T) / 2.0
+            self.alphas[s] = self.precisions[s] @ y_standardized
         self._x = np.vstack([self._x, x_new])
         self._y_mean = float(y_mean)
         self._y_std = float(y_std)

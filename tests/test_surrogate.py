@@ -22,7 +22,7 @@ from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel, RBFKernel
 from repro.bo.mcmc import slice_sample_chain, slice_sample_hyperparameters
 from repro.core import LOCAT
-from repro.core.dagp import DatasizeAwareGP
+from repro.core.dagp import MCMC_REFRESH_ROWS, MCMC_WARM_BURN_IN, DatasizeAwareGP
 from repro.core.tuner import BOLoop
 from repro.sparksim import SparkSQLSimulator, get_application
 from repro.sparksim.cluster import get_cluster
@@ -313,23 +313,26 @@ class TestDAGPEngine:
         assert model.n_observations == 30
 
     def test_mcmc_refresh_cadence(self):
+        """The samples are reused until MCMC_REFRESH_ROWS rows have
+        arrived, then re-drawn by resuming the previous chain."""
+        assert MCMC_REFRESH_ROWS == 2
         points, datasizes, durations = synthetic_observations(seed=24, n=40)
-        model = DatasizeAwareGP(config_dim=2, n_mcmc=3, mcmc_refresh_every=3)
+        model = DatasizeAwareGP(config_dim=2, n_mcmc=3)
         model.fit(points[:30], datasizes[:30], durations[:30], rng=1)
         thetas_after_fit = [t.copy() for t in model._theta_samples]
-        # The first two extends reuse the fit's samples (rank-1 stack
-        # updates only), and the third advances the chain.
-        for i in (30, 31):
-            model.extend(points[i : i + 1], datasizes[i : i + 1], durations[i : i + 1], rng=1)
-            assert all(
-                np.array_equal(a, b)
-                for a, b in zip(thetas_after_fit, model._theta_samples)
-            )
-        model.extend(points[32:33], datasizes[32:33], durations[32:33], rng=1)
-        assert not all(
-            np.array_equal(a, b)
-            for a, b in zip(thetas_after_fit, model._theta_samples)
+        chain_state = model._mcmc_state.copy()
+        # The first extend reuses the fit's samples (rank-1 stack
+        # updates only); the second brings 2 new rows and re-samples.
+        model.extend(points[30:31], datasizes[30:31], durations[30:31], rng=1)
+        assert all(
+            np.array_equal(a, b) for a, b in zip(thetas_after_fit, model._theta_samples)
         )
+        model.extend(points[31:32], datasizes[31:32], durations[31:32], rng=5)
+        resumed, _ = slice_sample_chain(
+            model.gp, n_samples=3, burn_in=MCMC_WARM_BURN_IN, rng=5,
+            initial_theta=chain_state,
+        )
+        np.testing.assert_array_equal(np.stack(model._theta_samples), np.stack(resumed))
 
     def test_fidelity_toggle_carries_hyperparameters(self):
         """Satellite fix: toggling the fidelity column on/off must not
@@ -441,7 +444,7 @@ PINNED_BO_LOOP = {
         [0.25091643552845216, 0.31151560633472575],
         [0.19715618099979665, 0.3343155489827936],
         [0.10282705165161381, 0.308280337121436],
-        [0.339903505934693, 0.3357348775859391],
+        [0.13441096581280057, 0.0],
     ],
     "durations": [
         13.36061994958997,
@@ -450,14 +453,14 @@ PINNED_BO_LOOP = {
         10.02541805490489,
         10.11754408008537,
         10.389457355432402,
-        10.028692712619623,
+        11.174197282430496,
     ],
     "ei_values": [
         0.028568623337807214,
         0.030155632702855678,
         0.03390521558084692,
-        0.032713553605101156,
-        0.035422407131283355,
+        0.0735623903093595,
+        0.055354749793639656,
     ],
     "stopped_by_ei": True,
 }
@@ -473,16 +476,16 @@ PINNED_LOCAT_DURATIONS = [
     99.36534902681763,
     67.26538654531582,
     68.5196083026358,
-    73.7023735048839,
-    73.46086461045034,
-    80.76690132613562,
-    74.54275596008864,
-    70.74636945391734,
-    80.50970223139545,
-    73.59522204149238,
+    82.92238705902984,
+    80.01681377926798,
+    69.18438949797478,
+    76.06106927227485,
+    76.0651212120754,
+    78.30503883996488,
+    73.69251974640167,
 ]
 
-PINNED_LOCAT_BEST = 73.59522204149238
+PINNED_LOCAT_BEST = 73.69251974640167
 
 
 class TestPinnedTrajectories:
