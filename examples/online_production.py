@@ -3,8 +3,10 @@
 Simulates a month of nightly TPC-H runs whose input grows over time. The
 OnlineController decides when LOCAT should (re)tune: the first night, at
 large datasize jumps, and whenever measured durations drift above the
-model's expectation. Between tuning sessions, production runs reuse the
-deployed configuration at zero tuning cost.
+model's expectation. A retune's winner deploys only after a shadow A/B
+test against the deployed configuration on the following nights; while
+the test runs, new retunes wait. Between tuning sessions, production
+runs reuse the deployed configuration at zero tuning cost.
 
     python examples/online_production.py
 """
@@ -32,12 +34,15 @@ def main() -> None:
         # "Run tonight's job" with the deployed configuration.
         last_duration = simulator.run(app, decision.config, float(datasize),
                                       rng=night).duration_s
+        action = "RETUNE" if decision.retuned else "reuse"
+        if decision.promotion is not None:
+            action += f" ({decision.promotion['phase']})"
         rows.append([
             night,
             f"{datasize} GB",
-            "RETUNE" if decision.retuned else "reuse",
+            action,
             last_duration,
-            decision.reason if decision.retuned else "",
+            decision.reason if decision.retuned or decision.promotion else "",
         ])
 
     print(format_table(
@@ -50,7 +55,7 @@ def main() -> None:
     changed = diff_configs(simulator.space.default(), controller.deployed_config)
     for key, (before, after) in sorted(changed.items())[:12]:
         print(f"  {key:50s} {before:>8} -> {after:>8}")
-    sessions = sum(1 for r in rows if r[2] == "RETUNE")
+    sessions = sum(1 for r in rows if r[2].startswith("RETUNE"))
     print(f"\nTuning sessions: {sessions} of {len(rows)} nights; every other "
           "night ran at zero tuning cost.")
 

@@ -2,9 +2,11 @@
 
 Commands:
 
-* ``tune`` — run LOCAT on a benchmark and print (or save) the tuned
-  configuration as spark-defaults.conf; ``--transfer-store`` warm-starts
-  from a similar application found in a tuning-service history store;
+* ``tune`` — run LOCAT on a benchmark, check the tuned configuration
+  against the cluster defaults with a paired A/B test, and print (or
+  save) it as spark-defaults.conf when it wins; ``--transfer-store``
+  warm-starts from a similar application found in a tuning-service
+  history store;
 * ``qcsa`` — standalone query-sensitivity analysis (Figure 8 style);
 * ``compare`` — LOCAT vs the four baselines on one benchmark;
 * ``simulate`` — run one configuration and print the metrics;
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.core import LOCAT, SparkSQLObjective
 from repro.core.export import diff_configs, to_spark_defaults_conf
-from repro.core.promotion import PROMOTION_MODES, SHADOW_SEED_SALT
+from repro.core.promotion import SHADOW_SEED_SALT
 from repro.replay import REPLAY_EVAL_MODES
 from repro.core.qcsa import QCSA, analyze_samples
 from repro.harness.report import format_table
@@ -36,7 +38,6 @@ from repro.sparksim import SparkSQLSimulator, get_application, list_benchmarks
 from repro.sparksim.cluster import get_cluster
 from repro.stats.abtest import compare_paired
 from repro.stats.sampling import ensure_rng
-from repro.surrogate.policy import SURROGATE_BACKENDS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -69,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 (default) reproduces the serial trajectory exactly",
     )
     tune.add_argument(
-        "--surrogate-backend", choices=SURROGATE_BACKENDS, default="exact",
-        help="surrogate GP backend: 'exact' (default, full-history GP), "
-        "'sparse' (Nystrom inducing points, O(m^2) per decision), or 'auto' "
-        "(exact for short histories, sparse for long ones; see "
-        "docs/architecture.md)",
-    )
-    tune.add_argument(
         "--replay-eval", choices=REPLAY_EVAL_MODES, default="off",
         help="trace-replay candidate evaluation: 'off' (default, bit-for-bit "
         "the historic trajectory) or 'race' (capture a production trace and "
@@ -84,22 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/replay.md)",
     )
     tune.add_argument(
-        "--promotion", choices=PROMOTION_MODES, default="immediate",
-        help="what happens to the tuned configuration: 'immediate' "
-        "(default, report and write it unconditionally) or 'shadow_ab' "
-        "(measure it against the cluster default under common random "
-        "numbers and report the paired-bootstrap verdict with confidence "
-        "intervals before writing)",
-    )
-    tune.add_argument(
         "--shadow-runs", type=int, default=6, metavar="N",
-        help="paired shadow measurements for --promotion shadow_ab "
+        help="paired measurements of the tuned configuration against the "
+        "cluster defaults under common random numbers before it is written "
         "(default: 6)",
     )
     tune.add_argument(
         "--ab-alpha", type=float, default=0.05, metavar="A",
-        help="significance level of the paired bootstrap interval for "
-        "--promotion shadow_ab (default: 0.05)",
+        help="significance level of that paired bootstrap interval "
+        "(default: 0.05)",
     )
     tune.add_argument("--output", help="write spark-defaults.conf here")
     tune.add_argument(
@@ -168,20 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default bootstrap mode for registrations that do not choose "
         "one: 'transfer' seeds new tenants from the most similar existing "
         "tenant's history (default: cold)",
-    )
-    serve.add_argument(
-        "--surrogate-backend", default="exact", choices=SURROGATE_BACKENDS,
-        help="default surrogate GP backend for tenants that do not set "
-        "tuner.surrogate_backend themselves: 'exact' (default), 'sparse', "
-        "or 'auto' (pick by history size)",
-    )
-    serve.add_argument(
-        "--promotion", default="immediate", choices=PROMOTION_MODES,
-        help="default candidate-promotion mode for tenants that do not set "
-        "controller.promotion themselves: 'immediate' (deploy a retune's "
-        "winner at once, the default) or 'shadow_ab' (shadow-evaluate it "
-        "under common random numbers and deploy only on a significant "
-        "paired-bootstrap win; see docs/promotion.md)",
     )
     serve.add_argument(
         "--replay-eval", default="off", choices=REPLAY_EVAL_MODES,
@@ -328,7 +301,6 @@ def cmd_tune(args) -> int:
     locat = LOCAT(
         simulator, app, rng=args.seed, max_iterations=args.iterations,
         n_workers=args.workers, transfer_from=plan,
-        surrogate_backend=args.surrogate_backend,
         replay_eval=args.replay_eval,
     )
     result = locat.tune(args.datasize)
@@ -344,43 +316,39 @@ def cmd_tune(args) -> int:
     rows = [[k, a, b] for k, (a, b) in sorted(changed.items())]
     print(format_table(["parameter", "default", "tuned"], rows, title="Changed parameters"))
 
-    if args.promotion == "shadow_ab":
-        # Gate the tuned config against the cluster defaults: both arms
-        # are measured under common random numbers (identically seeded
-        # generators per pair) and compared with a paired bootstrap.
-        baseline = simulator.space.default()
-        baseline_s, challenger_s = [], []
-        for k in range(args.shadow_runs):
-            seed = (SHADOW_SEED_SALT, args.seed, k)
-            baseline_s.append(
-                simulator.run(
-                    app, baseline, args.datasize, rng=ensure_rng(seed)
-                ).duration_s
-            )
-            challenger_s.append(
-                simulator.run(
-                    app, result.best_config, args.datasize,
-                    rng=ensure_rng(seed),
-                ).duration_s
-            )
-        test = compare_paired(
-            baseline_s, challenger_s, alpha=args.ab_alpha,
-            seed=(SHADOW_SEED_SALT, args.seed),
+    # Gate the tuned config against the cluster defaults: both arms are
+    # measured under common random numbers (identically seeded
+    # generators per pair) and compared with a paired bootstrap.
+    baseline = simulator.space.default()
+    baseline_s, challenger_s = [], []
+    for k in range(args.shadow_runs):
+        seed = (SHADOW_SEED_SALT, args.seed, k)
+        baseline_s.append(
+            simulator.run(app, baseline, args.datasize, rng=ensure_rng(seed)).duration_s
         )
+        challenger_s.append(
+            simulator.run(
+                app, result.best_config, args.datasize, rng=ensure_rng(seed)
+            ).duration_s
+        )
+    test = compare_paired(
+        baseline_s, challenger_s, alpha=args.ab_alpha,
+        seed=(SHADOW_SEED_SALT, args.seed),
+    )
+    print(
+        f"\nShadow A/B vs cluster defaults over {args.shadow_runs} "
+        f"paired runs: mean speedup {test.mean_speedup:.3f}x, "
+        f"log-delta CI [{test.ci_low:+.4f}, {test.ci_high:+.4f}] "
+        f"at alpha={args.ab_alpha:g}"
+    )
+    if test.significant and test.winner == "challenger":
+        print("verdict: promote — tuned config significantly beats the defaults")
+    else:
         print(
-            f"\nShadow A/B vs cluster defaults over {args.shadow_runs} "
-            f"paired runs: mean speedup {test.mean_speedup:.3f}x, "
-            f"log-delta CI [{test.ci_low:+.4f}, {test.ci_high:+.4f}] "
-            f"at alpha={args.ab_alpha:g}"
+            "verdict: reject — no significant win over the defaults; "
+            "not writing the tuned configuration"
         )
-        if test.significant and test.winner == "challenger":
-            print("verdict: promote — tuned config significantly beats the defaults")
-        else:
-            print(
-                "verdict: reject — no significant win over the defaults; "
-                "not writing the tuned configuration"
-            )
-            return 1
+        return 1
 
     conf = to_spark_defaults_conf(
         result.best_config,
@@ -484,8 +452,6 @@ def cmd_serve(args) -> int:
             args.store, host=args.host, port=args.port,
             n_workers=args.tuning_threads, eval_workers=args.eval_workers,
             default_warm_start=args.warm_start,
-            default_surrogate_backend=args.surrogate_backend,
-            default_promotion=args.promotion,
             default_replay_eval=args.replay_eval,
             max_pending=args.max_pending, log_requests=args.log_requests,
         )
@@ -498,8 +464,6 @@ def cmd_serve(args) -> int:
             args.store, host=args.host, port=args.port, workers=args.workers,
             tuning_threads=args.tuning_threads, eval_workers=args.eval_workers,
             default_warm_start=args.warm_start,
-            default_surrogate_backend=args.surrogate_backend,
-            default_promotion=args.promotion,
             default_replay_eval=args.replay_eval,
             max_pending=args.max_pending, log_requests=args.log_requests,
         )

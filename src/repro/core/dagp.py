@@ -49,7 +49,7 @@ from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel
 from repro.bo.mcmc import slice_sample_chain
 from repro.stats.sampling import ensure_rng
-from repro.surrogate.policy import BackendPolicy, validate_backend
+from repro.surrogate.policy import BackendPolicy
 from repro.surrogate.sparse import SparseGP
 from repro.surrogate.stack import ModelStack
 
@@ -93,12 +93,11 @@ class DatasizeAwareGP:
     are averaged over that many posterior hyper-parameter samples (0
     disables marginalization and uses the current point estimate).
 
-    ``backend`` selects the GP implementation underneath: ``"exact"``
-    (the default), ``"sparse"``
-    (:class:`~repro.surrogate.sparse.SparseGP`, O(m^2) per decision,
-    point-estimate EI only), or ``"auto"``, which resolves through
-    ``backend_policy`` by history size and refits into the sparse
-    backend when the threshold is crossed.
+    ``backend_policy`` picks the GP implementation underneath by
+    history size: the exact GP up to its ``n_exact`` rows,
+    :class:`~repro.surrogate.sparse.SparseGP` (O(m^2) per decision,
+    point-estimate EI only) above, refitting into the sparse backend
+    when an extend crosses the threshold.
     """
 
     def __init__(
@@ -107,7 +106,6 @@ class DatasizeAwareGP:
         n_mcmc: int = 8,
         noise_variance: float = 1e-3,
         transfer_noise_variance: float = TRANSFER_NOISE_VARIANCE,
-        backend: str = "exact",
         backend_policy: BackendPolicy | None = None,
     ):
         if config_dim <= 0:
@@ -118,11 +116,13 @@ class DatasizeAwareGP:
         self.n_mcmc = n_mcmc
         self.noise_variance = float(noise_variance)
         self.transfer_noise_variance = float(transfer_noise_variance)
-        self.backend = validate_backend(backend)
         self.backend_policy = backend_policy if backend_policy is not None else BackendPolicy()
-        #: The concrete backend currently in force ("auto" resolves at
+        #: The concrete backend currently in force (resolved at
         #: fit/extend time; starts exact, where every history starts).
-        self._active_backend = "exact" if self.backend == "auto" else self.backend
+        self._active_backend = "exact"
+        #: A pinned model keeps its backend whatever its size (the
+        #: constant-liar copies, see :meth:`point_estimate_copy`).
+        self._backend_pinned = False
         kernel = Matern52Kernel(dim=config_dim + 1, lengthscale=0.5)
         self.gp = self._new_gp(kernel, noise_variance)
         self._x: np.ndarray | None = None
@@ -161,7 +161,7 @@ class DatasizeAwareGP:
 
     @property
     def active_backend(self) -> str:
-        """The concrete backend in force ("auto" resolved, else as set)."""
+        """The concrete backend in force, as the policy last resolved it."""
         return self._active_backend
 
     def _rebuild_kernel(self, with_fidelity: bool) -> None:
@@ -239,9 +239,9 @@ class DatasizeAwareGP:
             raise ValueError(f"expected config dim {self.config_dim}, got {x.shape[1] - 1}")
 
         resolved = (
-            self.backend_policy.select(x.shape[0])
-            if self.backend == "auto"
-            else self.backend
+            self._active_backend
+            if self._backend_pinned
+            else self.backend_policy.select(x.shape[0])
         )
         if resolved != self._active_backend:
             self._active_backend = resolved
@@ -311,7 +311,7 @@ class DatasizeAwareGP:
         new_fid = fidelities if fidelities is not None else np.zeros(x.shape[0])
 
         crosses_backend_threshold = (
-            self.backend == "auto"
+            not self._backend_pinned
             and self.backend_policy.select(self.n_observations + x.shape[0])
             != self._active_backend
         )
@@ -386,11 +386,12 @@ class DatasizeAwareGP:
             n_mcmc=0,
             noise_variance=self.noise_variance,
             transfer_noise_variance=self.transfer_noise_variance,
-            # Pin the copy to the *resolved* backend: a liar copy's few
-            # rank-1 lies must never trigger a policy refit mid-batch.
-            backend=self._active_backend,
             backend_policy=self.backend_policy,
         )
+        # Pin the copy to the *resolved* backend: a liar copy's few
+        # rank-1 lies must never trigger a policy refit mid-batch.
+        copy._active_backend = self._active_backend
+        copy._backend_pinned = True
         copy.gp = self.gp.shallow_copy()
         copy._x = self._x
         copy._log_t = self._log_t

@@ -14,10 +14,10 @@ Pipeline for the first tuning session:
 4. **DAGP BO** — EI-MCMC Bayesian optimization in the latent space,
    evaluating only the RQA, warm-started with the bootstrap samples
    (re-targeted to their CSQ-subset durations), until the EI stop rule.
-   The KPCA manifold is refit on all observed configurations every few
-   iterations so the latent space grows to cover the regions BO
-   explores — with a fixed 20-sample manifold the pre-image could only
-   reach configurations "between" the bootstrap points.
+   The KPCA manifold is refit on all observed configurations every
+   ``REFIT_INTERVAL`` iterations so the latent space grows to cover the
+   regions BO explores — with a fixed 20-sample manifold the pre-image
+   could only reach configurations "between" the bootstrap points.
 5. **Validation** — the best configuration is re-run on the full
    application; that run is the reported best duration.
 
@@ -29,7 +29,7 @@ expensive bootstrap is paid only once.  Ablation switches: ``use_qcsa``,
 
 **Cross-application transfer** (``transfer_from=``): given a
 :class:`~repro.transfer.donor.TransferPlan` built from a similar
-tenant's persisted history, step 1 shrinks to ``n_transfer_bootstrap``
+tenant's persisted history, step 1 shrinks to ``N_TRANSFER_BOOTSTRAP``
 runs — just enough for QCSA and a provisional CPS.  The donor's
 importance profile is then checked against the provisional one
 (:func:`~repro.transfer.donor.cps_agreement`) and the refined workload
@@ -70,13 +70,15 @@ from repro.sparksim.engine import SparkSQLSimulator
 from repro.sparksim.query import Application
 from repro.sparksim.serialize import canonical_key
 from repro.stats.sampling import ensure_rng
-from repro.surrogate.policy import validate_backend
 from repro.transfer.donor import TransferPlan, cps_agreement
 from repro.transfer.fingerprint import WorkloadFingerprint, fingerprint_similarity
 
 #: Bootstrap budget of a transfer warm start: enough full-application
 #: runs for QCSA CVs and a provisional CPS, a fraction of DEFAULT_N_QCSA.
-DEFAULT_N_TRANSFER_BOOTSTRAP = 8
+N_TRANSFER_BOOTSTRAP = 8
+
+#: BO iterations between two refits of the KPCA manifold in a session.
+REFIT_INTERVAL = 8
 
 #: Fewest observations :meth:`LOCAT.restore` accepts, and the fewest the
 #: monitoring predictor fits on: every restored tenant can check its
@@ -111,15 +113,12 @@ class LOCAT:
         max_iterations: int = 25,
         ei_threshold: float = DEFAULT_EI_THRESHOLD,
         n_mcmc: int = 6,
-        refit_interval: int = 8,
         use_qcsa: bool = True,
         use_iicp: bool = True,
         use_dagp: bool = True,
         use_polish: bool = True,
         n_workers: int = 1,
         transfer_from: TransferPlan | None = None,
-        n_transfer_bootstrap: int = DEFAULT_N_TRANSFER_BOOTSTRAP,
-        surrogate_backend: str = "exact",
         n_adapt_iterations: int | None = None,
         replay_eval: str = "off",
         replay_capacity: int = DEFAULT_TRACE_CAPACITY,
@@ -137,22 +136,12 @@ class LOCAT:
         self.max_iterations = max_iterations
         self.ei_threshold = ei_threshold
         self.n_mcmc = n_mcmc
-        self.refit_interval = max(int(refit_interval), 1)
         self.use_qcsa = use_qcsa
         self.use_iicp = use_iicp
         self.use_dagp = use_dagp
         self.use_polish = use_polish
         self.n_workers = int(n_workers)
         self.transfer_from = transfer_from
-        self.n_transfer_bootstrap = int(n_transfer_bootstrap)
-        #: GP implementation underneath every surrogate this orchestrator
-        #: builds — the session loops *and* the monitoring predictor
-        #: behind :meth:`predict_log_duration`.  "exact" (default),
-        #: "sparse" (bounded per-decision cost on long histories), or
-        #: "auto" (exact up to the default
-        #: :class:`~repro.surrogate.policy.BackendPolicy`'s ``n_exact``
-        #: rows, sparse above).
-        self.surrogate_backend = validate_backend(surrogate_backend)
         if n_adapt_iterations is not None and int(n_adapt_iterations) < 1:
             raise ValueError("n_adapt_iterations must be at least 1")
         #: BO budget of a drift-triggered :meth:`adapt` session; None
@@ -274,7 +263,6 @@ class LOCAT:
             n_mcmc=min(self.n_mcmc, 4),
             n_candidates=192,
             batch_size=self.n_workers,
-            surrogate_backend=self.surrogate_backend,
             rng=self.rng,
         )
         loop.minimize(
@@ -305,7 +293,7 @@ class LOCAT:
         collect large random corpora.
 
         With a :attr:`transfer_from` plan the budget shrinks to
-        ``n_transfer_bootstrap`` runs and the donor's history fills the
+        ``N_TRANSFER_BOOTSTRAP`` runs and the donor's history fills the
         gap — see :meth:`_bootstrap_transfer`.
         """
         if self.is_bootstrapped:
@@ -351,7 +339,7 @@ class LOCAT:
     def _bootstrap_transfer(self, datasize_gb: float) -> None:
         """Reduced bootstrap that borrows a donor tenant's history.
 
-        1. Collect only ``n_transfer_bootstrap`` full-application samples
+        1. Collect only ``N_TRANSFER_BOOTSTRAP`` full-application samples
            (vs ``n_qcsa`` cold) — enough for QCSA CVs and a provisional
            CPS.
         2. Validate the donor: importance-profile agreement between the
@@ -371,7 +359,7 @@ class LOCAT:
         plan = self.transfer_from
         assert plan is not None
         space = self.objective.space
-        n_boot = min(max(self.n_transfer_bootstrap, 4), self.n_qcsa)
+        n_boot = min(N_TRANSFER_BOOTSTRAP, self.n_qcsa)
         trials = self._collect_bootstrap_samples(datasize_gb, n_boot)
         # QCSA first: the fingerprint's dynamic part must be RQA
         # seconds-per-GB, the same units the donor's persisted tuning
@@ -500,7 +488,7 @@ class LOCAT:
         tuples as returned by :attr:`observation_history`; ``cps`` is the
         persisted :class:`~repro.core.iicp.CPSResult`.  The CPE manifold
         is not persisted — it is refit over the restored observations,
-        exactly as :meth:`tune` refits it every ``refit_interval``
+        exactly as :meth:`tune` refits it every ``REFIT_INTERVAL``
         iterations — so the only artifacts a store must keep are the QCSA
         split, the CPS selection, and the run table.  After this call
         :attr:`is_bootstrapped` is true and the next :meth:`tune` goes
@@ -665,12 +653,10 @@ class LOCAT:
                 )
                 self._predictor_count = count
             return self._predictor
-        # The monitoring predictor inherits the tenant's backend setting:
-        # it is extended on every production run, so an aging tenant's
-        # drift checks must stay O(W) too, not O(history).
-        predictor = DatasizeAwareGP(
-            iicp.n_components, n_mcmc=0, backend=self.surrogate_backend
-        )
+        # The monitoring predictor picks its backend by history size
+        # like every surrogate: it is extended on every production run,
+        # so an aging tenant's drift checks must not grow with history.
+        predictor = DatasizeAwareGP(iicp.n_components, n_mcmc=0)
         predictor.fit(
             np.stack([iicp.encode(o.config) for o in self._observations]),
             np.array([o.datasize_gb for o in self._observations]),
@@ -1029,7 +1015,7 @@ class LOCAT:
             # observations — the GP sees a consistent latent geometry.
             self._refit_cpe()
             iicp = self.iicp_result
-            chunk = min(self.refit_interval, session_max - iterations_done)
+            chunk = min(REFIT_INTERVAL, session_max - iterations_done)
 
             if replay is not None:
                 # Replay scoring: the candidate's mean RQA duration over
@@ -1101,7 +1087,6 @@ class LOCAT:
                 ei_threshold=self.ei_threshold,
                 n_mcmc=self.n_mcmc,
                 batch_size=self.n_workers,
-                surrogate_backend=self.surrogate_backend,
                 rng=self.rng,
             )
             trace = loop.minimize(

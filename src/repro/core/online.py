@@ -26,6 +26,13 @@ evaluations re-anchors it at a fraction of a cold session's cost.
 Datasize-margin retunes keep the full budget (a genuinely new operating
 point deserves a full search).
 
+Only the first session's winner deploys at once.  Every later retune's
+winner goes through the shadow A/B gate
+(:class:`~repro.core.promotion.PromotionGate`): incumbent and challenger
+are measured under common random numbers on the following production
+runs, and the challenger deploys only on a significant paired-bootstrap
+win.
+
 This is the glue a production user needs around the core algorithm; the
 paper leaves it implicit.
 """
@@ -49,7 +56,6 @@ from repro.core.locat import LOCAT
 from repro.core.promotion import (
     DECISION_EXTEND,
     DECISION_PROMOTE,
-    PROMOTION_MODES,
     SHADOW_SEED_SALT,
     PromotionGate,
     ShadowPair,
@@ -91,8 +97,8 @@ class OnlineDecision:
     result: TuningResult | None = None
     #: What caused a retune: "initial", "datasize", "drift" — or "none".
     trigger: str = "none"
-    #: Shadow/promotion bookkeeping for this observation (None in
-    #: ``promotion="immediate"`` mode and outside shadow activity).
+    #: Shadow/promotion bookkeeping for this observation (None outside
+    #: shadow activity).
     promotion: dict | None = None
 
 
@@ -116,21 +122,11 @@ class OnlineController:
     watching the deployment; None (default) builds a
     :class:`~repro.core.drift.PageHinkleyDetector` over DAGP-standardized
     residuals.
-    ``partial_retunes`` — drift-triggered retunes always run as
-    :meth:`~repro.core.locat.LOCAT.adapt` sessions (pre-drift history
-    quarantined, incumbent and calibration anchored on fresh
-    measurements — a full ``tune`` would re-anchor on stale pre-drift
-    trials and loop);  this flag only picks the BO budget: reduced
-    (default) or the full ``max_iterations``.
-    ``promotion`` — what happens to a retune's winner: ``"immediate"``
-    (deploy it, bit-for-bit the historic behaviour) or ``"shadow_ab"``
-    (hand it to a :class:`~repro.core.promotion.PromotionGate`: measure
-    incumbent and challenger under common random numbers on the
-    subsequent production slice, deploy only on a significant paired
-    bootstrap win).  ``shadow_runs`` / ``ab_alpha`` parameterize the
-    gate; ``shadow_measure`` overrides how a shadow arm is measured
-    (``(config, datasize_gb, rng) -> duration_s``, defaulting to the
-    tuner's own simulator).
+    ``shadow_runs`` / ``ab_alpha`` parameterize the promotion gate
+    every retune's winner passes (the minimum pair count and the
+    significance level); ``shadow_measure`` overrides how a shadow arm
+    is measured (``(config, datasize_gb, rng) -> duration_s``,
+    defaulting to the tuner's own simulator).
     ``capture_replay_trace`` — record every measured production run into
     the tuner's :class:`~repro.replay.trace.ReplayTrace`; ``None``
     (default) follows the tuner's ``replay_eval`` setting.  With replay
@@ -144,11 +140,8 @@ class OnlineController:
         locat: LOCAT,
         datasize_margin: float = 0.3,
         detector: DriftDetector | None = None,
-        partial_retunes: bool = True,
-        promotion: str = "immediate",
         shadow_runs: int = 6,
         ab_alpha: float = 0.05,
-        max_shadow_runs: int | None = None,
         shadow_measure: Callable[[Configuration, float, np.random.Generator], float]
         | None = None,
         capture_replay_trace: bool | None = None,
@@ -159,19 +152,11 @@ class OnlineController:
             raise TypeError(
                 f"detector must be a DriftDetector instance, got {detector!r}"
             )
-        if promotion not in PROMOTION_MODES:
-            raise ValueError(
-                f"promotion must be one of {PROMOTION_MODES}, got {promotion!r}"
-            )
         self.locat = locat
         self.datasize_margin = datasize_margin
-        self.partial_retunes = bool(partial_retunes)
-        self.promotion = promotion
-        # The gate validates shadow_runs/ab_alpha even in immediate mode
-        # so a bad tenant key fails at construction, not at first drift.
-        self._gate = PromotionGate(
-            min_runs=shadow_runs, alpha=ab_alpha, max_runs=max_shadow_runs
-        )
+        # The gate validates shadow_runs/ab_alpha at construction, so a
+        # bad tenant key fails at registration, not at first drift.
+        self._gate = PromotionGate(min_runs=shadow_runs, alpha=ab_alpha)
         self._shadow_measure = shadow_measure or self._default_shadow_measure
         # getattr: tests drive the controller with stub tuners that
         # predate the replay attributes.
@@ -243,7 +228,6 @@ class OnlineController:
                 "origin_datasize_gb": self._shadow.origin_datasize_gb,
             }
         return {
-            "mode": self.promotion,
             "shadow_active": self._shadow is not None,
             "shadow": shadow,
             "promoted": self._promoted,
@@ -254,17 +238,12 @@ class OnlineController:
     def promotion_state(self) -> dict | None:
         """Restart-surviving promotion snapshot for ``deployed.json``.
 
-        None when there is nothing to persist (immediate mode with no
-        promotion history), keeping historic stores byte-identical.
+        None while there is nothing to persist (no shadow was ever
+        opened), so a tenant that never retuned writes no promotion block.
         """
-        if (
-            self.promotion == "immediate"
-            and self._shadow is None
-            and self._shadow_counter == 0
-        ):
+        if self._shadow is None and self._shadow_counter == 0:
             return None
         return {
-            "mode": self.promotion,
             "shadow": None if self._shadow is None else self._shadow.to_json(),
             "counter": self._shadow_counter,
             "promoted": self._promoted,
@@ -276,12 +255,10 @@ class OnlineController:
         """Rehydrate an in-flight shadow and promotion counters.
 
         Accepts the block written by :meth:`promotion_state` (absent in
-        legacy stores).  A persisted shadow is only resumed when this
-        controller still runs in ``shadow_ab`` mode: if the operator
-        flipped the tenant back to ``immediate``, the challenger is
-        discarded and the incumbent simply stays deployed — never the
-        other way around (an unvetted candidate must not deploy on
-        restart).
+        stores of tenants that never retuned).  A persisted shadow
+        resumes where it stopped; an unvetted challenger never deploys
+        on restart.  The ``mode`` field earlier versions wrote is
+        ignored.
         """
         if not payload:
             return
@@ -290,7 +267,7 @@ class OnlineController:
         self._rejected = int(payload.get("rejected", 0))
         self._last_promotion = payload.get("last_decision")
         shadow = payload.get("shadow")
-        if shadow and self.promotion == "shadow_ab":
+        if shadow:
             self._shadow = ShadowState.from_json(shadow)
 
     def drain_promotion_events(self) -> list[dict]:
@@ -391,8 +368,7 @@ class OnlineController:
         assert state is not None
         if config_key(result.best_config) == config_key(state.config):
             # The retune re-confirmed the incumbent: nothing to gate.
-            # Re-deploying refreshes the calibration and detector window
-            # exactly like an immediate deploy of the same config would.
+            # Re-deploying refreshes the calibration and detector window.
             self._deploy(result, datasize_gb)
             return OnlineDecision(
                 datasize_gb=datasize_gb,
@@ -474,7 +450,7 @@ class OnlineController:
         if shadow.pairs:
             # The freshest shadow measurement of the challenger is a
             # full-application duration at a production datasize — the
-            # same role the validation run plays for immediate deploys.
+            # same role the validation run plays for the first deploy.
             last = shadow.pairs[-1]
             self._calibrate(last.datasize_gb, last.challenger_s)
 
@@ -558,14 +534,16 @@ class OnlineController:
         if decision == DECISION_PROMOTE:
             self._promoted += 1
             self._promote(shadow)
+            # A verdict reached on production pairs is not a retune: the
+            # retune was reported when the shadow opened.
             return OnlineDecision(
                 datasize_gb=datasize_gb,
                 duration_s=reported,
-                retuned=True,
+                retuned=result is not None,
                 reason=f"challenger promoted: {why}",
                 config=state.config,
                 result=result,
-                trigger=shadow.trigger,
+                trigger="none" if result is None else shadow.trigger,
                 promotion={
                     "phase": "promoted",
                     "run_id": shadow.run_id,
@@ -654,19 +632,8 @@ class OnlineController:
                 f"datasize {datasize_gb:.0f}GB is {relative_gap:.0%} from "
                 f"nearest tuned size {nearest:.0f}GB"
             )
-            if self.promotion == "shadow_ab":
-                return self._gate_candidate(
-                    result, datasize_gb, duration_s, "datasize", reason
-                )
-            self._deploy(result, datasize_gb)
-            return OnlineDecision(
-                datasize_gb=datasize_gb,
-                duration_s=result.best_duration_s if duration_s is None else duration_s,
-                retuned=True,
-                reason=reason,
-                config=result.best_config,
-                result=result,
-                trigger="datasize",
+            return self._gate_candidate(
+                result, datasize_gb, duration_s, "datasize", reason
             )
 
         # None only before the bootstrap: a LOCAT restores a history
@@ -693,29 +660,12 @@ class OnlineController:
             ),
         ):
             reason = self._detector.reason()
-            # Drift retunes always run as quarantined adapt sessions
-            # (stale pre-drift history must not anchor the incumbent
-            # or the calibration); partial_retunes only decides the
-            # BO budget: reduced (default) or the full budget.
-            result = self.locat.adapt(
-                datasize_gb,
-                max_iterations=(
-                    None if self.partial_retunes else self.locat.max_iterations
-                ),
-            )
-            if self.promotion == "shadow_ab":
-                return self._gate_candidate(
-                    result, datasize_gb, duration_s, "drift", reason
-                )
-            self._deploy(result, datasize_gb)
-            return OnlineDecision(
-                datasize_gb=datasize_gb,
-                duration_s=duration_s,
-                retuned=True,
-                reason=reason,
-                config=result.best_config,
-                result=result,
-                trigger="drift",
+            # Drift retunes run as quarantined adapt sessions on the
+            # reduced budget: stale pre-drift history must not anchor
+            # the incumbent or the calibration.
+            result = self.locat.adapt(datasize_gb)
+            return self._gate_candidate(
+                result, datasize_gb, duration_s, "drift", reason
             )
 
         return OnlineDecision(

@@ -2,8 +2,9 @@
 
 A drift or datasize retune produces a *candidate* configuration from a
 handful of noisy tuning evaluations — one lucky simulator draw can make
-a worse config look like a winner.  Under ``promotion="shadow_ab"`` the
-candidate is not deployed; it enters a **shadow** phase instead: on each
+a worse config look like a winner.  Only the first tuning session
+deploys directly (there is no incumbent to compare against); every later
+candidate enters a **shadow** phase instead: on each
 subsequent production run the controller measures both the deployed
 incumbent and the challenger at the run's datasize under common random
 numbers (identically seeded generators, so the pair shares its
@@ -38,10 +39,6 @@ from repro.sparksim.configspace import Configuration
 from repro.sparksim.serialize import config_from_dict, config_to_dict
 from repro.stats.abtest import DEFAULT_N_BOOT, ABTestResult, paired_bootstrap
 
-#: Valid values for ``OnlineController(promotion=...)`` and the
-#: ``controller.promotion`` tenant key.
-PROMOTION_MODES = ("immediate", "shadow_ab")
-
 DECISION_PROMOTE = "promote"
 DECISION_REJECT = "reject"
 DECISION_EXTEND = "extend"
@@ -49,6 +46,10 @@ DECISION_EXTEND = "extend"
 #: Seed-tuple salt for shadow measurement generators, keeping the CRN
 #: streams disjoint from every other seeded subsystem.
 SHADOW_SEED_SALT = 0x5AB0
+
+#: Shadow budget in units of ``min_runs``: at this many times the
+#: minimum pair count the gate forces a terminal decision.
+SHADOW_BUDGET_FACTOR = 3
 
 
 @dataclass
@@ -137,16 +138,15 @@ class PromotionGate:
     (early stop on clear dominance may fire sooner, but never before
     the bootstrap itself is meaningful).
     ``alpha`` — two-sided significance level of the bootstrap interval.
-    ``max_runs`` — shadow budget; at this many pairs the gate forces a
-    terminal decision, rejecting unless the challenger is significantly
-    better (default ``3 * min_runs``).
+    The shadow budget ``max_runs`` is ``SHADOW_BUDGET_FACTOR *
+    min_runs`` pairs; there the gate forces a terminal decision,
+    rejecting unless the challenger is significantly better.
     """
 
     def __init__(
         self,
         min_runs: int = 6,
         alpha: float = 0.05,
-        max_runs: int | None = None,
         n_boot: int = DEFAULT_N_BOOT,
     ):
         if min_runs < 1:
@@ -155,9 +155,7 @@ class PromotionGate:
             raise ValueError("alpha must lie strictly between 0 and 1")
         self.min_runs = int(min_runs)
         self.alpha = float(alpha)
-        self.max_runs = int(max_runs) if max_runs is not None else 3 * self.min_runs
-        if self.max_runs < self.min_runs:
-            raise ValueError("max_runs must be at least min_runs")
+        self.max_runs = SHADOW_BUDGET_FACTOR * self.min_runs
         self.n_boot = int(n_boot)
 
     def test(self, shadow: ShadowState) -> ABTestResult:

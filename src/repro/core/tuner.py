@@ -30,14 +30,13 @@ updates and re-samples the hyper-parameters only every few iterations.
 Per-iteration surrogate cost is O(n^2) amortized instead of a
 from-scratch O(n^3) refit with an MCMC chain.
 
-``surrogate_backend`` selects the GP implementation underneath
-(:mod:`repro.surrogate.policy`): ``"exact"`` (default), ``"sparse"``
-(bounded per-decision cost for long histories), or ``"auto"`` (exact up
-to the policy's ``n_exact`` rows, sparse above).  A tuning session's
-few dozen evaluations stay far below that threshold, so ``"auto"``
-behaves exactly like ``"exact"`` here; the setting matters for
-long-lived service tenants whose warm histories reach thousands of
-rows.
+The GP implementation underneath is picked by history size
+(:mod:`repro.surrogate.policy`): exact up to the policy's ``n_exact``
+rows, sparse (bounded per-decision cost) above.  A tuning session's few
+dozen evaluations stay far below that threshold, so a session runs on
+the exact GP; the sparse side serves long-lived service tenants whose
+warm histories reach thousands of rows.  ``backend_policy`` overrides
+the default threshold.
 
 Warm observations may carry a *fidelity* (``warm_fidelities``): rows at
 fidelity 0 are the caller's own observations, rows at fidelity > 0 are
@@ -64,7 +63,7 @@ from repro.bo.optimize import maximize_acquisition, propose_batch
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
 from repro.stats.sampling import ensure_rng
-from repro.surrogate.policy import BackendPolicy, validate_backend
+from repro.surrogate.policy import BackendPolicy
 
 #: Paper defaults (section 3.4).
 DEFAULT_N_INIT = 3
@@ -144,7 +143,6 @@ class BOLoop:
         n_candidates: int = 384,
         batch_size: int = 1,
         liar_strategy: str = "min",
-        surrogate_backend: str = "exact",
         backend_policy: BackendPolicy | None = None,
         rng: int | np.random.Generator | None = None,
     ):
@@ -152,7 +150,6 @@ class BOLoop:
             raise ValueError("dim must be positive")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        validate_backend(surrogate_backend)
         n_init = min(n_init, max_iterations)  # small budgets shrink the design
         self.dim = dim
         if bounds is None:
@@ -173,7 +170,6 @@ class BOLoop:
         self.n_candidates = n_candidates
         self.batch_size = batch_size
         self.liar_strategy = liar_strategy
-        self.surrogate_backend = surrogate_backend
         self.backend_policy = backend_policy
         self.rng = ensure_rng(rng)
 
@@ -284,10 +280,7 @@ class BOLoop:
 
         iterations = 0
         model = DatasizeAwareGP(
-            self.dim,
-            n_mcmc=self.n_mcmc,
-            backend=self.surrogate_backend,
-            **({"backend_policy": self.backend_policy} if self.backend_policy is not None else {}),
+            self.dim, n_mcmc=self.n_mcmc, backend_policy=self.backend_policy
         )
         n_modeled = 0
         while trace.n_evaluations - n_warm < self.max_iterations:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from repro.core.locat import LOCAT, MIN_RESTORE_OBSERVATIONS
 from repro.core.online import OnlineController, OnlineDecision
-from repro.core.promotion import PROMOTION_MODES
 from repro.replay import REPLAY_EVAL_MODES
 from repro.service.store import (
     SOURCE_PRODUCTION,
@@ -44,7 +43,6 @@ from repro.service.store import (
 from repro.sparksim import SparkSQLSimulator, get_application, list_benchmarks
 from repro.sparksim.cluster import get_cluster
 from repro.sparksim.serialize import config_from_dict, config_to_dict
-from repro.surrogate.policy import SURROGATE_BACKENDS
 from repro.transfer import (
     WorkloadFingerprint,
     build_transfer_plan,
@@ -56,16 +54,13 @@ TUNER_KEYS = frozenset(
     {
         "n_qcsa", "n_iicp", "scc_threshold", "kernel", "explained_variance",
         "min_iterations", "max_iterations", "ei_threshold", "n_mcmc",
-        "refit_interval", "use_qcsa", "use_iicp", "use_dagp", "use_polish",
-        "n_workers", "n_transfer_bootstrap", "surrogate_backend",
+        "use_qcsa", "use_iicp", "use_dagp", "use_polish", "n_workers",
         "n_adapt_iterations", "replay_eval", "replay_capacity", "n_replays",
     }
 )
 
 #: OnlineController keyword arguments a tenant may override.
-CONTROLLER_KEYS = frozenset(
-    {"datasize_margin", "partial_retunes", "promotion", "shadow_runs", "ab_alpha"}
-)
+CONTROLLER_KEYS = frozenset({"datasize_margin", "shadow_runs", "ab_alpha"})
 
 #: How a new tenant's first bootstrap may be seeded.
 WARM_START_MODES = ("cold", "transfer")
@@ -100,21 +95,13 @@ def _validate_warm_start(warm_start: str) -> None:
 def _validate_tuner(tuner: dict) -> None:
     if not TUNER_KEYS.issuperset(tuner):
         raise ValueError(f"unknown tuner settings: {sorted(set(tuner) - TUNER_KEYS)}")
-    for key in (
-        "n_workers", "n_transfer_bootstrap", "n_adapt_iterations",
-        "replay_capacity", "n_replays",
-    ):
+    for key in ("n_workers", "n_adapt_iterations", "replay_capacity", "n_replays"):
         if key in tuner:
             value = tuner[key]
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(
                     f"tuner.{key} must be a positive integer, got {value!r}"
                 )
-    if tuner.get("surrogate_backend", "exact") not in SURROGATE_BACKENDS:
-        raise ValueError(
-            f"tuner.surrogate_backend must be one of {SURROGATE_BACKENDS}, "
-            f"got {tuner['surrogate_backend']!r}"
-        )
     if tuner.get("replay_eval", "off") not in REPLAY_EVAL_MODES:
         raise ValueError(
             f"tuner.replay_eval must be one of {REPLAY_EVAL_MODES}, "
@@ -126,18 +113,6 @@ def _validate_controller(controller: dict) -> None:
     if not CONTROLLER_KEYS.issuperset(controller):
         raise ValueError(
             f"unknown controller settings: {sorted(set(controller) - CONTROLLER_KEYS)}"
-        )
-    if "partial_retunes" in controller and not isinstance(
-        controller["partial_retunes"], bool
-    ):
-        raise ValueError(
-            "controller.partial_retunes must be a boolean, "
-            f"got {controller['partial_retunes']!r}"
-        )
-    if controller.get("promotion", PROMOTION_MODES[0]) not in PROMOTION_MODES:
-        raise ValueError(
-            f"controller.promotion must be one of {PROMOTION_MODES}, "
-            f"got {controller['promotion']!r}"
         )
     if "shadow_runs" in controller:
         value = controller["shadow_runs"]
@@ -161,19 +136,17 @@ def _validate_controller(controller: dict) -> None:
 def _drop_retired_settings(app_id: str, meta: dict) -> dict:
     """A copy of persisted tenant metadata without retired settings.
 
-    Earlier versions accepted tenant keys (and ``surrogate_backend``
-    values) that no longer exist.  A store carrying one still
-    rehydrates: each such setting is dropped with one warning on stderr
-    and the tenant runs on the current default for it.  Registration
-    keeps rejecting them (:func:`_validate_tuner`,
+    Earlier versions accepted tenant keys that no longer exist (such
+    as ``tuner.surrogate_backend`` or ``controller.promotion``).  A
+    store carrying one still rehydrates: each such setting is dropped
+    with one warning on stderr and the tenant runs on what replaced it.
+    Registration keeps rejecting them (:func:`_validate_tuner`,
     :func:`_validate_controller`).
     """
     tuner = dict(meta.get("tuner") or {})
     controller = dict(meta.get("controller") or {})
     retired = [("tuner", key) for key in sorted(set(tuner) - TUNER_KEYS)]
     retired += [("controller", key) for key in sorted(set(controller) - CONTROLLER_KEYS)]
-    if tuner.get("surrogate_backend", "exact") not in SURROGATE_BACKENDS:
-        retired.append(("tuner", "surrogate_backend"))
     for section, key in retired:
         settings = tuner if section == "tuner" else controller
         print(
@@ -303,8 +276,6 @@ class TuningRegistry:
         default_eval_workers: int = 1,
         max_eval_workers: int | None = None,
         default_warm_start: str = "cold",
-        default_surrogate_backend: str = "exact",
-        default_promotion: str = "immediate",
         default_replay_eval: str = "off",
     ):
         if default_eval_workers < 1:
@@ -316,16 +287,6 @@ class TuningRegistry:
                 f"default_warm_start must be one of {WARM_START_MODES}, "
                 f"got {default_warm_start!r}"
             )
-        if default_surrogate_backend not in SURROGATE_BACKENDS:
-            raise ValueError(
-                f"default_surrogate_backend must be one of {SURROGATE_BACKENDS}, "
-                f"got {default_surrogate_backend!r}"
-            )
-        if default_promotion not in PROMOTION_MODES:
-            raise ValueError(
-                f"default_promotion must be one of {PROMOTION_MODES}, "
-                f"got {default_promotion!r}"
-            )
         if default_replay_eval not in REPLAY_EVAL_MODES:
             raise ValueError(
                 f"default_replay_eval must be one of {REPLAY_EVAL_MODES}, "
@@ -334,19 +295,11 @@ class TuningRegistry:
         self.store = store
         #: Warm-start mode for registrations that do not choose one.
         self.default_warm_start = default_warm_start
-        #: Surrogate backend for tenants that do not set
-        #: ``tuner.surrogate_backend`` themselves (service-level
-        #: default).  Applied at session construction, not persisted, so
-        #: changing the service default re-homes existing tenants on the
-        #: next restart while explicit tenant choices stick.
-        self.default_surrogate_backend = default_surrogate_backend
-        #: Candidate-promotion mode for tenants that do not set
-        #: ``controller.promotion`` themselves (service-level default,
-        #: same re-homing semantics as the surrogate backend).
-        self.default_promotion = default_promotion
         #: Replay-evaluation mode for tenants that do not set
-        #: ``tuner.replay_eval`` themselves (service-level default, same
-        #: re-homing semantics as the surrogate backend).
+        #: ``tuner.replay_eval`` themselves (service-level default).
+        #: Applied at session construction, not persisted, so changing
+        #: the service default re-homes existing tenants on the next
+        #: restart while explicit tenant choices stick.
         self.default_replay_eval = default_replay_eval
         #: Evaluation parallelism given to sessions whose tenants did not
         #: set ``tuner.n_workers`` themselves (service-level default).
@@ -458,7 +411,6 @@ class TuningRegistry:
         app = get_application(meta["benchmark"])
         tuner_kwargs = dict(meta.get("tuner", {}))
         tuner_kwargs.setdefault("n_workers", self.default_eval_workers)
-        tuner_kwargs.setdefault("surrogate_backend", self.default_surrogate_backend)
         tuner_kwargs.setdefault("replay_eval", self.default_replay_eval)
         if self.max_eval_workers is not None:
             tuner_kwargs["n_workers"] = min(
@@ -474,9 +426,7 @@ class TuningRegistry:
             simulator, app, rng=int(meta.get("seed", 1)), transfer_from=plan,
             **tuner_kwargs,
         )
-        controller_kwargs = dict(meta.get("controller", {}))
-        controller_kwargs.setdefault("promotion", self.default_promotion)
-        online = OnlineController(locat, **controller_kwargs)
+        online = OnlineController(locat, **meta.get("controller", {}))
         return AppSession(
             app_id=app_id,
             benchmark=meta["benchmark"],
@@ -557,6 +507,8 @@ class TuningRegistry:
             # An in-flight shadow (and the promote/reject counters)
             # resumes exactly where the previous process stopped — a
             # challenger mid-evaluation must neither vanish nor deploy.
+            # A tenant that never opened a shadow simply keeps its
+            # deployed config.
             session.controller.restore_promotion(deployment.get("promotion"))
         return session
 
@@ -713,7 +665,6 @@ class TuningRegistry:
             }
             promotion = session.controller.promotion_state()
             if promotion is not None:
-                # Absent for immediate-mode tenants with no promotion
-                # history, keeping historic deployed.json byte-stable.
+                # Absent until the tenant's first shadow opens.
                 state["promotion"] = promotion
             self.store.save_deployment(session.app_id, state)

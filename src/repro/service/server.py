@@ -103,8 +103,6 @@ class TuningService:
         eval_workers: int = 1,
         rehydrate: bool = True,
         default_warm_start: str = "cold",
-        default_surrogate_backend: str = "exact",
-        default_promotion: str = "immediate",
         default_replay_eval: str = "off",
         max_pending: int | None = None,
         log_requests: bool = False,
@@ -120,12 +118,6 @@ class TuningService:
         machine never runs more evaluations at once than the operator
         provisioned.  ``default_warm_start`` applies to registrations
         that do not pick a mode themselves ("cold" or "transfer");
-        ``default_surrogate_backend`` is the surrogate GP backend for
-        tenants that do not set ``tuner.surrogate_backend`` ("exact",
-        "sparse", or "auto" — see :mod:`repro.surrogate.policy`);
-        ``default_promotion`` decides what happens to a retune's winner
-        for tenants that do not set ``controller.promotion``
-        ("immediate" or "shadow_ab" — see :mod:`repro.core.promotion`);
         ``default_replay_eval`` turns on trace-replay candidate
         evaluation for tenants that do not set ``tuner.replay_eval``
         ("off" or "race" — see :mod:`repro.replay`).
@@ -150,8 +142,6 @@ class TuningService:
             default_eval_workers=eval_workers,
             max_eval_workers=total_slots,
             default_warm_start=default_warm_start,
-            default_surrogate_backend=default_surrogate_backend,
-            default_promotion=default_promotion,
             default_replay_eval=default_replay_eval,
         )
         self.scheduler = JobScheduler(

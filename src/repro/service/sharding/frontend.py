@@ -66,8 +66,6 @@ class ShardedTuningService:
         tuning_threads: int = 4,
         eval_workers: int = 1,
         default_warm_start: str = "cold",
-        default_surrogate_backend: str = "exact",
-        default_promotion: str = "immediate",
         default_replay_eval: str = "off",
         max_pending: int | None = None,
         log_requests: bool = False,
@@ -95,8 +93,6 @@ class ShardedTuningService:
                     tuning_threads=tuning_threads,
                     eval_workers=eval_workers,
                     default_warm_start=default_warm_start,
-                    default_surrogate_backend=default_surrogate_backend,
-                    default_promotion=default_promotion,
                     default_replay_eval=default_replay_eval,
                     max_pending=max_pending,
                     log_requests=log_requests,

@@ -45,8 +45,6 @@ class WorkerSpec:
     tuning_threads: int = 4
     eval_workers: int = 1
     default_warm_start: str = "cold"
-    default_surrogate_backend: str = "exact"
-    default_promotion: str = "immediate"
     default_replay_eval: str = "off"
     max_pending: int | None = None
     log_requests: bool = False
@@ -70,8 +68,6 @@ def default_service(spec: WorkerSpec) -> TuningService:
         eval_workers=spec.eval_workers,
         rehydrate=True,
         default_warm_start=spec.default_warm_start,
-        default_surrogate_backend=spec.default_surrogate_backend,
-        default_promotion=spec.default_promotion,
         default_replay_eval=spec.default_replay_eval,
         max_pending=spec.max_pending,
         log_requests=spec.log_requests,

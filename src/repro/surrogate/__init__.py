@@ -24,7 +24,7 @@ of a long-lived service tenant — from being dominated by O(n^3) refits:
 """
 
 from repro.surrogate.incremental import LMLCache, cholesky_append
-from repro.surrogate.policy import SURROGATE_BACKENDS, BackendPolicy, validate_backend
+from repro.surrogate.policy import BackendPolicy
 from repro.surrogate.protocol import Surrogate
 from repro.surrogate.stack import ModelStack
 
@@ -44,9 +44,7 @@ __all__ = [
     "BackendPolicy",
     "LMLCache",
     "ModelStack",
-    "SURROGATE_BACKENDS",
     "SparseGP",
     "Surrogate",
     "cholesky_append",
-    "validate_backend",
 ]

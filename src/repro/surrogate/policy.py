@@ -12,20 +12,20 @@ sparse    O(m^2), m = inducing points     Nystrom/DTC approximation
 
 :class:`BackendPolicy` picks between them by history size: exact while
 the history is small enough that exact refits stay cheap, sparse above.
-The threshold is configurable per tenant; the default keeps a tuning
-session (tens of evaluations) on the exact backend while a long-lived
-service tenant transitions automatically as its history grows.
+There is no backend setting: every
+:class:`~repro.core.dagp.DatasizeAwareGP` resolves its backend through
+its policy at fit time and refits into the sparse backend when an
+extend crosses the threshold.  The default keeps a tuning session (tens
+of evaluations) on the exact backend while a long-lived service tenant
+transitions automatically as its history grows.  Passing a policy is
+how a caller forces either side: ``BackendPolicy(n_exact=1)`` puts any
+history of two or more rows on the sparse backend, a threshold above
+the history size keeps it exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: Accepted values for the ``surrogate_backend`` setting, everywhere it
-#: appears (DAGP, BOLoop, LOCAT, the service tenant key, the CLI).
-#: ``auto`` defers to a :class:`BackendPolicy`; the other two force
-#: one backend unconditionally.
-SURROGATE_BACKENDS = ("auto", "exact", "sparse")
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,3 @@ class BackendPolicy:
         """The backend this policy prescribes for a history of size n."""
         return "exact" if n_observations <= self.n_exact else "sparse"
 
-
-def validate_backend(backend: str) -> str:
-    """Normalize and validate a ``surrogate_backend`` setting value."""
-    if backend not in SURROGATE_BACKENDS:
-        raise ValueError(
-            f"surrogate_backend must be one of {SURROGATE_BACKENDS}, got {backend!r}"
-        )
-    return backend

@@ -34,7 +34,7 @@ locat = LOCAT(
     simulator, get_application("join"), rng=5,
     n_qcsa=6, n_iicp=6, max_iterations=3, min_iterations=2, n_mcmc=0,
 )
-controller = OnlineController(locat, promotion="shadow_ab", shadow_runs=2)
+controller = OnlineController(locat, shadow_runs=2)
 controller.observe(100.0)
 base = simulator.run(locat.app, controller.deployed_config, 100.0, rng=0).duration_s
 reasons = []

@@ -111,16 +111,22 @@ class TestDriftDetection:
 class TestDriftReason:
     def test_drift_reason_names_statistic_and_threshold(self, controller):
         """Durations drifting above the expectation retune with the
-        reason string the service exposes over the API."""
+        reason string the service exposes over the API, followed by
+        what the promotion gate did with the retune's winner."""
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
         decision = controller.observe(100.0, duration_s=baseline * 3.0)
-        assert decision.retuned
+        assert decision.retuned and decision.trigger == "drift"
         assert re.fullmatch(
             r"Page-Hinkley drift statistic \d+\.\d exceeded 4\.0 "
-            r"\(sustained slowdown vs the model expectation\)",
+            r"\(sustained slowdown vs the model expectation\) — "
+            r"(candidate entering shadow evaluation"
+            r"|retune re-confirmed the deployed configuration)",
             decision.reason,
         )
+        phase = decision.promotion["phase"]
+        assert phase in ("shadow_started", "reconfirmed")
+        assert controller.shadow_active == (phase == "shadow_started")
 
     def test_drift_window_clears_after_retune(self, controller):
         first = controller.observe(100.0)
@@ -183,18 +189,6 @@ class TestDriftRetuneSessions:
         assert decision.retuned
         assert locat.adapt_calls == [(100.0, None)]  # drift -> partial session
         assert locat.tune_calls == [100.0]           # only the initial deploy
-
-    def test_partial_retunes_off_keeps_the_quarantined_session(self, space_x86):
-        """partial_retunes=False widens the budget but still runs the
-        drift-quarantined adapt session — a full tune would re-anchor
-        the incumbent (and the calibration) on stale pre-drift trials
-        and loop forever."""
-        locat = _StubLocat(space_x86)
-        controller = OnlineController(locat, partial_retunes=False)
-        controller.observe(100.0)
-        assert controller.observe(100.0, duration_s=200.0).retuned
-        assert locat.adapt_calls == [(100.0, 25)]  # full budget, adapt path
-        assert locat.tune_calls == [100.0]
 
 
 class TestModelDetector:

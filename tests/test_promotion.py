@@ -11,7 +11,7 @@ from repro.core.promotion import (
     DECISION_EXTEND,
     DECISION_PROMOTE,
     DECISION_REJECT,
-    PROMOTION_MODES,
+    SHADOW_BUDGET_FACTOR,
     PromotionGate,
     ShadowPair,
     ShadowState,
@@ -173,8 +173,9 @@ class TestPromotionGate:
         assert test.ci_low > 0.0
 
     def test_rejects_at_budget_without_significance(self, space_x86):
-        gate = PromotionGate(min_runs=2, max_runs=4)
-        shadow = make_shadow(space_x86, 1.0, n_pairs=4, noise=0.3, seed=7)
+        gate = PromotionGate(min_runs=2)
+        assert gate.max_runs == SHADOW_BUDGET_FACTOR * 2
+        shadow = make_shadow(space_x86, 1.0, n_pairs=gate.max_runs, noise=0.3, seed=7)
         decision, test, reason = gate.evaluate(shadow)
         assert decision == DECISION_REJECT
         assert "budget" in reason
@@ -184,8 +185,6 @@ class TestPromotionGate:
             PromotionGate(min_runs=0)
         with pytest.raises(ValueError):
             PromotionGate(alpha=1.5)
-        with pytest.raises(ValueError):
-            PromotionGate(min_runs=6, max_runs=3)
 
     def test_evaluate_is_deterministic(self, space_x86):
         gate = PromotionGate(min_runs=4)
@@ -271,9 +270,7 @@ def make_shadow_controller(space, challenger_factor, **kwargs):
         return base
 
     kwargs.setdefault("shadow_runs", 3)
-    controller = OnlineController(
-        locat, promotion="shadow_ab", shadow_measure=measure, **kwargs,
-    )
+    controller = OnlineController(locat, shadow_measure=measure, **kwargs)
     return controller, locat
 
 
@@ -285,13 +282,13 @@ def force_drift(controller, base=50.0):
 
 class TestControllerShadow:
     def test_promotion_mode_validation(self, space_x86):
-        with pytest.raises(ValueError):
-            OnlineController(_StubLocat(space_x86), promotion="sometimes")
+        # The gate is the only promotion path: there is no mode to pick.
+        with pytest.raises(TypeError, match="promotion"):
+            OnlineController(_StubLocat(space_x86), promotion="shadow_ab")
         with pytest.raises(ValueError):
             OnlineController(_StubLocat(space_x86), shadow_runs=0)
         with pytest.raises(ValueError):
             OnlineController(_StubLocat(space_x86), ab_alpha=2.0)
-        assert "immediate" in PROMOTION_MODES and "shadow_ab" in PROMOTION_MODES
 
     def test_drift_retune_opens_shadow_not_deploy(self, space_x86):
         controller, locat = make_shadow_controller(space_x86, 0.5)
@@ -316,7 +313,10 @@ class TestControllerShadow:
                 break
         final = decisions[-1]
         assert final.promotion["phase"] == "promoted"
-        assert final.retuned and final.trigger == "drift"
+        # The retune was reported when the shadow opened; the verdict
+        # on production pairs is not a second one.
+        assert not final.retuned and final.trigger == "none"
+        assert final.result is None
         assert config_key(controller.deployed_config) == config_key(locat.challenger)
         assert controller.promotion_status()["promoted"] == 1
         # Clear dominance stops early: 3 pairs, not the full budget.
@@ -379,31 +379,15 @@ class TestControllerShadow:
         assert not controller.shadow_active
         assert controller.promotion_events == []
 
-    def test_immediate_mode_stream_identical_to_default(self, space_x86):
-        """promotion="immediate" (and its absence) leave every decision
-        of a pinned stream bit-for-bit unchanged."""
-        stream = [50.0, 66.0, 66.0, 64.0, 200.0, 200.0, 50.0, 66.0]
-
-        def run(**kwargs):
-            controller = OnlineController(_StubLocat(space_x86), **kwargs)
-            controller.observe(100.0)
-            return [controller.observe(100.0, duration_s=d) for d in stream]
-
-        default = run()
-        explicit = run(promotion="immediate")
-        for a, b in zip(default, explicit):
-            assert (a.retuned, a.reason, a.trigger, a.promotion) == (
-                b.retuned, b.reason, b.trigger, b.promotion
-            )
-            assert config_key(a.config) == config_key(b.config)
-            assert a.promotion is None
-
     def test_promotion_state_round_trip_mid_shadow(self, space_x86):
         controller, locat = make_shadow_controller(space_x86, 0.5, shadow_runs=5)
         force_drift(controller)
         controller.observe(100.0, duration_s=50.0)  # one pair measured
         snapshot = json.loads(json.dumps(controller.promotion_state()))
         assert snapshot["shadow"]["pairs"]
+        assert "mode" not in snapshot
+        # Earlier versions wrote the promotion mode too; it is ignored.
+        snapshot["mode"] = "immediate"
 
         resumed, locat2 = make_shadow_controller(space_x86, 0.5, shadow_runs=5)
         resumed.observe(100.0)  # deploy so state exists
@@ -416,25 +400,11 @@ class TestControllerShadow:
         assert decision.promotion["phase"] == "promoted"
         assert config_key(resumed.deployed_config) == config_key(locat2.challenger)
 
-    def test_restore_promotion_in_immediate_mode_drops_shadow(self, space_x86):
-        controller, _ = make_shadow_controller(space_x86, 0.5)
-        force_drift(controller)
-        snapshot = controller.promotion_state()
-
-        immediate = OnlineController(_StubLocat(space_x86), promotion="immediate")
-        immediate.observe(100.0)
-        immediate.restore_promotion(snapshot)
-        # The unvetted challenger must not deploy; the shadow is dropped.
-        assert not immediate.shadow_active
-        assert config_key(immediate.deployed_config) == config_key(
-            immediate.locat.config
-        )
-
     def test_status_shape(self, space_x86):
         controller, _ = make_shadow_controller(space_x86, 0.5)
         status = controller.promotion_status()
         assert status == {
-            "mode": "shadow_ab", "shadow_active": False, "shadow": None,
+            "shadow_active": False, "shadow": None,
             "promoted": 0, "rejected": 0, "last_decision": None,
         }
         force_drift(controller)
@@ -452,15 +422,16 @@ TINY_TUNER = {
     "min_iterations": 3, "n_mcmc": 0,
 }
 
-SHADOW_CONTROLLER = {"promotion": "shadow_ab", "shadow_runs": 2, "ab_alpha": 0.05}
+SHADOW_CONTROLLER = {"shadow_runs": 2, "ab_alpha": 0.05}
 
 
 class TestServicePromotion:
     def test_tenant_keys_validated_before_store_write(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
         cases = [
-            {"promotion": "sometimes"},
-            {"promotion": 1},
+            # The retired mode key is rejected whatever its value.
+            {"promotion": "shadow_ab"},
+            {"promotion": "immediate"},
             {"shadow_runs": 0},
             {"shadow_runs": True},
             {"shadow_runs": "6"},
@@ -477,36 +448,64 @@ class TestServicePromotion:
             assert not registry.store.has_app("app")
         registry.register(
             "app", benchmark="join",
-            controller={"promotion": "shadow_ab", "shadow_runs": 4,
-                        "ab_alpha": 0.1},
+            controller={"shadow_runs": 4, "ab_alpha": 0.1},
         )
         assert registry.store.has_app("app")
 
     def test_registry_default_promotion_applies(self, tmp_path):
-        registry = TuningRegistry(
-            HistoryStore(tmp_path), rehydrate=False, default_promotion="shadow_ab"
-        )
-        session = registry.register("app", benchmark="join", tuner=TINY_TUNER)
-        assert session.controller.promotion == "shadow_ab"
-        # Tenant choice wins over the service default.
-        explicit = registry.register(
-            "app2", benchmark="join", tuner=TINY_TUNER,
-            controller={"promotion": "immediate"},
-        )
-        assert explicit.controller.promotion == "immediate"
+        """A tenant that sets nothing still gates its retunes."""
+        registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
+        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
+        base = registry.observe("app", 100.0).result.best_duration_s
+        decision = registry.observe("app", 100.0, duration_s=base * 3.0)
+        assert decision.retuned and decision.trigger == "drift"
+        assert decision.promotion["phase"] == "shadow_started"
+        assert registry.get("app").controller.shadow_active
 
     def test_default_promotion_validation(self, tmp_path):
-        with pytest.raises(ValueError):
+        # There is no service-wide promotion default to set any more.
+        with pytest.raises(TypeError, match="default_promotion"):
             TuningRegistry(
-                HistoryStore(tmp_path), rehydrate=False, default_promotion="nope"
+                HistoryStore(tmp_path), rehydrate=False, default_promotion="shadow_ab"
             )
 
     def test_status_includes_promotion_block(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
-        session = registry.register("app", benchmark="join", tuner=TINY_TUNER)
-        status = session.status()
-        assert status["promotion"]["mode"] == "immediate"
-        assert status["promotion"]["shadow_active"] is False
+        session = registry.register(
+            "app", benchmark="join", seed=7, tuner=TINY_TUNER,
+            controller=SHADOW_CONTROLLER,
+        )
+        status = session.status()["promotion"]
+        assert status == {
+            "shadow_active": False, "shadow": None,
+            "promoted": 0, "rejected": 0, "last_decision": None,
+        }
+        base = registry.observe("app", 100.0).result.best_duration_s
+        opened = registry.observe("app", 100.0, duration_s=base * 3.0)
+        status = session.status()["promotion"]
+        assert status["shadow_active"] is True
+        assert status["shadow"]["run_id"] == opened.promotion["run_id"]
+        assert status["shadow"]["min_runs"] == 2
+        assert status["shadow"]["max_runs"] == SHADOW_BUDGET_FACTOR * 2
+
+    def test_promotion_through_pairs_counts_one_retune(self, tmp_path):
+        """One drift session counts as one retune, also when its winner
+        is promoted later by production pairs."""
+        registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
+        # Seed 1's drift retune wins its shadow on production pairs.
+        registry.register("app", benchmark="join", seed=1, tuner=TINY_TUNER)
+        base = registry.observe("app", 100.0).result.best_duration_s
+        decisions = [registry.observe("app", 100.0, duration_s=base * 3.0)]
+        assert decisions[0].promotion["phase"] == "shadow_started"
+        while registry.get("app").controller.shadow_active:
+            decisions.append(registry.observe("app", 100.0, duration_s=base * 3.0))
+        assert decisions[-1].promotion["phase"] == "promoted"
+        assert "replay_pairs" not in decisions[-1].promotion
+        assert [d.retuned for d in decisions] == [True] + [False] * (len(decisions) - 1)
+        status = registry.get("app").status()
+        # The initial session and the drift session.
+        assert status["retunes"] == 2
+        assert status["promotion"]["promoted"] == 1
 
     def test_shadow_survives_restart_and_writes_winners(self, tmp_path):
         store = HistoryStore(tmp_path)
@@ -556,8 +555,8 @@ class TestServicePromotion:
             )
 
     def test_immediate_tenant_deployed_json_unchanged(self, tmp_path):
-        """Immediate-mode tenants with no promotion history keep the
-        historic deployed.json schema (no promotion block)."""
+        """A tenant that never opened a shadow keeps the deployed.json
+        schema immediate-mode tenants wrote (no promotion block)."""
         store = HistoryStore(tmp_path)
         registry = TuningRegistry(store, rehydrate=False)
         registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)

@@ -363,9 +363,7 @@ class TestControllerReplay:
 
     def test_shadow_prefill_resolves_without_extra_steps(self, x86):
         """Replay pairs alone reach a shadow verdict at the retune step."""
-        controller, locat = self.make_controller(
-            x86, promotion="shadow_ab", shadow_runs=3, ab_alpha=0.05,
-        )
+        controller, locat = self.make_controller(x86, shadow_runs=3, ab_alpha=0.05)
         first = controller.observe(100.0)  # initial deployment
         normal_s = first.result.best_duration_s
         decision = None

@@ -501,20 +501,35 @@ class TestTuningRegistry:
         assert not production[0].reduced
 
     def test_production_rows_name_the_config_that_actually_ran(self, tmp_path):
-        """A drift retune swaps the deployment; the measured duration must
-        stay attributed to the configuration it was measured under."""
+        """A promoted retune swaps the deployment; every measured duration
+        must stay attributed to the configuration it was measured under."""
         store = HistoryStore(tmp_path)
         registry = TuningRegistry(store)
-        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
+        # Seed 1's drift retune wins its shadow, so the deployment swaps.
+        registry.register("app", benchmark="join", seed=1, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
         old_config = first.config
         slow = first.result.best_duration_s * 3.0
-        retuned = registry.observe("app", 100.0, duration_s=slow)
-        assert retuned.retuned
-        assert retuned.config != old_config
+        decision = registry.observe("app", 100.0, duration_s=slow)
+        assert decision.retuned
+        assert decision.promotion["phase"] == "shadow_started"
+        assert decision.config == old_config  # the shadow does not deploy
+        # Drive the gate to its verdict; every run until then is the
+        # incumbent's.
+        n_shadow = 0
+        while decision.promotion["phase"] == "shadow_started" or (
+            decision.promotion["phase"] == "shadow"
+        ):
+            decision = registry.observe("app", 100.0, duration_s=slow)
+            n_shadow += 1
+        assert decision.promotion["phase"] == "promoted"
+        new_config = decision.config
+        assert new_config != old_config
+        registry.observe("app", 100.0, duration_s=first.result.best_duration_s)
         rows = store.observations("app", source=SOURCE_PRODUCTION)
-        assert len(rows) == 1
-        assert all(config_from_dict(r.config) == old_config for r in rows)
+        assert [config_from_dict(r.config) for r in rows] == (
+            [old_config] * (1 + n_shadow) + [new_config]
+        )
 
     def test_duration_before_first_deployment_not_recorded(self, tmp_path):
         store = HistoryStore(tmp_path)
@@ -578,8 +593,10 @@ class TestDriftDetectionService:
             with pytest.raises(ValueError, match=key):
                 registry.register("bad", "scan", controller={key: value})
         assert "bad" not in registry and not store.has_app("bad")
-        with pytest.raises(ValueError, match="partial_retunes"):
-            registry.register("bad2", "scan", controller={"partial_retunes": "yes"})
+        # partial_retunes is retired too: drift retunes always run on the
+        # reduced budget.
+        with pytest.raises(ValueError, match="unknown controller settings.*partial_retunes"):
+            registry.register("bad2", "scan", controller={"partial_retunes": True})
 
     def test_status_exposes_drift_diagnostics(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path))
@@ -750,8 +767,8 @@ class TestDriftDetectionService:
 
 
 class TestRetiredSettings:
-    """Stores written before the detector, surrogate-mode and windowed
-    backend settings were retired still rehydrate."""
+    """Stores written before the detector, surrogate-mode, backend and
+    promotion settings were retired still rehydrate."""
 
     def write_parent_format_store(self, store_dir):
         """A tenant whose app.json and deployed.json carry every retired
@@ -786,8 +803,7 @@ class TestRetiredSettings:
         assert session.restored
         assert session.controller.deployed_config == first.config
         assert session.controller.log_offset == deployment["log_offset"]
-        # Retired values fall back to the current defaults.
-        assert session.locat.surrogate_backend == "exact"
+        # Retired values fall back to what replaced them.
         assert session.controller.drift_status()["detector"] == "ph"
         warnings = [
             line for line in capsys.readouterr().err.splitlines()
@@ -802,6 +818,73 @@ class TestRetiredSettings:
             assert sum(setting + "=" in line for line in warnings) == 1, setting
         # The ratio window does not translate: the detector starts fresh.
         assert session.controller.detector_state()["n"] == 0
+
+    def test_parent_promotion_and_backend_settings_rehydrate(self, tmp_path, capsys):
+        """Stores written while promotion, surrogate backend, refit
+        interval and partial retunes were tenant settings rehydrate: an
+        immediate-mode tenant keeps its deployed config, an in-flight
+        shadow resumes, and the retired keys are dropped with a warning."""
+        store_dir = tmp_path / "store"
+        store = HistoryStore(store_dir)
+        registry = TuningRegistry(store)
+        registry.register("plain", "join", seed=7, tuner=TINY_TUNER)
+        plain = registry.observe("plain", 100.0)
+        registry.register(
+            "shadowed", "join", seed=7, tuner=TINY_TUNER, controller={"shadow_runs": 4}
+        )
+        base = registry.observe("shadowed", 100.0).result.best_duration_s
+        opened = registry.observe("shadowed", 100.0, duration_s=base * 3.0)
+        assert opened.promotion["phase"] == "shadow_started"
+        registry.observe("shadowed", 100.0, duration_s=base)
+        shadowed_incumbent = registry.get("shadowed").controller.deployed_config
+
+        def rewrite_meta(app_id, tuner, controller):
+            path = store_dir / app_id / "app.json"
+            meta = json.loads(path.read_text())
+            meta["tuner"].update(tuner)
+            meta["controller"].update(controller)
+            path.write_text(json.dumps(meta))
+
+        rewrite_meta(
+            "plain",
+            {"surrogate_backend": "exact", "refit_interval": 8},
+            {"promotion": "immediate", "partial_retunes": True},
+        )
+        rewrite_meta("shadowed", {}, {"promotion": "shadow_ab"})
+        deployment = store.load_deployment("shadowed")
+        deployment["promotion"]["mode"] = "shadow_ab"
+        store.save_deployment("shadowed", deployment)
+        capsys.readouterr()
+
+        rehydrated = TuningRegistry(HistoryStore(store_dir))
+        assert rehydrated.quarantined == {}
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "retired setting" in line
+        ]
+        assert len(warnings) == 5
+        for app_id, setting in (
+            ("plain", "tuner.surrogate_backend"), ("plain", "tuner.refit_interval"),
+            ("plain", "controller.promotion"), ("plain", "controller.partial_retunes"),
+            ("shadowed", "controller.promotion"),
+        ):
+            assert sum(
+                f"{app_id!r}" in line and setting + "=" in line for line in warnings
+            ) == 1, (app_id, setting)
+
+        plain_session = rehydrated.get("plain")
+        assert plain_session.controller.deployed_config == plain.config
+        assert not plain_session.controller.shadow_active
+
+        shadowed = rehydrated.get("shadowed").controller
+        assert shadowed.shadow_active
+        assert shadowed._shadow.run_id == opened.promotion["run_id"]
+        assert len(shadowed._shadow.pairs) == 1
+        assert shadowed.deployed_config == shadowed_incumbent
+        resumed = rehydrated.observe("shadowed", 100.0, duration_s=base)
+        assert resumed.promotion["run_id"] == opened.promotion["run_id"]
+        # The next snapshot no longer carries the mode field.
+        assert "mode" not in store.load_deployment("shadowed")["promotion"]
 
     def test_tenant_restored_at_the_minimum_detects_drift(self, tmp_path):
         """A tenant restored from exactly MIN_RESTORE_OBSERVATIONS tuning

@@ -400,7 +400,7 @@ class TestShardedBatchEquivalence:
         (10.0, 55.0),
         (10.0, 55.0),
     ]
-    CONTROLLER = {"promotion": "shadow_ab", "shadow_runs": 2}
+    CONTROLLER = {"shadow_runs": 2}
 
     def _register(self, client):
         # seed=5 pinned: its drift retune yields a *different* winner,

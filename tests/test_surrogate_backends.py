@@ -5,14 +5,14 @@ Four layers of guarantees:
 * **Algebraic equivalence** — ``SparseGP.extend`` across an
   inducing-point re-selection matches a from-scratch fit, and the
   sparse posterior tracks the exact GP's.
-* **Policy** — the exact/sparse switchover point is pinned, and
-  ``DatasizeAwareGP(backend="auto")`` transitions exactly there.
-* **Bit-for-bit default** — ``surrogate_backend="exact"`` reproduces
-  the unconfigured seeded BO trajectory float for float.
-* **Service semantics** — ``tuner.surrogate_backend`` is validated
-  before the store write (HTTP 400, no poisoned meta), persists per
-  tenant, and survives rehydration; the service default is applied but
-  never persisted.
+* **Policy** — the exact/sparse switchover point is pinned, and every
+  ``DatasizeAwareGP`` transitions exactly there.
+* **Bit-for-bit default** — a tuning session stays on the exact
+  backend: a policy that can never switch reproduces the unconfigured
+  seeded BO trajectory float for float.
+* **No backend setting** — the retired ``surrogate_backend`` keyword,
+  tenant key, service default and CLI flag are all rejected, the tenant
+  key before the store write (HTTP 400, no poisoned meta).
 """
 
 import numpy as np
@@ -23,13 +23,7 @@ from repro.bo.kernels import Matern52Kernel
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.tuner import BOLoop
 from repro.service import HistoryStore, ServiceError, TuningClient, TuningRegistry, TuningService
-from repro.surrogate import (
-    SURROGATE_BACKENDS,
-    BackendPolicy,
-    LMLCache,
-    SparseGP,
-    validate_backend,
-)
+from repro.surrogate import BackendPolicy, LMLCache, SparseGP
 
 #: Small LOCAT settings so tuning sessions stay cheap in tests.
 TINY_TUNER = {"n_qcsa": 10, "n_iicp": 8, "max_iterations": 6, "min_iterations": 3, "n_mcmc": 0}
@@ -129,14 +123,6 @@ class TestBackendPolicy:
         with pytest.raises(ValueError):
             BackendPolicy(n_inducing=1)
 
-    def test_validate_backend(self):
-        assert SURROGATE_BACKENDS == ("auto", "exact", "sparse")
-        for backend in SURROGATE_BACKENDS:
-            assert validate_backend(backend) == backend
-        for retired in ("turbo", "windowed"):
-            with pytest.raises(ValueError, match="surrogate_backend"):
-                validate_backend(retired)
-
 
 class TestDAGPBackends:
     def test_auto_transitions_at_policy_thresholds(self):
@@ -148,7 +134,7 @@ class TestDAGPBackends:
             durations = 50.0 + 10.0 * np.sum((points - 0.3) ** 2, axis=1)
             return points, np.full(n, 100.0), durations
 
-        model = DatasizeAwareGP(3, n_mcmc=0, backend="auto", backend_policy=policy)
+        model = DatasizeAwareGP(3, n_mcmc=0, backend_policy=policy)
         model.fit(*batch(10))
         assert model.active_backend == "exact"
         model.extend(*batch(10))  # n = 20: at the threshold, still exact
@@ -164,80 +150,57 @@ class TestDAGPBackends:
         assert np.all(np.isfinite(mean))
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="surrogate_backend"):
-            DatasizeAwareGP(3, backend="turbo")
-        with pytest.raises(ValueError, match="surrogate_backend"):
-            BOLoop(dim=2, surrogate_backend="turbo")
+        # The backend is no longer named: the history size picks it.
+        with pytest.raises(TypeError, match="backend"):
+            DatasizeAwareGP(3, backend="exact")
+        with pytest.raises(TypeError, match="surrogate_backend"):
+            BOLoop(dim=2, surrogate_backend="exact")
 
     def test_exact_backend_bit_for_bit(self):
-        """surrogate_backend="exact" must not change a single float of
+        """The default policy keeps a session on the exact backend: a
+        policy that can never switch must not change a single float of
         the unconfigured seeded trajectory."""
         default = BOLoop(dim=2, n_init=3, min_iterations=6, max_iterations=6,
                          n_mcmc=4, ei_threshold=0.0, rng=19).minimize(quadratic, 100.0)
         explicit = BOLoop(dim=2, n_init=3, min_iterations=6, max_iterations=6,
-                          n_mcmc=4, ei_threshold=0.0, surrogate_backend="exact",
+                          n_mcmc=4, ei_threshold=0.0,
+                          backend_policy=BackendPolicy(n_exact=10**9),
                           rng=19).minimize(quadratic, 100.0)
         assert default.n_evaluations == explicit.n_evaluations
         assert np.array_equal(np.stack(default.points), np.stack(explicit.points))
         assert default.durations == explicit.durations
 
     def test_sparse_backend_still_converges(self):
-        policy = BackendPolicy(n_inducing=8)
+        policy = BackendPolicy(n_exact=1, n_inducing=8)  # sparse from 2 rows on
         loop = BOLoop(dim=2, n_init=3, min_iterations=10, max_iterations=16,
-                      n_mcmc=2, surrogate_backend="sparse", backend_policy=policy,
-                      rng=21)
+                      n_mcmc=2, backend_policy=policy, rng=21)
         trace = loop.minimize(quadratic, 100.0)
         _, duration = trace.best(100.0)
         assert duration < 13.0  # optimum is 10
 
 
 class TestServiceBackendSetting:
-    def test_backend_is_a_tenant_setting(self, tmp_path):
-        store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store)
-        session = registry.register(
-            "app", "scan", seed=1, tuner={**TINY_TUNER, "surrogate_backend": "sparse"}
-        )
-        assert session.locat.surrogate_backend == "sparse"
-        # The backend is persisted and survives rehydration.
-        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"))
-        assert rehydrated.get("app").locat.surrogate_backend == "sparse"
-
     def test_invalid_backend_rejected_before_persisting(self, tmp_path):
         """Value (not just key) validation must run before the store
         write: a rejected registration that left its meta behind would
         crash every later rehydration of the whole service."""
         store = HistoryStore(tmp_path / "store")
         registry = TuningRegistry(store)
-        with pytest.raises(ValueError, match="surrogate_backend"):
-            registry.register("bad", "scan", tuner={"surrogate_backend": "turbo"})
+        for value in ("exact", "sparse", "turbo"):
+            with pytest.raises(ValueError, match="unknown tuner settings.*surrogate_backend"):
+                registry.register("bad", "scan", tuner={"surrogate_backend": value})
         assert "bad" not in registry
         assert not store.has_app("bad")
         # The store stays rehydratable.
         TuningRegistry(HistoryStore(tmp_path / "store"))
 
-    def test_service_default_applies_but_is_not_persisted(self, tmp_path):
-        store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store, default_surrogate_backend="sparse")
-        defaulted = registry.register("app-default", "scan", seed=1, tuner=TINY_TUNER)
-        explicit = registry.register(
-            "app-explicit", "scan", seed=1,
-            tuner={**TINY_TUNER, "surrogate_backend": "auto"},
-        )
-        assert defaulted.locat.surrogate_backend == "sparse"
-        assert explicit.locat.surrogate_backend == "auto"
-        # On restart a registry with a different default re-homes the
-        # defaulted tenant; the explicit tenant keeps its own choice.
-        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"))
-        assert rehydrated.get("app-default").locat.surrogate_backend == "exact"
-        assert rehydrated.get("app-explicit").locat.surrogate_backend == "auto"
-
     def test_invalid_registry_default_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="surrogate_backend"):
-            TuningRegistry(HistoryStore(tmp_path / "store"), default_surrogate_backend="turbo")
+        # There is no service-wide backend default to set any more.
+        with pytest.raises(TypeError, match="default_surrogate_backend"):
+            TuningRegistry(HistoryStore(tmp_path / "store"), default_surrogate_backend="sparse")
 
     def test_http_400_before_store_write(self, tmp_path):
-        """The HTTP layer mirror of the registry test: an unknown
+        """The HTTP layer mirror of the registry test: the retired
         tuner.surrogate_backend answers 400 and leaves no tenant meta,
         so a restart of the same store rehydrates cleanly."""
         store_dir = str(tmp_path / "store")
@@ -245,41 +208,27 @@ class TestServiceBackendSetting:
             client = TuningClient(service.url)
             with pytest.raises(ServiceError) as excinfo:
                 client.register_app(
-                    "bad", "join", tuner={**TINY_TUNER, "surrogate_backend": "turbo"}
+                    "bad", "join", tuner={**TINY_TUNER, "surrogate_backend": "sparse"}
                 )
             assert excinfo.value.status == 400
             assert "surrogate_backend" in str(excinfo.value)
-            client.register_app(
-                "good", "join", tuner={**TINY_TUNER, "surrogate_backend": "sparse"}
-            )
+            client.register_app("good", "join", tuner=TINY_TUNER)
             client.close()
         # The poisoned registration left nothing behind: a restart
         # rehydrates only the valid tenant.
         restarted = TuningService(store_dir, port=0, n_workers=1).start()
         try:
             assert restarted.registry.app_ids() == ["good"]
-            assert restarted.registry.get("good").locat.surrogate_backend == "sparse"
         finally:
             restarted.close()
 
 
 class TestCLIBackendFlags:
-    def test_tune_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["tune", "--surrogate-backend", "sparse"])
-        assert args.surrogate_backend == "sparse"
-        assert build_parser().parse_args(["tune"]).surrogate_backend == "exact"
-
-    def test_serve_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["serve", "--surrogate-backend", "auto"])
-        assert args.surrogate_backend == "auto"
-
     def test_unknown_backend_rejected(self):
+        """Neither ``repro tune`` nor ``repro serve`` takes a backend."""
         from repro.cli import build_parser
 
-        for retired in ("turbo", "windowed"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["tune", "--surrogate-backend", retired])
+        for command in ("tune", "serve"):
+            for value in ("exact", "sparse", "auto"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, "--surrogate-backend", value])
