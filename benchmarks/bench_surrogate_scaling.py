@@ -213,15 +213,6 @@ def _speedup_at(rows: list[dict], n_history: int) -> float:
 # ----------------------------------------------------------------------
 
 
-def forced_policy(backend: str, n_inducing: int = BackendPolicy.n_inducing) -> BackendPolicy:
-    """A policy that puts every history of two or more rows on ``backend``.
-
-    The model picks its backend by history size; the benchmark compares
-    both sides at the same sizes, so it moves the threshold instead.
-    """
-    return BackendPolicy(n_exact=10**9 if backend == "exact" else 1, n_inducing=n_inducing)
-
-
 def measure_backend(
     backend: str, n_history: int, decisions: int = 5, seed: int = 0
 ) -> dict:
@@ -234,7 +225,7 @@ def measure_backend(
     """
     points, datasizes, durations = _history(n_history, seed)
     rng = np.random.default_rng(seed + 1)
-    engine = DatasizeAwareGP(DIM, n_mcmc=0, backend_policy=forced_policy(backend))
+    engine = DatasizeAwareGP(DIM, n_mcmc=0, backend_policy=BackendPolicy.forced(backend))
     started = time.perf_counter()
     engine.fit(points, datasizes, durations, rng=rng)
     fit_s = time.perf_counter() - started
@@ -324,7 +315,7 @@ def measure_agreement(n_history: int, n_test: int = 256, seed: int = 0) -> dict:
 
     means = {}
     for backend in ("exact", "sparse"):
-        engine = DatasizeAwareGP(DIM, n_mcmc=0, backend_policy=forced_policy(backend))
+        engine = DatasizeAwareGP(DIM, n_mcmc=0, backend_policy=BackendPolicy.forced(backend))
         engine.fit(points, datasizes, durations)
         mean, _ = engine.gp.predict(test_x)
         means[backend] = mean
@@ -368,7 +359,7 @@ def measure_quality(
         points, datasizes, durations = list(points), list(datasizes), list(durations)
         rng = np.random.default_rng(seed + 3)
         engine = DatasizeAwareGP(
-            DIM, n_mcmc=n_mcmc, backend_policy=forced_policy(backend, n_inducing=16)
+            DIM, n_mcmc=n_mcmc, backend_policy=BackendPolicy.forced(backend, n_inducing=16)
         )
         engine.fit(np.stack(points), np.array(datasizes), np.array(durations), rng=rng)
         for _ in range(decisions):

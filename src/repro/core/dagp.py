@@ -120,9 +120,6 @@ class DatasizeAwareGP:
         #: The concrete backend currently in force (resolved at
         #: fit/extend time; starts exact, where every history starts).
         self._active_backend = "exact"
-        #: A pinned model keeps its backend whatever its size (the
-        #: constant-liar copies, see :meth:`point_estimate_copy`).
-        self._backend_pinned = False
         kernel = Matern52Kernel(dim=config_dim + 1, lengthscale=0.5)
         self.gp = self._new_gp(kernel, noise_variance)
         self._x: np.ndarray | None = None
@@ -238,11 +235,7 @@ class DatasizeAwareGP:
         if x.shape[1] != self.config_dim + 1:
             raise ValueError(f"expected config dim {self.config_dim}, got {x.shape[1] - 1}")
 
-        resolved = (
-            self._active_backend
-            if self._backend_pinned
-            else self.backend_policy.select(x.shape[0])
-        )
+        resolved = self.backend_policy.select(x.shape[0])
         if resolved != self._active_backend:
             self._active_backend = resolved
             self.gp = self._new_gp(self.gp.kernel, self.gp.noise_variance)
@@ -311,8 +304,7 @@ class DatasizeAwareGP:
         new_fid = fidelities if fidelities is not None else np.zeros(x.shape[0])
 
         crosses_backend_threshold = (
-            not self._backend_pinned
-            and self.backend_policy.select(self.n_observations + x.shape[0])
+            self.backend_policy.select(self.n_observations + x.shape[0])
             != self._active_backend
         )
         if crosses_backend_threshold or (
@@ -386,12 +378,13 @@ class DatasizeAwareGP:
             n_mcmc=0,
             noise_variance=self.noise_variance,
             transfer_noise_variance=self.transfer_noise_variance,
-            backend_policy=self.backend_policy,
+            # Forced to the *resolved* backend: a liar copy's few
+            # rank-1 lies must never trigger a policy refit mid-batch.
+            backend_policy=BackendPolicy.forced(
+                self._active_backend, self.backend_policy.n_inducing
+            ),
         )
-        # Pin the copy to the *resolved* backend: a liar copy's few
-        # rank-1 lies must never trigger a policy refit mid-batch.
         copy._active_backend = self._active_backend
-        copy._backend_pinned = True
         copy.gp = self.gp.shallow_copy()
         copy._x = self._x
         copy._log_t = self._log_t

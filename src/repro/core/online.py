@@ -553,6 +553,14 @@ class OnlineController:
                 },
             )
         self._rejected += 1
+        if (
+            shadow.trigger == "datasize"
+            and shadow.origin_datasize_gb not in state.tuned_datasizes
+        ):
+            # The incumbent was just measured at the new size and held
+            # its place: the size is tuned, or every later observe there
+            # would re-run the retune and reopen the same shadow.
+            state.tuned_datasizes.append(shadow.origin_datasize_gb)
         # The incumbent stays; give drift detection a fresh window so a
         # real regression can re-alarm (and re-tune) from here on.
         self._detector.reset()

@@ -18,13 +18,13 @@ its policy at fit time and refits into the sparse backend when an
 extend crosses the threshold.  The default keeps a tuning session (tens
 of evaluations) on the exact backend while a long-lived service tenant
 transitions automatically as its history grows.  Passing a policy is
-how a caller forces either side: ``BackendPolicy(n_exact=1)`` puts any
-history of two or more rows on the sparse backend, a threshold above
-the history size keeps it exact.
+how a caller forces either side: :meth:`BackendPolicy.forced` builds
+the policy that keeps every history of two or more rows on one backend.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -46,6 +46,17 @@ class BackendPolicy:
             raise ValueError("n_exact must be positive")
         if self.n_inducing < 2:
             raise ValueError("n_inducing must be at least 2")
+
+    @classmethod
+    def forced(cls, backend: str, n_inducing: int | None = None) -> "BackendPolicy":
+        """A policy that puts every history of two or more rows on
+        ``backend`` (``"exact"`` or ``"sparse"``)."""
+        if backend not in ("exact", "sparse"):
+            raise ValueError(f"unknown backend {backend!r}")
+        return cls(
+            n_exact=sys.maxsize if backend == "exact" else 1,
+            n_inducing=cls.n_inducing if n_inducing is None else n_inducing,
+        )
 
     def select(self, n_observations: int) -> str:
         """The backend this policy prescribes for a history of size n."""

@@ -358,6 +358,25 @@ class TestControllerShadow:
         assert controller.shadow_active
         assert config_key(controller.deployed_config) == config_key(locat.config)
 
+    def test_rejected_datasize_challenger_marks_the_size_tuned(self, space_x86):
+        controller, locat = make_shadow_controller(space_x86, 1.0)
+        controller.observe(100.0)
+        controller.observe(400.0)
+        assert controller.shadow_active
+        while controller.shadow_active:
+            decision = controller.observe(400.0, duration_s=200.0)
+        assert decision.promotion["phase"] == "rejected"
+        assert config_key(controller.deployed_config) == config_key(locat.config)
+        assert 400.0 in controller.tuned_datasizes
+        # The incumbent held its place at 400 GB: another observe there
+        # neither re-tunes nor reopens the shadow.
+        tunes = len(locat.tune_calls)
+        assert not controller.would_retune(400.0)
+        decision = controller.observe(400.0, duration_s=200.0)
+        assert not decision.retuned
+        assert len(locat.tune_calls) == tunes
+        assert not controller.shadow_active
+
     def test_retunes_suppressed_during_shadow(self, space_x86):
         controller, locat = make_shadow_controller(space_x86, 1.0, shadow_runs=4)
         force_drift(controller)

@@ -122,6 +122,16 @@ class TestBackendPolicy:
             BackendPolicy(n_exact=0)
         with pytest.raises(ValueError):
             BackendPolicy(n_inducing=1)
+        with pytest.raises(ValueError, match="backend"):
+            BackendPolicy.forced("auto")
+
+    def test_forced_policies(self):
+        exact = BackendPolicy.forced("exact")
+        assert [exact.select(n) for n in (2, 513, 10**7)] == ["exact"] * 3
+        sparse = BackendPolicy.forced("sparse", n_inducing=16)
+        assert [sparse.select(n) for n in (2, 513)] == ["sparse"] * 2
+        assert sparse.n_inducing == 16
+        assert exact.n_inducing == BackendPolicy().n_inducing
 
 
 class TestDAGPBackends:
@@ -145,6 +155,11 @@ class TestDAGPBackends:
         model.extend(*batch(20))  # later extends stay sparse
         assert model.active_backend == "sparse"
         assert model.n_observations == 41
+        # A constant-liar copy keeps the resolved backend it was cut from.
+        liar = model.point_estimate_copy()
+        assert liar.backend_policy == BackendPolicy.forced("sparse", n_inducing=8)
+        liar.extend(*batch(1))
+        assert liar.active_backend == "sparse" and isinstance(liar.gp, SparseGP)
         # The model keeps producing usable predictions across transitions.
         mean = model.predict(rng.random((5, 3)), 100.0)[0]
         assert np.all(np.isfinite(mean))
@@ -164,14 +179,14 @@ class TestDAGPBackends:
                          n_mcmc=4, ei_threshold=0.0, rng=19).minimize(quadratic, 100.0)
         explicit = BOLoop(dim=2, n_init=3, min_iterations=6, max_iterations=6,
                           n_mcmc=4, ei_threshold=0.0,
-                          backend_policy=BackendPolicy(n_exact=10**9),
+                          backend_policy=BackendPolicy.forced("exact"),
                           rng=19).minimize(quadratic, 100.0)
         assert default.n_evaluations == explicit.n_evaluations
         assert np.array_equal(np.stack(default.points), np.stack(explicit.points))
         assert default.durations == explicit.durations
 
     def test_sparse_backend_still_converges(self):
-        policy = BackendPolicy(n_exact=1, n_inducing=8)  # sparse from 2 rows on
+        policy = BackendPolicy.forced("sparse", n_inducing=8)
         loop = BOLoop(dim=2, n_init=3, min_iterations=10, max_iterations=16,
                       n_mcmc=2, backend_policy=policy, rng=21)
         trace = loop.minimize(quadratic, 100.0)
