@@ -20,6 +20,14 @@ which is the honest thing to measure: each worker process owns one
 independent commit stream, so sharding multiplies sustained ingest
 while a single process serializes every tenant behind one log.
 
+The full run adds a reporting-only sweep over the real fsync'd
+:class:`HistoryStore` (no emulated commit): the plain single-process
+:class:`TuningService` against :class:`ShardedTuningService` at 1, 2
+and 4 workers, 16 tenants, 8 clients.  Each store sits in a temporary
+directory under ``--outdir``, so its fsyncs reach the disk that
+directory is on.  Nothing is asserted on it; it records what sharding
+buys over the store this repository actually ships.
+
 Run the full sweep (also the source of the committed artifacts):
 
     PYTHONPATH=src python benchmarks/bench_service_load.py
@@ -33,6 +41,7 @@ import argparse
 import json
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -56,14 +65,18 @@ DURABLE_COMMIT_S = 0.05
 class DurableCommitStore(HistoryStore):
     """History store that charges a durable-commit latency per batch.
 
-    The wait happens under the store-wide lock, like the fsync it
-    stands in for: concurrent appenders to the same store queue behind
-    one commit stream, which is exactly the bottleneck sharding is
-    supposed to multiply away.
+    The wait happens under one lock per store, as in a process that
+    commits every tenant through one replicated log: concurrent
+    appenders to the same store queue behind one commit stream, which
+    is exactly the bottleneck sharding is supposed to multiply away.
     """
 
+    def __init__(self, root):
+        super().__init__(root)
+        self._commit_lock = threading.Lock()
+
     def append_many(self, app_id, records):
-        with self._lock:
+        with self._commit_lock:
             time.sleep(DURABLE_COMMIT_S)
         return super().append_many(app_id, records)
 
@@ -89,6 +102,21 @@ def durable_service(spec) -> TuningService:
     )
 
 
+def start_service(store_dir: str, workers: int, kind: str):
+    """The service a swept configuration names, started on a free port.
+
+    ``kind`` is ``"emulated"`` (sharded, :class:`DurableCommitStore` per
+    worker), ``"sharded"`` (sharded, real store) or ``"plain"`` (one
+    :class:`TuningService` process, real store; ``workers`` is 1).
+    """
+    if kind == "plain":
+        return TuningService(store_dir, port=0).start()
+    factory = durable_service if kind == "emulated" else None
+    return ShardedTuningService(
+        store_dir, port=0, workers=workers, service_factory=factory
+    ).start()
+
+
 def measure_config(
     workers: int,
     tenants: int,
@@ -97,12 +125,12 @@ def measure_config(
     warmup_s: float,
     batch_size: int = 1,
     seed: int = 1,
+    kind: str = "emulated",
+    store_parent: str | None = None,
 ) -> dict:
     """One swept configuration: fresh store, provision, drive, summarize."""
-    with tempfile.TemporaryDirectory(prefix="locat-load-") as store_dir:
-        service = ShardedTuningService(
-            store_dir, port=0, workers=workers, service_factory=durable_service
-        ).start()
+    with tempfile.TemporaryDirectory(prefix="locat-load-", dir=store_parent) as store_dir:
+        service = start_service(store_dir, workers, kind)
         try:
             client = TuningClient(service.url)
             plans = provision_tenants(client, tenants, seed=seed)
@@ -132,12 +160,17 @@ def measure_config(
 
 
 def run_sweep(
-    configs: list[dict], duration_s: float, warmup_s: float, seed: int = 1
+    configs: list[dict],
+    duration_s: float,
+    warmup_s: float,
+    seed: int = 1,
+    store_parent: str | None = None,
 ) -> dict:
     results = []
     for config in configs:
+        kind = config.get("service", "emulated")
         print(
-            f"  workers={config['workers']} tenants={config['tenants']} "
+            f"  {kind} workers={config['workers']} tenants={config['tenants']} "
             f"clients={config['clients']} batch={config.get('batch_size', 1)} "
             f"({duration_s:.0f}s run)...",
             flush=True,
@@ -151,6 +184,8 @@ def run_sweep(
                 warmup_s=warmup_s,
                 batch_size=config.get("batch_size", 1),
                 seed=seed,
+                kind=kind,
+                store_parent=store_parent,
             )
         )
     return {
@@ -195,6 +230,14 @@ FULL_CONFIGS = [
     {"workers": 4, "tenants": 16, "clients": 8, "batch_size": 32},
 ]
 
+#: Reporting-only: the same 16-tenant load over the real fsync'd store.
+REAL_STORE_CONFIGS = [
+    {"service": "plain", "workers": 1, "tenants": 16, "clients": 8},
+    {"service": "sharded", "workers": 1, "tenants": 16, "clients": 8},
+    {"service": "sharded", "workers": 2, "tenants": 16, "clients": 8},
+    {"service": "sharded", "workers": 4, "tenants": 16, "clients": 8},
+]
+
 SMOKE_CONFIGS = [
     {"workers": 1, "tenants": 8, "clients": 8},
     {"workers": 2, "tenants": 8, "clients": 8},
@@ -224,6 +267,18 @@ def full(outdir: Path, seed: int = 1) -> int:
     print(format_report(result["rows"]))
     scaling = _tput(result, 4, 16) / _tput(result, 1, 16)
     result["scaling_4w_over_1w_16t"] = scaling
+    print("real fsync'd store (reporting only):")
+    real = run_sweep(
+        REAL_STORE_CONFIGS, duration_s=12.0, warmup_s=2.0, seed=seed, store_parent=str(outdir)
+    )
+    for row, config in zip(real["rows"], REAL_STORE_CONFIGS):
+        row["service"] = config["service"]
+        print(
+            f"  {row['service']:>7} workers={row['workers']}: "
+            f"{row['observe_throughput_rps']} observes/s, p95 {row['p95_latency_ms']} ms, "
+            f"failure rate {row['failure_rate']}"
+        )
+    result["real_store"] = {"rows": real["rows"], "summaries": real["summaries"]}
     write_run_table(outdir / "run_table.csv", result["rows"])
     with (outdir / "BENCH_service_load.json").open("w") as handle:
         json.dump(result, handle, indent=2)

@@ -205,6 +205,10 @@ class TuningService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket: a reply goes out as a headers
+    # write and a body write, and Nagle would hold the body until the
+    # client's delayed ACK of the headers, about 40 ms later.
+    disable_nagle_algorithm = True
     server: ThreadingHTTPServer  # with .service attached
 
     # ------------------------------------------------------------------

@@ -225,6 +225,9 @@ class ShardedTuningService:
 
 class _FrontendHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY, as on the worker's handler: without it the body write
+    # of every reply waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
     server: ThreadingHTTPServer  # with .frontend attached
 
     # ------------------------------------------------------------------

@@ -167,24 +167,35 @@ def _cps_from_json(data: dict) -> CPSResult:
 class HistoryStore:
     """Durable, append-only tuning history for many applications.
 
-    All methods are thread-safe; per-application write ordering is the
-    caller's job (the scheduler serializes jobs within an application).
+    All methods are thread-safe.  Each application directory has its own
+    lock, so one tenant's fsync never queues another tenant's commit;
+    only registration takes the store-wide lock.  Write ordering across
+    calls for one application is the caller's job (the scheduler
+    serializes jobs within an application).
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # Guards the on-disk files, not an attribute: every mutation of
-        # the store tree (appends, meta writes, torn-tail repair) runs
-        # under this lock so concurrent jobs cannot interleave writes
-        # within one process.
+        # Guards registration (the app.json existence check and write)
+        # and the lock table below.
         self._lock = threading.Lock()
+        # One lock per application directory.  It guards the on-disk
+        # files, not an attribute: every write under <root>/<app_id>
+        # (appends, torn-tail repair, JSON documents) runs under it, so
+        # concurrent jobs cannot interleave writes to one tenant.
+        self._app_locks: dict[str, threading.Lock] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def app_dir(self, app_id: str) -> Path:
         return self.root / validate_app_id(app_id)
+
+    def _app_lock(self, app_id: str) -> threading.Lock:
+        """The lock serializing writes to one application's directory."""
+        with self._lock:
+            return self._app_locks.setdefault(validate_app_id(app_id), threading.Lock())
 
     def list_apps(self) -> list[str]:
         """Registered application ids, sorted."""
@@ -234,7 +245,7 @@ class HistoryStore:
             for r in records
         ]
         path = self.app_dir(app_id) / "runs.jsonl"
-        with self._lock:
+        with self._app_lock(app_id):
             # A crash mid-append can leave the file ending in a torn
             # partial line.  Appending after it would concatenate the
             # first new record onto the torn bytes — silently losing it
@@ -341,7 +352,7 @@ class HistoryStore:
         if not steps:
             return
         path = self.app_dir(app_id) / "trace.jsonl"
-        with self._lock:
+        with self._app_lock(app_id):
             self._truncate_torn_tail(path)
             with open(path, "a") as handle:
                 for step in steps:
@@ -399,7 +410,7 @@ class HistoryStore:
             "cps": _cps_to_json(cps),
             "saved_at": time.time(),
         }
-        with self._lock:
+        with self._app_lock(app_id):
             self._write_json(self.app_dir(app_id) / "artifacts.json", payload)
 
     def load_artifacts(self, app_id: str) -> tuple[QCSAResult | None, CPSResult | None]:
@@ -413,7 +424,7 @@ class HistoryStore:
 
     def save_fingerprint(self, app_id: str, fingerprint: dict) -> None:
         """Persist an application's workload-fingerprint JSON."""
-        with self._lock:
+        with self._app_lock(app_id):
             self._write_json(self.app_dir(app_id) / "fingerprint.json", fingerprint)
 
     def load_fingerprint(self, app_id: str) -> dict | None:
@@ -430,7 +441,7 @@ class HistoryStore:
         restarted service still knows which donor seeded the tenant and
         whether the transplant was accepted.
         """
-        with self._lock:
+        with self._app_lock(app_id):
             self._write_json(self.app_dir(app_id) / "transfer.json", provenance)
 
     def load_transfer(self, app_id: str) -> dict | None:
@@ -441,7 +452,7 @@ class HistoryStore:
         return json.loads(path.read_text())
 
     def save_deployment(self, app_id: str, state: dict) -> None:
-        with self._lock:
+        with self._app_lock(app_id):
             self._write_json(self.app_dir(app_id) / "deployed.json", state)
 
     def load_deployment(self, app_id: str) -> dict | None:
@@ -466,7 +477,7 @@ class HistoryStore:
             return
         now = time.time()
         path = self.app_dir(app_id) / "winners.json"
-        with self._lock:
+        with self._app_lock(app_id):
             payload = (
                 json.loads(path.read_text()) if path.exists() else {"winners": []}
             )

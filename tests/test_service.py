@@ -1,6 +1,7 @@
 """Tests for the tuning service: store, scheduler, registry, HTTP API."""
 
 import json
+import os
 import threading
 import time
 
@@ -227,6 +228,50 @@ class TestHistoryStore:
         state = {"config": {"a": 1}, "tuned_datasizes": [100.0], "recent_ratios": [1.1]}
         store.save_deployment("app-1", state)
         assert store.load_deployment("app-1") == state
+
+    def test_tenant_fsync_blocks_only_its_own_tenant(self, tmp_path, space_x86, monkeypatch):
+        store = HistoryStore(tmp_path)
+        store.register_app("a", {})
+        store.register_app("b", {})
+        record = ObservationRecord(config_to_dict(space_x86.default()), 100.0, 42.0, SOURCE_TUNING)
+        a_runs = store.app_dir("a") / "runs.jsonl"
+        in_fsync, release = threading.Event(), threading.Event()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            # Hold tenant a's run-table fsync until the test releases it.
+            if not release.is_set() and os.path.samestat(os.fstat(fd), os.stat(a_runs)):
+                in_fsync.set()
+                release.wait(timeout=30.0)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        first_a = threading.Thread(target=store.append, args=("a", record))
+        second_a = threading.Thread(target=store.append, args=("a", record))
+
+        def commit_b():
+            store.append("b", record)
+            store.save_deployment("b", {"x": 1})
+
+        tenant_b = threading.Thread(target=commit_b)
+        try:
+            first_a.start()
+            assert in_fsync.wait(timeout=10.0)
+            tenant_b.start()
+            tenant_b.join(timeout=10.0)
+            assert not tenant_b.is_alive(), "tenant b queued behind tenant a's fsync"
+            assert len(store.observations("b")) == 1
+            assert store.load_deployment("b") == {"x": 1}
+            second_a.start()
+            second_a.join(timeout=0.2)
+            assert second_a.is_alive(), "second append to a overtook a's pending fsync"
+            assert len(store.observations("a")) == 1
+        finally:
+            release.set()
+            for thread in (first_a, second_a, tenant_b):
+                if thread.ident is not None:
+                    thread.join(timeout=10.0)
+        assert len(store.observations("a")) == 2
 
 
 class TestJobScheduler:

@@ -23,6 +23,8 @@ from repro.service import (
     TuningClient,
     TuningService,
 )
+from repro.service import server as server_module
+from repro.service.sharding import frontend as frontend_module
 from repro.service.sharding import (
     N_SLOTS,
     ShardMap,
@@ -385,6 +387,40 @@ class TestKeepAliveClient:
                 assert server.connections == 2
         finally:
             server.close()
+
+
+def _record_nodelay(monkeypatch, handler_class) -> list[int]:
+    """Record ``TCP_NODELAY`` of every socket ``handler_class`` accepts."""
+    recorded: list[int] = []
+    base_setup = handler_class.setup
+
+    def setup(handler):
+        base_setup(handler)
+        recorded.append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+
+    monkeypatch.setattr(handler_class, "setup", setup)
+    return recorded
+
+
+class TestNagleDisabled:
+    """Both HTTP hops reply with a headers write and a body write; with
+    Nagle on, the body waits for the client's delayed ACK (~40 ms)."""
+
+    def test_service_sockets_are_nodelay(self, tmp_path, monkeypatch):
+        recorded = _record_nodelay(monkeypatch, server_module._Handler)
+        with TuningService(str(tmp_path), port=0, n_workers=1).start() as service:
+            with TuningClient(service.url) as client:
+                assert client.health()["status"] == "ok"
+        assert recorded and all(recorded)
+
+    def test_frontend_sockets_are_nodelay(self, sharded, monkeypatch):
+        service, _ = sharded
+        recorded = _record_nodelay(monkeypatch, frontend_module._FrontendHandler)
+        with TuningClient(service.url) as client:
+            assert client.health()["status"] == "ok"
+        assert recorded and all(recorded)
 
 
 class TestShardedBatchEquivalence:
