@@ -16,18 +16,29 @@ hyper-parameter vector builds a throwaway factorization instead of
 refactorizing the model twice (set + restore), and repeated evaluations
 at bit-identical thetas (the common case inside univariate slice
 sampling) return the cached float.
+
+Every factorization and solve goes through
+:func:`~repro.surrogate.incremental.chol_lower` and
+:func:`~repro.surrogate.incremental.chol_solve`, which call LAPACK
+``dpotrf`` / ``dpotrs`` with the arguments ``scipy.linalg.cholesky``,
+``cho_factor`` and ``cho_solve`` pass — the same floats, without scipy's
+per-call wrapper cost — and noise is added to a covariance's diagonal
+through a strided view.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from repro.bo.acquisition import expected_improvement
 from repro.bo.kernels import Matern52Kernel, RBFKernel
-from repro.surrogate.incremental import LMLCache, cholesky_append
-
-_JITTER = 1e-8
+from repro.surrogate.incremental import (
+    LMLCache,
+    add_noise,
+    chol_lower,
+    chol_solve,
+    cholesky_append,
+)
 
 
 class GaussianProcess:
@@ -59,7 +70,6 @@ class GaussianProcess:
         self._y_mean = 0.0
         self._y_std = 1.0
         self._extra_noise: np.ndarray | None = None
-        self._chol = None
         self._chol_lower: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._lml_cache = LMLCache()
@@ -100,13 +110,6 @@ class GaussianProcess:
     @property
     def extra_noise_vector(self) -> np.ndarray | None:
         return self._extra_noise
-
-    @property
-    def chol_lower(self) -> np.ndarray:
-        """The (clean) lower Cholesky factor of the training covariance."""
-        if self._chol_lower is None:
-            raise RuntimeError("GP is not fitted")
-        return self._chol_lower
 
     @staticmethod
     def _validate_extra_noise(extra_noise, n_rows: int) -> np.ndarray | None:
@@ -180,16 +183,12 @@ class GaussianProcess:
             ])
 
         k_cross = self.kernel(self._x, x)
-        k_new = self.kernel(x, x)
-        k_new[np.diag_indices_from(k_new)] += self.noise_variance + _JITTER
-        if extra_new is not None:
-            k_new[np.diag_indices_from(k_new)] += extra_new
+        k_new = add_noise(self.kernel(x, x), self.noise_variance, extra_new)
         self._chol_lower = cholesky_append(self._chol_lower, k_cross, k_new)
-        self._chol = (self._chol_lower, True)
         self._x = np.vstack([self._x, x])
         self._extra_noise = extra_all
         self._standardize(np.concatenate([self._y_raw, y]))
-        self._alpha = cho_solve(self._chol, self._y, check_finite=False)
+        self._alpha = chol_solve(self._chol_lower, self._y)
         self._lml_cache.clear()
         return self
 
@@ -200,13 +199,9 @@ class GaussianProcess:
     def _refactor(self) -> None:
         """Recompute the Cholesky factor for the current hyper-parameters."""
         assert self._x is not None and self._y is not None
-        k = self.kernel(self._x, self._x)
-        k[np.diag_indices_from(k)] += self.noise_variance + _JITTER
-        if self._extra_noise is not None:
-            k[np.diag_indices_from(k)] += self._extra_noise
-        self._chol_lower = cholesky(k, lower=True, check_finite=False)
-        self._chol = (self._chol_lower, True)
-        self._alpha = cho_solve(self._chol, self._y, check_finite=False)
+        k = add_noise(self.kernel(self._x, self._x), self.noise_variance, self._extra_noise)
+        self._chol_lower = chol_lower(k)
+        self._alpha = chol_solve(self._chol_lower, self._y)
 
     def predict(self, x_star: np.ndarray, return_std: bool = True):
         """Posterior mean (and optionally standard deviation) at ``x_star``.
@@ -221,7 +216,7 @@ class GaussianProcess:
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = cho_solve(self._chol, k_star, check_finite=False)
+        v = chol_solve(self._chol_lower, k_star)
         var = self.kernel.diag(x_star) + self.noise_variance - np.sum(k_star * v, axis=0)
         std = np.sqrt(np.maximum(var, 1e-12)) * self._y_std
         return mean, std
@@ -270,8 +265,8 @@ class GaussianProcess:
         if not self.is_fitted:
             raise RuntimeError("log_marginal_likelihood() called before fit()")
         if theta is None:
-            assert self._chol is not None and self._alpha is not None
-            return self._lml_from(self._chol[0], self._alpha)
+            assert self._chol_lower is not None and self._alpha is not None
+            return self._lml_from(self._chol_lower, self._alpha)
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_hyperparameters,):
             raise ValueError(f"expected {self.n_hyperparameters} hyper-parameters")
@@ -281,13 +276,10 @@ class GaussianProcess:
         kernel = self.kernel.clone()
         kernel.set_theta(theta[:-1])
         noise = float(np.exp(theta[-1]))
-        k = kernel(self._x, self._x)
-        k[np.diag_indices_from(k)] += noise + _JITTER
-        if self._extra_noise is not None:
-            k[np.diag_indices_from(k)] += self._extra_noise
-        chol = cho_factor(k, lower=True, check_finite=False)
-        alpha = cho_solve(chol, self._y, check_finite=False)
-        value = self._lml_from(chol[0], alpha)
+        k = add_noise(kernel(self._x, self._x), noise, self._extra_noise)
+        # Only the lower triangle is read: skip zeroing the upper one.
+        lower = chol_lower(k, clean=False)
+        value = self._lml_from(lower, chol_solve(lower, self._y))
         self._lml_cache.put(theta, value)
         return value
 
@@ -316,7 +308,6 @@ class GaussianProcess:
         copy._y_mean = self._y_mean
         copy._y_std = self._y_std
         copy._extra_noise = self._extra_noise
-        copy._chol = self._chol
         copy._chol_lower = self._chol_lower
         copy._alpha = self._alpha
         return copy

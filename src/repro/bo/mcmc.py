@@ -106,11 +106,8 @@ def slice_sample_chain(
     smaller ``burn_in``.  The GP is never mutated.
 
     The chain runs ``burn_in + n_samples * thin`` coordinate updates and
-    collects every ``thin``-th state after burn-in.  If that schedule
-    ever yields fewer than ``n_samples`` (it cannot under the standard
-    arithmetic, but the guard used to pad with *duplicates* of the last
-    state), the chain is simply run further — every returned sample is a
-    genuinely fresh chain state, deterministically under the same seed.
+    collects every ``thin``-th state after burn-in: exactly ``n_samples``
+    states.
     """
     if not gp.is_fitted:
         raise RuntimeError("GP must be fitted before sampling hyper-parameters")
@@ -128,22 +125,12 @@ def slice_sample_chain(
         if theta.shape != (gp.n_hyperparameters,):
             raise ValueError(f"initial_theta must have {gp.n_hyperparameters} entries")
     samples: list[np.ndarray] = []
-
-    def advance() -> None:
-        nonlocal theta
+    for step in range(burn_in + n_samples * thin):
         index = int(gen.integers(0, theta.shape[0]))
         theta = _slice_sample_coordinate(gp, theta, index, gen)
-
-    total = burn_in + n_samples * thin
-    for step in range(total):
-        advance()
         if step >= burn_in and (step - burn_in) % thin == 0:
             samples.append(theta.copy())
-    while len(samples) < n_samples:  # extend the chain if thinning undershot
-        for _ in range(thin):
-            advance()
-        samples.append(theta.copy())
-    return samples[:n_samples], theta.copy()
+    return samples, theta.copy()
 
 
 def slice_sample_hyperparameters(

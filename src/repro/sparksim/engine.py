@@ -77,7 +77,10 @@ class SparkSQLSimulator:
             raise ValueError("datasize_gb must be positive")
         gen = ensure_rng(rng)
         config = self.space.repair(config)
-        queries = tuple(self._run_query(q, config, datasize_gb, gen) for q in app.queries)
+        fixed = self._config_constants(config)
+        queries = tuple(
+            self._run_query(q, config, datasize_gb, gen, *fixed) for q in app.queries
+        )
         return ApplicationMetrics(
             application=app.name,
             datasize_gb=float(datasize_gb),
@@ -95,7 +98,8 @@ class SparkSQLSimulator:
     ) -> QueryMetrics:
         """Execute a single query (convenience wrapper)."""
         gen = ensure_rng(rng)
-        return self._run_query(query, self.space.repair(config), datasize_gb, gen)
+        config = self.space.repair(config)
+        return self._run_query(query, config, datasize_gb, gen, *self._config_constants(config))
 
     def execution_slots(self, config: Configuration) -> int:
         """Concurrent task slots: executors x cores, capped by the cluster."""
@@ -105,15 +109,30 @@ class SparkSQLSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _config_constants(self, config: Configuration) -> tuple[int, float, float]:
+        """What a run computes from the configuration alone, once per run:
+        execution slots, the default-deviation CPU penalty and the
+        per-query driver overhead."""
+        return (
+            self.execution_slots(config),
+            self._default_deviation_penalty(config),
+            self._driver_overhead_s(config),
+        )
+
     def _run_query(
         self,
         query: Query,
         config: Configuration,
         datasize_gb: float,
         rng: np.random.Generator,
+        slots: int,
+        penalty: float,
+        driver_s: float,
     ) -> QueryMetrics:
-        stages = tuple(self._run_stage(s, query, config, datasize_gb) for s in query.stages)
-        duration = sum(s.duration_s for s in stages) + self._driver_overhead_s(config)
+        stages = tuple(
+            self._run_stage(s, query, config, datasize_gb, slots, penalty) for s in query.stages
+        )
+        duration = sum(s.duration_s for s in stages) + driver_s
         gc_total = sum(s.gc_s for s in stages)
         retries = sum(1 for s in stages if s.spilled and s.gc_s > s.compute_s)
         failed = any(math.isinf(s.duration_s) for s in stages)
@@ -165,9 +184,10 @@ class SparkSQLSimulator:
         factor *= 1.0 + 0.02 * abs(math.log2(float(config["kryoserializer.buffer"]) / 64.0))
         return factor
 
-    def _cpu_factor(self, stage: Stage, config: Configuration) -> float:
-        """Multiplicative CPU modifiers from SQL-level switches."""
-        factor = self._default_deviation_penalty(config)
+    def _cpu_factor(self, stage: Stage, config: Configuration, penalty: float) -> float:
+        """Multiplicative CPU modifiers from SQL-level switches, on top of
+        the run's :meth:`_default_deviation_penalty`."""
+        factor = penalty
         if stage.fields > int(config["sql.codegen.maxFields"]):
             factor *= 1.25  # whole-stage codegen disabled for wide plans
         if config["sql.inMemoryColumnarStorage.compressed"]:
@@ -193,11 +213,12 @@ class SparkSQLSimulator:
         query: Query,
         config: Configuration,
         datasize_gb: float,
+        slots: int,
+        penalty: float,
     ) -> StageMetrics:
         cluster = self.cluster
-        slots = self.execution_slots(config)
         core_speed = cluster.node.core_speed
-        cpu_factor = self._cpu_factor(stage, config)
+        cpu_factor = self._cpu_factor(stage, config, penalty)
         task_overhead = self._task_overhead_s(config, stage.skew)
 
         input_gb = stage.input_fraction * datasize_gb

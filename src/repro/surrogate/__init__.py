@@ -13,10 +13,13 @@ of a long-lived service tenant — from being dominated by O(n^3) refits:
 * :func:`~repro.surrogate.incremental.cholesky_append` and
   :class:`~repro.surrogate.incremental.LMLCache` — the exact rank-k
   Cholesky update behind ``extend``, and the bounded LRU per-theta memo
-  behind the slice sampler's log-marginal-likelihood evaluations.
+  behind the slice sampler's log-marginal-likelihood evaluations; the
+  same module's ``chol_lower`` / ``chol_solve`` call LAPACK directly for
+  every factorization and solve of the exact GP and the stack.
 * :class:`~repro.surrogate.stack.ModelStack` — the ``n_mcmc`` posterior
-  hyper-parameter samples held as stacked ``(alpha, K^-1)`` state and
-  evaluated in one vectorized pass, replacing the per-clone Python loop.
+  hyper-parameter samples held as stacked ``(alpha, K^-1)`` state, built
+  once per change of the training set and evaluated in one vectorized
+  pass, replacing the per-clone Python loop.
 * A scalable backend behind the same protocol:
   :class:`~repro.surrogate.sparse.SparseGP` (Nystrom inducing points,
   O(m^2) per decision), selected per history size by

@@ -7,28 +7,29 @@ clone per sample and looped over them in Python for every acquisition
 call — hundreds of calls per BO iteration, each paying per-clone kernel
 builds and Python dispatch.
 
-:class:`ModelStack` keeps the per-sample state as stacked arrays
-(``thetas``, ``alpha`` vectors and precision matrices ``K^-1``) over
-one shared training set and evaluates all models' posteriors in a
-single vectorized pass: the cross-covariance tensors for
-every sample are built with one broadcast distance computation, and the
-means and variances are batched matmuls — no per-model triangular
-solves.  (That form cut the acquisition search's time by about a third
-against per-model solves on traced cold TPC-DS sessions, at equal fit
-cost.)  It also supports the engine's incremental contract: ``extend``
-performs the exact rank-k block-inverse update *per sample*, so
-appending observations never refits any of the ``n_mcmc`` models.
+:class:`ModelStack` holds the per-sample state only as stacked arrays
+over one shared training set: precision matrices ``K^-1`` ``(S, n, n)``,
+``alpha`` vectors ``(S, n)``, signal variances and lengthscales, and
+the training side of the scaled distance (``2 x / ls`` and the row
+norms of ``x / ls``).  They are built once per change of the training set — in
+:meth:`ModelStack.from_gp` and :meth:`ModelStack.extend` — not once per
+``predict``.  A prediction then scales only the query points and runs
+one stacked kernel evaluation (the kernels' own
+:func:`~repro.bo.kernels.ard_covariance`, so every slice equals the
+sample's kernel bit for bit), batched matmuls for the means and
+variances (no per-model triangular solves), and one elementwise EI pass
+over all models.  ``extend`` performs the exact rank-k block-inverse
+update *per sample*, so appending observations never refits any of the
+``n_mcmc`` models.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 from repro.bo.acquisition import expected_improvement
-from repro.bo.kernels import stacked_cross
-
-_JITTER = 1e-8
+from repro.bo.kernels import ard_covariance, scaled_rows
+from repro.surrogate.incremental import add_noise, chol_lower, chol_solve
 
 
 class ModelStack:
@@ -42,33 +43,7 @@ class ModelStack:
     with exact rank-k updates.
     """
 
-    def __init__(
-        self,
-        kernels: list,
-        noises: np.ndarray,
-        alphas: list[np.ndarray],
-        precisions: list[np.ndarray],
-        x: np.ndarray,
-        y_mean: float,
-        y_std: float,
-        thetas: list[np.ndarray],
-    ):
-        self.kernels = kernels
-        self.noises = np.asarray(noises, dtype=float)
-        self.alphas = alphas
-        #: Per-model precision matrices K^-1: prediction runs as pure
-        #: batched matmuls through them.
-        self.precisions = precisions
-        self._x = np.asarray(x, dtype=float)
-        self._y_mean = float(y_mean)
-        self._y_std = float(y_std)
-        self.thetas = [np.asarray(t, dtype=float) for t in thetas]
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_gp(cls, gp, thetas: list[np.ndarray]) -> "ModelStack":
+    def __init__(self, gp, thetas: list[np.ndarray]):
         """Factorize the GP's training set at each hyper-parameter sample.
 
         Equivalent to ``[gp.clone_with_theta(t) for t in thetas]`` — each
@@ -84,64 +59,81 @@ class ModelStack:
         x = gp.training_inputs
         y = gp.standardized_targets
         extra = gp.extra_noise_vector
-        kernels, noises, alphas, precisions = [], [], [], []
-        for theta in thetas:
-            theta = np.asarray(theta, dtype=float)
-            kernel = gp.kernel.clone()
-            kernel.set_theta(theta[:-1])
-            noise = float(np.exp(theta[-1]))
-            k = kernel(x, x)
-            k[np.diag_indices_from(k)] += noise + _JITTER
-            if extra is not None:
-                k[np.diag_indices_from(k)] += extra
-            lower = cholesky(k, lower=True, check_finite=False)
-            kernels.append(kernel)
-            noises.append(noise)
-            alphas.append(cho_solve((lower, True), y, check_finite=False))
-            precisions.append(
-                cho_solve((lower, True), np.eye(x.shape[0]), check_finite=False)
-            )
-        return cls(
-            kernels, np.asarray(noises), alphas, precisions,
-            x, gp.target_mean, gp.target_std, list(thetas),
-        )
+        # Every sample's kernel is a clone of the GP's: one family.
+        self._matern = gp.kernel.matern
+        thetas = [np.asarray(t, dtype=float) for t in thetas]
+        # The same expressions a clone's ``set_theta`` evaluates, shaped
+        # to broadcast over (sample, row, column).
+        signal = np.array([float(np.exp(t[0])) for t in thetas])
+        self._noises = np.array([float(np.exp(t[-1])) for t in thetas])
+        self._prior_var = signal + self._noises
+        self._signal = signal[:, None, None]
+        self._lengthscales = np.stack([np.exp(t[1:-1]) for t in thetas])[:, None, :]
+        # The training side of every scaled distance: 2 x / ls (the
+        # factor the kernels apply before their matmul) and the row norms.
+        a, self._aa = scaled_rows(x, self._lengthscales)
+        self._two_a = 2.0 * a
+        grams = ard_covariance(self._two_a, self._aa, a, self._aa, self._signal, self._matern)
+        alphas, precisions = [], []
+        eye = np.eye(x.shape[0])
+        for s, k in enumerate(grams):
+            lower = chol_lower(add_noise(k, self._noises[s], extra))
+            alphas.append(chol_solve(lower, y))
+            precisions.append(chol_solve(lower, eye))
+        self._alphas = np.stack(alphas)
+        # LAPACK returns Fortran-order solutions and np.stack keeps that
+        # order per slice.  It decides which BLAS kernel a matmul through
+        # a slice runs, and so its rounding: a C-order copy differs in
+        # the last bits.
+        self._precisions = np.stack(precisions)
+        self._y_mean = float(gp.target_mean)
+        self._y_std = float(gp.target_std)
+
+    @classmethod
+    def from_gp(cls, gp, thetas: list[np.ndarray]) -> "ModelStack":
+        """The stack of ``gp``'s posteriors at each of ``thetas``."""
+        return cls(gp, thetas)
 
     @property
     def n_models(self) -> int:
-        return len(self.precisions)
+        return self._precisions.shape[0]
 
     @property
     def n_samples(self) -> int:
-        return self._x.shape[0]
+        return self._precisions.shape[1]
 
     # ------------------------------------------------------------------
     # Posterior and acquisition
     # ------------------------------------------------------------------
+    def cross_covariance(self, x_star: np.ndarray) -> np.ndarray:
+        """Training-to-query covariances per model, ``(n_models, n_train, n_query)``.
+
+        Slice ``s`` equals the sample's own kernel ``k_s(x_train, x_star)``
+        bit for bit.
+        """
+        b, bb = scaled_rows(np.atleast_2d(np.asarray(x_star, dtype=float)), self._lengthscales)
+        return ard_covariance(self._two_a, self._aa, b, bb, self._signal, self._matern)
+
     def predict(self, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean/std per model, ``(n_models, n_query)`` each.
 
         Outputs are de-standardized to raw target units, matching
         ``GaussianProcess.predict`` model by model up to round-off.
         """
-        x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-        # Cross-covariance tensor (n_models, n_train, n_query); per-slice
-        # results match each kernel's own ``__call__`` exactly.
-        k_star = stacked_cross(self.kernels, self._x, x_star)
-        signal = np.array([k.signal_variance for k in self.kernels])
-        quad = np.sum(k_star * np.matmul(np.stack(self.precisions), k_star), axis=1)
-        means = np.einsum("snm,sn->sm", k_star, np.stack(self.alphas))
+        k_star = self.cross_covariance(x_star)
+        quad = np.sum(k_star * np.matmul(self._precisions, k_star), axis=1)
+        means = np.einsum("snm,sn->sm", k_star, self._alphas)
         means = means * self._y_std + self._y_mean
-        var = signal[:, None] + self.noises[:, None] - quad
+        var = self._prior_var[:, None] - quad
         stds = np.sqrt(np.maximum(var, 1e-12)) * self._y_std
         return means, stds
 
     def acquisition(self, x_star: np.ndarray, best: float) -> np.ndarray:
         """EI averaged over the hyper-parameter samples (to maximize)."""
         means, stds = self.predict(x_star)
-        total = np.zeros(means.shape[1])
-        for s in range(self.n_models):
-            total += expected_improvement(means[s], stds[s], best)
-        return total / self.n_models
+        # A sum over axis 0 adds the models' rows one after another in
+        # model order: the same floats as a running total over models.
+        return expected_improvement(means, stds, best).sum(axis=0) / self.n_models
 
     # ------------------------------------------------------------------
     # Incremental extension
@@ -165,32 +157,40 @@ class ModelStack:
         """
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
         y_standardized = np.asarray(y_standardized, dtype=float).ravel()
-        if y_standardized.shape[0] != self.n_samples + x_new.shape[0]:
-            raise ValueError("y_standardized must cover old and new rows")
+        n = self.n_samples
         n_new = x_new.shape[0]
+        if y_standardized.shape[0] != n + n_new:
+            raise ValueError("y_standardized must cover old and new rows")
+        b_new, bb_new = scaled_rows(x_new, self._lengthscales)
+        two_b_new = 2.0 * b_new
+        crosses = ard_covariance(self._two_a, self._aa, b_new, bb_new, self._signal, self._matern)
+        news = ard_covariance(two_b_new, bb_new, b_new, bb_new, self._signal, self._matern)
+        if extra_noise_new is not None:
+            extra_noise_new = np.asarray(extra_noise_new, dtype=float).ravel()
+        precisions = np.empty((self.n_models, n + n_new, n + n_new))
+        alphas = np.empty((self.n_models, n + n_new))
+        eye = np.eye(n_new)
         for s in range(self.n_models):
-            kernel = self.kernels[s]
-            b = kernel(self._x, x_new)
-            c = kernel(x_new, x_new)
-            c[np.diag_indices_from(c)] += self.noises[s] + _JITTER
-            if extra_noise_new is not None:
-                c[np.diag_indices_from(c)] += np.asarray(extra_noise_new, dtype=float).ravel()
+            b = crosses[s]
+            c = add_noise(news[s], self._noises[s], extra_noise_new)
             # Block-inverse update, O(n^2 k): with W = K^-1 B and the
             # Schur complement S = C - B^T W,
             #   [[K, B], [B^T, C]]^-1 =
             #   [[V + W S^-1 W^T, -W S^-1], [-S^-1 W^T, S^-1]].
-            v = self.precisions[s]
+            v = self._precisions[s]
             w = v @ b
             schur = c - b.T @ w
-            schur_chol = cholesky(schur, lower=True, check_finite=False)
-            schur_inv = cho_solve((schur_chol, True), np.eye(n_new), check_finite=False)
+            schur_inv = chol_solve(chol_lower(schur), eye)
             ws = w @ schur_inv
             grown = np.block([[v + ws @ w.T, -ws], [-ws.T, schur_inv]])
             # Keep the quadratic forms stable across many rank-k
             # updates: the formula is symmetric, round-off is not.
-            self.precisions[s] = (grown + grown.T) / 2.0
-            self.alphas[s] = self.precisions[s] @ y_standardized
-        self._x = np.vstack([self._x, x_new])
+            precisions[s] = (grown + grown.T) / 2.0
+            alphas[s] = precisions[s] @ y_standardized
+        self._precisions = precisions
+        self._alphas = alphas
+        self._two_a = np.concatenate([self._two_a, two_b_new], axis=1)
+        self._aa = np.concatenate([self._aa, bb_new], axis=1)
         self._y_mean = float(y_mean)
         self._y_std = float(y_std)
         return self

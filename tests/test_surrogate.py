@@ -23,10 +23,14 @@ from repro.bo.kernels import Matern52Kernel, RBFKernel
 from repro.bo.mcmc import slice_sample_chain, slice_sample_hyperparameters
 from repro.core import LOCAT
 from repro.core.dagp import MCMC_REFRESH_ROWS, MCMC_WARM_BURN_IN, DatasizeAwareGP
+from repro.core.online import OnlineController
 from repro.core.tuner import BOLoop
 from repro.sparksim import SparkSQLSimulator, get_application
 from repro.sparksim.cluster import get_cluster
+from repro.sparksim.scenarios import DriftingSimulator, ScenarioStream, build_scenario
+from repro.sparksim.serialize import config_to_dict
 from repro.surrogate import LMLCache, ModelStack, Surrogate, cholesky_append
+from repro.surrogate.incremental import JITTER, add_noise, chol_lower, chol_solve
 
 
 def quadratic(point, datasize):
@@ -73,6 +77,64 @@ class TestCholeskyAppend:
         k_new = np.array([[1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             cholesky_append(lower, k_cross, k_new)
+
+
+class TestDirectLapack:
+    def spd(self, n=9, seed=4):
+        a = np.random.default_rng(seed).random((n, n))
+        return a @ a.T + n * np.eye(n)
+
+    def test_factor_matches_scipy_bit_for_bit(self):
+        from scipy.linalg import cho_factor, cholesky
+
+        k = self.spd()
+        assert np.array_equal(chol_lower(k), cholesky(k, lower=True))
+        assert np.array_equal(chol_lower(k, clean=False), cho_factor(k, lower=True)[0])
+
+    def test_solve_matches_scipy_bit_for_bit(self):
+        from scipy.linalg import cho_solve
+
+        k = self.spd()
+        lower = chol_lower(k)
+        rng = np.random.default_rng(5)
+        for b in (rng.random(9), rng.random((9, 3)), np.eye(9)):
+            before = b.copy()
+            assert np.array_equal(chol_solve(lower, b), cho_solve((lower, True), b))
+            assert np.array_equal(b, before)
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            chol_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_log_posterior_maps_linalg_error_to_minus_inf(self, monkeypatch):
+        # The slice sampler's step-out stops at -inf: a failed
+        # factorization must read as "outside the slice", not crash.
+        import repro.bo.gp as gp_module
+        from repro.bo.mcmc import _log_posterior
+
+        gp, x, y = make_gp(n=10, seed=6)
+        gp.fit(x, y)
+        theta = gp.get_theta()
+        assert np.isfinite(_log_posterior(gp, theta))
+
+        def not_pd(a, clean=True):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp_module, "chol_lower", not_pd)
+        assert _log_posterior(gp, theta + 0.5) == -np.inf
+
+    def test_add_noise_matches_fancy_indexing(self):
+        k = self.spd(n=5)
+        extra = np.arange(5.0) / 10
+        reference = k.copy()
+        reference[np.diag_indices_from(reference)] += 1e-3 + JITTER
+        reference[np.diag_indices_from(reference)] += extra
+        assert add_noise(k, 1e-3, extra) is k
+        assert np.array_equal(k, reference)
+        with pytest.raises(ValueError):
+            add_noise(np.zeros((4, 4)).T, 1e-3)
+        with pytest.raises(ValueError):
+            add_noise(np.zeros((6, 6))[::2, ::2], 1e-3)
 
 
 class TestLMLCache:
@@ -195,6 +257,13 @@ class TestModelStack:
             mean, std = clone.predict(xs)
             total += expected_improvement(mean, std, best)
         np.testing.assert_allclose(batched, total / len(thetas), rtol=1e-7, atol=1e-12)
+        # On the stack's own posteriors, the one-pass EI equals the
+        # per-model running total exactly.
+        means, stds = stack.predict(xs)
+        total = np.zeros(len(xs))
+        for s in range(stack.n_models):
+            total += expected_improvement(means[s], stds[s], best)
+        assert np.array_equal(batched, total / stack.n_models)
 
     def test_predict_matches_clones(self, fitted):
         gp, thetas = fitted
@@ -220,6 +289,32 @@ class TestModelStack:
         m_ref, s_ref = rebuilt.predict(xs)
         np.testing.assert_allclose(m_inc, m_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(s_inc, s_ref, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("kernel_cls", [Matern52Kernel, RBFKernel])
+    @pytest.mark.parametrize("dim", [4, 39])
+    def test_cross_covariance_slices_equal_kernels(self, kernel_cls, dim):
+        gp, x, y = make_gp(n=30, dim=dim, seed=18, kernel_cls=kernel_cls)
+        gp.fit(x, y)
+        rng = np.random.default_rng(19)
+        thetas = [gp.get_theta() + rng.normal(0, 0.3, gp.n_hyperparameters) for _ in range(8)]
+        stack = ModelStack.from_gp(gp, thetas)
+        kernels = []
+        for theta in thetas:
+            kernel = gp.kernel.clone()
+            kernel.set_theta(theta[:-1])
+            kernels.append(kernel)
+        x_star = rng.random((50, dim))
+        cross = stack.cross_covariance(x_star)
+        assert cross.shape == (8, 30, 50)
+        for s, kernel in enumerate(kernels):
+            assert np.array_equal(cross[s], kernel(x, x_star))
+        # The stored training side grows with extend.
+        x_new = rng.random((2, dim))
+        gp.extend(x_new, np.sin(x_new[:, 0]))
+        stack.extend(x_new, gp.standardized_targets, gp.target_mean, gp.target_std)
+        cross = stack.cross_covariance(x_star)
+        for s, kernel in enumerate(kernels):
+            assert np.array_equal(cross[s], kernel(gp.training_inputs, x_star))
 
     def test_requires_fitted_gp_and_samples(self):
         gp, _, _ = make_gp()
@@ -487,6 +582,68 @@ PINNED_LOCAT_DURATIONS = [
 
 PINNED_LOCAT_BEST = 73.69251974640167
 
+#: A deployed small-budget tenant (``n_mcmc=4``, ``replay_eval="race"``)
+#: fed an abrupt-skew stream until its first drift retune completes: the
+#: production durations it measured, each observe's (retuned, trigger,
+#: promotion phase), the retune's (live evaluations, best duration), and
+#: the configuration deployed afterwards.  Covers the drift retune path
+#: (a partial session with replay racing, pre-drift rows as a
+#: low-fidelity prior, the promotion gate), which the two pins above do
+#: not reach; both its sessions also run ``ModelStack.extend``.
+PINNED_DRIFT_DURATIONS = [
+    42.12139968256022,
+    43.476788479538726,
+    41.58661738911657,
+    42.62633228595911,
+    41.72769640346801,
+    39.52153354138884,
+    42.15637884934615,
+    40.52510545704625,
+    139.1929268080139,
+]
+PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 8 + [(True, "drift", "promoted")]
+PINNED_DRIFT_RETUNE = (2, 45.66538635081426)
+PINNED_DRIFT_DEPLOYED = {
+    "broadcast.blockSize": 4,
+    "broadcast.compress": True,
+    "default.parallelism": 163,
+    "driver.cores": 14,
+    "driver.memory": 48,
+    "executor.cores": 13,
+    "executor.instances": 9,
+    "executor.memory": 48,
+    "executor.memoryOverhead": 1820,
+    "io.compression.zstd.bufferSize": 32,
+    "io.compression.zstd.level": 2,
+    "kryoserializer.buffer": 64,
+    "kryoserializer.buffer.max": 64,
+    "locality.wait": 1,
+    "memory.fraction": 0.5880000000000001,
+    "memory.offHeap.enabled": False,
+    "memory.offHeap.size": 0,
+    "memory.storageFraction": 0.6824874589651175,
+    "rdd.compress": True,
+    "reducer.maxSizeInFlight": 33,
+    "scheduler.revive.interval": 2,
+    "shuffle.compress": True,
+    "shuffle.file.buffer": 32,
+    "shuffle.io.numConnectionsPerPeer": 1,
+    "shuffle.sort.bypassMergeThreshold": 383,
+    "shuffle.spill.compress": False,
+    "sql.autoBroadcastJoinThreshold": 6783,
+    "sql.cartesianProductExec.buffer.in.memory.threshold": 4096,
+    "sql.codegen.aggregate.map.twolevel.enable": True,
+    "sql.codegen.maxFields": 100,
+    "sql.inMemoryColumnarStorage.batchSize": 10987,
+    "sql.inMemoryColumnarStorage.compressed": True,
+    "sql.inMemoryColumnarStorage.partitionPruning": True,
+    "sql.join.preferSortMergeJoin": False,
+    "sql.retainGroupColumns": False,
+    "sql.shuffle.partitions": 676,
+    "sql.sort.enableRadixSort": True,
+    "storage.memoryMapThreshold": 6,
+}
+
 
 class TestPinnedTrajectories:
     def test_bo_loop_trajectory_bit_for_bit(self):
@@ -515,3 +672,38 @@ class TestPinnedTrajectories:
         durations = [float(t.duration_s) for t in locat.objective.history]
         assert durations == PINNED_LOCAT_DURATIONS
         assert float(result.best_duration_s) == PINNED_LOCAT_BEST
+
+    def test_drift_retune_bit_for_bit(self):
+        cluster = get_cluster("x86")
+        app = get_application("join")
+        locat = LOCAT(
+            DriftingSimulator(cluster),
+            app,
+            n_qcsa=10,
+            n_iicp=8,
+            max_iterations=6,
+            min_iterations=3,
+            n_mcmc=4,
+            n_adapt_iterations=6,
+            replay_eval="race",
+            rng=3,
+        )
+        controller = OnlineController(locat, capture_replay_trace=False)
+        controller.observe(100.0)
+        scenario = build_scenario("abrupt_skew", n_steps=30, onset=8, shift=0.5)
+        runs = ScenarioStream(scenario, app, cluster, seed=11, trace=locat.replay_trace)
+        durations, decisions, retune = [], [], None
+        for step in scenario.steps:
+            locat.simulator.set_step(step)
+            measured = runs.measure(step, controller.deployed_config)
+            durations.append(float(measured))
+            decision = controller.observe(step.datasize_gb, duration_s=measured)
+            phase = decision.promotion["phase"] if decision.promotion else None
+            decisions.append((decision.retuned, decision.trigger, phase))
+            if decision.retuned:
+                retune = (decision.result.evaluations, float(decision.result.best_duration_s))
+                break
+        assert durations == PINNED_DRIFT_DURATIONS
+        assert decisions == PINNED_DRIFT_DECISIONS
+        assert retune == PINNED_DRIFT_RETUNE
+        assert config_to_dict(controller.deployed_config) == PINNED_DRIFT_DEPLOYED
