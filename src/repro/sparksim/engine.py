@@ -17,11 +17,18 @@ than hard-coded:
   executor memory/cores/instances, and ``shuffle.compress`` (Table 3);
 * GC time grows superlinearly with datasize under a fixed configuration
   (Figure 19), which is what DAGP exploits.
+
+A run first folds everything that depends on the configuration and the
+cluster alone into one :class:`_RunPlan` (memory budget, shuffle rates,
+thresholds, switches), then walks the stages reading only the plan.  Every
+hoisted expression keeps its operands and their order, so the floats are
+the ones a per-stage evaluation would give.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +36,13 @@ from repro.sparksim.cluster import ClusterSpec
 from repro.sparksim.configspace import ConfigSpace, Configuration
 from repro.sparksim.memorymodel import (
     WORKING_SET_EXPANSION,
+    TaskMemoryBudget,
     evaluate_task_memory,
+    task_memory_budget,
 )
 from repro.sparksim.metrics import ApplicationMetrics, QueryMetrics, StageMetrics
 from repro.sparksim.query import Application, Query, Stage, StageKind
-from repro.sparksim.shuffle import broadcast_cost_s, shuffle_cost
+from repro.sparksim.shuffle import ShuffleRates, broadcast_cost_s, shuffle_cost, shuffle_rates
 from repro.stats.sampling import ensure_rng
 
 #: CPU seconds to process one GB at unit cpu_weight on a core_speed=1 core.
@@ -44,6 +53,36 @@ BLOCK_GB = 0.128
 
 #: Fixed scheduling cost per task (serialization, dispatch).
 TASK_LAUNCH_S = 0.004
+
+_JOIN_KINDS = (StageKind.SHUFFLE_JOIN, StageKind.BROADCAST_JOIN)
+
+
+class _RunPlan(NamedTuple):
+    """What one run computes from the configuration and the cluster alone."""
+
+    slots: int  # concurrent task slots
+    active_cores: float  # slots x core speed, at least 1
+    core_speed: float
+    disk_mb_per_s: float  # aggregate, before write efficiency
+    penalty: float  # default-deviation CPU penalty
+    driver_s: float  # per-query driver overhead
+    budget: TaskMemoryBudget
+    rates: ShuffleRates
+    broadcast_threshold_mb: float
+    min_scan_partitions: int  # default.parallelism // 4
+    shuffle_partitions: int
+    sort_partitions: int  # shuffle partitions, at least default.parallelism
+    io_factor: float  # memory-map multiplier on scan IO
+    task_overhead_s: float  # launch + revive polling
+    locality_s_per_skew: float  # locality wait per unit of skew
+    max_fields: int
+    columnar_compressed: bool
+    twolevel_agg: bool
+    retain_group_columns: bool
+    radix_sort: bool
+    partition_pruning: bool
+    rdd_compress: bool
+    sort_merge_join: bool
 
 
 class SparkSQLSimulator:
@@ -75,17 +114,16 @@ class SparkSQLSimulator:
         """Execute every query of ``app`` and return application metrics."""
         if datasize_gb <= 0:
             raise ValueError("datasize_gb must be positive")
-        gen = ensure_rng(rng)
-        config = self.space.repair(config)
-        fixed = self._config_constants(config)
-        queries = tuple(
-            self._run_query(q, config, datasize_gb, gen, *fixed) for q in app.queries
-        )
+        queries = self._run_queries(app.queries, config, datasize_gb, rng)
+        duration = gc_total = 0
+        for q in queries:
+            duration += q.duration_s
+            gc_total += q.gc_s
         return ApplicationMetrics(
             application=app.name,
             datasize_gb=float(datasize_gb),
-            duration_s=sum(q.duration_s for q in queries),
-            gc_s=sum(q.gc_s for q in queries),
+            duration_s=duration,
+            gc_s=gc_total,
             queries=queries,
         )
 
@@ -97,9 +135,7 @@ class SparkSQLSimulator:
         rng: int | tuple[int, ...] | np.random.Generator | None = None,
     ) -> QueryMetrics:
         """Execute a single query (convenience wrapper)."""
-        gen = ensure_rng(rng)
-        config = self.space.repair(config)
-        return self._run_query(query, config, datasize_gb, gen, *self._config_constants(config))
+        return self._run_queries((query,), config, datasize_gb, rng)[0]
 
     def execution_slots(self, config: Configuration) -> int:
         """Concurrent task slots: executors x cores, capped by the cluster."""
@@ -109,54 +145,89 @@ class SparkSQLSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _config_constants(self, config: Configuration) -> tuple[int, float, float]:
-        """What a run computes from the configuration alone, once per run:
-        execution slots, the default-deviation CPU penalty and the
-        per-query driver overhead."""
-        return (
-            self.execution_slots(config),
-            self._default_deviation_penalty(config),
-            self._driver_overhead_s(config),
+    def _plan(self, config: Configuration) -> _RunPlan:
+        """Everything a run needs from the configuration and the cluster."""
+        cluster = self.cluster
+        slots = self.execution_slots(config)
+        core_speed = cluster.node.core_speed
+        shuffle_partitions = int(config["sql.shuffle.partitions"])
+        parallelism = int(config["default.parallelism"])
+        return _RunPlan(
+            slots=slots,
+            active_cores=max(slots * core_speed, 1.0),
+            core_speed=core_speed,
+            disk_mb_per_s=cluster.aggregate_disk_mb_per_s,
+            penalty=self._default_deviation_penalty(config),
+            driver_s=self._driver_overhead_s(config),
+            budget=task_memory_budget(config),
+            rates=shuffle_rates(config, cluster),
+            broadcast_threshold_mb=float(config["sql.autoBroadcastJoinThreshold"]) / 1024.0,
+            min_scan_partitions=parallelism // 4,
+            shuffle_partitions=shuffle_partitions,
+            sort_partitions=max(shuffle_partitions, parallelism),
+            io_factor=1.0 + 0.01 * (1.0 / max(float(config["storage.memoryMapThreshold"]), 0.5)),
+            task_overhead_s=TASK_LAUNCH_S + 0.002 * float(config["scheduler.revive.interval"]),
+            locality_s_per_skew=0.02 * float(config["locality.wait"]),
+            max_fields=int(config["sql.codegen.maxFields"]),
+            columnar_compressed=bool(config["sql.inMemoryColumnarStorage.compressed"]),
+            twolevel_agg=bool(config["sql.codegen.aggregate.map.twolevel.enable"]),
+            retain_group_columns=bool(config["sql.retainGroupColumns"]),
+            radix_sort=bool(config["sql.sort.enableRadixSort"]),
+            partition_pruning=bool(config["sql.inMemoryColumnarStorage.partitionPruning"]),
+            rdd_compress=bool(config["rdd.compress"]),
+            sort_merge_join=bool(config["sql.join.preferSortMergeJoin"]),
         )
 
-    def _run_query(
+    def _run_queries(
         self,
-        query: Query,
+        queries: tuple[Query, ...],
         config: Configuration,
         datasize_gb: float,
-        rng: np.random.Generator,
-        slots: int,
-        penalty: float,
-        driver_s: float,
-    ) -> QueryMetrics:
-        stages = tuple(
-            self._run_stage(s, query, config, datasize_gb, slots, penalty) for s in query.stages
-        )
-        duration = sum(s.duration_s for s in stages) + driver_s
-        gc_total = sum(s.gc_s for s in stages)
-        retries = sum(1 for s in stages if s.spilled and s.gc_s > s.compute_s)
-        failed = any(math.isinf(s.duration_s) for s in stages)
+        rng: int | tuple[int, ...] | np.random.Generator | None,
+    ) -> tuple[QueryMetrics, ...]:
+        """Run ``queries`` in order under one plan and one noise draw.
+
+        Per-query totals are summed stage by stage from ``0``, the
+        additions ``sum()`` makes on Python 3.11 (3.12's ``sum()``
+        compensates, so an explicit loop also keeps the floats the same
+        across interpreter versions).  One ``normal`` draw of
+        ``len(queries)`` values consumes the stream exactly as one scalar
+        draw per query would.
+        """
+        gen = ensure_rng(rng)
+        config = self.space.repair(config)
+        plan = self._plan(config)
+        noise = None
         if self.noise > 0:
-            duration *= float(np.exp(rng.normal(0.0, self.noise)))
-        return QueryMetrics(
-            name=query.name,
-            duration_s=duration,
-            gc_s=gc_total,
-            shuffle_bytes_gb=sum(s.shuffle_bytes_gb for s in stages),
-            stages=stages,
-            failed=failed,
-            retries=retries,
-        )
+            noise = np.exp(gen.normal(0.0, self.noise, size=len(queries))).tolist()
+        results = []
+        for i, query in enumerate(queries):
+            stages = []
+            duration = gc_total = shuffle_gb = retries = 0
+            failed = False
+            for stage in query.stages:
+                metrics = self._run_stage(stage, query, config, datasize_gb, plan)
+                stages.append(metrics)
+                duration += metrics.duration_s
+                gc_total += metrics.gc_s
+                shuffle_gb += metrics.shuffle_bytes_gb
+                if metrics.spilled and metrics.gc_s > metrics.compute_s:
+                    retries += 1
+                if math.isinf(metrics.duration_s):
+                    failed = True
+            duration += plan.driver_s
+            if noise is not None:
+                duration *= noise[i]
+            results.append(
+                QueryMetrics(query.name, duration, gc_total, shuffle_gb, tuple(stages), failed, retries)
+            )
+        return tuple(results)
 
     def _driver_overhead_s(self, config: Configuration) -> float:
         """Per-query driver cost: planning plus result collection."""
         cores = max(int(config["driver.cores"]), 1)
         memory = max(float(config["driver.memory"]), 1.0)
         return 0.25 + 0.5 / cores + 0.3 / memory
-
-    def _scan_partitions(self, input_gb: float, config: Configuration) -> int:
-        blocks = max(1, int(math.ceil(input_gb / BLOCK_GB)))
-        return max(blocks, int(config["default.parallelism"]) // 4)
 
     @staticmethod
     def _default_deviation_penalty(config: Configuration) -> float:
@@ -184,28 +255,28 @@ class SparkSQLSimulator:
         factor *= 1.0 + 0.02 * abs(math.log2(float(config["kryoserializer.buffer"]) / 64.0))
         return factor
 
-    def _cpu_factor(self, stage: Stage, config: Configuration, penalty: float) -> float:
+    @staticmethod
+    def _cpu_factor(stage: Stage, plan: _RunPlan) -> float:
         """Multiplicative CPU modifiers from SQL-level switches, on top of
         the run's :meth:`_default_deviation_penalty`."""
-        factor = penalty
-        if stage.fields > int(config["sql.codegen.maxFields"]):
+        factor = plan.penalty
+        if stage.fields > plan.max_fields:
             factor *= 1.25  # whole-stage codegen disabled for wide plans
-        if config["sql.inMemoryColumnarStorage.compressed"]:
+        if plan.columnar_compressed:
             factor *= 1.02
         if stage.kind is StageKind.SHUFFLE_AGG:
-            if config["sql.codegen.aggregate.map.twolevel.enable"]:
+            if plan.twolevel_agg:
                 factor *= 0.97
-            if config["sql.retainGroupColumns"]:
+            if plan.retain_group_columns:
                 factor *= 1.005
-        if stage.kind is StageKind.SORT and config["sql.sort.enableRadixSort"]:
+        if stage.kind is StageKind.SORT and plan.radix_sort:
             factor *= 0.97
         return factor
 
-    def _task_overhead_s(self, config: Configuration, skew: float) -> float:
-        """Scheduling cost per task: launch, revive polling, locality wait."""
-        revive = float(config["scheduler.revive.interval"])
-        locality = float(config["locality.wait"])
-        return TASK_LAUNCH_S + 0.002 * revive + 0.02 * locality * skew
+    @staticmethod
+    def _scan_partitions(input_gb: float, plan: _RunPlan) -> int:
+        blocks = max(1, int(math.ceil(input_gb / BLOCK_GB)))
+        return max(blocks, plan.min_scan_partitions)
 
     def _run_stage(
         self,
@@ -213,41 +284,37 @@ class SparkSQLSimulator:
         query: Query,
         config: Configuration,
         datasize_gb: float,
-        slots: int,
-        penalty: float,
+        plan: _RunPlan,
     ) -> StageMetrics:
-        cluster = self.cluster
-        core_speed = cluster.node.core_speed
-        cpu_factor = self._cpu_factor(stage, config, penalty)
-        task_overhead = self._task_overhead_s(config, stage.skew)
+        slots = plan.slots
+        core_speed = plan.core_speed
+        cpu_factor = self._cpu_factor(stage, plan)
+        # Scheduling cost per task: launch, revive polling, locality wait.
+        task_overhead = plan.task_overhead_s + plan.locality_s_per_skew * stage.skew
 
         input_gb = stage.input_fraction * datasize_gb
         shuffle_gb = stage.shuffle_fraction * datasize_gb
 
         # -------------------------- broadcast short-circuit ------------
-        threshold_mb = float(config["sql.autoBroadcastJoinThreshold"]) / 1024.0
-        is_join = stage.kind in (StageKind.SHUFFLE_JOIN, StageKind.BROADCAST_JOIN)
-        broadcastable = is_join and 0.0 < stage.small_side_mb <= threshold_mb
-        if broadcastable:
+        if stage.kind in _JOIN_KINDS and 0.0 < stage.small_side_mb <= plan.broadcast_threshold_mb:
             return self._run_broadcast_stage(
-                stage, config, input_gb, slots, core_speed, cpu_factor, task_overhead
+                stage, config, input_gb, plan, cpu_factor, task_overhead
             )
 
         # ------------------------------- map phase ---------------------
-        if config["sql.inMemoryColumnarStorage.partitionPruning"] and query.category == "selection":
+        if plan.partition_pruning and query.category == "selection":
             input_gb *= 0.95  # pruning skips unneeded cached partitions
-        map_partitions = self._scan_partitions(max(input_gb, BLOCK_GB), config)
+        map_partitions = self._scan_partitions(max(input_gb, BLOCK_GB), plan)
         map_cpu_weight = stage.cpu_weight * (0.4 if shuffle_gb > 0 else 1.0)
         per_task_gb = input_gb / map_partitions
         map_task_s = per_task_gb * map_cpu_weight * CPU_SECONDS_PER_GB * cpu_factor / core_speed
         map_waves = math.ceil(map_partitions / slots)
         compute_s = map_waves * map_task_s
         overhead_s = map_partitions * task_overhead / slots
-        io_s = input_gb * 1024.0 / cluster.aggregate_disk_mb_per_s
-        if config["rdd.compress"]:
+        io_s = input_gb * 1024.0 / plan.disk_mb_per_s
+        if plan.rdd_compress:
             io_s *= 0.98  # cached partitions are smaller, re-reads cheaper
-        mm_threshold = float(config["storage.memoryMapThreshold"])
-        io_s *= 1.0 + 0.01 * (1.0 / max(mm_threshold, 0.5))
+        io_s *= plan.io_factor
 
         gc_s = compute_s * 0.02  # map tasks stream, little heap pressure
         shuffle_s = 0.0
@@ -255,22 +322,23 @@ class SparkSQLSimulator:
 
         # ------------------------------ reduce phase -------------------
         if shuffle_gb > 0:
-            reduce_partitions = int(config["sql.shuffle.partitions"])
             if stage.kind is StageKind.SORT:
-                reduce_partitions = max(reduce_partitions, int(config["default.parallelism"]))
+                reduce_partitions = plan.sort_partitions
+            else:
+                reduce_partitions = plan.shuffle_partitions
             per_reduce_gb = shuffle_gb / reduce_partitions
 
             working_set_gb = per_reduce_gb * WORKING_SET_EXPANSION
-            if config["sql.inMemoryColumnarStorage.compressed"]:
+            if plan.columnar_compressed:
                 working_set_gb *= 0.88
             # Memory trouble strikes the largest partition first: with key
             # skew the straggler partition holds several times the average
             # volume, and it is the one that thrashes GC or dies with OOM.
             straggler_set_gb = working_set_gb * (1.0 + 3.0 * stage.skew)
-            outcome = evaluate_task_memory(straggler_set_gb, config)
+            outcome = evaluate_task_memory(straggler_set_gb, plan.budget)
 
             reduce_weight = stage.cpu_weight
-            if stage.kind is StageKind.SHUFFLE_JOIN and not config["sql.join.preferSortMergeJoin"]:
+            if stage.kind is StageKind.SHUFFLE_JOIN and not plan.sort_merge_join:
                 # Shuffle-hash join: slightly faster when memory is ample,
                 # slightly worse when the build side must spill.
                 reduce_weight *= 0.97 if outcome.heap_pressure < 0.8 else 1.04
@@ -281,18 +349,17 @@ class SparkSQLSimulator:
             straggler_s = stage.skew * 3.0 * reduce_task_s
             reduce_compute_s = reduce_waves * reduce_task_s + straggler_s
 
-            cost = shuffle_cost(shuffle_gb, config, cluster, spill=outcome.spill_gb > 0)
-            active = max(slots * core_speed, 1.0)
+            cost = shuffle_cost(shuffle_gb, plan.rates, spill=outcome.spill_gb > 0)
             shuffle_s = cost.write_s + cost.fetch_s
-            compute_s += reduce_compute_s + cost.compress_core_s / active
+            compute_s += reduce_compute_s + cost.compress_core_s / plan.active_cores
 
             spill_total_gb = outcome.spill_gb * reduce_partitions
             if spill_total_gb > 0:
                 spilled = True
-                ratio = 0.45 if config["shuffle.spill.compress"] else 1.0
+                ratio = 0.45 if plan.rates.spill_compress else 1.0
                 # Spill writes are small and random (write amplification)
                 # and everything spilled is read back at least once.
-                shuffle_s += 4.0 * spill_total_gb * ratio * 1024.0 / cluster.aggregate_disk_mb_per_s
+                shuffle_s += 4.0 * spill_total_gb * ratio * 1024.0 / plan.disk_mb_per_s
 
             gc_s += reduce_compute_s * outcome.gc_fraction
             overhead_s += reduce_partitions * task_overhead / slots
@@ -306,19 +373,21 @@ class SparkSQLSimulator:
                 gc_s *= penalty
 
         duration = compute_s + io_s + shuffle_s + gc_s + overhead_s
+        # Positional, in field order: keyword arguments would more than
+        # double the cost of building the record.
         return StageMetrics(
-            kind=stage.kind.value,
-            duration_s=duration,
-            compute_s=compute_s,
-            io_s=io_s,
-            shuffle_s=shuffle_s,
-            gc_s=gc_s,
-            overhead_s=overhead_s,
-            waves=map_waves,
-            partitions=map_partitions,
-            shuffle_bytes_gb=shuffle_gb,
-            spilled=spilled,
-            broadcast=False,
+            stage.kind.value,
+            duration,
+            compute_s,
+            io_s,
+            shuffle_s,
+            gc_s,
+            overhead_s,
+            map_waves,
+            map_partitions,
+            shuffle_gb,
+            spilled,
+            False,
         )
 
     def _run_broadcast_stage(
@@ -326,20 +395,19 @@ class SparkSQLSimulator:
         stage: Stage,
         config: Configuration,
         input_gb: float,
-        slots: int,
-        core_speed: float,
+        plan: _RunPlan,
         cpu_factor: float,
         task_overhead: float,
     ) -> StageMetrics:
         """Map-side broadcast join: no shuffle, probe is streamed."""
-        cluster = self.cluster
-        partitions = self._scan_partitions(max(input_gb, BLOCK_GB), config)
+        slots = plan.slots
+        partitions = self._scan_partitions(max(input_gb, BLOCK_GB), plan)
         per_task_gb = input_gb / partitions
-        task_s = per_task_gb * stage.cpu_weight * 1.1 * CPU_SECONDS_PER_GB * cpu_factor / core_speed
+        task_s = per_task_gb * stage.cpu_weight * 1.1 * CPU_SECONDS_PER_GB * cpu_factor / plan.core_speed
         waves = math.ceil(partitions / slots)
         compute_s = waves * task_s
-        io_s = input_gb * 1024.0 / cluster.aggregate_disk_mb_per_s
-        bcast_s = broadcast_cost_s(stage.small_side_mb, config, cluster)
+        io_s = input_gb * 1024.0 / plan.disk_mb_per_s
+        bcast_s = broadcast_cost_s(stage.small_side_mb, config, self.cluster)
         overhead_s = partitions * task_overhead / slots + bcast_s
         gc_s = compute_s * 0.025
         return StageMetrics(

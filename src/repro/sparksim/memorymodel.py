@@ -10,11 +10,15 @@ The paper attributes most of LOCAT's speedup to reduced JVM GC time
 superlinearly growing share of CPU in GC, and undersized task memory
 causes spills or OOM (section 1 and section 5.12).  This module models
 exactly those effects.
+
+The budget depends on the configuration alone, so the engine computes it
+once per run with :func:`task_memory_budget` and hands it to
+:func:`evaluate_task_memory` for every reduce phase of the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sparksim.configspace import Configuration
 
@@ -35,8 +39,7 @@ WORKING_SET_EXPANSION = 8.0
 OOM_PRESSURE = 3.5
 
 
-@dataclass(frozen=True)
-class TaskMemoryBudget:
+class TaskMemoryBudget(NamedTuple):
     """Memory available to a single task, split by region."""
 
     heap_gb: float  # on-heap execution memory per task
@@ -68,8 +71,7 @@ def task_memory_budget(config: Configuration) -> TaskMemoryBudget:
     return TaskMemoryBudget(heap_gb=heap_per_task, offheap_gb=offheap_per_task)
 
 
-@dataclass(frozen=True)
-class MemoryOutcome:
+class MemoryOutcome(NamedTuple):
     """Result of pushing one task's working set through the memory model."""
 
     gc_fraction: float  # fraction of task compute time spent in JVM GC
@@ -78,8 +80,9 @@ class MemoryOutcome:
     heap_pressure: float  # working set / heap budget, after off-heap relief
 
 
-def evaluate_task_memory(working_set_gb: float, config: Configuration) -> MemoryOutcome:
-    """GC, spill, and OOM outcome for a task of ``working_set_gb``.
+def evaluate_task_memory(working_set_gb: float, budget: TaskMemoryBudget) -> MemoryOutcome:
+    """GC, spill, and OOM outcome for a task of ``working_set_gb`` under
+    ``budget`` (from :func:`task_memory_budget`).
 
     Off-heap memory absorbs up to ~60% of the working set (shuffle and
     aggregation buffers can live off-heap; object headers and code cannot),
@@ -88,7 +91,6 @@ def evaluate_task_memory(working_set_gb: float, config: Configuration) -> Memory
     """
     if working_set_gb < 0:
         raise ValueError("working_set_gb must be non-negative")
-    budget = task_memory_budget(config)
 
     heap_set_gb = working_set_gb
     if budget.offheap_gb > 0:

@@ -3,15 +3,21 @@
 Mirrors what the Spark history server exposes and what the paper measures:
 per-query latency (QCSA's input), JVM GC time (Figure 19), shuffle volumes
 (section 5.11's sensitivity explanation), and failure/retry accounting.
+
+The per-stage and per-query records are ``NamedTuple``s: a run builds one
+:class:`StageMetrics` per stage (201 for a TPC-DS run), and a tuple is
+built by one ``tuple.__new__`` where a frozen dataclass sets every field
+through ``object.__setattr__``.  They are immutable value objects; their
+field order and defaults are part of the contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class StageMetrics:
+class StageMetrics(NamedTuple):
     """Timing breakdown of one simulated stage."""
 
     kind: str
@@ -28,8 +34,7 @@ class StageMetrics:
     broadcast: bool
 
 
-@dataclass(frozen=True)
-class QueryMetrics:
+class QueryMetrics(NamedTuple):
     """Timing of one simulated query, with its stage breakdown."""
 
     name: str

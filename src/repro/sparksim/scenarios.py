@@ -288,10 +288,12 @@ def build_scenario(name: str, **kwargs) -> Scenario:
 # ----------------------------------------------------------------------
 def degrade_cluster(cluster: ClusterSpec, step: RunStep) -> ClusterSpec:
     """The baseline cluster under one step's environment deviations."""
+    # The factors are exact 1.0 defaults, never computed: equality is the
+    # "no deviation" sentinel, not a tolerance test.
     if (
-        step.core_factor == 1.0
-        and step.disk_factor == 1.0
-        and step.network_factor == 1.0
+        step.core_factor == 1.0  # repro: allow[float-eq]
+        and step.disk_factor == 1.0  # repro: allow[float-eq]
+        and step.network_factor == 1.0  # repro: allow[float-eq]
         and step.lost_workers == 0
     ):
         return cluster
@@ -315,7 +317,7 @@ def shift_application_skew(app: Application, shift: float) -> Application:
     locality overhead, so shifting it end to end reproduces a changed
     key distribution without touching data volumes.
     """
-    if shift == 0.0:
+    if shift == 0.0:  # repro: allow[float-eq] -- the exact "no shift" default
         return app
     queries = tuple(
         Query(
@@ -363,7 +365,7 @@ class DriftingSimulator(SparkSQLSimulator):
         list) hundreds of times per environment; rebuilding every
         Query/Stage dataclass per run would dominate the adapter.
         """
-        if shift == 0.0:
+        if shift == 0.0:  # repro: allow[float-eq] -- the exact "no shift" default
             return app
         key = (round(shift, 9), app.name, tuple(app.query_names))
         if key not in self._shifted_apps:

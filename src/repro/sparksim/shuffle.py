@@ -7,19 +7,20 @@ parallelism (``reducer.maxSizeInFlight``, ``shuffle.io.numConnectionsPerPeer``)
 and buffering (``shuffle.file.buffer``) shave constant factors.
 
 All functions are pure so they can be unit-tested and property-tested in
-isolation from the engine.
+isolation from the engine.  Everything a shuffle's cost needs from the
+configuration and the cluster is folded into one :class:`ShuffleRates`
+by :func:`shuffle_rates`, which the engine calls once per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sparksim.cluster import ClusterSpec
 from repro.sparksim.configspace import Configuration
 
 
-@dataclass(frozen=True)
-class ShuffleCost:
+class ShuffleCost(NamedTuple):
     """Cluster-level cost of one shuffle of ``raw_gb`` bytes.
 
     ``compress_core_s`` is in *core-seconds*: the engine divides it by the
@@ -73,12 +74,33 @@ def write_efficiency(file_buffer_kb: float) -> float:
     return min(1.0, 0.75 + 0.25 * buf / (buf + 32.0))
 
 
-def shuffle_cost(
-    raw_gb: float,
-    config: Configuration,
-    cluster: ClusterSpec,
-    spill: bool = False,
-) -> ShuffleCost:
+class ShuffleRates(NamedTuple):
+    """What a shuffle's cost takes from the configuration and the cluster."""
+
+    compress: bool  # shuffle.compress
+    ratio: float  # compression_ratio at the configured Zstd level
+    cpu_s_per_gb: float  # compression_cpu_s_per_gb at that level and buffer
+    disk_mb_per_s: float  # cluster disk bandwidth after write_efficiency
+    net_mb_per_s: float  # cluster network bandwidth after fetch_efficiency
+    spill_compress: bool  # shuffle.spill.compress
+
+
+def shuffle_rates(config: Configuration, cluster: ClusterSpec) -> ShuffleRates:
+    """The :class:`ShuffleRates` of ``config`` on ``cluster``."""
+    level = int(config["io.compression.zstd.level"])
+    return ShuffleRates(
+        compress=bool(config["shuffle.compress"]),
+        ratio=compression_ratio(level),
+        cpu_s_per_gb=compression_cpu_s_per_gb(level, float(config["io.compression.zstd.bufferSize"])),
+        disk_mb_per_s=cluster.aggregate_disk_mb_per_s * write_efficiency(config["shuffle.file.buffer"]),
+        net_mb_per_s=cluster.aggregate_network_mb_per_s * fetch_efficiency(
+            config["reducer.maxSizeInFlight"], config["shuffle.io.numConnectionsPerPeer"]
+        ),
+        spill_compress=bool(config["shuffle.spill.compress"]),
+    )
+
+
+def shuffle_cost(raw_gb: float, rates: ShuffleRates, spill: bool = False) -> ShuffleCost:
     """Cluster-level time to write and fetch one shuffle of ``raw_gb``.
 
     When ``spill`` is set the data crossed the disk twice (spill during the
@@ -86,33 +108,24 @@ def shuffle_cost(
     """
     if raw_gb < 0:
         raise ValueError("raw_gb must be non-negative")
-    if raw_gb == 0:
+    if raw_gb == 0:  # repro: allow[float-eq] -- no shuffle at all, not a tolerance
         return ShuffleCost(0.0, 0.0, 0.0, 0.0)
 
-    compress = bool(config["shuffle.compress"])
-    level = int(config["io.compression.zstd.level"])
-    buffer_kb = float(config["io.compression.zstd.bufferSize"])
-
-    if compress:
-        wire_gb = raw_gb * compression_ratio(level)
-        compress_cpu = raw_gb * compression_cpu_s_per_gb(level, buffer_kb)
+    if rates.compress:
+        wire_gb = raw_gb * rates.ratio
+        compress_cpu = raw_gb * rates.cpu_s_per_gb
     else:
         wire_gb = raw_gb
         compress_cpu = 0.0
 
-    disk_mb = cluster.aggregate_disk_mb_per_s * write_efficiency(config["shuffle.file.buffer"])
-    write_s = wire_gb * 1024.0 / disk_mb
-
-    net_mb = cluster.aggregate_network_mb_per_s * fetch_efficiency(
-        config["reducer.maxSizeInFlight"], config["shuffle.io.numConnectionsPerPeer"]
-    )
-    fetch_s = wire_gb * 1024.0 / net_mb
+    write_s = wire_gb * 1024.0 / rates.disk_mb_per_s
+    fetch_s = wire_gb * 1024.0 / rates.net_mb_per_s
 
     if spill:
-        spill_gb = raw_gb * (compression_ratio(level) if config["shuffle.spill.compress"] else 1.0)
-        write_s += spill_gb * 1024.0 / disk_mb
-        if config["shuffle.spill.compress"]:
-            compress_cpu += raw_gb * compression_cpu_s_per_gb(level, buffer_kb)
+        spill_gb = raw_gb * (rates.ratio if rates.spill_compress else 1.0)
+        write_s += spill_gb * 1024.0 / rates.disk_mb_per_s
+        if rates.spill_compress:
+            compress_cpu += raw_gb * rates.cpu_s_per_gb
 
     return ShuffleCost(write_s=write_s, fetch_s=fetch_s, compress_core_s=compress_cpu, wire_gb=wire_gb)
 

@@ -174,3 +174,181 @@ class TestMetricsDetail:
             metrics.query_durations["Q01"] + metrics.query_durations["Q02"]
         )
         assert metrics.duration_of(None) == metrics.duration_s
+
+
+def _canonical(value) -> str:
+    """Exact text form of a ``metrics_to_dict`` tree: floats as ``float.hex``."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_canonical(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list | tuple):
+        return "[" + ",".join(_canonical(v) for v in value) + "]"
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)
+
+
+#: sha256 over the grid of :meth:`TestPinnedOutputs._grid`, captured
+#: before the engine computed its configuration-only values once per run.
+#: Any change to a simulated float, in any field, moves this digest.
+PINNED_RUN_DIGEST = "0f884843816993eaa3c3fa43c9a973cf72aba8cf845136d0f79e1dfdf955ae0a"
+
+
+class TestPinnedOutputs:
+    """Every field of every run over a fixed grid, bit for bit."""
+
+    DATASIZES = (0.5, 100.0, 1024.0)
+    SKEW_SHIFTS = (0.0, 0.5)
+
+    @staticmethod
+    def _clusters():
+        from repro.sparksim import arm_cluster
+        from repro.sparksim.scenarios import RunStep, degrade_cluster
+
+        x86, arm = x86_cluster(), arm_cluster()
+        node_loss = degrade_cluster(x86, RunStep(index=0, datasize_gb=1.0, lost_workers=3))
+        degraded = degrade_cluster(
+            arm, RunStep(index=0, datasize_gb=1.0, disk_factor=0.45, core_factor=0.75)
+        )
+        return (x86, arm, node_loss, degraded)
+
+    def _grid(self):
+        """Yield ``(simulator, app, config, datasize, seed)`` for every run."""
+        from repro.sparksim import list_benchmarks
+        from repro.sparksim.scenarios import shift_application_skew
+
+        apps = [get_application(name) for name in list_benchmarks()]
+        seed = 0
+        for cluster in self._clusters():
+            sim = SparkSQLSimulator(cluster, noise=0.04)
+            rng = np.random.default_rng(2024)
+            configs = [sim.space.default()] + [sim.space.sample(rng) for _ in range(3)]
+            for app in apps:
+                for shift in self.SKEW_SHIFTS:
+                    shifted = shift_application_skew(app, shift)
+                    for datasize in self.DATASIZES:
+                        for config in configs:
+                            seed += 1
+                            yield sim, shifted, config, datasize, seed
+
+    def test_run_outputs_bit_for_bit(self, monkeypatch):
+        import hashlib
+
+        import repro.sparksim.engine as engine
+        from repro.sparksim import ApplicationMetrics, metrics_to_dict
+
+        outcomes = []
+        evaluate = engine.evaluate_task_memory
+
+        def spy(*args, **kwargs):
+            outcome = evaluate(*args, **kwargs)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(engine, "evaluate_task_memory", spy)
+        digest = hashlib.sha256()
+        reached = set()
+        for sim, app, config, datasize, seed in self._grid():
+            metrics = sim.run(app, config, datasize, rng=seed)
+            digest.update(_canonical(metrics_to_dict(metrics)).encode())
+            single = sim.run_query(app.queries[0], config, datasize, rng=seed)
+            wrapped = ApplicationMetrics(app.name, datasize, single.duration_s, single.gc_s, (single,))
+            digest.update(_canonical(metrics_to_dict(wrapped)).encode())
+            for query, qm in zip(app.queries, metrics.queries):
+                for stage, sm in zip(query.stages, qm.stages):
+                    if sm.broadcast:
+                        reached.add("broadcast")
+                        continue
+                    if sm.spilled:
+                        reached.add("spill")
+                    if stage.fields > int(config["sql.codegen.maxFields"]):
+                        reached.add("wide-codegen")
+                    if (
+                        query.category == "selection"
+                        and config["sql.inMemoryColumnarStorage.partitionPruning"]
+                    ):
+                        reached.add("selection-pruning")
+        if any(o.oom for o in outcomes):
+            reached.add("oom")
+        assert reached == {"broadcast", "spill", "oom", "wide-codegen", "selection-pruning"}
+        assert digest.hexdigest() == PINNED_RUN_DIGEST
+
+
+class TestRecordContract:
+    """The per-stage and per-query records stay immutable value objects."""
+
+    FIELDS = {
+        "StageMetrics": (
+            "kind", "duration_s", "compute_s", "io_s", "shuffle_s", "gc_s", "overhead_s",
+            "waves", "partitions", "shuffle_bytes_gb", "spilled", "broadcast",
+        ),
+        "QueryMetrics": (
+            "name", "duration_s", "gc_s", "shuffle_bytes_gb", "stages", "failed", "retries",
+        ),
+        "MemoryOutcome": ("gc_fraction", "spill_gb", "oom", "heap_pressure"),
+        "ShuffleCost": ("write_s", "fetch_s", "compress_core_s", "wire_gb"),
+        "TaskMemoryBudget": ("heap_gb", "offheap_gb"),
+    }
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        from repro.sparksim.memorymodel import (
+            MemoryOutcome,
+            TaskMemoryBudget,
+            evaluate_task_memory,
+            task_memory_budget,
+        )
+        from repro.sparksim.metrics import QueryMetrics, StageMetrics
+        from repro.sparksim.shuffle import ShuffleCost, shuffle_cost, shuffle_rates
+
+        cluster = x86_cluster()
+        sim = SparkSQLSimulator(cluster)
+        config = sim.space.default()
+        metrics = sim.run(get_application("tpcds"), config, 100.0, rng=3)
+        budget = task_memory_budget(config)
+        return {
+            "classes": {
+                cls.__name__: cls
+                for cls in (StageMetrics, QueryMetrics, MemoryOutcome, ShuffleCost, TaskMemoryBudget)
+            },
+            "metrics": metrics,
+            "instances": {
+                "StageMetrics": metrics.queries[0].stages[0],
+                "QueryMetrics": metrics.queries[0],
+                "MemoryOutcome": evaluate_task_memory(1.0, budget),
+                "ShuffleCost": shuffle_cost(10.0, shuffle_rates(config, cluster)),
+                "TaskMemoryBudget": budget,
+            },
+        }
+
+    def test_fields_keep_the_dataclass_order(self, records):
+        for name, fields in self.FIELDS.items():
+            assert records["classes"][name]._fields == fields
+
+    def test_query_metrics_defaults(self, records):
+        stage = records["instances"]["StageMetrics"]
+        query = records["classes"]["QueryMetrics"]("q", 1.0, 0.0, 0.0, (stage,))
+        assert query.failed is False
+        assert query.retries == 0
+        assert query.stage_count == 1
+
+    def test_assigning_a_field_raises(self, records):
+        for name, instance in records["instances"].items():
+            for field in self.FIELDS[name]:
+                with pytest.raises(AttributeError):
+                    setattr(instance, field, getattr(instance, field))
+
+    def test_budget_total(self, records):
+        budget = records["instances"]["TaskMemoryBudget"]
+        assert budget.total_gb == budget.heap_gb + budget.offheap_gb
+
+    def test_full_run_round_trips(self, records):
+        import pickle
+
+        from repro.sparksim import metrics_from_dict, metrics_to_dict
+
+        metrics = records["metrics"]
+        assert len(metrics.queries) == 104
+        assert pickle.loads(pickle.dumps(metrics)) == metrics
+        assert metrics_from_dict(metrics_to_dict(metrics)) == metrics
+        for instance in records["instances"].values():
+            assert pickle.loads(pickle.dumps(instance)) == instance

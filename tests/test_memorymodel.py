@@ -51,32 +51,34 @@ class TestBudget:
 class TestOutcome:
     def test_small_working_set_is_calm(self, space):
         config = space.make(**{"executor.memory": 32, "executor.cores": 1})
-        outcome = evaluate_task_memory(0.1, config)
+        outcome = evaluate_task_memory(0.1, task_memory_budget(config))
         assert outcome.gc_fraction < 0.1
         assert outcome.spill_gb == 0.0
         assert not outcome.oom
 
     def test_gc_grows_with_pressure(self, space):
         config = space.make(**{"executor.memory": 4, "executor.cores": 8})
-        calm = evaluate_task_memory(0.05, config)
-        stressed = evaluate_task_memory(2.0, config)
+        calm = evaluate_task_memory(0.05, task_memory_budget(config))
+        stressed = evaluate_task_memory(2.0, task_memory_budget(config))
         assert stressed.gc_fraction > calm.gc_fraction
 
     def test_oom_at_extreme_pressure(self, space):
         config = space.make(**{"executor.memory": 4, "executor.cores": 16,
                                "memory.offHeap.enabled": False})
-        outcome = evaluate_task_memory(50.0, config)
+        outcome = evaluate_task_memory(50.0, task_memory_budget(config))
         assert outcome.heap_pressure > OOM_PRESSURE
         assert outcome.oom
 
     def test_offheap_relieves_pressure(self, space):
         base = {"executor.memory": 8, "executor.cores": 4}
         without = evaluate_task_memory(
-            3.0, space.make(**base, **{"memory.offHeap.enabled": False})
+            3.0, task_memory_budget(space.make(**base, **{"memory.offHeap.enabled": False}))
         )
         with_off = evaluate_task_memory(
             3.0,
-            space.make(**base, **{"memory.offHeap.enabled": True, "memory.offHeap.size": 16384}),
+            task_memory_budget(
+                space.make(**base, **{"memory.offHeap.enabled": True, "memory.offHeap.size": 16384})
+            ),
         )
         assert with_off.heap_pressure < without.heap_pressure
         assert with_off.gc_fraction <= without.gc_fraction
@@ -84,15 +86,15 @@ class TestOutcome:
     def test_spill_when_over_budget(self, space):
         config = space.make(**{"executor.memory": 4, "executor.cores": 8,
                                "memory.offHeap.enabled": False})
-        outcome = evaluate_task_memory(4.0, config)
+        outcome = evaluate_task_memory(4.0, task_memory_budget(config))
         assert outcome.spill_gb > 0
 
     def test_negative_working_set_rejected(self, space):
         with pytest.raises(ValueError):
-            evaluate_task_memory(-1.0, space.default())
+            evaluate_task_memory(-1.0, task_memory_budget(space.default()))
 
     def test_gc_fraction_capped(self, space):
         config = space.make(**{"executor.memory": 4, "executor.cores": 16,
                                "memory.offHeap.enabled": False})
-        outcome = evaluate_task_memory(100.0, config)
+        outcome = evaluate_task_memory(100.0, task_memory_budget(config))
         assert outcome.gc_fraction <= 5.0

@@ -10,6 +10,7 @@ from repro.sparksim.shuffle import (
     compression_ratio,
     fetch_efficiency,
     shuffle_cost,
+    shuffle_rates,
     write_efficiency,
 )
 
@@ -61,33 +62,33 @@ class TestEfficiencies:
 
 class TestShuffleCost:
     def test_zero_bytes_is_free(self, config, cluster):
-        cost = shuffle_cost(0.0, config, cluster)
+        cost = shuffle_cost(0.0, shuffle_rates(config, cluster))
         assert cost.write_s == cost.fetch_s == cost.compress_core_s == 0.0
 
     def test_negative_rejected(self, config, cluster):
         with pytest.raises(ValueError):
-            shuffle_cost(-1.0, config, cluster)
+            shuffle_cost(-1.0, shuffle_rates(config, cluster))
 
     def test_compression_shrinks_wire_bytes(self, config, cluster):
-        on = shuffle_cost(10.0, config.replace(**{"shuffle.compress": True}), cluster)
-        off = shuffle_cost(10.0, config.replace(**{"shuffle.compress": False}), cluster)
+        on = shuffle_cost(10.0, shuffle_rates(config.replace(**{"shuffle.compress": True}), cluster))
+        off = shuffle_cost(10.0, shuffle_rates(config.replace(**{"shuffle.compress": False}), cluster))
         assert on.wire_gb < off.wire_gb
         assert on.compress_core_s > 0
         assert off.compress_core_s == 0
 
     def test_compression_reduces_io_time(self, config, cluster):
-        on = shuffle_cost(50.0, config.replace(**{"shuffle.compress": True}), cluster)
-        off = shuffle_cost(50.0, config.replace(**{"shuffle.compress": False}), cluster)
+        on = shuffle_cost(50.0, shuffle_rates(config.replace(**{"shuffle.compress": True}), cluster))
+        off = shuffle_cost(50.0, shuffle_rates(config.replace(**{"shuffle.compress": False}), cluster))
         assert on.write_s + on.fetch_s < off.write_s + off.fetch_s
 
     def test_cost_scales_with_volume(self, config, cluster):
-        small = shuffle_cost(1.0, config, cluster)
-        large = shuffle_cost(10.0, config, cluster)
+        small = shuffle_cost(1.0, shuffle_rates(config, cluster))
+        large = shuffle_cost(10.0, shuffle_rates(config, cluster))
         assert large.fetch_s == pytest.approx(10 * small.fetch_s)
 
     def test_spill_adds_disk_traffic(self, config, cluster):
-        plain = shuffle_cost(10.0, config, cluster, spill=False)
-        spilled = shuffle_cost(10.0, config, cluster, spill=True)
+        plain = shuffle_cost(10.0, shuffle_rates(config, cluster), spill=False)
+        spilled = shuffle_cost(10.0, shuffle_rates(config, cluster), spill=True)
         assert spilled.write_s > plain.write_s
 
 
