@@ -16,7 +16,8 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_parallel_speedup.py
     PYTHONPATH=src python benchmarks/bench_parallel_speedup.py --smoke
 
-or as part of the benchmark suite (``pytest benchmarks/``).
+or as part of the benchmark suite
+(``PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q -s``).
 
 The polish sweep is disabled in the measured sessions: it is a greedy
 coordinate descent where every candidate depends on the previous

@@ -30,18 +30,22 @@ Section C checks that the sparse backend still *predicts* like the
 exact GP (held-out RMSE relative to the exact posterior's spread), and
 Section D runs small otherwise-identical BO loops per backend to check
 final-incumbent quality.  Results land in ``BENCH_surrogate_scaling.json``
-at the repository root (same convention as ``BENCH_service_load.json``).
+at the repository root (same convention as ``BENCH_service_load.json``),
+or wherever ``--output`` points.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_surrogate_scaling.py
-    PYTHONPATH=src python benchmarks/bench_surrogate_scaling.py --smoke
+    PYTHONPATH=src python benchmarks/bench_surrogate_scaling.py --smoke \
+        --output smoke-artifacts/BENCH_surrogate_scaling.json
 
-or as part of the benchmark suite (``pytest benchmarks/``).  ``--smoke``
-(the CI step) measures the 2k-row point only and asserts both budgets:
-extend >= 3x over a fresh fit at 200 rows, and sparse extend+decide
->= 5x over exact at 2k rows with held-out predictions agreeing within
-tolerance.
+or as part of the benchmark suite
+(``PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q -s``).
+``--smoke`` (the CI step) measures the 2k-row point only and asserts
+both budgets: extend >= 3x over a fresh fit at 200 rows, and sparse
+extend+decide >= 5x over exact at 2k rows with held-out predictions
+agreeing within tolerance.  CI points ``--output`` at its artifact
+directory so a smoke run never rewrites the committed full-run file.
 """
 
 from __future__ import annotations
@@ -411,6 +415,7 @@ def quality_report(rows: list[dict]) -> str:
 
 
 def write_json(payload: dict, path: Path = BENCH_JSON) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -451,6 +456,10 @@ def main(argv: list[str] | None = None) -> int:
         "--decisions", type=int, default=5,
         help="measured decisions per (backend, history length) in section B",
     )
+    parser.add_argument(
+        "--output", type=Path, default=BENCH_JSON,
+        help=f"write the results here (default: {BENCH_JSON.name} at the repository root)",
+    )
     args = parser.parse_args(argv)
 
     payload: dict = {
@@ -476,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             {"engine": engine_rows, "rows": backend_rows, "agreement": agreement,
              "quality": []}
         )
-        write_json(payload)
+        write_json(payload, args.output)
 
         failures = []
         speedup = _speedup_at(engine_rows, 200)
@@ -522,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         {"engine": engine_rows, "rows": backend_rows, "agreement": agreement,
          "quality": quality}
     )
-    write_json(payload)
+    write_json(payload, args.output)
     return 0
 
 

@@ -44,8 +44,10 @@ low-fidelity prior data transplanted from another application (see
 :mod:`repro.transfer`).  Donor rows inform the surrogate — the DAGP
 gains a fidelity input column — but are quarantined from every decision
 that must reflect the target application alone: the EI incumbent, the
-"covered at this datasize" checks, the constant-liar lie, and the
-returned :meth:`BOTrace.best` all consider fidelity-0 rows only.
+acquisition search's exploitation anchors, the "covered at this
+datasize" checks, the constant-liar lie, and the returned
+:meth:`BOTrace.best` all consider fidelity-0 rows only
+(:meth:`BOTrace.own_indices`).
 Omitting ``warm_fidelities`` (or passing zeros) is bit-for-bit the
 pre-transfer loop.
 """
@@ -96,6 +98,21 @@ class BOTrace:
         """Fidelity of one row (0.0 when the trace carries no fidelities)."""
         return self.fidelities[index] if index < len(self.fidelities) else 0.0
 
+    def own_indices(self, datasize_gb: float | None = None) -> list[int]:
+        """Indices of own (fidelity-0) rows, optionally only those at one datasize.
+
+        ``datasize_gb`` must be canonical (:func:`normalize_datasize`),
+        as every recorded datasize is.
+        """
+        return [
+            i
+            for i, ds in enumerate(self.datasizes)
+            # Exact: 0.0 is the stored own-row sentinel and both sizes are
+            # canonical values no arithmetic has touched.
+            # repro: allow[float-eq]
+            if self.fidelity_of(i) == 0.0 and (datasize_gb is None or ds == datasize_gb)
+        ]
+
     def best(self, datasize_gb: float | None = None) -> tuple[np.ndarray, float]:
         """Best own (point, duration); optionally restricted to one datasize.
 
@@ -108,12 +125,12 @@ class BOTrace:
         """
         if not self.durations:
             raise RuntimeError("no evaluations recorded")
-        indices = [i for i in range(len(self.durations)) if self.fidelity_of(i) == 0.0]
+        indices = self.own_indices()
         if not indices:
             raise RuntimeError("no own (fidelity-0) evaluations recorded")
         if datasize_gb is not None:
             datasize_gb = normalize_datasize(datasize_gb)
-            indices = [i for i in indices if self.datasizes[i] == datasize_gb]
+            indices = self.own_indices(datasize_gb)
             if not indices:
                 raise RuntimeError(
                     f"no evaluations recorded at datasize {datasize_gb} GB "
@@ -242,12 +259,7 @@ class BOLoop:
         # Initial design: LHS over the box (skipped when own warm data at
         # the target datasize already covers it — donor rows don't count).
         # In batch mode the whole design is one concurrent batch.
-        have_at_ds = sum(
-            1
-            for i, d in enumerate(trace.datasizes)
-            if d == datasize_gb and trace.fidelity_of(i) == 0.0
-        )
-        n_init = max(0, self.n_init - have_at_ds)
+        n_init = max(0, self.n_init - len(trace.own_indices(datasize_gb)))
         if n_init:
             init_units = latin_hypercube(n_init, self.dim, self.rng)
             if batched:
@@ -268,13 +280,8 @@ class BOLoop:
         # anchor the acquisition.  Donor rows may *nominate* the point
         # (their best config is exactly what transfer should try first)
         # but the duration used is a fresh own measurement.
-        own_at_ds = any(
-            d == datasize_gb and trace.fidelity_of(i) == 0.0
-            for i, d in enumerate(trace.datasizes)
-        )
-        if trace.n_evaluations and not own_at_ds:
-            own = [i for i in range(trace.n_evaluations) if trace.fidelity_of(i) == 0.0]
-            candidates = own if own else list(range(trace.n_evaluations))
+        if trace.n_evaluations and not trace.own_indices(datasize_gb):
+            candidates = trace.own_indices() or list(range(trace.n_evaluations))
             best_warm = trace.points[min(candidates, key=lambda i: trace.durations[i])]
             observe(best_warm, float(evaluate(best_warm, datasize_gb)))
 
@@ -308,7 +315,11 @@ class BOLoop:
             def score(unit_candidates: np.ndarray) -> np.ndarray:
                 return model.acquisition(unit_candidates, datasize_gb, best_duration)
 
-            anchors = unit_points[np.argsort(trace.durations)[:3]]
+            # The cheapest own rows at the target datasize anchor the search
+            # (``best`` above guarantees one); donor, pre-drift and other-size
+            # durations are on other scales.
+            own = np.asarray(trace.own_indices(datasize_gb))
+            anchors = unit_points[own[np.argsort(np.asarray(trace.durations)[own])[:3]]]
             if batched:
                 remaining = self.max_iterations - (trace.n_evaluations - n_warm)
                 q = min(self.batch_size, remaining)
@@ -375,11 +386,7 @@ class BOLoop:
         # target datasize (donor rows are another application's scale):
         # "min" equals the incumbent (CL-min), while "mean" and "max"
         # genuinely differ as milder/pessimistic variants.
-        at_target = [
-            duration
-            for i, (duration, ds) in enumerate(zip(trace.durations, trace.datasizes))
-            if ds == datasize_gb and trace.fidelity_of(i) == 0.0
-        ]
+        at_target = [trace.durations[i] for i in trace.own_indices(datasize_gb)]
         lie = constant_liar(np.asarray(at_target), self.liar_strategy)
         state: dict = {"model": None, "applied": 0}
 

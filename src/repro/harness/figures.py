@@ -412,7 +412,7 @@ class Fig11Result:
         }
 
     def render(self) -> str:
-        names = list(next(iter(self.reductions.values())).keys())
+        names = list(next(iter(self.reductions.values())))
         rows = [[b, *(self.reductions[b][n] for n in names)] for b in self.reductions]
         avg = self.averages()
         rows.append(["Average", *(avg[n] for n in names)])
@@ -590,7 +590,7 @@ class Fig16Result:
     mse: dict[str, dict[str, float]]  # benchmark -> model -> MSE
 
     def model_names(self) -> list[str]:
-        return list(next(iter(self.mse.values())).keys())
+        return list(next(iter(self.mse.values())))
 
     def averages(self) -> dict[str, float]:
         names = self.model_names()

@@ -13,7 +13,7 @@ from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import RBFKernel
 from repro.bo.lhs import latin_hypercube
 from repro.bo.mcmc import slice_sample_hyperparameters
-from repro.bo.optimize import maximize_acquisition
+from repro.bo.optimize import maximize_acquisition, propose_batch
 
 
 class TestLatinHypercube:
@@ -140,3 +140,43 @@ class TestMaximizeAcquisition:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             maximize_acquisition(lambda p: p[:, 0], dim=0)
+
+    def test_one_score_call_over_pool_and_jitter(self):
+        # The search is one vectorized pass: n_candidates random rows plus
+        # n_candidates // (4k) jitter rows per anchor, scored together,
+        # and the result is exactly that call's argmax row and value.
+        calls = []
+
+        def score(points):
+            calls.append(points.copy())
+            return np.sin(7.0 * points).sum(axis=1)
+
+        anchors = np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5]])
+        best, value = maximize_acquisition(
+            score, dim=3, n_candidates=64, anchors=anchors, rng=5
+        )
+        assert len(calls) == 1
+        pool = calls[0]
+        assert pool.shape == (64 + 2 * (64 // (4 * 2)), 3)
+        values = np.sin(7.0 * pool).sum(axis=1)
+        np.testing.assert_array_equal(best, pool[np.argmax(values)])
+        assert value == float(values.max())
+
+    def test_propose_batch_scores_once_per_proposal(self):
+        pendings = []
+
+        def score_for(pending):
+            pendings.append(len(pending))
+            return lambda points: -np.sum((points - 0.5) ** 2, axis=1)
+
+        points, values = propose_batch(score_for, dim=2, q=3, n_candidates=32, rng=0)
+        assert pendings == [0, 1, 2]
+        assert points.shape == (3, 2) and values.shape == (3,)
+
+    def test_refine_steps_is_gone(self):
+        with pytest.raises(TypeError):
+            maximize_acquisition(lambda p: p[:, 0], dim=2, refine_steps=5)
+        with pytest.raises(TypeError):
+            propose_batch(
+                lambda pending: (lambda p: p[:, 0]), dim=2, q=1, refine_steps=5
+            )

@@ -536,26 +536,26 @@ PINNED_BO_LOOP = {
         [0.8789872291071514, 0.27109007973342414],
         [0.08992890458795677, 0.9709185257592405],
         [0.3469911746453982, 0.5355452585890599],
-        [0.25091643552845216, 0.31151560633472575],
-        [0.19715618099979665, 0.3343155489827936],
-        [0.10282705165161381, 0.308280337121436],
-        [0.13441096581280057, 0.0],
+        [0.22279143552845215, 0.28182810633472577],
+        [0.22778184674144647, 0.35617418232893694],
+        [0.2116674500681373, 0.43916684685814644],
+        [0.225052466464701, 0.3570262109431558],
     ],
     "durations": [
         13.36061994958997,
         14.942615333345683,
         10.576897393383414,
-        10.02541805490489,
-        10.11754408008537,
-        10.389457355432402,
-        11.174197282430496,
+        10.062913801471392,
+        10.083710004204004,
+        10.271700506419037,
+        10.08869121517558,
     ],
     "ei_values": [
-        0.028568623337807214,
-        0.030155632702855678,
-        0.03390521558084692,
-        0.0735623903093595,
-        0.055354749793639656,
+        0.02821184417355568,
+        0.018686297841402178,
+        0.017926018778494993,
+        0.013504900080789091,
+        0.016714771294683628,
     ],
     "stopped_by_ei": True,
 }
@@ -567,20 +567,20 @@ PINNED_LOCAT_DURATIONS = [
     100.92531795465439,
     345.1488918823474,
     1990.9731010956084,
-    159.67871009187397,
-    99.36534902681763,
-    67.26538654531582,
-    68.5196083026358,
-    82.92238705902984,
-    80.01681377926798,
-    69.18438949797478,
-    76.06106927227485,
-    76.0651212120754,
-    78.30503883996488,
-    73.69251974640167,
+    204.1985856662976,
+    99.42638247315523,
+    70.4338156376515,
+    74.03917789910666,
+    73.67870893132164,
+    80.14891237727284,
+    74.18960168064075,
+    80.17574530549894,
+    79.64804781576058,
+    81.94028303301734,
+    77.1636887300917,
 ]
 
-PINNED_LOCAT_BEST = 73.69251974640167
+PINNED_LOCAT_BEST = 75.66955769421257
 
 #: A deployed small-budget tenant (``n_mcmc=4``, ``replay_eval="race"``)
 #: fed an abrupt-skew stream until its first drift retune completes: the
@@ -591,55 +591,63 @@ PINNED_LOCAT_BEST = 73.69251974640167
 #: low-fidelity prior, the promotion gate), which the two pins above do
 #: not reach; both its sessions also run ``ModelStack.extend``.
 PINNED_DRIFT_DURATIONS = [
-    42.12139968256022,
-    43.476788479538726,
-    41.58661738911657,
-    42.62633228595911,
-    41.72769640346801,
-    39.52153354138884,
-    42.15637884934615,
-    40.52510545704625,
-    139.1929268080139,
+    50.48957460533836,
+    52.11423580605863,
+    49.8485481744523,
+    51.09482116746843,
+    50.01765507674012,
+    47.37319821500407,
+    50.53150301380486,
+    48.57614777245636,
+    57.062715850545544,
+    52.983615067210685,
+    55.961288903151335,
+    51.57506757763593,
+    52.09845702967212,
+    53.29241860435732,
+    55.05205341185977,
+    59.73038786468095,
+    58.07820834596568,
 ]
-PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 8 + [(True, "drift", "promoted")]
-PINNED_DRIFT_RETUNE = (2, 45.66538635081426)
+PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 16 + [(True, "drift", "promoted")]
+PINNED_DRIFT_RETUNE = (2, 49.470779257406825)
 PINNED_DRIFT_DEPLOYED = {
     "broadcast.blockSize": 4,
     "broadcast.compress": True,
-    "default.parallelism": 163,
-    "driver.cores": 14,
-    "driver.memory": 48,
-    "executor.cores": 13,
+    "default.parallelism": 307,
+    "driver.cores": 9,
+    "driver.memory": 18,
+    "executor.cores": 9,
     "executor.instances": 9,
-    "executor.memory": 48,
-    "executor.memoryOverhead": 1820,
+    "executor.memory": 43,
+    "executor.memoryOverhead": 6940,
     "io.compression.zstd.bufferSize": 32,
     "io.compression.zstd.level": 2,
     "kryoserializer.buffer": 64,
     "kryoserializer.buffer.max": 64,
-    "locality.wait": 1,
-    "memory.fraction": 0.5880000000000001,
+    "locality.wait": 3,
+    "memory.fraction": 0.5579755801433541,
     "memory.offHeap.enabled": False,
     "memory.offHeap.size": 0,
-    "memory.storageFraction": 0.6824874589651175,
+    "memory.storageFraction": 0.7496865427913573,
     "rdd.compress": True,
-    "reducer.maxSizeInFlight": 33,
-    "scheduler.revive.interval": 2,
+    "reducer.maxSizeInFlight": 43,
+    "scheduler.revive.interval": 3,
     "shuffle.compress": True,
-    "shuffle.file.buffer": 32,
-    "shuffle.io.numConnectionsPerPeer": 1,
-    "shuffle.sort.bypassMergeThreshold": 383,
+    "shuffle.file.buffer": 92,
+    "shuffle.io.numConnectionsPerPeer": 2,
+    "shuffle.sort.bypassMergeThreshold": 400,
     "shuffle.spill.compress": False,
-    "sql.autoBroadcastJoinThreshold": 6783,
+    "sql.autoBroadcastJoinThreshold": 5635,
     "sql.cartesianProductExec.buffer.in.memory.threshold": 4096,
     "sql.codegen.aggregate.map.twolevel.enable": True,
     "sql.codegen.maxFields": 100,
-    "sql.inMemoryColumnarStorage.batchSize": 10987,
+    "sql.inMemoryColumnarStorage.batchSize": 11402,
     "sql.inMemoryColumnarStorage.compressed": True,
     "sql.inMemoryColumnarStorage.partitionPruning": True,
     "sql.join.preferSortMergeJoin": False,
     "sql.retainGroupColumns": False,
-    "sql.shuffle.partitions": 676,
+    "sql.shuffle.partitions": 558,
     "sql.sort.enableRadixSort": True,
     "storage.memoryMapThreshold": 6,
 }

@@ -45,7 +45,53 @@ class TestBOTrace:
         assert duration == 5.0
 
 
+    def test_own_indices_filters_fidelity_and_datasize(self):
+        trace = BOTrace()
+        trace.points = [np.array([0.1]), np.array([0.2]), np.array([0.3])]
+        trace.datasizes = [100.0, 200.0, 100.0]
+        trace.durations = [5.0, 1.0, 0.5]
+        trace.fidelities = [0.0, 0.0, 1.0]
+        assert trace.own_indices() == [0, 1]
+        assert trace.own_indices(100.0) == [0]
+        assert trace.own_indices(300.0) == []
+
+
 class TestBOLoop:
+    def test_anchors_are_own_rows_at_target(self, monkeypatch):
+        """A cheaper donor (fidelity-1) row and a cheaper row at another
+        datasize never anchor the exploitation jitter: their durations
+        are on another scale, exactly as for the incumbent."""
+        import repro.core.tuner as tuner_module
+
+        seen = []
+        real = tuner_module.maximize_acquisition
+
+        def spy(score, dim, **kwargs):
+            seen.append(np.array(kwargs["anchors"]))
+            return real(score, dim, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "maximize_acquisition", spy)
+        own = np.array([[0.2, 0.2], [0.4, 0.4], [0.6, 0.6], [0.8, 0.8]])
+        donor = np.array([0.95, 0.05])
+        other_size = np.array([0.05, 0.95])
+        loop = BOLoop(dim=2, n_init=3, min_iterations=3, max_iterations=3, n_mcmc=0,
+                      ei_threshold=0.0, rng=6)
+        loop.minimize(
+            quadratic,
+            100.0,
+            warm_points=np.vstack([own, donor, other_size]),
+            warm_datasizes=np.array([100.0] * 4 + [100.0, 50.0]),
+            warm_durations=np.array([quadratic(p, 100.0) for p in own] + [0.5, 0.4]),
+            warm_fidelities=np.array([0.0] * 4 + [1.0, 0.0]),
+        )
+        assert seen
+        for anchors in seen:
+            assert anchors.shape[0] == 3
+            for row in anchors:
+                assert not np.allclose(row, donor)
+                assert not np.allclose(row, other_size)
+        np.testing.assert_array_equal(seen[0], own[[0, 1, 2]])
+
     def test_converges_on_quadratic(self):
         loop = BOLoop(dim=2, n_init=3, min_iterations=5, max_iterations=20, n_mcmc=0, rng=0)
         trace = loop.minimize(quadratic, 100.0)
