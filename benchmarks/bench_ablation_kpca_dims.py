@@ -18,11 +18,12 @@ def run_ablation(seed: int = 5):
     for dims in (2, 6, 12):
         locat = LOCAT(make_simulator("x86"), app, rng=seed, max_iterations=15)
         # Fix the latent dimension by monkey-setting the cap policy.
-        locat._latent_dim_cap = lambda d=dims: d  # noqa: E731 - test probe
+        locat._latent_dim_cap = lambda n_selected, d=dims: d  # noqa: E731 - test probe
         result = locat.tune(300.0)
         out[dims] = {
             "best": result.best_duration_s,
             "overhead_h": result.overhead_hours,
+            "n_components": locat.iicp_result.n_components,
         }
     return out
 
@@ -39,4 +40,6 @@ def test_ablation_kpca_dims(run_once):
     # A 2-dimensional latent space must not beat the 12-dimensional one
     # by a wide margin (it cannot express the needed configurations).
     assert result[12]["best"] <= result[2]["best"] * 1.25
+    # Each arm tuned the dimension it fixed.
+    assert all(d["n_components"] == dims for dims, d in result.items())
     assert all(d["best"] > 0 for d in result.values())

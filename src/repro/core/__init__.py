@@ -13,7 +13,7 @@
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
 from repro.core.drift import DriftDetector, DurationPrediction, PageHinkleyDetector
-from repro.core.iicp import CPEResult, CPSResult, IICP, IICPResult
+from repro.core.iicp import CPEResult, CPSResult, IICPResult
 from repro.core.locat import LOCAT
 from repro.core.objective import SparkSQLObjective, Trial
 from repro.core.parallel import EvalRequest, ParallelEvaluator
@@ -27,7 +27,6 @@ __all__ = [
     "DriftDetector",
     "DurationPrediction",
     "EvalRequest",
-    "IICP",
     "IICPResult",
     "LOCAT",
     "PageHinkleyDetector",

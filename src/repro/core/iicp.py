@@ -148,64 +148,11 @@ def run_cpe(
     space: ConfigSpace,
     configs: list[Configuration],
     cps: CPSResult,
+    n_components: int,
     kernel: str = "gaussian",
-    explained_variance: float = 0.85,
-    n_components: int | None = None,
 ) -> CPEResult:
-    """Kernel-PCA extraction over the CPS-selected parameters."""
+    """Kernel-PCA extraction of ``n_components`` over the CPS-selected parameters."""
     subset = np.stack([space.encode_subset(c, list(cps.selected)) for c in configs])
-    kpca = KernelPCA(
-        kernel=kernel,
-        n_components=n_components,
-        explained_variance=explained_variance,
-    )
+    kpca = KernelPCA(kernel=kernel, n_components=n_components)
     kpca.fit(subset)
     return CPEResult(kpca=kpca, n_components=kpca.n_components_, kernel=kernel)
-
-
-class IICP:
-    """The combined CPS -> CPE pipeline."""
-
-    def __init__(
-        self,
-        scc_threshold: float = DEFAULT_SCC_THRESHOLD,
-        kernel: str = "gaussian",
-        explained_variance: float = 0.85,
-        n_components: int | None = None,
-        n_samples: int = DEFAULT_N_IICP,
-    ):
-        self.scc_threshold = scc_threshold
-        self.kernel = kernel
-        self.explained_variance = explained_variance
-        self.n_components = n_components
-        self.n_samples = n_samples
-
-    def run(
-        self,
-        space: ConfigSpace,
-        configs: list[Configuration],
-        durations: np.ndarray | list[float],
-        base_config: Configuration | None = None,
-    ) -> IICPResult:
-        """Identify important parameters from collected samples.
-
-        Only the first ``n_samples`` samples are used (the paper shows 20
-        suffice; extra samples add nothing, Figure 9).
-        """
-        configs = list(configs)[: self.n_samples] if self.n_samples else list(configs)
-        durations = np.asarray(durations, dtype=float).ravel()[: len(configs)]
-        cps = run_cps(space, configs, durations, threshold=self.scc_threshold)
-        cpe = run_cpe(
-            space,
-            configs,
-            cps,
-            kernel=self.kernel,
-            explained_variance=self.explained_variance,
-            n_components=self.n_components,
-        )
-        return IICPResult(
-            cps=cps,
-            cpe=cpe,
-            space=space,
-            base_config=base_config if base_config is not None else space.default(),
-        )

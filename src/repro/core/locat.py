@@ -24,8 +24,9 @@ Pipeline for the first tuning session:
 Subsequent ``tune()`` calls at different datasizes skip steps 1-3 and
 warm-start step 4 from the full observation history — the DAGP models
 ``t = f(conf, ds)``, so knowledge transfers across datasizes and the
-expensive bootstrap is paid only once.  Ablation switches: ``use_qcsa``,
-``use_iicp``, ``use_dagp`` (the last disables cross-datasize transfer).
+expensive bootstrap is paid only once.  Ablation switches: ``use_iicp``
+(tune all 38 parameters), ``use_dagp`` (disables cross-datasize
+transfer) and ``use_polish`` (skips the coordinate polish).
 
 **Cross-application transfer** (``transfer_from=``): given a
 :class:`~repro.transfer.donor.TransferPlan` built from a similar
@@ -49,7 +50,14 @@ import numpy as np
 
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
-from repro.core.iicp import CPSResult, DEFAULT_N_IICP, IICP, IICPResult, run_cpe, run_cps
+from repro.core.iicp import (
+    CPEResult,
+    CPSResult,
+    DEFAULT_N_IICP,
+    IICPResult,
+    run_cpe,
+    run_cps,
+)
 from repro.core.objective import SparkSQLObjective, Trial
 from repro.core.parallel import EvalRequest, ParallelEvaluator
 from repro.core.qcsa import DEFAULT_N_QCSA, QCSAResult, analyze_samples
@@ -106,14 +114,10 @@ class LOCAT:
         app: Application,
         n_qcsa: int = DEFAULT_N_QCSA,
         n_iicp: int = DEFAULT_N_IICP,
-        scc_threshold: float = 0.2,
-        kernel: str = "gaussian",
-        explained_variance: float = 0.95,
         min_iterations: int = DEFAULT_MIN_ITERATIONS,
         max_iterations: int = 25,
         ei_threshold: float = DEFAULT_EI_THRESHOLD,
         n_mcmc: int = 6,
-        use_qcsa: bool = True,
         use_iicp: bool = True,
         use_dagp: bool = True,
         use_polish: bool = True,
@@ -129,14 +133,10 @@ class LOCAT:
         self.app = app
         self.n_qcsa = n_qcsa
         self.n_iicp = n_iicp
-        self.scc_threshold = scc_threshold
-        self.kernel = kernel
-        self.explained_variance = explained_variance
         self.min_iterations = min_iterations
         self.max_iterations = max_iterations
         self.ei_threshold = ei_threshold
         self.n_mcmc = n_mcmc
-        self.use_qcsa = use_qcsa
         self.use_iicp = use_iicp
         self.use_dagp = use_dagp
         self.use_polish = use_polish
@@ -202,6 +202,8 @@ class LOCAT:
         self.evaluator = ParallelEvaluator(self.objective, n_workers=self.n_workers)
         self.qcsa_result: QCSAResult | None = None
         self.iicp_result: IICPResult | None = None
+        #: How many observations :attr:`iicp_result` was fit on.
+        self._n_latent_observations = 0
         self._observations: list[_Observation] = []
 
     # ------------------------------------------------------------------
@@ -214,7 +216,7 @@ class LOCAT:
     @property
     def csq(self) -> list[str]:
         """The configuration-sensitive queries (RQA query list)."""
-        if self.use_qcsa and self.qcsa_result is not None:
+        if self.qcsa_result is not None:
             return list(self.qcsa_result.csq)
         return self.app.query_names
 
@@ -240,7 +242,7 @@ class LOCAT:
         space = self.objective.space
 
         def evaluate(point: np.ndarray, ds: float) -> float:
-            return self.evaluator.run(space.decode(point), ds).duration_s
+            return self.objective.run(space.decode(point), ds).duration_s
 
         def evaluate_batch(points: np.ndarray, ds: float) -> np.ndarray:
             requests = [EvalRequest(space.decode(p), ds) for p in np.atleast_2d(points)]
@@ -281,6 +283,11 @@ class LOCAT:
                 samples[query.name].append(query.duration_s)
         return analyze_samples(samples)
 
+    def _cps_over(self, trials: list[Trial]) -> CPSResult:
+        return run_cps(
+            self.objective.space, [t.config for t in trials], [t.duration_s for t in trials]
+        )
+
     def bootstrap(self, datasize_gb: float) -> None:
         """Collect the initial full-application samples and run QCSA/IICP.
 
@@ -290,124 +297,34 @@ class LOCAT:
         exploiting after a handful of runs, the samples get cheaper as
         the bootstrap proceeds, which is what keeps LOCAT's total
         optimization time an order of magnitude below approaches that
-        collect large random corpora.
+        collect large random corpora.  Without a donor, CPS runs over
+        the first ``n_iicp`` samples (20 suffice, Figure 9).
 
-        With a :attr:`transfer_from` plan the budget shrinks to
-        ``N_TRANSFER_BOOTSTRAP`` runs and the donor's history fills the
-        gap — see :meth:`_bootstrap_transfer`.
+        With a :attr:`transfer_from` plan the first draw shrinks to
+        ``N_TRANSFER_BOOTSTRAP`` runs and :meth:`_accept_transfer`
+        checks the donor.  On acceptance the donor's CPS selection is
+        merged in and its history fills the gap; on rejection the
+        bootstrap completes to the full ``n_qcsa`` budget, warm-started
+        from the samples already collected — the tenant ends up with a
+        normal cold bootstrap, just reordered.
         """
         if self.is_bootstrapped:
             return
         datasize_gb = normalize_datasize(datasize_gb)
+        n_first = self.n_qcsa
         if self.transfer_from is not None:
-            self._bootstrap_transfer(datasize_gb)
-            return
-        bootstrap_trials = self._collect_bootstrap_samples(datasize_gb, self.n_qcsa)
-        self.qcsa_result = self._qcsa_over(self.app, bootstrap_trials)
-        space = self.objective.space
-
-        iicp = IICP(
-            scc_threshold=self.scc_threshold,
-            kernel=self.kernel,
-            explained_variance=self.explained_variance,
-            n_samples=self.n_iicp,
-        )
-        if self.use_iicp:
-            self.iicp_result = iicp.run(
-                space,
-                [t.config for t in bootstrap_trials],
-                [t.duration_s for t in bootstrap_trials],
-            )
-        else:
-            # Ablation: tune every parameter; the "latent" space is the
-            # raw unit-cube encoding of all 38 parameters.
-            self.iicp_result = _identity_iicp(space, iicp)
-
-        csq = self.csq
-        self._observations = [
-            _Observation(
-                config=trial.config,
-                datasize_gb=trial.datasize_gb,
-                rqa_duration_s=max(trial.metrics.duration_of(csq), 1e-3),
-            )
-            for trial in bootstrap_trials
-        ]
-        # Re-extract with the Figure-10 dimension budget (about a third of
-        # the original parameters) now that the CPS selection is known.
-        self._refit_cpe()
-
-    def _bootstrap_transfer(self, datasize_gb: float) -> None:
-        """Reduced bootstrap that borrows a donor tenant's history.
-
-        1. Collect only ``N_TRANSFER_BOOTSTRAP`` full-application samples
-           (vs ``n_qcsa`` cold) — enough for QCSA CVs and a provisional
-           CPS.
-        2. Validate the donor: importance-profile agreement between the
-           provisional CPS and the donor's persisted one, plus the
-           fingerprint similarity re-scored with the dynamic
-           (seconds-per-GB) component the early samples provide.
-        3. On acceptance, merge the donor's CPS selection into the
-           target's and transplant the donor's observations as a
-           low-fidelity GP prior.  Donor durations are bias-corrected in
-           log space (their median is aligned to the median of the
-           target's own bootstrap RQA durations) so the prior carries
-           the donor's *shape* over configuration space, not its scale.
-        4. On rejection, complete the bootstrap to the full ``n_qcsa``
-           budget, warm-started from the samples already collected — the
-           tenant ends up with a normal cold bootstrap, just reordered.
-        """
-        plan = self.transfer_from
-        assert plan is not None
-        space = self.objective.space
-        n_boot = min(N_TRANSFER_BOOTSTRAP, self.n_qcsa)
-        trials = self._collect_bootstrap_samples(datasize_gb, n_boot)
-        # QCSA first: the fingerprint's dynamic part must be RQA
-        # seconds-per-GB, the same units the donor's persisted tuning
-        # rows carry — full-application rates would systematically
-        # deflate the similarity of a genuinely identical workload.
+            n_first = min(N_TRANSFER_BOOTSTRAP, self.n_qcsa)
+        trials = self._collect_bootstrap_samples(datasize_gb, n_first)
+        # QCSA first: a transfer check rates the donor in RQA units.
         self.qcsa_result = self._qcsa_over(self.app, trials)
-
-        own_cps = run_cps(
-            space,
-            [t.config for t in trials],
-            [t.duration_s for t in trials],
-            threshold=self.scc_threshold,
-        )
-        self.transfer_agreement = cps_agreement(own_cps, plan.cps)
-        fingerprint = WorkloadFingerprint.from_application(self.app).with_observations(
-            [t.datasize_gb for t in trials],
-            [t.metrics.duration_of(self.csq) for t in trials],
-        )
-        self.transfer_similarity = fingerprint_similarity(fingerprint, plan.fingerprint)
-        self.transfer_accepted = (
-            self.transfer_agreement >= plan.min_agreement
-            and self.transfer_similarity >= plan.min_similarity
-        )
-
-        if self.transfer_accepted:
-            donor_selected = set(plan.cps.selected) & set(space.names)
-            keep = set(own_cps.selected) | donor_selected
-            cps = CPSResult(
-                scc=own_cps.scc,
-                selected=tuple(n for n in space.names if n in keep),
-                threshold=own_cps.threshold,
+        cps = None if self.transfer_from is None else self._accept_transfer(trials)
+        if cps is None and n_first < self.n_qcsa:
+            trials = self._collect_bootstrap_samples(
+                datasize_gb, self.n_qcsa - n_first, warm_trials=trials
             )
-        else:
-            remaining = self.n_qcsa - n_boot
-            if remaining > 0:
-                trials = self._collect_bootstrap_samples(
-                    datasize_gb, remaining, warm_trials=trials
-                )
-                # Re-run QCSA over the completed cold-budget sample set.
-                self.qcsa_result = self._qcsa_over(self.app, trials)
-            limit = self.n_iicp if self.n_iicp else len(trials)
-            subset = trials[:limit]
-            cps = run_cps(
-                space,
-                [t.config for t in subset],
-                [t.duration_s for t in subset],
-                threshold=self.scc_threshold,
-            )
+            self.qcsa_result = self._qcsa_over(self.app, trials)
+        if cps is None and self.use_iicp:
+            cps = self._cps_over(trials[: self.n_iicp or len(trials)])
 
         csq = self.csq
         self._observations = [
@@ -418,50 +335,110 @@ class LOCAT:
             )
             for trial in trials
         ]
+        self._build_latent_space(cps)
 
-        if self.transfer_accepted:
-            # Bias correction: align the donor's median log duration to
-            # the target's, so only the donor's relative preferences —
-            # which configurations were faster than which — transfer.
-            own_median = float(np.median([np.log(o.rqa_duration_s) for o in self._observations]))
-            donor_median = float(
-                np.median([np.log(max(dur, 1e-3)) for _, _, dur in plan.observations])
-            )
-            scale = float(np.exp(own_median - donor_median))
-            self._transfer_observations = [
-                _Observation(
-                    config=config,
-                    datasize_gb=normalize_datasize(ds),
-                    rqa_duration_s=max(float(dur) * scale, 1e-3),
-                )
-                for config, ds, dur in plan.observations
-            ]
+    def _accept_transfer(self, trials: list[Trial]) -> CPSResult | None:
+        """Check the :attr:`transfer_from` donor against the first samples.
 
-        if self.use_iicp:
-            cpe = run_cpe(
-                space,
-                [o.config for o in self._observations],
-                cps,
-                kernel=self.kernel,
-                explained_variance=self.explained_variance,
-                n_components=self._latent_dim_cap(len(cps.selected)),
-            )
-            self.iicp_result = IICPResult(
-                cps=cps,
-                cpe=cpe,
-                space=space,
-                base_config=self._best_observation().config,
-            )
-        else:
-            self.iicp_result = _identity_iicp(space, IICP())
-        self._refit_cpe()
+        The donor passes when its persisted importance profile agrees
+        with the provisional CPS over ``trials`` and the workload
+        fingerprint, re-scored with the dynamic (seconds-per-GB)
+        component the samples provide, stays similar.  On acceptance
+        the donor's observations become a low-fidelity GP prior and the
+        merged CPS selection is returned; on rejection, None.
+        """
+        plan = self.transfer_from
+        assert plan is not None
+        space = self.objective.space
+        own_cps = self._cps_over(trials)
+        self.transfer_agreement = cps_agreement(own_cps, plan.cps)
+        # The fingerprint's dynamic part must be RQA seconds-per-GB, the
+        # same units the donor's persisted tuning rows carry —
+        # full-application rates would systematically deflate the
+        # similarity of a genuinely identical workload.
+        csq = self.csq
+        fingerprint = WorkloadFingerprint.from_application(self.app).with_observations(
+            [t.datasize_gb for t in trials],
+            [t.metrics.duration_of(csq) for t in trials],
+        )
+        self.transfer_similarity = fingerprint_similarity(fingerprint, plan.fingerprint)
+        self.transfer_accepted = (
+            self.transfer_agreement >= plan.min_agreement
+            and self.transfer_similarity >= plan.min_similarity
+        )
+        if not self.transfer_accepted:
+            return None
 
-    def _latent_dim_cap(self, n_selected: int | None = None) -> int:
+        # Bias correction: align the donor's median log duration to the
+        # median of the target's own RQA durations, so only the donor's
+        # relative preferences — which configurations were faster than
+        # which — transfer, not its scale.
+        own_median = float(
+            np.median([np.log(max(t.metrics.duration_of(csq), 1e-3)) for t in trials])
+        )
+        donor_median = float(
+            np.median([np.log(max(dur, 1e-3)) for _, _, dur in plan.observations])
+        )
+        scale = float(np.exp(own_median - donor_median))
+        self._transfer_observations = [
+            _Observation(
+                config=config,
+                datasize_gb=normalize_datasize(ds),
+                rqa_duration_s=max(float(dur) * scale, 1e-3),
+            )
+            for config, ds, dur in plan.observations
+        ]
+        keep = set(own_cps.selected) | set(plan.cps.selected)
+        return CPSResult(
+            scc=own_cps.scc,
+            selected=tuple(n for n in space.names if n in keep),
+            threshold=own_cps.threshold,
+        )
+
+    def _latent_dim_cap(self, n_selected: int) -> int:
         """CPE keeps about a third of the original parameters (Figure 10)."""
-        if n_selected is None:
-            assert self.iicp_result is not None
-            n_selected = len(self.iicp_result.selected)
         return min(15, max(5, n_selected // 2))
+
+    def _build_latent_space(self, cps: CPSResult | None = None) -> None:
+        """(Re)build :attr:`iicp_result`, the latent tuning space.
+
+        CPE runs here and nowhere else: Gaussian KPCA over every
+        configuration observed so far, restricted to ``cps`` (default:
+        the current selection), at the :meth:`_latent_dim_cap` size.
+        Every executed configuration is then a manifold training point,
+        so encode/decode round-trips are exact for all warm
+        observations.  The decode base is the best configuration found:
+        parameters outside the CPS selection keep their best-known
+        values (rather than Spark defaults), so the latent codec
+        reconstructs the incumbent exactly and local moves around it
+        stay local.  A refit with no observation since the last build
+        is skipped, since it would fit the same manifold.  The
+        all-parameters ablation (``use_iicp=False``) keeps its one
+        identity space.
+        """
+        space = self.objective.space
+        if not self.use_iicp:
+            self.iicp_result = self.iicp_result or _identity_iicp(space)
+            return
+        if cps is None:
+            assert self.iicp_result is not None
+            if self._n_latent_observations == len(self._observations):
+                # Same rows, same manifold.  The monitoring predictor
+                # is still dropped, so it refits (fresh hyperparameters)
+                # instead of extending, as after a rebuild.
+                self._predictor = None
+                return
+            cps = self.iicp_result.cps
+        cpe = run_cpe(
+            space,
+            [o.config for o in self._observations],
+            cps,
+            n_components=self._latent_dim_cap(len(cps.selected)),
+        )
+        self.iicp_result = IICPResult(
+            cps=cps, cpe=cpe, space=space, base_config=self._best_observation().config
+        )
+        self._n_latent_observations = len(self._observations)
 
     # ------------------------------------------------------------------
     # Persistence hooks (used by the tuning service)
@@ -487,12 +464,12 @@ class LOCAT:
         ``observations`` are ``(config, datasize_gb, rqa_duration_s)``
         tuples as returned by :attr:`observation_history`; ``cps`` is the
         persisted :class:`~repro.core.iicp.CPSResult`.  The CPE manifold
-        is not persisted — it is refit over the restored observations,
-        exactly as :meth:`tune` refits it every ``REFIT_INTERVAL``
-        iterations — so the only artifacts a store must keep are the QCSA
-        split, the CPS selection, and the run table.  After this call
-        :attr:`is_bootstrapped` is true and the next :meth:`tune` goes
-        straight to DAGP BO.
+        is not persisted — :meth:`_build_latent_space` fits it over the
+        restored observations, as :meth:`tune` refits it every
+        ``REFIT_INTERVAL`` iterations — so the only artifacts a store
+        must keep are the QCSA split, the CPS selection, and the run
+        table.  After this call :attr:`is_bootstrapped` is true and the
+        next :meth:`tune` goes straight to DAGP BO.
         """
         if self.is_bootstrapped:
             raise RuntimeError("cannot restore into a bootstrapped LOCAT")
@@ -510,23 +487,7 @@ class LOCAT:
             )
             for config, ds, dur in observations
         ]
-        if self.use_iicp:
-            cpe = run_cpe(
-                self.objective.space,
-                [o.config for o in self._observations],
-                cps,
-                kernel=self.kernel,
-                explained_variance=self.explained_variance,
-                n_components=self._latent_dim_cap(len(cps.selected)),
-            )
-            self.iicp_result = IICPResult(
-                cps=cps,
-                cpe=cpe,
-                space=self.objective.space,
-                base_config=self._best_observation().config,
-            )
-        else:
-            self.iicp_result = _identity_iicp(self.objective.space, IICP())
+        self._build_latent_space(cps)
 
     # ------------------------------------------------------------------
     # Replay trace (the low-variance evaluation path)
@@ -626,8 +587,8 @@ class LOCAT:
     def _refresh_predictor(self) -> DatasizeAwareGP | None:
         """The cached point-estimate DAGP over all observations.
 
-        Fit once per manifold (a session's :meth:`_refit_cpe` replaces
-        ``iicp_result``, invalidating the latent geometry), then grown
+        Fit once per manifold (a session's :meth:`_build_latent_space`
+        replaces ``iicp_result``, invalidating the latent geometry), then grown
         by exact rank-k extends as observations arrive — steady-state
         drift checks never pay a refit.  Rows behind the latest drift
         boundary (:attr:`_stale_before`) enter at fidelity 1: they
@@ -738,7 +699,7 @@ class LOCAT:
         # process hash seed, which silently made polish trajectories —
         # and therefore tuned configurations — differ between processes.
         names = list(dict.fromkeys(sorted(self.RESOURCE_PARAMETERS & set(space.names)) + ranked[:top_k]))
-        at_ds = [o for o in self._observations[since:] if o.datasize_gb == datasize_gb]
+        at_ds = _at_datasize(self._observations[since:], datasize_gb)
         if not at_ds:
             return
         incumbent = min(at_ds, key=lambda o: o.rqa_duration_s)
@@ -793,28 +754,26 @@ class LOCAT:
             )
         )
 
-        for step in (0.12, 0.06):
-            improved_any = False
+        # The finer step runs whether or not the coarse one improved;
+        # the budget bounds the cost.  Booleans flip once, not per step.
+        for step, flip in ((0.12, True), (0.06, False)):
             for name in names:
                 if budget <= 0:
                     break
                 if name in booleans:
-                    if step == 0.12:  # flip once, not per step size
-                        flipped = space.repair(
-                            best_config.replace(**{name: not best_config[name]})
+                    if flip:
+                        try_candidate(
+                            space.repair(best_config.replace(**{name: not best_config[name]}))
                         )
-                        improved_any |= try_candidate(flipped)
                     continue
                 index = space.names.index(name)
                 for delta in (+step, -step):
                     trial_encoded = encoded.copy()
                     trial_encoded[index] = float(np.clip(trial_encoded[index] + delta, 0.0, 1.0))
                     if try_candidate(space.decode(trial_encoded)):
-                        improved_any = True
                         break  # the other direction is now stale
             if budget <= 0:
                 break
-            del improved_any  # finer step runs regardless; budget bounds cost
 
     def _reset_unimportant_to_defaults(self, config: Configuration) -> Configuration:
         """CPS-dropped, non-resource parameters go back to their defaults."""
@@ -828,32 +787,6 @@ class LOCAT:
             if name not in selected and name not in self.RESOURCE_PARAMETERS
         }
         return space.repair(config.replace(**updates)) if updates else config
-
-    def _refit_cpe(self) -> None:
-        """Regrow the KPCA manifold over every configuration seen so far.
-
-        Also re-anchors the decode base to the best configuration found:
-        parameters outside the CPS selection keep their best-known values
-        (rather than Spark defaults), so the latent codec reconstructs
-        the incumbent exactly and local moves around it stay local.
-        """
-        assert self.iicp_result is not None
-        if not self.use_iicp:
-            return
-        cpe = run_cpe(
-            self.objective.space,
-            [o.config for o in self._observations],
-            self.iicp_result.cps,
-            kernel=self.kernel,
-            explained_variance=self.explained_variance,
-            n_components=self._latent_dim_cap(),
-        )
-        self.iicp_result = IICPResult(
-            cps=self.iicp_result.cps,
-            cpe=cpe,
-            space=self.objective.space,
-            base_config=self._best_observation().config,
-        )
 
     # ------------------------------------------------------------------
     # Tuning sessions
@@ -951,14 +884,14 @@ class LOCAT:
         # nearest previously tuned datasize: one cheap RQA run anchors the
         # DAGP at the new size and guarantees the session never ends worse
         # than simply reusing the old configuration.
-        unseen_datasize = not any(o.datasize_gb == datasize_gb for o in self._observations)
+        unseen_datasize = not _at_datasize(self._observations, datasize_gb)
         if unseen_datasize and self._observations and self.use_dagp:
             nearest_ds = min(
                 {o.datasize_gb for o in self._observations},
                 key=lambda d: abs(d - datasize_gb),
             )
             carry = min(
-                (o for o in self._observations if o.datasize_gb == nearest_ds),
+                _at_datasize(self._observations, nearest_ds),
                 key=lambda o: o.rqa_duration_s,
             )
             trial = self.objective.run_subset(carry.config, datasize_gb, csq)
@@ -973,12 +906,9 @@ class LOCAT:
         # selection.  Without this anchor a session whose few fresh
         # evaluations all landed on poor configurations could deploy
         # something strictly worse than what is already running.
-        if partial and not any(
-            o.datasize_gb == datasize_gb for o in self._observations[session_start:]
-        ):
+        if partial and not _at_datasize(self._observations[session_start:], datasize_gb):
             stale = self._observations[:session_start]
-            stale_at_ds = [o for o in stale if o.datasize_gb == datasize_gb]
-            pool = stale_at_ds or stale
+            pool = _at_datasize(stale, datasize_gb) or stale
             if pool:
                 carry = min(pool, key=lambda o: o.rqa_duration_s)
                 trial = self.objective.run_subset(carry.config, datasize_gb, csq)
@@ -1009,11 +939,8 @@ class LOCAT:
         iterations_done = 0
         stopped_by_ei = False
         while iterations_done < session_max and not stopped_by_ei:
-            # Refit the KPCA manifold over everything observed so far.
-            # Every executed configuration is then a manifold training
-            # point, making encode/decode round-trips exact for all warm
-            # observations — the GP sees a consistent latent geometry.
-            self._refit_cpe()
+            # Regrow the KPCA manifold over everything observed so far.
+            self._build_latent_space()
             iicp = self.iicp_result
             chunk = min(REFIT_INTERVAL, session_max - iterations_done)
 
@@ -1033,7 +960,7 @@ class LOCAT:
             else:
                 def evaluate(latent: np.ndarray, ds: float) -> float:
                     config = iicp.decode(latent)
-                    trial = self.evaluator.run_subset(config, ds, csq)
+                    trial = self.objective.run_subset(config, ds, csq)
                     self._observations.append(
                         _Observation(config=config, datasize_gb=ds, rqa_duration_s=trial.duration_s)
                     )
@@ -1062,10 +989,7 @@ class LOCAT:
                     self._observations[:quarantine]
                 )
             else:
-                warm_own = [
-                    o for o in self._observations[quarantine:]
-                    if o.datasize_gb == datasize_gb
-                ]
+                warm_own = _at_datasize(self._observations[quarantine:], datasize_gb)
                 transfer = []
             warm = transfer + warm_own
             n_warm = len(warm)
@@ -1122,10 +1046,7 @@ class LOCAT:
         # tuned values, since their defaults assume a tiny cluster).  Both
         # candidates cost one RQA run each; the winner is validated with
         # one full-application run.  All runs count toward the overhead.
-        at_ds = [
-            o for o in self._observations[quarantine:]
-            if o.datasize_gb == datasize_gb
-        ]
+        at_ds = _at_datasize(self._observations[quarantine:], datasize_gb)
         best_obs = min(at_ds, key=lambda o: o.rqa_duration_s)
         candidates = [best_obs.config]
         reset_config = self._reset_unimportant_to_defaults(best_obs.config)
@@ -1178,8 +1099,8 @@ class LOCAT:
         # Partial sessions restrict further, to this session's runs.
         trials_floor = evals_before if partial else self._stale_trials_before
         fresh_full = [
-            t for t in self.objective.history[trials_floor:]
-            if not t.reduced and t.datasize_gb == datasize_gb
+            t for t in _at_datasize(self.objective.history[trials_floor:], datasize_gb)
+            if not t.reduced
         ]
         # Never empty: the validation run above is full, at this
         # datasize, and recorded after the floor.
@@ -1221,14 +1142,23 @@ class LOCAT:
         )
 
 
-def _identity_iicp(space, iicp: IICP) -> IICPResult:
+def _at_datasize(rows: list, datasize_gb: float) -> list:
+    """The observations or trials in ``rows`` recorded at ``datasize_gb``.
+
+    ``datasize_gb`` must be canonical (:func:`normalize_datasize`), as
+    every recorded datasize is.
+    """
+    # Exact: both sizes are canonical values no arithmetic has touched.
+    return [row for row in rows if row.datasize_gb == datasize_gb]  # repro: allow[float-eq]
+
+
+def _identity_iicp(space) -> IICPResult:
     """An IICPResult that passes the full encoded space through unchanged.
 
     Used by the all-parameters ablation (Figure 15's AP bars): CPS keeps
     every parameter and CPE is replaced by an identity 'KPCA' spanning
     the unit cube.
     """
-    from repro.core.iicp import CPEResult, CPSResult
 
     class _IdentityKPCA:
         def __init__(self, dim: int):

@@ -19,7 +19,7 @@ throughput.
 
 Determinism contract:
 
-* ``n_workers=1`` delegates straight to the objective's serial
+* ``n_workers=1`` runs each request through the objective's serial
   ``run``/``run_subset`` path — the shared RNG is consumed in exactly
   the same order as before this module existed, so seeded serial
   trajectories are reproduced bit for bit.
@@ -37,7 +37,7 @@ propagates.
 
 Pool lifecycle: the executor is created lazily on the first concurrent
 batch and reused for the whole tuning session (per-refit startup would
-be pure waste, especially for the process backend).  :meth:`close` is
+be pure waste).  :meth:`close` is
 idempotent and leaves the evaluator usable — a later batch simply
 recreates the pool — which is how :meth:`LOCAT.tune` avoids leaking
 ``n_workers`` threads per tenant between the rare tuning sessions of a
@@ -46,7 +46,7 @@ long-lived service.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +57,6 @@ from repro.sparksim.configspace import Configuration
 from repro.sparksim.engine import SparkSQLSimulator
 from repro.sparksim.query import Application
 from repro.stats.sampling import spawn
-
-_BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -85,13 +83,7 @@ def _execute_request(
     request: EvalRequest,
     rng: np.random.Generator,
 ) -> Trial:
-    """Top-level so the process backend can pickle it.
-
-    Takes the simulator and application rather than the objective: the
-    worker never needs the objective's ever-growing trial history, and
-    shipping it per request would make process-backend serialization
-    cost grow with the session.
-    """
+    """Run one request on its own generator, without recording it."""
     return execute_trial(
         simulator, app, request.config, request.datasize_gb, request.queries, rng=rng
     )
@@ -103,64 +95,34 @@ class ParallelEvaluator:
     Wraps one :class:`~repro.core.objective.SparkSQLObjective`; all
     recording still goes through the objective, so ``history`` and
     ``overhead_s`` stay the single source of truth and remain
-    append-ordered by submission.
-
-    ``backend="thread"`` shares the simulator across workers (cheap,
-    and the right model for evaluations that wait on a cluster);
-    ``backend="process"`` ships each request to a worker process, which
-    sidesteps the GIL for compute-bound simulation at the cost of
-    pickling the simulator per request.
+    append-ordered by submission.  Workers are threads sharing the
+    simulator: cheap, and the right model for evaluations that wait on
+    a cluster.
     """
 
-    def __init__(
-        self,
-        objective: SparkSQLObjective,
-        n_workers: int = 1,
-        backend: str = "thread",
-    ):
+    def __init__(self, objective: SparkSQLObjective, n_workers: int = 1):
         if n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}")
         self.objective = objective
         self.n_workers = int(n_workers)
-        self.backend = backend
-        self._pool: Executor | None = None  # created lazily, reused across batches
+        self._pool: ThreadPoolExecutor | None = None  # created lazily, reused across batches
 
-    # ------------------------------------------------------------------
-    # Serial conveniences (identical to calling the objective directly)
-    # ------------------------------------------------------------------
-    def run(self, config: Configuration, datasize_gb: float) -> Trial:
-        return self.objective.run(config, datasize_gb)
-
-    def run_subset(
-        self, config: Configuration, datasize_gb: float, queries: list[str] | tuple[str, ...]
-    ) -> Trial:
-        return self.objective.run_subset(config, datasize_gb, list(queries))
-
-    # ------------------------------------------------------------------
-    # Batched evaluation
-    # ------------------------------------------------------------------
     def _run_serial(self, request: EvalRequest) -> Trial:
         if request.queries is None:
             return self.objective.run(request.config, request.datasize_gb)
         return self.objective.run_subset(request.config, request.datasize_gb, list(request.queries))
 
-    def _get_pool(self) -> Executor:
+    def _get_pool(self) -> ThreadPoolExecutor:
         """The shared executor, created on first concurrent batch.
 
         One pool serves the whole tuning session — a session at
-        ``batch_size=q`` submits a batch per surrogate refit, and
-        (especially for the process backend) paying worker startup per
-        refit would be pure waste.
+        ``batch_size=q`` submits a batch per surrogate refit, and paying
+        worker startup per refit would be pure waste.
         """
         if self._pool is None:
-            if self.backend == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers, thread_name_prefix="eval-worker"
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.n_workers, thread_name_prefix="eval-worker"
+            )
         return self._pool
 
     def close(self) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines import DAC, GBORL, QTune, Tuneful
 from repro.core import LOCAT, SparkSQLObjective
-from repro.core.iicp import IICP, run_cps, run_cpe
+from repro.core.iicp import run_cps, run_cpe
 from repro.core.qcsa import analyze_samples
 from repro.harness.experiment import (
     BASELINE_CLASSES,

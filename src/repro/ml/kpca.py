@@ -32,30 +32,26 @@ def _pairwise_sq_dists(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 class KernelPCA:
     """Kernel PCA over points in the unit hypercube.
 
-    ``n_components`` fixes the latent dimension; when ``None``, the
-    smallest dimension explaining ``explained_variance`` of the (feature
-    space) variance is chosen — this is how IICP decides how many
-    extracted parameters to keep.
+    ``n_components`` fixes the latent dimension (capped at ``n - 1`` for
+    ``n`` training points and at the number of numerically positive
+    eigenvalues); IICP sizes it by the Figure 10 rule in
+    :meth:`repro.core.locat.LOCAT._latent_dim_cap`.
     """
 
     def __init__(
         self,
+        n_components: int,
         kernel: str = "gaussian",
-        n_components: int | None = None,
-        explained_variance: float = 0.85,
         gamma: float | None = None,
         degree: int = 3,
         coef0: float = 1.0,
     ):
         if kernel not in _KERNELS:
             raise ValueError(f"kernel must be one of {_KERNELS}")
-        if n_components is not None and n_components < 1:
+        if n_components < 1:
             raise ValueError("n_components must be positive")
-        if not 0.0 < explained_variance <= 1.0:
-            raise ValueError("explained_variance must be in (0, 1]")
         self.kernel = kernel
         self.n_components = n_components
-        self.explained_variance = explained_variance
         self.gamma = gamma
         self.degree = degree
         self.coef0 = coef0
@@ -69,7 +65,6 @@ class KernelPCA:
         self._gamma_value = 1.0
         self._delta = 1.0
         self.n_components_: int = 0
-        self.explained_variance_ratio_: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Kernel evaluation
@@ -113,25 +108,16 @@ class KernelPCA:
         eigvals = np.maximum(eigvals[order], 0.0)
         eigvecs = eigvecs[:, order]
 
-        total = float(eigvals.sum())
-        if total <= 0:
+        if float(eigvals.sum()) <= 0:
             raise ValueError("kernel matrix has no positive spectrum (degenerate inputs)")
-        ratios = eigvals / total
 
-        if self.n_components is not None:
-            n_comp = min(self.n_components, n - 1)
-        else:
-            cumulative = np.cumsum(ratios)
-            n_comp = int(np.searchsorted(cumulative, self.explained_variance) + 1)
-            n_comp = min(max(n_comp, 1), n - 1)
         # Drop numerically-zero directions.
         positive = int(np.sum(eigvals > 1e-10 * eigvals[0])) or 1
-        n_comp = min(n_comp, positive)
+        n_comp = min(self.n_components, n - 1, positive)
 
         self._lambdas = eigvals[:n_comp]
         self._alphas = eigvecs[:, :n_comp] / np.sqrt(np.maximum(self._lambdas, 1e-18))
         self.n_components_ = n_comp
-        self.explained_variance_ratio_ = ratios[:n_comp]
         # Cache the training latents once: latent_bounds() and every
         # pre-image call need them, and recomputing transform(self._x)
         # per call dominated inverse_transform profiles.

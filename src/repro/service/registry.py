@@ -52,9 +52,9 @@ from repro.transfer import (
 #: LOCAT keyword arguments a tenant may override at registration time.
 TUNER_KEYS = frozenset(
     {
-        "n_qcsa", "n_iicp", "scc_threshold", "kernel", "explained_variance",
+        "n_qcsa", "n_iicp",
         "min_iterations", "max_iterations", "ei_threshold", "n_mcmc",
-        "use_qcsa", "use_iicp", "use_dagp", "use_polish", "n_workers",
+        "use_iicp", "use_dagp", "use_polish", "n_workers",
         "n_adapt_iterations", "replay_eval", "replay_capacity", "n_replays",
     }
 )

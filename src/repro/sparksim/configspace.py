@@ -228,9 +228,6 @@ class ConfigSpace:
     def bounds(self, name: str) -> tuple[float, float]:
         return self.parameters[PARAMETER_INDEX[name]].bounds(self.cluster_name)
 
-    def numeric_names(self) -> list[str]:
-        return [p.name for p in self.parameters if p.kind != "bool"]
-
     def boolean_names(self) -> list[str]:
         return [p.name for p in self.parameters if p.kind == "bool"]
 
@@ -256,10 +253,6 @@ class ConfigSpace:
         """One uniformly random valid configuration."""
         gen = ensure_rng(rng)
         return self.decode(gen.random(self.dim))
-
-    def sample_many(self, n: int, rng: int | np.random.Generator | None = None) -> list[Configuration]:
-        gen = ensure_rng(rng)
-        return [self.sample(gen) for _ in range(n)]
 
     # ------------------------------------------------------------------
     # Unit-cube encoding (what optimizers search)

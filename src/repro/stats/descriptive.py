@@ -55,6 +55,6 @@ def coefficient_of_variation(values: Sequence[float] | np.ndarray, ddof: int = 0
     """
     arr = _as_array(values)
     avg = float(np.mean(arr))
-    if avg == 0.0:
+    if avg == 0.0:  # repro: allow[float-eq] -- guards the division, not a tolerance
         raise ValueError("coefficient of variation undefined for zero mean")
     return standard_deviation(arr, ddof=ddof) / abs(avg)

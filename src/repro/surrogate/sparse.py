@@ -97,12 +97,6 @@ class SparseGP:
     n_total = n_samples
 
     @property
-    def inducing_inputs(self) -> np.ndarray:
-        if self._z is None:
-            raise RuntimeError("SparseGP is not fitted")
-        return self._z
-
-    @property
     def target_mean(self) -> float:
         return self._y_mean
 

@@ -78,7 +78,7 @@ class TransferPlan:
     ``observations`` are raw ``(config, datasize_gb, rqa_duration_s)``
     tuples from the donor's run table — durations in the *donor's* RQA
     units; LOCAT bias-corrects them against its own bootstrap samples
-    before they enter the GP (see ``LOCAT._bootstrap_transfer``).
+    before they enter the GP (see ``LOCAT._accept_transfer``).
     """
 
     donor_app_id: str

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bo.lhs import latin_hypercube
-from repro.core.iicp import IICP, run_cpe, run_cps
+from repro.core.iicp import IICPResult, run_cpe, run_cps
+from repro.core.locat import LOCAT
 
 
 @pytest.fixture()
@@ -72,18 +73,16 @@ class TestCPE:
         assert cpe.n_components == 8
         assert cpe.kernel == "gaussian"
 
-    def test_explained_variance_mode(self, sim_x86, lhs_samples):
-        configs, durations = lhs_samples
-        cps = run_cps(sim_x86.space, configs, durations)
-        cpe = run_cpe(sim_x86.space, configs, cps, explained_variance=0.7)
-        assert 1 <= cpe.n_components < len(cps.selected)
-
 
 class TestIICPResult:
     @pytest.fixture()
     def iicp_result(self, sim_x86, lhs_samples):
-        configs, durations = lhs_samples
-        return IICP(n_samples=20).run(sim_x86.space, configs, durations)
+        configs, durations = lhs_samples[0][:20], lhs_samples[1][:20]
+        cps = run_cps(sim_x86.space, configs, durations)
+        cpe = run_cpe(sim_x86.space, configs, cps, n_components=8)
+        return IICPResult(
+            cps=cps, cpe=cpe, space=sim_x86.space, base_config=sim_x86.space.default()
+        )
 
     def test_encode_decode_shapes(self, iicp_result, sim_x86, rng):
         config = sim_x86.space.sample(rng)
@@ -116,8 +115,11 @@ class TestIICPResult:
             z = iicp_result.encode(config)
             assert np.all(z >= low - 1e-9) and np.all(z <= high + 1e-9)
 
-    def test_uses_only_first_n_samples(self, sim_x86, lhs_samples):
-        configs, durations = lhs_samples
-        a = IICP(n_samples=20).run(sim_x86.space, configs, durations)
-        b = IICP(n_samples=20).run(sim_x86.space, configs[:20], durations[:20])
-        assert a.selected == b.selected
+    def test_uses_only_first_n_samples(self, sim_x86, join_app):
+        """LOCAT's CPS reads the first ``n_iicp`` bootstrap samples only."""
+        locat = LOCAT(sim_x86, join_app, n_qcsa=12, n_iicp=8, n_mcmc=0, rng=5)
+        locat.bootstrap(100.0)
+        assert locat.objective.n_evaluations == 12
+        first = locat.objective.history[:8]
+        cps = run_cps(sim_x86.space, [t.config for t in first], [t.duration_s for t in first])
+        assert locat.iicp_result.cps == cps

@@ -4,11 +4,15 @@ Budgets are shrunk so each test runs in a couple of seconds; the
 full-scale behaviour is exercised by the benchmarks.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import LOCAT
 from repro.sparksim import SparkSQLSimulator
+from repro.sparksim.configspace import Configuration
+from repro.sparksim.serialize import config_to_dict
 
 
 def small_locat(simulator, app, **overrides):
@@ -70,11 +74,6 @@ class TestAblations:
         result = locat.tune(200.0)
         assert result.details["n_latent_dims"] == 38
         assert len(result.details["iicp_selected"]) == 38
-
-    def test_no_qcsa_keeps_all_queries(self, sim_x86, tpch):
-        locat = small_locat(sim_x86, tpch, use_qcsa=False)
-        locat.bootstrap(100.0)
-        assert locat.csq == tpch.query_names
 
     def test_no_dagp_ignores_other_datasizes(self, sim_x86, join_app):
         locat = small_locat(sim_x86, join_app, use_dagp=False)
@@ -252,3 +251,151 @@ class TestDefaultReset:
             if name in selected or name in LOCAT.RESOURCE_PARAMETERS:
                 continue
             assert reset[name] == defaults[name], name
+
+
+# ----------------------------------------------------------------------
+# Bootstrap paths, bit for bit
+# ----------------------------------------------------------------------
+TINY_TUNER = {"n_qcsa": 10, "n_iicp": 8, "max_iterations": 6, "min_iterations": 3, "n_mcmc": 0}
+
+#: sha256 of each path's session record (:func:`_session_digest`),
+#: captured before the bootstrap paths were merged into one.  Any change
+#: to a sampled, observed or selected value moves the digest.
+PINNED_PATH_DIGESTS = {
+    "transfer_accepted": "e95c842c6e2f280e71f4fdb951ff5d2208c85e4ebf2a1324b5bf0b4940f33edb",
+    "transfer_rejected": "f0b2abeac116ff82c383fb9cddc7394d3c26a7372092d6ad12e9127efb8ed735",
+    "restore_predict_tune": "50dff14870b329b596ebd6628844d457a216eac037da01d198ec77c3450897f3",
+    "restore_predict_tune_predict": (
+        "69d93be6d7d9fdda7a8fd17f30f79c0d7f8b4bcd7ea80eed4f3dee78915052aa"
+    ),
+    "all_parameters": "d08695c8e83f21252cf2316a00aa3f93cf34aa10e6c53388dc678abd20aa2303",
+}
+
+
+def _feed(digest, value) -> None:
+    """Hash ``value`` exactly: floats as ``float.hex``, the rest by repr."""
+    if isinstance(value, Configuration):
+        value = config_to_dict(value)
+    if isinstance(value, dict):
+        for key, item in value.items():
+            digest.update(repr(key).encode())
+            _feed(digest, item)
+    elif isinstance(value, list | tuple):
+        digest.update(b"[")
+        for item in value:
+            _feed(digest, item)
+        digest.update(b"]")
+    elif isinstance(value, float):
+        digest.update(value.hex().encode())
+    else:
+        digest.update(repr(value).encode())
+
+
+def _session_digest(locat, *results, extra=()) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        _feed(digest, [
+            result.best_duration_s, result.overhead_s, result.evaluations,
+            result.best_config,
+            [result.details[k] for k in ("iicp_selected", "n_latent_dims", "csq", "transfer")],
+        ])
+    _feed(digest, locat.observation_history)
+    _feed(digest, [t.duration_s for t in locat.objective.history])
+    _feed(digest, list(extra))
+    return digest.hexdigest()
+
+
+class TestPinnedPaths:
+    """Every bootstrap path reproduces its parent-captured session."""
+
+    @staticmethod
+    def transfer_plan(x86, join_app, **gates):
+        from repro.transfer import TransferPlan, WorkloadFingerprint
+
+        donor = LOCAT(SparkSQLSimulator(x86), join_app, rng=3, **TINY_TUNER)
+        donor.tune(100.0)
+        return TransferPlan(
+            donor_app_id="donor",
+            donor_benchmark="join",
+            similarity=1.0,
+            cps=donor.iicp_result.cps,
+            fingerprint=WorkloadFingerprint.from_application(join_app),
+            observations=tuple(donor.observation_history),
+            **gates,
+        )
+
+    @pytest.mark.parametrize(
+        "path, gates, state",
+        [
+            ("transfer_accepted", {"min_agreement": 0.0, "min_similarity": 0.0}, "accepted"),
+            ("transfer_rejected", {"min_agreement": 1.01}, "rejected"),
+        ],
+    )
+    def test_transfer_session(self, x86, join_app, path, gates, state):
+        plan = self.transfer_plan(x86, join_app, **gates)
+        locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=4, transfer_from=plan, **TINY_TUNER)
+        result = locat.tune(100.0)
+        assert locat.transfer_state == state
+        assert _session_digest(
+            locat, result, extra=(locat.transfer_agreement, locat.transfer_similarity)
+        ) == PINNED_PATH_DIGESTS[path]
+
+    def test_restore_predict_tune(self, x86, join_app):
+        source = LOCAT(SparkSQLSimulator(x86), join_app, rng=5, **TINY_TUNER)
+        tuned = source.tune(100.0)
+        locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=6, **TINY_TUNER)
+        locat.restore(source.qcsa_result, source.iicp_result.cps, source.observation_history)
+        predicted = locat.predict_log_duration(tuned.best_config, 100.0)
+        result = locat.tune(100.0)
+        assert _session_digest(locat, result, extra=predicted) == (
+            PINNED_PATH_DIGESTS["restore_predict_tune"]
+        )
+        # The session adds no row before its only manifold build, so the
+        # build is skipped; the monitoring predictor is still refit.
+        after = [locat.predict_log_duration(tuned.best_config, ds) for ds in (100.0, 250.0)]
+        assert _session_digest(locat, result, extra=(predicted, *after)) == (
+            PINNED_PATH_DIGESTS["restore_predict_tune_predict"]
+        )
+
+    def test_all_parameters_ablation(self, x86, join_app):
+        locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=7, use_iicp=False, **TINY_TUNER)
+        first = locat.tune(100.0)
+        second = locat.tune(300.0)
+        assert _session_digest(locat, first, second) == PINNED_PATH_DIGESTS["all_parameters"]
+
+
+class TestLatentSpaceFits:
+    """The KPCA manifold is fit once per batch of new observations."""
+
+    @staticmethod
+    def count_fits(monkeypatch):
+        from repro.ml.kpca import KernelPCA
+
+        fits = []
+        fit = KernelPCA.fit
+
+        def counting(self, x):
+            fits.append(len(x))
+            return fit(self, x)
+
+        monkeypatch.setattr(KernelPCA, "fit", counting)
+        return fits
+
+    def test_one_fit_per_short_cold_session(self, x86, join_app, monkeypatch):
+        from repro.core.locat import REFIT_INTERVAL
+
+        fits = self.count_fits(monkeypatch)
+        locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=5, **TINY_TUNER)
+        assert locat.max_iterations <= REFIT_INTERVAL
+        locat.tune(100.0)
+        assert fits == [TINY_TUNER["n_qcsa"]]
+
+    def test_one_fit_per_accepted_transfer_bootstrap(self, x86, join_app, monkeypatch):
+        plan = TestPinnedPaths.transfer_plan(
+            x86, join_app, min_agreement=0.0, min_similarity=0.0
+        )
+        fits = self.count_fits(monkeypatch)
+        locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=4, transfer_from=plan, **TINY_TUNER)
+        locat.bootstrap(100.0)
+        assert locat.transfer_state == "accepted"
+        assert len(fits) == 1

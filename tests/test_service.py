@@ -811,9 +811,15 @@ class TestDriftDetectionService:
         assert decision.retuned and decision.trigger == "drift"
 
 
+#: Tuner keys retired with the IICP knobs and the QCSA switch.
+RETIRED_IICP_SETTINGS = {
+    "explained_variance": 0.95, "scc_threshold": 0.2, "kernel": "gaussian", "use_qcsa": False,
+}
+
+
 class TestRetiredSettings:
-    """Stores written before the detector, surrogate-mode, backend and
-    promotion settings were retired still rehydrate."""
+    """Stores written before the detector, surrogate-mode, backend,
+    promotion, IICP and QCSA settings were retired still rehydrate."""
 
     def write_parent_format_store(self, store_dir):
         """A tenant whose app.json and deployed.json carry every retired
@@ -825,7 +831,9 @@ class TestRetiredSettings:
         registry.observe("app", 100.0, duration_s=first.result.best_duration_s * 1.2)
         meta_path = store_dir / "app" / "app.json"
         meta = json.loads(meta_path.read_text())
-        meta["tuner"].update(surrogate_mode="full", surrogate_backend="windowed")
+        meta["tuner"].update(
+            surrogate_mode="full", surrogate_backend="windowed", **RETIRED_IICP_SETTINGS
+        )
         meta["controller"].update(detector="ratio", drift_factor=1.3, drift_patience=2)
         meta_path.write_text(json.dumps(meta))
         deployment = store.load_deployment("app")
@@ -854,15 +862,20 @@ class TestRetiredSettings:
             line for line in capsys.readouterr().err.splitlines()
             if "retired setting" in line
         ]
-        assert len(warnings) == 5
+        assert len(warnings) == 5 + len(RETIRED_IICP_SETTINGS)
         for setting in (
             "tuner.surrogate_mode", "tuner.surrogate_backend",
             "controller.detector", "controller.drift_factor",
             "controller.drift_patience",
+            *(f"tuner.{key}" for key in RETIRED_IICP_SETTINGS),
         ):
             assert sum(setting + "=" in line for line in warnings) == 1, setting
         # The ratio window does not translate: the detector starts fresh.
         assert session.controller.detector_state()["n"] == 0
+        # Registration keeps rejecting them.
+        for key, value in RETIRED_IICP_SETTINGS.items():
+            with pytest.raises(ValueError, match=f"unknown tuner settings.*{key}"):
+                rehydrated.register("new", "join", tuner={key: value})
 
     def test_parent_promotion_and_backend_settings_rehydrate(self, tmp_path, capsys):
         """Stores written while promotion, surrogate backend, refit
@@ -1246,7 +1259,9 @@ class TestDrainAndShutdown:
             client = TuningClient(service.url)
             client.register_app("app", "join", seed=7, tuner=TINY_TUNER)
             assert client._request("POST", "/admin/drain") == {"status": "drained"}
-            assert service.drained.is_set()
+            # The handler answers first and sets the flag after, so the
+            # client can read the answer before the flag is up.
+            assert service.drained.wait(timeout=5.0)
             with pytest.raises(ServiceError) as excinfo:
                 client.observe("app", 100.0)
             assert excinfo.value.status == 503
