@@ -14,7 +14,7 @@ from repro.bo.acquisition import (
 from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel, RBFKernel
 from repro.bo.lhs import latin_hypercube
-from repro.bo.mcmc import slice_sample_chain, slice_sample_hyperparameters
+from repro.bo.mcmc import slice_sample_chain
 from repro.bo.optimize import maximize_acquisition
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "maximize_acquisition",
     "probability_of_improvement",
     "slice_sample_chain",
-    "slice_sample_hyperparameters",
     "upper_confidence_bound",
 ]

@@ -15,7 +15,11 @@ O(n^2) ``alpha`` solve is redone) — and a memoized, *non-mutating*
 hyper-parameter vector builds a throwaway factorization instead of
 refactorizing the model twice (set + restore), and repeated evaluations
 at bit-identical thetas (the common case inside univariate slice
-sampling) return the cached float.
+sampling) return the cached float.  Within one slice-sampling update
+only one coordinate of theta moves, so ``log_marginal_likelihood(theta,
+along=j)`` assembles the covariance from a base built once for that
+coordinate: one matrix update and the kernel formula per evaluation
+instead of a full ARD kernel build.
 
 Every factorization and solve goes through
 :func:`~repro.surrogate.incremental.chol_lower` and
@@ -31,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bo.acquisition import expected_improvement
-from repro.bo.kernels import Matern52Kernel, RBFKernel
+from repro.bo.kernels import Matern52Kernel, RBFKernel, ard_shape, scaled_rows, scaled_sq_dist
 from repro.surrogate.incremental import (
     LMLCache,
     add_noise,
@@ -39,6 +43,8 @@ from repro.surrogate.incremental import (
     chol_solve,
     cholesky_append,
 )
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class GaussianProcess:
@@ -73,6 +79,9 @@ class GaussianProcess:
         self._chol_lower: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._lml_cache = LMLCache()
+        # ``(key, base)`` of the last ``log_marginal_likelihood(along=)``
+        # base; like the LML memo, a function of the training data.
+        self._along_base: tuple | None = None
 
     # ------------------------------------------------------------------
     # Fitting and prediction
@@ -152,7 +161,7 @@ class GaussianProcess:
         self._x = x
         self._standardize(y)
         self._refactor()
-        self._lml_cache.clear()
+        self._forget_lml_memos()
         return self
 
     def extend(
@@ -189,8 +198,13 @@ class GaussianProcess:
         self._extra_noise = extra_all
         self._standardize(np.concatenate([self._y_raw, y]))
         self._alpha = chol_solve(self._chol_lower, self._y)
-        self._lml_cache.clear()
+        self._forget_lml_memos()
         return self
+
+    def _forget_lml_memos(self) -> None:
+        """Drop every memo keyed by theta alone: the training data changed."""
+        self._lml_cache.clear()
+        self._along_base = None
 
     def lml_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the per-theta LML memo."""
@@ -247,11 +261,12 @@ class GaussianProcess:
 
     def _lml_from(self, lower: np.ndarray, alpha: np.ndarray) -> float:
         assert self._y is not None
-        log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-        n = self._y.shape[0]
-        return float(-0.5 * self._y @ alpha - 0.5 * log_det - 0.5 * n * np.log(2.0 * np.pi))
+        log_det = 2.0 * float(np.log(lower.diagonal()).sum())
+        return -0.5 * float(self._y @ alpha) - 0.5 * log_det - 0.5 * self._y.shape[0] * _LOG_2PI
 
-    def log_marginal_likelihood(self, theta: np.ndarray | None = None) -> float:
+    def log_marginal_likelihood(
+        self, theta: np.ndarray | None = None, along: int | None = None
+    ) -> float:
         """LML of the (standardized) training targets.
 
         With ``theta`` given, evaluates at those hyper-parameters
@@ -261,6 +276,13 @@ class GaussianProcess:
         Results are memoized per exact theta until the training data
         changes, so slice sampling's repeated evaluations at the current
         chain state are free — and return bit-identical floats.
+
+        ``along=j`` declares that successive calls differ only in
+        ``theta[j]``, as in one univariate slice-sampling update.  The
+        covariance is then assembled from a base built once for "theta
+        with coordinate ``j`` free" (see :meth:`_covariance_along`)
+        instead of a full kernel build; the value equals the
+        ``along=None`` one up to round-off.
         """
         if not self.is_fitted:
             raise RuntimeError("log_marginal_likelihood() called before fit()")
@@ -270,18 +292,65 @@ class GaussianProcess:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_hyperparameters,):
             raise ValueError(f"expected {self.n_hyperparameters} hyper-parameters")
+        if along is not None and not 0 <= along < theta.shape[0]:
+            raise ValueError(f"along must index one of {theta.shape[0]} hyper-parameters")
         cached = self._lml_cache.get(theta)
         if cached is not None:
             return cached
-        kernel = self.kernel.clone()
-        kernel.set_theta(theta[:-1])
-        noise = float(np.exp(theta[-1]))
-        k = add_noise(kernel(self._x, self._x), noise, self._extra_noise)
+        if along is None:
+            kernel = self.kernel.clone()
+            kernel.set_theta(theta[:-1])
+            k = kernel(self._x, self._x)
+        else:
+            k = self._covariance_along(theta, along)
+        k = add_noise(k, float(np.exp(theta[-1])), self._extra_noise)
         # Only the lower triangle is read: skip zeroing the upper one.
         lower = chol_lower(k, clean=False)
         value = self._lml_from(lower, chol_solve(lower, self._y))
         self._lml_cache.put(theta, value)
         return value
+
+    def _covariance_along(self, theta: np.ndarray, along: int) -> np.ndarray:
+        """Noise-free training covariance at ``theta`` from a base that
+        holds everything but coordinate ``along``.
+
+        For lengthscale ``d = along - 1`` the base is the scaled squared
+        distance over the other dimensions plus the raw column term
+        ``(x_d - x_d')^2``, so ``sq = base + column * exp(-2 theta[along])``
+        and the covariance is the kernel formula of ``sq`` times the
+        signal variance.  For the signal or the noise coordinate the
+        base is the unit-signal kernel matrix at theta's lengthscales,
+        scaled per call (noise is added by the caller).  The base is
+        rebuilt whenever the other coordinates or ``along`` change.
+        """
+        masked = theta.copy()
+        masked[along] = 0.0
+        key = (masked.tobytes(), along)
+        if self._along_base is None or self._along_base[0] != key:
+            self._along_base = (key, self._build_base(theta, along))
+        rest, column = self._along_base[1]
+        signal = float(np.exp(theta[0]))
+        if column is None:
+            return rest * signal
+        sq = column * float(np.exp(-2.0 * theta[along]))
+        sq += rest
+        k = ard_shape(sq, self.kernel.matern)
+        k *= signal
+        return k
+
+    def _build_base(self, theta: np.ndarray, along: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(unit-signal kernel matrix, None)`` for the signal or noise
+        coordinate, ``(other dimensions' sq, column term)`` for a
+        lengthscale."""
+        lengthscales = np.exp(theta[1:-1])
+        x = self._x
+        if along == 0 or along == theta.shape[0] - 1:
+            a, aa = scaled_rows(x, lengthscales)
+            return ard_shape(scaled_sq_dist(2.0 * a, aa, a, aa), self.kernel.matern), None
+        d = along - 1
+        a, aa = scaled_rows(np.delete(x, d, axis=1), np.delete(lengthscales, d))
+        diff = x[:, d, None] - x[None, :, d]
+        return scaled_sq_dist(2.0 * a, aa, a, aa), diff * diff
 
     def clone_with_theta(self, theta: np.ndarray) -> "GaussianProcess":
         """An independent fitted copy at the given hyper-parameters."""

@@ -9,7 +9,9 @@ Both kernels evaluate through :func:`ard_covariance`, which
 :class:`repro.surrogate.stack.ModelStack` also calls on stacked inputs to
 evaluate all of EI-MCMC's hyper-parameter samples in one pass.  One code
 path serves both, so slice ``s`` of a stacked evaluation equals
-``kernels[s](x1, x2)`` bit for bit.
+``kernels[s](x1, x2)`` bit for bit.  The slice sampler's per-coordinate
+likelihood bases in :mod:`repro.bo.gp` build on the same two pieces,
+:func:`scaled_sq_dist` and :func:`ard_shape`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,44 @@ def scaled_rows(x: np.ndarray, lengthscales: np.ndarray) -> tuple[np.ndarray, np
     return a, np.sum(a * a, axis=-1)
 
 
+def scaled_sq_dist(two_a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Squared distances between two sets of scaled rows, ``(..., n1, n2)``.
+
+    ``b, bb = scaled_rows(x2, ls)``; ``aa`` is the same row norm of
+    ``x1`` and ``two_a`` is ``2.0 * x1 / ls``.  Inputs may carry a
+    leading sample axis.  ``sq = aa + bb - 2 a b^T``, clipped at zero.
+    """
+    # ``two_a`` and ``b`` are distinct arrays even for ``x1 is x2``: a
+    # product ``a @ a.T`` would dispatch to syrk and round differently.
+    sq = aa[..., :, None] + bb[..., None, :]
+    sq -= two_a @ np.swapaxes(b, -1, -2)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def ard_shape(sq: np.ndarray, matern: bool) -> np.ndarray:
+    """The kernel formula at unit signal variance, from clipped ``sq``.
+
+    ``exp(-0.5 * sq)`` (RBF) or ``(1 + sqrt5 r + 5/3 sq) * exp(-sqrt5 r)``
+    with ``r = sqrt(sq)`` (Matern 5/2), evaluated in place: ``sq`` is
+    overwritten.  Every covariance in the package goes through this one
+    function, then is scaled by its signal variance.
+    """
+    if not matern:
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        return sq
+    r = np.sqrt(sq)
+    term = _SQRT5 * r
+    term += 1.0
+    sq *= 5.0 / 3.0
+    term += sq
+    r *= -_SQRT5
+    np.exp(r, out=r)
+    term *= r
+    return term
+
+
 def ard_covariance(
     two_a: np.ndarray,
     aa: np.ndarray,
@@ -39,34 +79,13 @@ def ard_covariance(
 ) -> np.ndarray:
     """Covariance between two sets of scaled inputs, ``(..., n1, n2)``.
 
-    ``b, bb = scaled_rows(x2, ls)``; ``aa`` is the same row norm of
-    ``x1`` and ``two_a`` is ``2.0 * x1 / ls``.  Inputs may carry a
-    leading sample axis, with ``signal_variance`` of shape ``(S, 1, 1)``.
-    The formula is evaluated in place, in the operation order of
-    ``sv * exp(-0.5 * sq)`` (RBF) and
-    ``sv * (1 + sqrt5 r + 5/3 sq) * exp(-sqrt5 r)`` (Matern 5/2), with
-    ``sq = aa + bb - 2 a b^T`` clipped at zero.
+    Arguments as for :func:`scaled_sq_dist`, with ``signal_variance`` of
+    shape ``(S, 1, 1)`` when the inputs carry a leading sample axis:
+    ``signal_variance * ard_shape(scaled_sq_dist(...))``.
     """
-    # ``two_a`` and ``b`` are distinct arrays even for ``x1 is x2``: a
-    # product ``a @ a.T`` would dispatch to syrk and round differently.
-    sq = aa[..., :, None] + bb[..., None, :]
-    sq -= two_a @ np.swapaxes(b, -1, -2)
-    np.maximum(sq, 0.0, out=sq)
-    if not matern:
-        sq *= -0.5
-        np.exp(sq, out=sq)
-        sq *= signal_variance
-        return sq
-    r = np.sqrt(sq)
-    term = _SQRT5 * r
-    term += 1.0
-    sq *= 5.0 / 3.0
-    term += sq
-    r *= -_SQRT5
-    np.exp(r, out=r)
-    term *= signal_variance
-    term *= r
-    return term
+    k = ard_shape(scaled_sq_dist(two_a, aa, b, bb), matern)
+    k *= signal_variance
+    return k
 
 
 class _ARDKernel:

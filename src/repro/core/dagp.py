@@ -63,10 +63,15 @@ DATASIZE_REFERENCE_GB = 1024.0
 #: enough to outvote a real observation nearby.
 TRANSFER_NOISE_VARIANCE = 0.5
 
+#: Burn-in of a fresh hyper-parameter chain, which starts from the GP's
+#: own hyper-parameters (the sweep behind the value is in
+#: :mod:`repro.bo.mcmc`).
+MCMC_BURN_IN = 10
+
 #: Burn-in of a resumed hyper-parameter chain.  A refresh continues the
 #: previous chain from its final state, which already sits in the
 #: posterior of an almost identical training set, so a handful of
-#: updates decorrelates it — against the cold default of 20.
+#: updates decorrelates it — against :data:`MCMC_BURN_IN` for a fresh one.
 MCMC_WARM_BURN_IN = 4
 
 #: How many appended rows may reuse the current hyper-parameter samples
@@ -197,14 +202,14 @@ class DatasizeAwareGP:
 
         ``resume=True`` continues the previous chain from its final state
         with the short :data:`MCMC_WARM_BURN_IN`; otherwise the chain
-        starts from the GP's own hyper-parameters with the default
-        burn-in of 20.
+        starts from the GP's own hyper-parameters with
+        :data:`MCMC_BURN_IN`.
         """
         resume = resume and self._mcmc_state is not None
         self._theta_samples, self._mcmc_state = slice_sample_chain(
             self.gp,
             n_samples=self.n_mcmc,
-            burn_in=MCMC_WARM_BURN_IN if resume else 20,
+            burn_in=MCMC_WARM_BURN_IN if resume else MCMC_BURN_IN,
             rng=ensure_rng(rng),
             initial_theta=self._mcmc_state if resume else None,
         )

@@ -20,7 +20,7 @@ Small primitives with an outsized effect on optimizer time:
   log-marginal-likelihood values.  Univariate slice sampling
   re-evaluates the posterior at the current state once per coordinate
   update (plus every step-out bound it revisits); each of those
-  evaluations is a full kernel build and Cholesky factorization.
+  evaluations is a covariance assembly and a Cholesky factorization.
   Memoizing by the exact hyper-parameter bytes returns the identical
   float for identical states, so the sampler's accept/reject decisions
   — and therefore its RNG draw sequence — are unchanged.

@@ -12,7 +12,7 @@ from repro.bo.acquisition import (
 from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import RBFKernel
 from repro.bo.lhs import latin_hypercube
-from repro.bo.mcmc import slice_sample_hyperparameters
+from repro.bo.mcmc import slice_sample_chain
 from repro.bo.optimize import maximize_acquisition, propose_batch
 
 
@@ -82,29 +82,29 @@ class TestSliceSampling:
         return gp.fit(x, y)
 
     def test_returns_requested_samples(self, fitted_gp):
-        samples = slice_sample_hyperparameters(fitted_gp, n_samples=5, burn_in=5, rng=0)
+        samples, _ = slice_sample_chain(fitted_gp, n_samples=5, burn_in=5, rng=0)
         assert len(samples) == 5
         assert all(s.shape == (fitted_gp.n_hyperparameters,) for s in samples)
 
     def test_restores_gp_state(self, fitted_gp):
         before = fitted_gp.get_theta().copy()
-        slice_sample_hyperparameters(fitted_gp, n_samples=3, burn_in=3, rng=1)
+        slice_sample_chain(fitted_gp, n_samples=3, burn_in=3, rng=1)
         np.testing.assert_allclose(fitted_gp.get_theta(), before)
 
     def test_samples_have_finite_posterior(self, fitted_gp):
-        samples = slice_sample_hyperparameters(fitted_gp, n_samples=4, burn_in=5, rng=2)
+        samples, _ = slice_sample_chain(fitted_gp, n_samples=4, burn_in=5, rng=2)
         for theta in samples:
             assert np.isfinite(fitted_gp.log_marginal_likelihood(theta))
 
     def test_chain_moves(self, fitted_gp):
-        samples = slice_sample_hyperparameters(fitted_gp, n_samples=6, burn_in=10, rng=3)
+        samples, _ = slice_sample_chain(fitted_gp, n_samples=6, burn_in=10, rng=3)
         stacked = np.stack(samples)
         assert np.std(stacked) > 0  # not stuck at the initial point
 
     def test_requires_fitted_gp(self):
         gp = GaussianProcess(RBFKernel(dim=1))
         with pytest.raises(RuntimeError):
-            slice_sample_hyperparameters(gp, n_samples=2)
+            slice_sample_chain(gp, n_samples=2)
 
 
 class TestMaximizeAcquisition:

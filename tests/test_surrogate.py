@@ -20,7 +20,8 @@ import pytest
 
 from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel, RBFKernel
-from repro.bo.mcmc import slice_sample_chain, slice_sample_hyperparameters
+import repro.bo.mcmc as mcmc
+from repro.bo.mcmc import slice_sample_chain
 from repro.core import LOCAT
 from repro.core.dagp import MCMC_REFRESH_ROWS, MCMC_WARM_BURN_IN, DatasizeAwareGP
 from repro.core.online import OnlineController
@@ -366,8 +367,134 @@ class TestSliceChain:
 
     def test_gp_state_untouched(self, fitted_gp):
         before = fitted_gp.get_theta().copy()
-        slice_sample_hyperparameters(fitted_gp, n_samples=3, burn_in=3, rng=4)
+        slice_sample_chain(fitted_gp, n_samples=3, burn_in=3, rng=4)
         np.testing.assert_array_equal(fitted_gp.get_theta(), before)
+
+
+class TestLMLAlong:
+    """``log_marginal_likelihood(theta, along=j)`` assembles the
+    covariance from a base built once per (other coordinates, ``j``):
+    every value must equal a fresh full-kernel evaluation."""
+
+    @staticmethod
+    def fresh_lml(kernel_cls, x, y, extra, theta):
+        gp = GaussianProcess(kernel_cls(dim=x.shape[1]))
+        return gp.fit(x, y, extra_noise=extra).log_marginal_likelihood(theta)
+
+    @pytest.mark.parametrize("kernel_cls", [RBFKernel, Matern52Kernel])
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("with_extra", [False, True])
+    def test_matches_fresh_evaluation(self, kernel_cls, dim, with_extra):
+        rng = np.random.default_rng(30)
+        x = rng.random((20, dim))
+        y = np.sin(3 * x[:, 0]) + 0.1 * rng.normal(size=20)
+        gp = GaussianProcess(kernel_cls(dim=dim))
+        # Per-row extra noise, as donor rows carry in the transfer prior.
+        extra = np.where(np.arange(20) % 3 == 0, 0.5, 0.0) if with_extra else None
+        gp.fit(x, y, extra_noise=extra)
+        theta = gp.get_theta() + rng.normal(0.0, 0.3, size=dim + 2)
+        # Signal, first and last lengthscale, noise; each coordinate is
+        # moved several times, so all but the first call reuse the base.
+        for along in sorted({0, 1, dim, dim + 1}):
+            for value in theta[along] + rng.normal(0.0, 1.0, size=4):
+                moved = theta.copy()
+                moved[along] = value
+                assert gp.log_marginal_likelihood(moved, along=along) == pytest.approx(
+                    self.fresh_lml(kernel_cls, x, y, extra, moved), rel=1e-9
+                )
+
+    def test_base_is_dropped_when_the_data_changes(self):
+        gp, x, y = make_gp(n=30, dim=3, seed=32)
+        gp.fit(x[:20], y[:20])
+        theta = gp.get_theta() + 0.3
+        gp.log_marginal_likelihood(theta, along=2)  # base over x[:20]
+        # A refit on other inputs of the same size must not reuse it ...
+        gp.fit(x[10:], y[10:])
+        theta[2] += 0.7
+        assert gp.log_marginal_likelihood(theta, along=2) == pytest.approx(
+            self.fresh_lml(Matern52Kernel, x[10:], y[10:], None, theta), rel=1e-9
+        )
+        # ... nor an extend.
+        gp.extend(x[:10], y[:10])
+        theta[2] += 0.4
+        x_all, y_all = np.vstack([x[10:], x[:10]]), np.concatenate([y[10:], y[:10]])
+        assert gp.log_marginal_likelihood(theta, along=2) == pytest.approx(
+            self.fresh_lml(Matern52Kernel, x_all, y_all, None, theta), rel=1e-9
+        )
+
+    def test_along_is_validated(self):
+        gp, x, y = make_gp(n=10, dim=2, seed=33)
+        gp.fit(x, y)
+        with pytest.raises(ValueError):
+            gp.log_marginal_likelihood(gp.get_theta(), along=gp.n_hyperparameters)
+
+    def test_non_pd_covariance_reads_as_minus_inf(self, monkeypatch):
+        import repro.bo.gp as gp_module
+        from repro.bo.mcmc import _log_posterior
+
+        gp, x, y = make_gp(n=10, seed=34)
+        gp.fit(x, y)
+        theta = gp.get_theta()
+        assert np.isfinite(_log_posterior(gp, theta, 1))
+
+        def not_pd(a, clean=True):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp_module, "chol_lower", not_pd)
+        moved = theta.copy()
+        moved[1] += 0.5
+        assert _log_posterior(gp, moved, 1) == -np.inf
+
+
+class _ScriptedGenerator:
+    """Stands in for ``np.random.Generator`` in one slice update: scripted
+    ``random()`` draws, and ``uniform`` records the bracket it shrinks."""
+
+    def __init__(self, randoms):
+        self.randoms = list(randoms)
+        self.brackets = []
+
+    def random(self):
+        return self.randoms.pop(0)
+
+    def uniform(self, low, high):
+        self.brackets.append((low, high))
+        return 0.5 * (low + high)
+
+
+class TestStepOut:
+    """Neal (2003), figure 3: the step-out limit ``m`` is split at random,
+    ``J = floor(m V)`` steps to the left and ``m - 1 - J`` to the right."""
+
+    def expansions(self, monkeypatch, v, log_posterior):
+        monkeypatch.setattr(mcmc, "_log_posterior", log_posterior)
+        offset = 0.25
+        # u for the slice level, then U for the offset, then V.
+        gen = _ScriptedGenerator([0.5, offset, v])
+        mcmc._slice_sample_coordinate(None, np.zeros(3), 1, gen)
+        low, high = gen.brackets[0]
+        width = mcmc.STEP_WIDTH
+        left = (-offset * width - low) / width
+        right = (high - (1.0 - offset) * width) / width
+        return round(left), round(right), mcmc.STEP_OUT_LIMIT
+
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.5, 0.999])
+    def test_limit_is_split_by_v(self, monkeypatch, v):
+        # A flat posterior: every step-out step is taken until the limit.
+        left, right, m = self.expansions(monkeypatch, v, lambda gp, theta, along=None: 0.0)
+        assert left == int(np.floor(m * v))
+        assert left + right == m - 1
+
+    def test_expansions_stop_at_the_slice_edge(self, monkeypatch):
+        def boxed(gp, theta, along=None):
+            return 0.0 if abs(theta[1]) < 2.5 else -np.inf
+
+        for v in (0.1, 0.5, 0.9):
+            left, right, m = self.expansions(monkeypatch, v, boxed)
+            assert left + right <= m - 1
+            assert left <= int(np.floor(m * v))
+            # The bracket ends where the box does, unless the limit bound.
+            assert left <= 3 / mcmc.STEP_WIDTH and right <= 3 / mcmc.STEP_WIDTH
 
 
 def synthetic_observations(seed=20, n=30):
@@ -537,25 +664,25 @@ PINNED_BO_LOOP = {
         [0.08992890458795677, 0.9709185257592405],
         [0.3469911746453982, 0.5355452585890599],
         [0.22279143552845215, 0.28182810633472577],
-        [0.22778184674144647, 0.35617418232893694],
-        [0.2116674500681373, 0.43916684685814644],
-        [0.225052466464701, 0.3570262109431558],
+        [0.2752930829223385, 0.29621809032207747],
+        [0.26712537747267373, 0.9807155778549794],
+        [0.2429965833541576, 0.34881574128841114],
     ],
     "durations": [
         13.36061994958997,
         14.942615333345683,
         10.576897393383414,
         10.062913801471392,
-        10.083710004204004,
-        10.271700506419037,
-        10.08869121517558,
+        10.006247345922946,
+        14.644544387407528,
+        10.056323661068365,
     ],
     "ei_values": [
         0.02821184417355568,
-        0.018686297841402178,
-        0.017926018778494993,
-        0.013504900080789091,
-        0.016714771294683628,
+        0.06621275652679368,
+        0.05900502371514705,
+        0.028536443076023054,
+        0.03262824764181206,
     ],
     "stopped_by_ei": True,
 }
@@ -567,20 +694,20 @@ PINNED_LOCAT_DURATIONS = [
     100.92531795465439,
     345.1488918823474,
     1990.9731010956084,
-    204.1985856662976,
-    99.42638247315523,
-    70.4338156376515,
-    74.03917789910666,
-    73.67870893132164,
-    80.14891237727284,
-    74.18960168064075,
-    80.17574530549894,
-    79.64804781576058,
-    81.94028303301734,
-    77.1636887300917,
+    70.50365717596245,
+    91.47743489356623,
+    74.10941027274636,
+    72.81687881143154,
+    72.86328471441246,
+    76.50839150651117,
+    369.0335347698213,
+    131.18055240975517,
+    78.17275734523461,
+    73.95851918213161,
+    71.98228024837222,
 ]
 
-PINNED_LOCAT_BEST = 75.66955769421257
+PINNED_LOCAT_BEST = 70.50365717596245
 
 #: A deployed small-budget tenant (``n_mcmc=4``, ``replay_eval="race"``)
 #: fed an abrupt-skew stream until its first drift retune completes: the
@@ -591,65 +718,73 @@ PINNED_LOCAT_BEST = 75.66955769421257
 #: low-fidelity prior, the promotion gate), which the two pins above do
 #: not reach; both its sessions also run ``ModelStack.extend``.
 PINNED_DRIFT_DURATIONS = [
-    50.48957460533836,
-    52.11423580605863,
-    49.8485481744523,
-    51.09482116746843,
-    50.01765507674012,
-    47.37319821500407,
-    50.53150301380486,
-    48.57614777245636,
-    57.062715850545544,
-    52.983615067210685,
-    55.961288903151335,
-    51.57506757763593,
-    52.09845702967212,
-    53.29241860435732,
-    55.05205341185977,
-    59.73038786468095,
-    58.07820834596568,
+    49.12836113712969,
+    50.70922100410961,
+    48.504616963383256,
+    49.71729007768345,
+    48.6691646948965,
+    46.096003151539136,
+    49.169159143631994,
+    47.266520842571886,
+    54.58284109566192,
+    50.68101296583539,
+    53.52928079535029,
+    49.33367920064066,
+    49.83432279717855,
+    50.97639628481375,
+    52.65955954917463,
+    57.134579397502755,
+    55.55420154854552,
+    52.17595654677391,
+    50.75467304322095,
+    50.64366321837152,
+    54.89603595875985,
+    49.58622938808073,
+    54.116839398581476,
+    52.836228482582776,
+    57.476583876541156,
 ]
-PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 16 + [(True, "drift", "promoted")]
-PINNED_DRIFT_RETUNE = (2, 49.470779257406825)
+PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 24 + [(True, "drift", "promoted")]
+PINNED_DRIFT_RETUNE = (2, 49.773743394856965)
 PINNED_DRIFT_DEPLOYED = {
-    "broadcast.blockSize": 4,
+    "broadcast.blockSize": 7,
     "broadcast.compress": True,
-    "default.parallelism": 307,
-    "driver.cores": 9,
-    "driver.memory": 18,
-    "executor.cores": 9,
+    "default.parallelism": 236,
+    "driver.cores": 14,
+    "driver.memory": 23,
+    "executor.cores": 12,
     "executor.instances": 9,
-    "executor.memory": 43,
-    "executor.memoryOverhead": 6940,
-    "io.compression.zstd.bufferSize": 32,
-    "io.compression.zstd.level": 2,
-    "kryoserializer.buffer": 64,
-    "kryoserializer.buffer.max": 64,
-    "locality.wait": 3,
-    "memory.fraction": 0.5579755801433541,
-    "memory.offHeap.enabled": False,
+    "executor.memory": 48,
+    "executor.memoryOverhead": 1820,
+    "io.compression.zstd.bufferSize": 85,
+    "io.compression.zstd.level": 3,
+    "kryoserializer.buffer": 86,
+    "kryoserializer.buffer.max": 69,
+    "locality.wait": 1,
+    "memory.fraction": 0.6273359405016956,
+    "memory.offHeap.enabled": True,
     "memory.offHeap.size": 0,
-    "memory.storageFraction": 0.7496865427913573,
+    "memory.storageFraction": 0.6776265982921313,
     "rdd.compress": True,
-    "reducer.maxSizeInFlight": 43,
-    "scheduler.revive.interval": 3,
+    "reducer.maxSizeInFlight": 31,
+    "scheduler.revive.interval": 2,
     "shuffle.compress": True,
-    "shuffle.file.buffer": 92,
-    "shuffle.io.numConnectionsPerPeer": 2,
-    "shuffle.sort.bypassMergeThreshold": 400,
+    "shuffle.file.buffer": 91,
+    "shuffle.io.numConnectionsPerPeer": 1,
+    "shuffle.sort.bypassMergeThreshold": 378,
     "shuffle.spill.compress": False,
-    "sql.autoBroadcastJoinThreshold": 5635,
-    "sql.cartesianProductExec.buffer.in.memory.threshold": 4096,
-    "sql.codegen.aggregate.map.twolevel.enable": True,
-    "sql.codegen.maxFields": 100,
-    "sql.inMemoryColumnarStorage.batchSize": 11402,
-    "sql.inMemoryColumnarStorage.compressed": True,
+    "sql.autoBroadcastJoinThreshold": 5404,
+    "sql.cartesianProductExec.buffer.in.memory.threshold": 2983,
+    "sql.codegen.aggregate.map.twolevel.enable": False,
+    "sql.codegen.maxFields": 132,
+    "sql.inMemoryColumnarStorage.batchSize": 11894,
+    "sql.inMemoryColumnarStorage.compressed": False,
     "sql.inMemoryColumnarStorage.partitionPruning": True,
     "sql.join.preferSortMergeJoin": False,
-    "sql.retainGroupColumns": False,
-    "sql.shuffle.partitions": 558,
-    "sql.sort.enableRadixSort": True,
-    "storage.memoryMapThreshold": 6,
+    "sql.retainGroupColumns": True,
+    "sql.shuffle.partitions": 676,
+    "sql.sort.enableRadixSort": False,
+    "storage.memoryMapThreshold": 5,
 }
 
 
