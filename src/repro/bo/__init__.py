@@ -1,9 +1,11 @@
-"""Bayesian optimization substrate built from scratch on numpy/scipy.
+"""Bayesian optimization substrate built from scratch on numpy.
 
 Implements everything LOCAT's DAGP needs (paper section 3.4): Gaussian
 process regression with ARD kernels, Latin hypercube start points,
 expected improvement, and EI-MCMC (slice-sampling marginalization of the
-GP hyper-parameters, following Snoek et al. 2012).
+GP hyper-parameters, following Snoek et al. 2012).  The only scipy code
+it runs is LAPACK, reached through :mod:`repro.surrogate.incremental`;
+the normal CDF of the acquisition functions is libm's ``erfc``.
 """
 
 from repro.bo.acquisition import (

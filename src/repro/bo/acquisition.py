@@ -7,16 +7,27 @@ usual exploration offset.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import ndtr
+import math
 
-#: ``scipy.stats.norm`` dispatches every ``cdf``/``pdf`` call through the
-#: generic rv_continuous machinery (argument reduction, broadcasting,
-#: bounds handling) — measurable overhead on the BO hot path, which
-#: scores thousands of candidates per iteration.  ``ndtr`` and the
-#: explicit density below are the exact computations norm.cdf/norm.pdf
-#: bottom out in, so the results are bit-identical.
+import numpy as np
+
+#: The standard normal CDF and density, written out rather than taken
+#: from ``scipy.stats.norm`` (whose generic machinery is measurable
+#: overhead on the BO hot path) or ``scipy.special.ndtr`` (whose import
+#: loads scipy's array-API layer, about 0.25 s of every fresh
+#: ``repro tune``).  The CDF is libm's ``erfc``, one Python call per
+#: point: it agrees with ``scipy.special.ndtr`` to 2e-13 relative error
+#: down to z = -30.  A cold TPC-DS session evaluates it at about 66,000
+#: points; ``map`` over a list costs half of ``np.vectorize``.
 _PDF_NORMALIZER = np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+
+
+def ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, ``0.5 * erfc(-z / sqrt(2))``, elementwise."""
+    w = -np.asarray(z, dtype=float) / _SQRT2
+    erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), float, count=w.size)
+    return 0.5 * erfc.reshape(w.shape)
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:

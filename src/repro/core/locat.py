@@ -45,6 +45,7 @@ cold start.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,23 +64,22 @@ from repro.core.parallel import EvalRequest, ParallelEvaluator
 from repro.core.qcsa import DEFAULT_N_QCSA, QCSAResult, analyze_samples
 from repro.core.result import TuningResult
 from repro.core.tuner import BOLoop, DEFAULT_EI_THRESHOLD, DEFAULT_MIN_ITERATIONS
-from repro.replay import (
+from repro.replay.trace import (
     DEFAULT_N_REPLAYS,
     DEFAULT_TRACE_CAPACITY,
     MIN_TRACE_STEPS,
     REPLAY_EVAL_MODES,
-    ReplayEvaluator,
     ReplayTrace,
     TraceStep,
-    race,
 )
 from repro.sparksim.configspace import Configuration
 from repro.sparksim.engine import SparkSQLSimulator
 from repro.sparksim.query import Application
 from repro.sparksim.serialize import canonical_key
 from repro.stats.sampling import ensure_rng
-from repro.transfer.donor import TransferPlan, cps_agreement
-from repro.transfer.fingerprint import WorkloadFingerprint, fingerprint_similarity
+
+if TYPE_CHECKING:
+    from repro.transfer.donor import TransferPlan
 
 #: Bootstrap budget of a transfer warm start: enough full-application
 #: runs for QCSA CVs and a provisional CPS, a fraction of DEFAULT_N_QCSA.
@@ -347,6 +347,9 @@ class LOCAT:
         the donor's observations become a low-fidelity GP prior and the
         merged CPS selection is returned; on rejection, None.
         """
+        from repro.transfer.donor import cps_agreement
+        from repro.transfer.fingerprint import WorkloadFingerprint, fingerprint_similarity
+
         plan = self.transfer_from
         assert plan is not None
         space = self.objective.space
@@ -853,6 +856,8 @@ class LOCAT:
             and self.replay_eval == "race"
             and self.replay_trace.n_steps >= MIN_TRACE_STEPS
         ):
+            from repro.replay.evaluator import ReplayEvaluator
+
             self._replay_sessions += 1
             replay = ReplayEvaluator(
                 self.simulator,
@@ -1140,6 +1145,18 @@ class LOCAT:
             evaluations=self.objective.n_evaluations - evals_before,
             details=details,
         )
+
+
+def race(evaluator, candidates: list, **kwargs):
+    """:func:`repro.replay.racing.race`, imported on the first race.
+
+    Only a drift retune with replay racing runs one, so a cold session
+    never loads the racing module.  :meth:`LOCAT._tune` looks the race
+    up here, so ``perfbench/tracer.py`` wraps this one name.
+    """
+    from repro.replay.racing import race as run_race
+
+    return run_race(evaluator, candidates, **kwargs)
 
 
 def _at_datasize(rows: list, datasize_gb: float) -> list:

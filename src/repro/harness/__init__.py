@@ -3,24 +3,7 @@
 Each ``figures.fig*`` function runs a complete (optionally scaled-down)
 version of the corresponding experiment and returns a result object the
 benchmarks print and assert on.  ``report`` renders ASCII tables with
-paper-vs-measured columns; ``experiment`` holds shared runners.
+paper-vs-measured columns; ``experiment`` holds shared runners.  The
+package re-exports nothing: the CLI needs only ``report``, and
+``experiment`` loads every baseline tuner.
 """
-
-from repro.harness.experiment import (
-    TunerComparison,
-    collect_cv_samples,
-    collect_iicp_samples,
-    compare_tuners,
-    make_simulator,
-)
-from repro.harness.report import format_series, format_table
-
-__all__ = [
-    "TunerComparison",
-    "collect_cv_samples",
-    "collect_iicp_samples",
-    "compare_tuners",
-    "format_series",
-    "format_table",
-    "make_simulator",
-]

@@ -24,15 +24,12 @@ from repro.harness.experiment import (
     make_simulator,
 )
 from repro.harness.report import format_series, format_table
-from repro.ml import (
-    GradientBoostedRegressionTrees,
-    KNNRegressor,
-    KernelSVR,
-    LinearRegression,
-    LogisticRegression,
-    mean_squared_error,
-    train_test_split,
-)
+from repro.ml.gbrt import GradientBoostedRegressionTrees
+from repro.ml.knn import KNNRegressor
+from repro.ml.linear import LinearRegression, LogisticRegression
+from repro.ml.metrics import mean_squared_error
+from repro.ml.svr import KernelSVR
+from repro.ml.validation import train_test_split
 from repro.sparksim import get_application
 from repro.sparksim.workloads import DISPLAY_NAMES
 from repro.sparksim.workloads.tpcds import CSQ_SHUFFLE_FRACTIONS

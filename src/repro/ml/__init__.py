@@ -5,32 +5,8 @@ logistic regression, and KNN regression (Figure 16's accuracy
 comparison), plus Kernel PCA with Gaussian / polynomial / perceptron
 kernels (IICP's CPE step, Figure 6) and the supporting preprocessing,
 metric, and validation utilities.
+
+Import each model from its module (``repro.ml.kpca`` and so on): the
+package re-exports nothing, so the tuner, which needs only Kernel PCA,
+does not load the figure-16 models.
 """
-
-from repro.ml.gbrt import GradientBoostedRegressionTrees
-from repro.ml.knn import KNNRegressor
-from repro.ml.kpca import KernelPCA
-from repro.ml.linear import LinearRegression, LogisticRegression, RidgeRegression
-from repro.ml.metrics import mean_absolute_error, mean_squared_error, r2_score
-from repro.ml.preprocessing import MinMaxScaler, StandardScaler
-from repro.ml.svr import KernelSVR
-from repro.ml.tree import RegressionTree
-from repro.ml.validation import KFold, train_test_split
-
-__all__ = [
-    "GradientBoostedRegressionTrees",
-    "KFold",
-    "KNNRegressor",
-    "KernelPCA",
-    "KernelSVR",
-    "LinearRegression",
-    "LogisticRegression",
-    "MinMaxScaler",
-    "RegressionTree",
-    "RidgeRegression",
-    "StandardScaler",
-    "mean_absolute_error",
-    "mean_squared_error",
-    "r2_score",
-    "train_test_split",
-]

@@ -13,12 +13,13 @@ Three pieces, wired through :meth:`LOCAT.adapt
   candidates whose paired CI against the running best excludes zero.
 
 ``replay_eval="off"`` (the default everywhere) keeps every existing
-trajectory bit for bit.
+trajectory bit for bit.  Every tenant carries a trace, so this package
+re-exports the trace module; the evaluator and the race load only on the
+race path, from their own modules.
 """
 
-from repro.replay.evaluator import DEFAULT_N_REPLAYS, ReplayEvaluator
-from repro.replay.racing import DEFAULT_START_REPLAYS, RaceOutcome, race
 from repro.replay.trace import (
+    DEFAULT_N_REPLAYS,
     DEFAULT_TRACE_CAPACITY,
     MIN_TRACE_STEPS,
     REPLAY_EVAL_MODES,
@@ -30,15 +31,11 @@ from repro.replay.trace import (
 
 __all__ = [
     "DEFAULT_N_REPLAYS",
-    "DEFAULT_START_REPLAYS",
     "DEFAULT_TRACE_CAPACITY",
     "MIN_TRACE_STEPS",
     "REPLAY_EVAL_MODES",
     "REPLAY_SEED_SALT",
-    "RaceOutcome",
-    "ReplayEvaluator",
     "ReplayTrace",
     "TraceStep",
     "config_fingerprint",
-    "race",
 ]

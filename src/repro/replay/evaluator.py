@@ -26,14 +26,10 @@ from __future__ import annotations
 
 import math
 
-from repro.replay.trace import REPLAY_SEED_SALT, ReplayTrace, TraceStep
+from repro.replay.trace import DEFAULT_N_REPLAYS, REPLAY_SEED_SALT, ReplayTrace, TraceStep
 from repro.sparksim.serialize import canonical_key
 from repro.stats.abtest import ABTestResult, paired_bootstrap
 from repro.stats.sampling import ensure_rng
-
-#: Default replay slots per evaluator: enough pairs for a stable
-#: percentile bootstrap, cheap enough to rescore dozens of candidates.
-DEFAULT_N_REPLAYS = 12
 
 
 class ReplayEvaluator:
@@ -191,4 +187,4 @@ class ReplayEvaluator:
         }
 
 
-__all__ = ["DEFAULT_N_REPLAYS", "ReplayEvaluator"]
+__all__ = ["ReplayEvaluator"]

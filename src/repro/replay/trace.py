@@ -43,6 +43,10 @@ DEFAULT_TRACE_CAPACITY = 64
 #: bootstrap resample of the trace is too degenerate to rank candidates.
 MIN_TRACE_STEPS = 3
 
+#: Default replay slots per evaluator: enough pairs for a stable
+#: percentile bootstrap, cheap enough to rescore dozens of candidates.
+DEFAULT_N_REPLAYS = 12
+
 
 def config_fingerprint(config) -> str:
     """Short stable fingerprint of a configuration for trace records.
@@ -215,6 +219,7 @@ class ReplayTrace:
 
 
 __all__ = [
+    "DEFAULT_N_REPLAYS",
     "DEFAULT_TRACE_CAPACITY",
     "MIN_TRACE_STEPS",
     "REPLAY_EVAL_MODES",

@@ -14,8 +14,9 @@ of a long-lived service tenant — from being dominated by O(n^3) refits:
   :class:`~repro.surrogate.incremental.LMLCache` — the exact rank-k
   Cholesky update behind ``extend``, and the bounded LRU per-theta memo
   behind the slice sampler's log-marginal-likelihood evaluations; the
-  same module's ``chol_lower`` / ``chol_solve`` call LAPACK directly for
-  every factorization and solve of the exact GP and the stack.
+  same module's ``chol_lower`` / ``chol_solve`` / ``solve_lower`` call
+  LAPACK directly for every factorization and solve of the exact GP,
+  the stack and the sparse backend.
 * :class:`~repro.surrogate.stack.ModelStack` — the ``n_mcmc`` posterior
   hyper-parameter samples held as stacked ``(alpha, K^-1)`` state, built
   once per change of the training set and evaluated in one vectorized

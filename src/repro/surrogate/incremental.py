@@ -2,12 +2,19 @@
 
 Small primitives with an outsized effect on optimizer time:
 
-* :func:`chol_lower` and :func:`chol_solve` — LAPACK ``dpotrf`` /
-  ``dpotrs`` called directly, with the arguments
-  ``scipy.linalg.cholesky`` / ``cho_factor`` / ``cho_solve`` pass (so
-  the factors and solutions are bit-identical to theirs), minus the
-  scipy wrappers' per-call batch and validation layers: about 8 us per
-  call, which at n = 30-60 is as much as the factorization itself.
+* :func:`chol_lower`, :func:`chol_solve` and :func:`solve_lower` —
+  LAPACK ``dpotrf`` / ``dpotrs`` / ``dtrtrs`` called directly, with the
+  arguments ``scipy.linalg.cholesky`` / ``cho_factor`` / ``cho_solve``
+  / ``solve_triangular`` pass (so the factors and solutions are
+  bit-identical to theirs), minus the scipy wrappers' per-call batch
+  and validation layers: about 8 us per call, which at n = 30-60 is as
+  much as the factorization itself.  The routines come from scipy's
+  compiled ``_flapack`` extension, loaded from the installed
+  ``scipy/linalg/`` directory without running
+  ``scipy/linalg/__init__.py``: that package (and ``scipy.special``)
+  pulls in scipy's array-API layer, ``numpy.f2py`` and
+  ``numpy.testing``, which cost a fresh ``repro tune`` more start-up
+  time than the whole package otherwise takes to import.
 * :func:`add_noise` — observation noise onto a covariance diagonal,
   through a strided view instead of fancy indexing.
 * :func:`cholesky_append` — the block (rank-k) Cholesky update.  Given
@@ -28,9 +35,36 @@ Small primitives with an outsized effect on optimizer time:
 
 from __future__ import annotations
 
+import importlib.util
+import os
+from importlib.machinery import PathFinder
+
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy
+
+
+def _load_flapack():
+    """scipy's ``_flapack`` extension, without importing ``scipy.linalg``.
+
+    ``import scipy`` (about 15 ms, no subpackage) runs first, because a
+    distribution's ``scipy._distributor_init`` hook is where it may set
+    up the BLAS/LAPACK libraries the extension links against.  The
+    module object is private to this one: it is not entered in
+    ``sys.modules``, so a later ``import scipy.linalg`` initializes its
+    own module from the same shared library, and both call the same
+    routines.
+    """
+    linalg_dir = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK bindings (_flapack) not found in {linalg_dir}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 
 def chol_lower(a: np.ndarray, clean: bool = True) -> np.ndarray:
@@ -61,6 +95,26 @@ def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, info = dpotrs(lower, b, lower=1, overwrite_b=0)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` for the lower-triangular ``L`` (``lower``).
+
+    Bit-identical to ``scipy.linalg.solve_triangular(lower, b,
+    lower=True)``: like it, a matrix that is not Fortran-ordered is
+    passed to ``dtrtrs`` as its transpose, an upper-triangular system
+    solved transposed.  ``b`` is not modified; only the lower triangle
+    of ``lower`` is read.
+    """
+    if lower.flags.f_contiguous:
+        x, info = dtrtrs(lower, b, lower=1, trans=0, overwrite_b=0)
+    else:
+        x, info = dtrtrs(lower.T, b, lower=0, trans=1, overwrite_b=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     return x
 
 
@@ -116,7 +170,7 @@ def cholesky_append(
 
     out = np.zeros((n + k, n + k))
     out[:n, :n] = np.tril(lower)
-    z = solve_triangular(lower, k_cross, lower=True, check_finite=False)  # (n, k)
+    z = solve_lower(lower, k_cross)  # (n, k)
     out[n:, :n] = z.T
     schur = k_new - z.T @ z
     # A non-PD Schur complement raises numpy.linalg.LinAlgError, the

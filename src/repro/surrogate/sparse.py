@@ -36,10 +36,10 @@ when no MCMC stack exists.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from repro.bo.acquisition import expected_improvement
 from repro.bo.kernels import Matern52Kernel, RBFKernel
+from repro.surrogate.incremental import chol_lower, chol_solve, solve_lower
 
 _JITTER = 1e-6
 
@@ -156,11 +156,11 @@ class SparseGP:
         m = self._z.shape[0]
         k_zz = self.kernel(self._z, self._z)
         k_zz[np.diag_indices_from(k_zz)] += _JITTER
-        self._kzz_chol = cholesky(k_zz, lower=True, check_finite=False)
+        self._kzz_chol = chol_lower(k_zz)
         post = k_zz + self._a
         post = (post + post.T) / 2.0
         post[np.diag_indices_from(post)] += _JITTER
-        self._post_chol = cholesky(post, lower=True, check_finite=False)
+        self._post_chol = chol_lower(post)
 
     # ------------------------------------------------------------------
     def fit(self, x, y, extra_noise=None) -> "SparseGP":
@@ -215,12 +215,12 @@ class SparseGP:
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
         k_sz = self.kernel(self._z, x_star)  # (m, q)
         b_std = (self._b_y - self._y_mean * self._b_1) / self._y_std
-        mean = k_sz.T @ cho_solve((self._post_chol, True), b_std, check_finite=False)
+        mean = k_sz.T @ chol_solve(self._post_chol, b_std)
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean
-        q = solve_triangular(self._kzz_chol, k_sz, lower=True, check_finite=False)
-        t = cho_solve((self._post_chol, True), k_sz, check_finite=False)
+        q = solve_lower(self._kzz_chol, k_sz)
+        t = chol_solve(self._post_chol, k_sz)
         var = (
             self.kernel.diag(x_star)
             + self.noise_variance

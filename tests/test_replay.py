@@ -24,12 +24,11 @@ from repro.replay import (
     DEFAULT_TRACE_CAPACITY,
     MIN_TRACE_STEPS,
     REPLAY_EVAL_MODES,
-    RaceOutcome,
-    ReplayEvaluator,
     ReplayTrace,
     TraceStep,
-    race,
 )
+from repro.replay.evaluator import ReplayEvaluator
+from repro.replay.racing import RaceOutcome, race
 from repro.service.registry import TuningRegistry
 from repro.service.store import HistoryStore
 from repro.sparksim import SparkSQLSimulator, get_application

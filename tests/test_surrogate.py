@@ -18,6 +18,7 @@ Three layers of guarantees:
 import numpy as np
 import pytest
 
+from repro.bo.acquisition import ndtr
 from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel, RBFKernel
 import repro.bo.mcmc as mcmc
@@ -31,7 +32,7 @@ from repro.sparksim.cluster import get_cluster
 from repro.sparksim.scenarios import DriftingSimulator, ScenarioStream, build_scenario
 from repro.sparksim.serialize import config_to_dict
 from repro.surrogate import LMLCache, ModelStack, Surrogate, cholesky_append
-from repro.surrogate.incremental import JITTER, add_noise, chol_lower, chol_solve
+from repro.surrogate.incremental import JITTER, add_noise, chol_lower, chol_solve, solve_lower
 
 
 def quadratic(point, datasize):
@@ -93,15 +94,60 @@ class TestDirectLapack:
         assert np.array_equal(chol_lower(k, clean=False), cho_factor(k, lower=True)[0])
 
     def test_solve_matches_scipy_bit_for_bit(self):
-        from scipy.linalg import cho_solve
+        from scipy.linalg import cho_solve, solve_triangular
 
         k = self.spd()
-        lower = chol_lower(k)
         rng = np.random.default_rng(5)
-        for b in (rng.random(9), rng.random((9, 3)), np.eye(9)):
-            before = b.copy()
-            assert np.array_equal(chol_solve(lower, b), cho_solve((lower, True), b))
-            assert np.array_equal(b, before)
+        # dpotrf returns Fortran order; a C-ordered factor takes the
+        # transposed dtrtrs call, and only the lower triangle is read.
+        factors = (
+            chol_lower(k),
+            np.ascontiguousarray(chol_lower(k)),
+            chol_lower(k, clean=False),
+            chol_lower(self.spd(n=1)),
+        )
+        for lower in factors:
+            n = lower.shape[0]
+            rhs = (rng.random(n), rng.random((n, 3)), np.eye(n), np.asfortranarray(rng.random((n, 2))))
+            for b in rhs:
+                before = b.copy()
+                assert np.array_equal(chol_solve(lower, b), cho_solve((lower, True), b))
+                assert np.array_equal(
+                    solve_lower(lower, b), solve_triangular(lower, b, lower=True)
+                )
+                assert np.array_equal(b, before)
+
+    def test_sparse_gp_matches_scipy_bit_for_bit(self, monkeypatch):
+        import scipy.linalg
+
+        import repro.surrogate.sparse as sparse_module
+
+        rng = np.random.default_rng(7)
+        x, x_star = rng.random((40, 3)), rng.random((15, 3))
+        y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1]
+
+        def predict():
+            gp = sparse_module.SparseGP(
+                Matern52Kernel(dim=3, lengthscale=0.4), noise_variance=1e-3, n_inducing=12
+            )
+            return gp.fit(x[:30], y[:30]).extend(x[30:], y[30:]).predict(x_star)
+
+        direct = predict()
+        monkeypatch.setattr(
+            sparse_module, "chol_lower",
+            lambda a: scipy.linalg.cholesky(a, lower=True, check_finite=False),
+        )
+        monkeypatch.setattr(
+            sparse_module, "chol_solve",
+            lambda c, b: scipy.linalg.cho_solve((c, True), b, check_finite=False),
+        )
+        monkeypatch.setattr(
+            sparse_module, "solve_lower",
+            lambda c, b: scipy.linalg.solve_triangular(c, b, lower=True, check_finite=False),
+        )
+        reference = predict()
+        for got, want in zip(direct, reference):
+            assert np.array_equal(got, want)
 
     def test_not_positive_definite_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -136,6 +182,16 @@ class TestDirectLapack:
             add_noise(np.zeros((4, 4)).T, 1e-3)
         with pytest.raises(ValueError):
             add_noise(np.zeros((6, 6))[::2, ::2], 1e-3)
+
+
+class TestNormalCdf:
+    def test_matches_scipy_ndtr(self):
+        from scipy.special import ndtr as scipy_ndtr
+
+        z = np.linspace(-30.0, 8.0, 20001)
+        np.testing.assert_allclose(ndtr(z), scipy_ndtr(z), rtol=1e-12, atol=0.0)
+        assert ndtr(0.0) == 0.5
+        assert ndtr(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
 
 
 class TestLMLCache:
@@ -681,7 +737,7 @@ PINNED_BO_LOOP = {
         0.02821184417355568,
         0.06621275652679368,
         0.05900502371514705,
-        0.028536443076023054,
+        0.02853644307602305,
         0.03262824764181206,
     ],
     "stopped_by_ei": True,
