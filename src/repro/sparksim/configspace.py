@@ -131,7 +131,7 @@ class Configuration(Mapping):
     defaults).
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_repaired_by")
 
     def __init__(self, values: Mapping[str, ParamValue]):
         missing = [p.name for p in PARAMETERS if p.name not in values]
@@ -141,6 +141,9 @@ class Configuration(Mapping):
         if unknown:
             raise ValueError(f"unknown parameters: {unknown}")
         self._values = {p.name: self._coerce(p, values[p.name]) for p in PARAMETERS}
+        # The repair key of the space whose repair() returned this object
+        # (see ConfigSpace.is_repaired); None for any other construction.
+        self._repaired_by: tuple | None = None
 
     @staticmethod
     def _coerce(param: Parameter, value: ParamValue) -> ParamValue:
@@ -198,11 +201,23 @@ class ConfigSpace:
         self.cluster_name = cluster_name
         self.parameters = PARAMETERS
         self._bounds = np.array([p.bounds(cluster_name) for p in PARAMETERS], dtype=float)
+        self._lo = self._bounds[:, 0]
+        self._span = self._bounds[:, 1] - self._bounds[:, 0]
+        self._names = [p.name for p in PARAMETERS]
+        kinds = np.array([p.kind for p in PARAMETERS])
+        # Per kind: the parameters' positions and names, in table order.
+        self._kind_index = {
+            kind: (np.flatnonzero(kinds == kind), [p.name for p in PARAMETERS if p.kind == kind])
+            for kind in ("bool", "int", "float")
+        }
         # Optional resource caps used by repair(); when absent only range
         # clipping is applied.
         self.container_memory_gb = container_memory_gb
         self.total_cores = total_cores
         self.total_memory_gb = total_memory_gb
+        # Everything repair() reads from the space: spaces with equal keys
+        # repair every configuration alike.
+        self._repair_key = (self._bounds.tobytes(), container_memory_gb, total_cores, total_memory_gb)
 
     @classmethod
     def for_cluster(cls, cluster) -> "ConfigSpace":
@@ -258,29 +273,31 @@ class ConfigSpace:
     # Unit-cube encoding (what optimizers search)
     # ------------------------------------------------------------------
     def encode(self, config: Configuration) -> np.ndarray:
-        """Map a configuration to a point in [0, 1]^dim."""
-        out = np.empty(self.dim, dtype=float)
-        for i, param in enumerate(self.parameters):
-            lo, hi = self._bounds[i]
-            value = float(config[param.name])
-            out[i] = 0.5 if hi == lo else (value - lo) / (hi - lo)
+        """Map a configuration to a point in [0, 1]^dim.
+
+        A parameter whose range is a single value encodes as 0.5.
+        """
+        values = np.array([float(config[name]) for name in self._names])
+        out = np.full(self.dim, 0.5)
+        np.divide(values - self._lo, self._span, out=out, where=self._span != 0)
         return np.clip(out, 0.0, 1.0)
 
     def decode(self, point: np.ndarray) -> Configuration:
-        """Map a unit-cube point back to a valid (repaired) configuration."""
+        """Map a unit-cube point back to a valid (repaired) configuration.
+
+        Integers round half to even (``np.rint``, as Python's ``round``);
+        a boolean is set from 0.5 up.
+        """
         arr = np.clip(np.asarray(point, dtype=float), 0.0, 1.0)
         if arr.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {arr.shape}")
-        values: dict[str, ParamValue] = {}
-        for i, param in enumerate(self.parameters):
-            lo, hi = self._bounds[i]
-            raw = lo + arr[i] * (hi - lo)
-            if param.kind == "bool":
-                values[param.name] = bool(arr[i] >= 0.5)
-            elif param.kind == "int":
-                values[param.name] = int(round(raw))
-            else:
-                values[param.name] = float(raw)
+        raw = self._lo + arr * self._span
+        idx, names = self._kind_index["bool"]
+        values: dict[str, ParamValue] = dict(zip(names, (arr[idx] >= 0.5).tolist()))
+        idx, names = self._kind_index["int"]
+        values.update(zip(names, np.rint(raw[idx]).astype(np.int64).tolist()))
+        idx, names = self._kind_index["float"]
+        values.update(zip(names, raw[idx].tolist()))
         return self.repair(Configuration(values))
 
     # ------------------------------------------------------------------
@@ -316,6 +333,16 @@ class ConfigSpace:
 
     def is_valid(self, config: Configuration) -> bool:
         return not self.violations(config)
+
+    def is_repaired(self, config: Configuration) -> bool:
+        """Whether ``config`` came out of :meth:`repair` of a space with this
+        space's bounds and resource caps.
+
+        :meth:`repair` is idempotent, so such a configuration needs no
+        second repair.  Any other configuration, including one a space
+        with different caps repaired, answers False.
+        """
+        return config._repaired_by == self._repair_key
 
     @staticmethod
     def _per_executor_memory_gb(config: Configuration) -> float:
@@ -405,7 +432,9 @@ class ConfigSpace:
                 cap = min(cap, int(self.total_memory_gb / per_exec_gb + 1e-9))
             values["executor.instances"] = max(lo, min(instances, cap))
 
-        return Configuration(values)
+        repaired = Configuration(values)
+        repaired._repaired_by = self._repair_key
+        return repaired
 
     # ------------------------------------------------------------------
     # Subspaces (used by IICP: tune only selected parameters)

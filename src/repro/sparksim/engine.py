@@ -1,6 +1,6 @@
 """Analytic execution engine: (application, configuration, datasize) -> metrics.
 
-Each query runs stage by stage.  A stage has a map phase (read its input,
+A query is a chain of stages.  A stage has a map phase (read its input,
 apply map-side operators, write shuffle output if any) and, for shuffle
 stages, a reduce phase whose parallelism is ``sql.shuffle.partitions``.
 Task-wave arithmetic converts per-task times into stage times; the memory
@@ -18,22 +18,49 @@ than hard-coded:
 * GC time grows superlinearly with datasize under a fixed configuration
   (Figure 19), which is what DAGP exploits.
 
-A run first folds everything that depends on the configuration and the
-cluster alone into one :class:`_RunPlan` (memory budget, shuffle rates,
-thresholds, switches), then walks the stages reading only the plan.  Every
-hoisted expression keeps its operands and their order, so the floats are
-the ones a per-stage evaluation would give.
+A run evaluates every stage of every query at once, as numpy column
+arithmetic:
+
+1. A configuration is repaired unless the simulator's space (or one with
+   equal bounds and caps) produced it.
+2. Everything that depends on the configuration and the cluster alone is
+   folded into one :class:`_RunPlan` (memory budget, shuffle rates,
+   thresholds, switches).  The latest configuration's repair and plan
+   are kept, so a run of the same object again skips steps 1 and 2.
+3. What a run needs from the queries (stage classes, data fractions, CPU
+   weights, fields, skew, the shuffle, broadcast-candidate and
+   selection stages, query boundaries) sits in a :class:`_StageTable`,
+   built at the first run of a query tuple and cached by the identity of
+   its ``Query`` objects: a rebuilt RQA subset hits its table, and a
+   skew-shifted copy with the same names gets its own.
+4. The map phase, broadcast short-circuit, reduce phase, memory model,
+   shuffle cost and OOM penalty are array operations over the table's
+   columns and index subsets.
+5. Per-query totals are summed in stage order from ``0``, and the
+   :class:`StageMetrics`/:class:`QueryMetrics` records are built from the
+   columns.
+
+Every expression keeps the operands and the order of the per-stage
+formula it replaced, so each record holds the floats a stage-by-stage
+evaluation gives (IEEE-754 ``+ - * /`` round the same per element).  Two
+numpy operations do not round as Python does and are not used: ``**``
+(the memory model raises Python floats with libm, see
+:func:`~repro.sparksim.memorymodel.evaluate_task_memory`) and the
+pairwise sums of ``np.sum`` and ``reduceat`` (the totals accumulate
+sequentially).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.sparksim.cluster import ClusterSpec
-from repro.sparksim.configspace import ConfigSpace, Configuration
+from repro.sparksim.configspace import ConfigSpace, Configuration, ParamValue
 from repro.sparksim.memorymodel import (
     WORKING_SET_EXPANSION,
     TaskMemoryBudget,
@@ -41,7 +68,7 @@ from repro.sparksim.memorymodel import (
     task_memory_budget,
 )
 from repro.sparksim.metrics import ApplicationMetrics, QueryMetrics, StageMetrics
-from repro.sparksim.query import Application, Query, Stage, StageKind
+from repro.sparksim.query import Application, Query, StageKind
 from repro.sparksim.shuffle import ShuffleRates, broadcast_cost_s, shuffle_cost, shuffle_rates
 from repro.stats.sampling import ensure_rng
 
@@ -55,6 +82,11 @@ BLOCK_GB = 0.128
 TASK_LAUNCH_S = 0.004
 
 _JOIN_KINDS = (StageKind.SHUFFLE_JOIN, StageKind.BROADCAST_JOIN)
+
+#: Distinct query tuples whose stage tables one simulator keeps; past
+#: this the cache starts over (a session uses the application and a few
+#: RQA subsets).
+_TABLE_CACHE_SIZE = 32
 
 
 class _RunPlan(NamedTuple):
@@ -85,6 +117,88 @@ class _RunPlan(NamedTuple):
     sort_merge_join: bool
 
 
+class _StageTable(NamedTuple):
+    """The stage columns of one query tuple, in run order.
+
+    Everything here depends on the queries alone.  Stage subsets are
+    index arrays, so a run touches only the stages a phase applies to.
+    """
+
+    queries: tuple[Query, ...]  # held, so the identity key stays valid
+    names: list[str]  # query names
+    kinds: list[str]  # StageKind values
+    input_fraction: np.ndarray
+    shuffle_fraction: np.ndarray
+    cpu_weight: np.ndarray
+    map_weight: np.ndarray  # cpu_weight, x0.4 on a shuffle stage's map side
+    fields: np.ndarray
+    max_fields: int
+    skew: np.ndarray
+    spread: np.ndarray  # 1 + 3 skew: the straggler partition's share of the average
+    cpu_class: np.ndarray  # 0 other, 1 aggregation, 2 sort (index into a run's CPU factors)
+    sort: np.ndarray  # bool
+    shuffle_join: np.ndarray  # bool
+    selection: np.ndarray  # indices of the stages of selection queries
+    # A stage shuffles when its fraction is positive: fraction x datasize
+    # stays positive for every datasize a run accepts (> 0), short of
+    # underflow below 1e-300 GB.
+    shuffles: np.ndarray  # indices of stages that shuffle
+    candidates: np.ndarray  # indices of join stages with a build side: broadcast candidates
+    candidate_mb: np.ndarray  # their build-side sizes
+    counts: list[int]  # stages per query
+    starts: np.ndarray  # index of each query's first stage
+    width: int  # 1 + the most stages of a query
+    positions: np.ndarray  # each stage's slot in a zero-led (queries x width) layout
+
+    @classmethod
+    def build(cls, queries: tuple[Query, ...]) -> "_StageTable":
+        stages = [stage for query in queries for stage in query.stages]
+        counts = [len(query.stages) for query in queries]
+        width = 1 + max(counts)
+        positions, selection = [], []
+        for row, query in enumerate(queries):
+            positions.extend(range(row * width + 1, row * width + 1 + counts[row]))
+            selection.extend([query.category == "selection"] * counts[row])
+
+        def column(values, dtype=float):
+            return np.array(list(values), dtype=dtype)
+
+        kinds = [stage.kind for stage in stages]
+        cpu_class = column(
+            (1 if kind is StageKind.SHUFFLE_AGG else 2 if kind is StageKind.SORT else 0 for kind in kinds),
+            np.int64,
+        )
+        shuffle_fraction = column(stage.shuffle_fraction for stage in stages)
+        cpu_weight = column(stage.cpu_weight for stage in stages)
+        skew = column(stage.skew for stage in stages)
+        small_side_mb = column(stage.small_side_mb for stage in stages)
+        candidates = np.flatnonzero(column((kind in _JOIN_KINDS for kind in kinds), bool) & (small_side_mb > 0.0))
+        return cls(
+            queries=queries,
+            names=[query.name for query in queries],
+            kinds=[kind.value for kind in kinds],
+            input_fraction=column(stage.input_fraction for stage in stages),
+            shuffle_fraction=shuffle_fraction,
+            cpu_weight=cpu_weight,
+            map_weight=np.where(shuffle_fraction > 0, cpu_weight * 0.4, cpu_weight),
+            fields=column((stage.fields for stage in stages), np.int64),
+            max_fields=max(stage.fields for stage in stages),
+            skew=skew,
+            spread=1.0 + 3.0 * skew,
+            cpu_class=cpu_class,
+            sort=column((kind is StageKind.SORT for kind in kinds), bool),
+            shuffle_join=column((kind is StageKind.SHUFFLE_JOIN for kind in kinds), bool),
+            selection=np.flatnonzero(column(selection, bool)),
+            shuffles=np.flatnonzero(shuffle_fraction > 0),
+            candidates=candidates,
+            candidate_mb=small_side_mb[candidates],
+            counts=counts,
+            starts=np.cumsum([0] + counts[:-1]),
+            width=width,
+            positions=np.array(positions, dtype=np.int64),
+        )
+
+
 class SparkSQLSimulator:
     """Simulates Spark SQL application runs on a :class:`ClusterSpec`.
 
@@ -100,6 +214,12 @@ class SparkSQLSimulator:
         self.cluster = cluster
         self.noise = noise
         self.space = ConfigSpace.for_cluster(cluster)
+        self._tables: dict[tuple[int, ...], _StageTable] = {}
+        self._last_table: _StageTable | None = None
+        # (configuration given, its repair, its plan) of the latest run: a
+        # replay race or a production stream runs one configuration many
+        # times in a row.
+        self._last_plan: tuple[Configuration, Configuration, _RunPlan] | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -112,13 +232,7 @@ class SparkSQLSimulator:
         rng: int | tuple[int, ...] | np.random.Generator | None = None,
     ) -> ApplicationMetrics:
         """Execute every query of ``app`` and return application metrics."""
-        if datasize_gb <= 0:
-            raise ValueError("datasize_gb must be positive")
-        queries = self._run_queries(app.queries, config, datasize_gb, rng)
-        duration = gc_total = 0
-        for q in queries:
-            duration += q.duration_s
-            gc_total += q.gc_s
+        queries, duration, gc_total = self._run_queries(app.queries, config, datasize_gb, rng)
         return ApplicationMetrics(
             application=app.name,
             datasize_gb=float(datasize_gb),
@@ -135,9 +249,9 @@ class SparkSQLSimulator:
         rng: int | tuple[int, ...] | np.random.Generator | None = None,
     ) -> QueryMetrics:
         """Execute a single query (convenience wrapper)."""
-        return self._run_queries((query,), config, datasize_gb, rng)[0]
+        return self._run_queries((query,), config, datasize_gb, rng)[0][0]
 
-    def execution_slots(self, config: Configuration) -> int:
+    def execution_slots(self, config: Mapping[str, ParamValue]) -> int:
         """Concurrent task slots: executors x cores, capped by the cluster."""
         slots = int(config["executor.instances"]) * int(config["executor.cores"])
         return max(1, min(slots, self.cluster.total_cores))
@@ -147,36 +261,64 @@ class SparkSQLSimulator:
     # ------------------------------------------------------------------
     def _plan(self, config: Configuration) -> _RunPlan:
         """Everything a run needs from the configuration and the cluster."""
+        values = config.as_dict()  # a dict: each read below skips Mapping.__getitem__
         cluster = self.cluster
-        slots = self.execution_slots(config)
+        slots = self.execution_slots(values)
         core_speed = cluster.node.core_speed
-        shuffle_partitions = int(config["sql.shuffle.partitions"])
-        parallelism = int(config["default.parallelism"])
+        shuffle_partitions = int(values["sql.shuffle.partitions"])
+        parallelism = int(values["default.parallelism"])
         return _RunPlan(
             slots=slots,
             active_cores=max(slots * core_speed, 1.0),
             core_speed=core_speed,
             disk_mb_per_s=cluster.aggregate_disk_mb_per_s,
-            penalty=self._default_deviation_penalty(config),
-            driver_s=self._driver_overhead_s(config),
-            budget=task_memory_budget(config),
-            rates=shuffle_rates(config, cluster),
-            broadcast_threshold_mb=float(config["sql.autoBroadcastJoinThreshold"]) / 1024.0,
+            penalty=self._default_deviation_penalty(values),
+            driver_s=self._driver_overhead_s(values),
+            budget=task_memory_budget(values),
+            rates=shuffle_rates(values, cluster),
+            broadcast_threshold_mb=float(values["sql.autoBroadcastJoinThreshold"]) / 1024.0,
             min_scan_partitions=parallelism // 4,
             shuffle_partitions=shuffle_partitions,
             sort_partitions=max(shuffle_partitions, parallelism),
-            io_factor=1.0 + 0.01 * (1.0 / max(float(config["storage.memoryMapThreshold"]), 0.5)),
-            task_overhead_s=TASK_LAUNCH_S + 0.002 * float(config["scheduler.revive.interval"]),
-            locality_s_per_skew=0.02 * float(config["locality.wait"]),
-            max_fields=int(config["sql.codegen.maxFields"]),
-            columnar_compressed=bool(config["sql.inMemoryColumnarStorage.compressed"]),
-            twolevel_agg=bool(config["sql.codegen.aggregate.map.twolevel.enable"]),
-            retain_group_columns=bool(config["sql.retainGroupColumns"]),
-            radix_sort=bool(config["sql.sort.enableRadixSort"]),
-            partition_pruning=bool(config["sql.inMemoryColumnarStorage.partitionPruning"]),
-            rdd_compress=bool(config["rdd.compress"]),
-            sort_merge_join=bool(config["sql.join.preferSortMergeJoin"]),
+            io_factor=1.0 + 0.01 * (1.0 / max(float(values["storage.memoryMapThreshold"]), 0.5)),
+            task_overhead_s=TASK_LAUNCH_S + 0.002 * float(values["scheduler.revive.interval"]),
+            locality_s_per_skew=0.02 * float(values["locality.wait"]),
+            max_fields=int(values["sql.codegen.maxFields"]),
+            columnar_compressed=bool(values["sql.inMemoryColumnarStorage.compressed"]),
+            twolevel_agg=bool(values["sql.codegen.aggregate.map.twolevel.enable"]),
+            retain_group_columns=bool(values["sql.retainGroupColumns"]),
+            radix_sort=bool(values["sql.sort.enableRadixSort"]),
+            partition_pruning=bool(values["sql.inMemoryColumnarStorage.partitionPruning"]),
+            rdd_compress=bool(values["rdd.compress"]),
+            sort_merge_join=bool(values["sql.join.preferSortMergeJoin"]),
         )
+
+    def _stage_table(self, queries: tuple[Query, ...]) -> _StageTable:
+        """The stage table of ``queries``, built at their first run.
+
+        Keyed by the identity of the ``Query`` objects: an RQA rebuilt by
+        ``Application.subset`` holds the same objects and hits, while a
+        skew-shifted copy (same names, new objects) gets its own table.
+        """
+        last = self._last_table  # one read: another thread may replace it
+        if last is not None and last.queries is queries:
+            return last
+        key = tuple(map(id, queries))
+        table = self._tables.get(key)
+        if table is None:
+            if len(self._tables) >= _TABLE_CACHE_SIZE:
+                self._tables.clear()
+            table = self._tables[key] = _StageTable.build(queries)
+        self._last_table = table
+        return table
+
+    def __getstate__(self) -> dict:
+        # Object ids mean nothing in another process: ship no tables.
+        state = self.__dict__.copy()
+        state["_tables"] = {}
+        state["_last_table"] = None
+        state["_last_plan"] = None
+        return state
 
     def _run_queries(
         self,
@@ -184,53 +326,86 @@ class SparkSQLSimulator:
         config: Configuration,
         datasize_gb: float,
         rng: int | tuple[int, ...] | np.random.Generator | None,
-    ) -> tuple[QueryMetrics, ...]:
-        """Run ``queries`` in order under one plan and one noise draw.
+    ) -> tuple[tuple[QueryMetrics, ...], float, float]:
+        """Run ``queries`` in order under one plan and one noise draw; return
+        their records and the total duration and GC time of the run.
 
-        Per-query totals are summed stage by stage from ``0``, the
+        A configuration this simulator's space (or one with equal bounds
+        and caps) produced is already repaired, and repair is idempotent,
+        so only other configurations are repaired here; the latest
+        configuration's repair and plan are reused when the next run
+        passes the same object.  Totals are summed
+        query by query, and stage by stage within a query, from ``0``: the
         additions ``sum()`` makes on Python 3.11 (3.12's ``sum()``
-        compensates, so an explicit loop also keeps the floats the same
-        across interpreter versions).  One ``normal`` draw of
-        ``len(queries)`` values consumes the stream exactly as one scalar
-        draw per query would.
+        compensates; ``np.sum`` and ``reduceat`` sum pairwise).
+        ``np.add.accumulate`` is sequential by definition; per query it
+        runs over a layout where each query's stages follow a zero and are
+        padded with zeros.  One ``normal`` draw of ``len(queries)`` values
+        consumes the stream exactly as one scalar draw per query would.
         """
+        if datasize_gb <= 0:
+            raise ValueError("datasize_gb must be positive")
         gen = ensure_rng(rng)
-        config = self.space.repair(config)
-        plan = self._plan(config)
-        noise = None
-        if self.noise > 0:
-            noise = np.exp(gen.normal(0.0, self.noise, size=len(queries))).tolist()
-        results = []
-        for i, query in enumerate(queries):
-            stages = []
-            duration = gc_total = shuffle_gb = retries = 0
-            failed = False
-            for stage in query.stages:
-                metrics = self._run_stage(stage, query, config, datasize_gb, plan)
-                stages.append(metrics)
-                duration += metrics.duration_s
-                gc_total += metrics.gc_s
-                shuffle_gb += metrics.shuffle_bytes_gb
-                if metrics.spilled and metrics.gc_s > metrics.compute_s:
-                    retries += 1
-                if math.isinf(metrics.duration_s):
-                    failed = True
-            duration += plan.driver_s
-            if noise is not None:
-                duration *= noise[i]
-            results.append(
-                QueryMetrics(query.name, duration, gc_total, shuffle_gb, tuple(stages), failed, retries)
-            )
-        return tuple(results)
+        last = self._last_plan  # one read: another thread may replace it
+        if last is not None and last[0] is config:
+            _, config, plan = last
+        else:
+            given = config
+            if not self.space.is_repaired(config):
+                config = self.space.repair(config)
+            plan = self._plan(config)
+            self._last_plan = (given, config, plan)
+        table = self._stage_table(queries)
+        (duration, compute, io, shuffle, gc, overhead, waves, partitions, shuffle_gb, spilled,
+         broadcast) = self._evaluate_stages(table, plan, config, datasize_gb)
 
-    def _driver_overhead_s(self, config: Configuration) -> float:
+        n_queries = len(queries)
+        layout = np.zeros((3, n_queries * table.width))
+        layout[0, table.positions] = duration
+        layout[1, table.positions] = gc
+        layout[2, table.positions] = shuffle_gb
+        query_s, query_gc, query_shuffle_gb = np.add.accumulate(
+            layout.reshape(3, n_queries, table.width), axis=2
+        )[:, :, -1]
+        query_s += plan.driver_s
+        if self.noise > 0:
+            query_s *= np.exp(gen.normal(0.0, self.noise, size=n_queries))
+        # Query totals are positive or +0.0, so accumulating from the first
+        # query gives the sum from 0.
+        run_s, run_gc = np.add.accumulate((query_s, query_gc), axis=1)[:, -1].tolist()
+
+        retried = spilled & (gc > compute)
+        failed = np.isinf(duration)
+        if np.count_nonzero(retried) or np.count_nonzero(failed):
+            retries, failed = np.add.reduceat(np.array((retried, failed), dtype=np.int64), table.starts, axis=1)
+            retries, failed = retries.tolist(), (failed > 0).tolist()
+        else:
+            retries, failed = repeat(0), repeat(False)
+        is_broadcast = [False] * len(table.kinds)
+        for index in broadcast.tolist():
+            is_broadcast[index] = True
+
+        # tuple.__new__ over zipped columns: calling a NamedTuple class
+        # runs its Python-level __new__ once per record, twice the cost.
+        stages = map(tuple.__new__, repeat(StageMetrics), zip(
+            table.kinds, duration.tolist(), compute.tolist(), io.tolist(), shuffle.tolist(),
+            gc.tolist(), overhead.tolist(), waves.tolist(), partitions.tolist(),
+            shuffle_gb.tolist(), spilled.tolist(), is_broadcast,
+        ))
+        records = tuple(map(tuple.__new__, repeat(QueryMetrics), zip(
+            table.names, query_s.tolist(), query_gc.tolist(), query_shuffle_gb.tolist(),
+            [tuple(islice(stages, count)) for count in table.counts], failed, retries,
+        )))
+        return records, run_s, run_gc
+
+    def _driver_overhead_s(self, config: Mapping[str, ParamValue]) -> float:
         """Per-query driver cost: planning plus result collection."""
         cores = max(int(config["driver.cores"]), 1)
         memory = max(float(config["driver.memory"]), 1.0)
         return 0.25 + 0.5 / cores + 0.3 / memory
 
     @staticmethod
-    def _default_deviation_penalty(config: Configuration) -> float:
+    def _default_deviation_penalty(config: Mapping[str, ParamValue]) -> float:
         """Cost of straying from the well-chosen defaults of secondary knobs.
 
         Spark's defaults for buffer sizes, batch sizes, and thresholds are
@@ -256,171 +431,147 @@ class SparkSQLSimulator:
         return factor
 
     @staticmethod
-    def _cpu_factor(stage: Stage, plan: _RunPlan) -> float:
+    def _cpu_factors(plan: _RunPlan) -> np.ndarray:
         """Multiplicative CPU modifiers from SQL-level switches, on top of
-        the run's :meth:`_default_deviation_penalty`."""
-        factor = plan.penalty
-        if stage.fields > plan.max_fields:
-            factor *= 1.25  # whole-stage codegen disabled for wide plans
-        if plan.columnar_compressed:
-            factor *= 1.02
-        if stage.kind is StageKind.SHUFFLE_AGG:
+        the run's default-deviation penalty: one per (codegen off for a
+        wide plan, stage class), indexed ``3 * wide + cpu_class``."""
+        factors = []
+        for wide in (False, True):
+            factor = plan.penalty
+            if wide:
+                factor *= 1.25  # whole-stage codegen disabled for wide plans
+            if plan.columnar_compressed:
+                factor *= 1.02
+            agg = sort = factor
             if plan.twolevel_agg:
-                factor *= 0.97
+                agg *= 0.97
             if plan.retain_group_columns:
-                factor *= 1.005
-        if stage.kind is StageKind.SORT and plan.radix_sort:
-            factor *= 0.97
-        return factor
+                agg *= 1.005
+            if plan.radix_sort:
+                sort *= 0.97
+            factors += [factor, agg, sort]
+        return np.array(factors)
 
-    @staticmethod
-    def _scan_partitions(input_gb: float, plan: _RunPlan) -> int:
-        blocks = max(1, int(math.ceil(input_gb / BLOCK_GB)))
-        return max(blocks, plan.min_scan_partitions)
-
-    def _run_stage(
+    def _evaluate_stages(
         self,
-        stage: Stage,
-        query: Query,
+        table: _StageTable,
+        plan: _RunPlan,
         config: Configuration,
         datasize_gb: float,
-        plan: _RunPlan,
-    ) -> StageMetrics:
+    ) -> tuple[np.ndarray, ...]:
+        """Every stage of ``table`` under ``plan``: the columns of
+        :class:`StageMetrics` from ``duration_s`` to ``shuffle_bytes_gb``,
+        then ``spilled`` and the indices of the broadcast stages."""
         slots = plan.slots
         core_speed = plan.core_speed
-        cpu_factor = self._cpu_factor(stage, plan)
+        cpu_class = table.cpu_class
+        if table.max_fields > plan.max_fields:
+            cpu_class = np.where(table.fields > plan.max_fields, cpu_class + 3, cpu_class)
+        cpu_factor = self._cpu_factors(plan)[cpu_class]
         # Scheduling cost per task: launch, revive polling, locality wait.
-        task_overhead = plan.task_overhead_s + plan.locality_s_per_skew * stage.skew
+        task_overhead = plan.task_overhead_s + plan.locality_s_per_skew * table.skew
 
-        input_gb = stage.input_fraction * datasize_gb
-        shuffle_gb = stage.shuffle_fraction * datasize_gb
+        input_gb = table.input_fraction * datasize_gb
+        shuffle_gb = table.shuffle_fraction * datasize_gb
 
-        # -------------------------- broadcast short-circuit ------------
-        if stage.kind in _JOIN_KINDS and 0.0 < stage.small_side_mb <= plan.broadcast_threshold_mb:
-            return self._run_broadcast_stage(
-                stage, config, input_gb, plan, cpu_factor, task_overhead
-            )
+        # A join whose build side fits the threshold is a map-side
+        # broadcast join: no shuffle, the probe side is streamed.
+        fits = table.candidate_mb <= plan.broadcast_threshold_mb
+        broadcast = table.candidates[fits]
+        reduce = table.shuffles
+        if broadcast.size:
+            staged = np.ones(len(table.kinds), dtype=bool)
+            staged[broadcast] = False
+            reduce = reduce[staged[reduce]]
 
         # ------------------------------- map phase ---------------------
-        if plan.partition_pruning and query.category == "selection":
-            input_gb *= 0.95  # pruning skips unneeded cached partitions
-        map_partitions = self._scan_partitions(max(input_gb, BLOCK_GB), plan)
-        map_cpu_weight = stage.cpu_weight * (0.4 if shuffle_gb > 0 else 1.0)
-        per_task_gb = input_gb / map_partitions
-        map_task_s = per_task_gb * map_cpu_weight * CPU_SECONDS_PER_GB * cpu_factor / core_speed
-        map_waves = math.ceil(map_partitions / slots)
-        compute_s = map_waves * map_task_s
-        overhead_s = map_partitions * task_overhead / slots
+        if plan.partition_pruning:
+            # Pruning skips unneeded cached partitions.
+            prune = table.selection if not broadcast.size else table.selection[staged[table.selection]]
+            input_gb[prune] *= 0.95
+        partitions = np.ceil(np.maximum(input_gb, BLOCK_GB) / BLOCK_GB)  # at least 1
+        partitions = np.maximum(partitions, plan.min_scan_partitions).astype(np.int64)
+        task_s = input_gb / partitions * table.map_weight * CPU_SECONDS_PER_GB * cpu_factor / core_speed
+        waves = np.ceil(partitions / slots).astype(np.int64)
+        compute_s = waves * task_s
+        overhead_s = partitions * task_overhead / slots
         io_s = input_gb * 1024.0 / plan.disk_mb_per_s
         if plan.rdd_compress:
-            io_s *= 0.98  # cached partitions are smaller, re-reads cheaper
+            io_s = io_s * 0.98  # cached partitions are smaller, re-reads cheaper
         io_s *= plan.io_factor
-
         gc_s = compute_s * 0.02  # map tasks stream, little heap pressure
-        shuffle_s = 0.0
-        spilled = False
+        shuffle_s = np.zeros(len(table.kinds))
+        spilled = np.zeros(len(table.kinds), dtype=bool)
+
+        if broadcast.size:
+            # Broadcast stages rework their map side: the probe side is
+            # streamed at 1.1x the stage's weight and the build side is
+            # shipped to every worker.
+            b_input_gb = input_gb[broadcast]
+            b_task_s = (
+                b_input_gb / partitions[broadcast] * table.cpu_weight[broadcast] * 1.1
+                * CPU_SECONDS_PER_GB * cpu_factor[broadcast] / core_speed
+            )
+            compute_s[broadcast] = b_compute_s = waves[broadcast] * b_task_s
+            io_s[broadcast] = b_input_gb * 1024.0 / plan.disk_mb_per_s
+            overhead_s[broadcast] += broadcast_cost_s(table.candidate_mb[fits], config, self.cluster)
+            gc_s[broadcast] = b_compute_s * 0.025
 
         # ------------------------------ reduce phase -------------------
-        if shuffle_gb > 0:
-            if stage.kind is StageKind.SORT:
-                reduce_partitions = plan.sort_partitions
-            else:
-                reduce_partitions = plan.shuffle_partitions
-            per_reduce_gb = shuffle_gb / reduce_partitions
+        if reduce.size:
+            reduce_gb = shuffle_gb[reduce]
+            reduce_partitions = np.where(table.sort[reduce], plan.sort_partitions, plan.shuffle_partitions)
+            per_reduce_gb = reduce_gb / reduce_partitions
 
             working_set_gb = per_reduce_gb * WORKING_SET_EXPANSION
             if plan.columnar_compressed:
-                working_set_gb *= 0.88
+                working_set_gb = working_set_gb * 0.88
             # Memory trouble strikes the largest partition first: with key
             # skew the straggler partition holds several times the average
             # volume, and it is the one that thrashes GC or dies with OOM.
-            straggler_set_gb = working_set_gb * (1.0 + 3.0 * stage.skew)
-            outcome = evaluate_task_memory(straggler_set_gb, plan.budget)
+            outcome = evaluate_task_memory(working_set_gb * table.spread[reduce], plan.budget)
 
-            reduce_weight = stage.cpu_weight
-            if stage.kind is StageKind.SHUFFLE_JOIN and not plan.sort_merge_join:
+            reduce_weight = table.cpu_weight[reduce]
+            if not plan.sort_merge_join:
                 # Shuffle-hash join: slightly faster when memory is ample,
                 # slightly worse when the build side must spill.
-                reduce_weight *= 0.97 if outcome.heap_pressure < 0.8 else 1.04
-            reduce_task_s = per_reduce_gb * reduce_weight * CPU_SECONDS_PER_GB * cpu_factor / core_speed
-            reduce_waves = math.ceil(reduce_partitions / slots)
+                hash_weight = reduce_weight * np.where(outcome.heap_pressure < 0.8, 0.97, 1.04)
+                reduce_weight = np.where(table.shuffle_join[reduce], hash_weight, reduce_weight)
+            reduce_task_s = per_reduce_gb * reduce_weight * CPU_SECONDS_PER_GB * cpu_factor[reduce] / core_speed
             # A skewed shuffle leaves one straggler partition several times
             # the average size; it extends the last wave.
-            straggler_s = stage.skew * 3.0 * reduce_task_s
-            reduce_compute_s = reduce_waves * reduce_task_s + straggler_s
+            straggler_s = table.skew[reduce] * 3.0 * reduce_task_s
+            reduce_compute_s = np.ceil(reduce_partitions / slots) * reduce_task_s + straggler_s
 
-            cost = shuffle_cost(shuffle_gb, plan.rates, spill=outcome.spill_gb > 0)
-            shuffle_s = cost.write_s + cost.fetch_s
-            compute_s += reduce_compute_s + cost.compress_core_s / plan.active_cores
-
+            cost = shuffle_cost(reduce_gb, plan.rates, spill=outcome.spill_gb > 0)
+            r_compute_s = compute_s[reduce] + (reduce_compute_s + cost.compress_core_s / plan.active_cores)
+            r_shuffle_s = cost.write_s + cost.fetch_s
             spill_total_gb = outcome.spill_gb * reduce_partitions
-            if spill_total_gb > 0:
-                spilled = True
+            r_spilled = spill_total_gb > 0
+            if np.count_nonzero(r_spilled):
                 ratio = 0.45 if plan.rates.spill_compress else 1.0
                 # Spill writes are small and random (write amplification)
                 # and everything spilled is read back at least once.
-                shuffle_s += 4.0 * spill_total_gb * ratio * 1024.0 / plan.disk_mb_per_s
-
-            gc_s += reduce_compute_s * outcome.gc_fraction
-            overhead_s += reduce_partitions * task_overhead / slots
-            if outcome.oom:
+                spill_s = 4.0 * spill_total_gb * ratio * 1024.0 / plan.disk_mb_per_s
+                r_shuffle_s = np.where(r_spilled, r_shuffle_s + spill_s, r_shuffle_s)
+                spilled[reduce] = r_spilled
+            r_gc_s = gc_s[reduce] + reduce_compute_s * outcome.gc_fraction
+            overhead_s[reduce] += reduce_partitions * task_overhead[reduce] / slots
+            if np.count_nonzero(outcome.oom):
                 # Executor death: lost shuffle files force the stage (and
                 # parts of its parents) to re-execute, typically several
-                # times before the task set completes.
-                penalty = 6.0
-                compute_s *= penalty
-                shuffle_s *= penalty
-                gc_s *= penalty
+                # times before the task set completes.  (x * 1.0 is x.)
+                penalty = np.where(outcome.oom, 6.0, 1.0)
+                r_compute_s *= penalty
+                r_shuffle_s *= penalty
+                r_gc_s *= penalty
+            compute_s[reduce] = r_compute_s
+            shuffle_s[reduce] = r_shuffle_s
+            gc_s[reduce] = r_gc_s
 
-        duration = compute_s + io_s + shuffle_s + gc_s + overhead_s
-        # Positional, in field order: keyword arguments would more than
-        # double the cost of building the record.
-        return StageMetrics(
-            stage.kind.value,
-            duration,
-            compute_s,
-            io_s,
-            shuffle_s,
-            gc_s,
-            overhead_s,
-            map_waves,
-            map_partitions,
-            shuffle_gb,
-            spilled,
-            False,
-        )
-
-    def _run_broadcast_stage(
-        self,
-        stage: Stage,
-        config: Configuration,
-        input_gb: float,
-        plan: _RunPlan,
-        cpu_factor: float,
-        task_overhead: float,
-    ) -> StageMetrics:
-        """Map-side broadcast join: no shuffle, probe is streamed."""
-        slots = plan.slots
-        partitions = self._scan_partitions(max(input_gb, BLOCK_GB), plan)
-        per_task_gb = input_gb / partitions
-        task_s = per_task_gb * stage.cpu_weight * 1.1 * CPU_SECONDS_PER_GB * cpu_factor / plan.core_speed
-        waves = math.ceil(partitions / slots)
-        compute_s = waves * task_s
-        io_s = input_gb * 1024.0 / plan.disk_mb_per_s
-        bcast_s = broadcast_cost_s(stage.small_side_mb, config, self.cluster)
-        overhead_s = partitions * task_overhead / slots + bcast_s
-        gc_s = compute_s * 0.025
-        return StageMetrics(
-            kind=stage.kind.value,
-            duration_s=compute_s + io_s + gc_s + overhead_s,
-            compute_s=compute_s,
-            io_s=io_s,
-            shuffle_s=0.0,
-            gc_s=gc_s,
-            overhead_s=overhead_s,
-            waves=waves,
-            partitions=partitions,
-            shuffle_bytes_gb=0.0,
-            spilled=False,
-            broadcast=True,
+        duration_s = compute_s + io_s + shuffle_s + gc_s + overhead_s
+        shuffle_gb[broadcast] = 0.0
+        return (
+            duration_s, compute_s, io_s, shuffle_s, gc_s, overhead_s, waves, partitions,
+            shuffle_gb, spilled, broadcast,
         )

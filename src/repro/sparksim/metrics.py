@@ -5,10 +5,13 @@ per-query latency (QCSA's input), JVM GC time (Figure 19), shuffle volumes
 (section 5.11's sensitivity explanation), and failure/retry accounting.
 
 The per-stage and per-query records are ``NamedTuple``s: a run builds one
-:class:`StageMetrics` per stage (201 for a TPC-DS run), and a tuple is
-built by one ``tuple.__new__`` where a frozen dataclass sets every field
-through ``object.__setattr__``.  They are immutable value objects; their
-field order and defaults are part of the contract.
+:class:`StageMetrics` per stage (201 for a TPC-DS run).  The engine
+computes every stage of a run as array columns and builds the records
+with ``tuple.__new__`` over the zipped columns, which skips even the
+NamedTuple's Python-level ``__new__`` (a frozen dataclass would set every
+field through ``object.__setattr__``).  They are immutable value objects;
+their field order and defaults are part of the contract, and their
+floats are plain Python floats.
 """
 
 from __future__ import annotations

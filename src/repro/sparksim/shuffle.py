@@ -10,27 +10,33 @@ All functions are pure so they can be unit-tested and property-tested in
 isolation from the engine.  Everything a shuffle's cost needs from the
 configuration and the cluster is folded into one :class:`ShuffleRates`
 by :func:`shuffle_rates`, which the engine calls once per run.
+:func:`shuffle_cost` and :func:`broadcast_cost_s` take a scalar or an
+array of volumes, so the engine prices every shuffle (or broadcast) of a
+run in one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.sparksim.cluster import ClusterSpec
-from repro.sparksim.configspace import Configuration
+from repro.sparksim.configspace import Configuration, ParamValue
 
 
 class ShuffleCost(NamedTuple):
-    """Cluster-level cost of one shuffle of ``raw_gb`` bytes.
+    """Cluster-level cost of shuffles of ``raw_gb`` bytes, one per element.
 
     ``compress_core_s`` is in *core-seconds*: the engine divides it by the
     number of active execution slots to get wall time.
     """
 
-    write_s: float
-    fetch_s: float
-    compress_core_s: float
-    wire_gb: float  # bytes actually moved after compression
+    write_s: np.ndarray
+    fetch_s: np.ndarray
+    compress_core_s: np.ndarray
+    wire_gb: np.ndarray  # bytes actually moved after compression
 
 
 def compression_ratio(level: int) -> float:
@@ -85,7 +91,7 @@ class ShuffleRates(NamedTuple):
     spill_compress: bool  # shuffle.spill.compress
 
 
-def shuffle_rates(config: Configuration, cluster: ClusterSpec) -> ShuffleRates:
+def shuffle_rates(config: Mapping[str, ParamValue], cluster: ClusterSpec) -> ShuffleRates:
     """The :class:`ShuffleRates` of ``config`` on ``cluster``."""
     level = int(config["io.compression.zstd.level"])
     return ShuffleRates(
@@ -100,49 +106,52 @@ def shuffle_rates(config: Configuration, cluster: ClusterSpec) -> ShuffleRates:
     )
 
 
-def shuffle_cost(raw_gb: float, rates: ShuffleRates, spill: bool = False) -> ShuffleCost:
-    """Cluster-level time to write and fetch one shuffle of ``raw_gb``.
+def shuffle_cost(raw_gb, rates: ShuffleRates, spill=False) -> ShuffleCost:
+    """Cluster-level time to write and fetch shuffles of ``raw_gb`` (a
+    scalar or an array).
 
-    When ``spill`` is set the data crossed the disk twice (spill during the
-    map side), governed by ``shuffle.spill.compress``.
+    Where ``spill`` is set (a flag, or an array of flags matching
+    ``raw_gb``) the data crossed the disk twice (spill during the map
+    side), governed by ``shuffle.spill.compress``.  A zero volume costs
+    nothing.
     """
-    if raw_gb < 0:
+    raw = np.asarray(raw_gb, dtype=float)
+    if np.count_nonzero(raw < 0):
         raise ValueError("raw_gb must be non-negative")
-    if raw_gb == 0:  # repro: allow[float-eq] -- no shuffle at all, not a tolerance
-        return ShuffleCost(0.0, 0.0, 0.0, 0.0)
 
     if rates.compress:
-        wire_gb = raw_gb * rates.ratio
-        compress_cpu = raw_gb * rates.cpu_s_per_gb
+        wire_gb = raw * rates.ratio
+        compress_cpu = raw * rates.cpu_s_per_gb
     else:
-        wire_gb = raw_gb
-        compress_cpu = 0.0
+        wire_gb = raw
+        compress_cpu = np.zeros_like(raw)
 
     write_s = wire_gb * 1024.0 / rates.disk_mb_per_s
     fetch_s = wire_gb * 1024.0 / rates.net_mb_per_s
 
-    if spill:
-        spill_gb = raw_gb * (rates.ratio if rates.spill_compress else 1.0)
-        write_s += spill_gb * 1024.0 / rates.disk_mb_per_s
+    spill = np.asarray(spill, dtype=bool)
+    if np.count_nonzero(spill):
+        spill_gb = raw * rates.ratio if rates.spill_compress else raw
+        write_s = np.where(spill, write_s + spill_gb * 1024.0 / rates.disk_mb_per_s, write_s)
         if rates.spill_compress:
-            compress_cpu += raw_gb * rates.cpu_s_per_gb
+            compress_cpu = np.where(spill, compress_cpu + raw * rates.cpu_s_per_gb, compress_cpu)
 
     return ShuffleCost(write_s=write_s, fetch_s=fetch_s, compress_core_s=compress_cpu, wire_gb=wire_gb)
 
 
-def broadcast_cost_s(small_side_mb: float, config: Configuration, cluster: ClusterSpec) -> float:
-    """Time to broadcast a build-side table of ``small_side_mb`` to all workers.
+def broadcast_cost_s(small_side_mb, config: Configuration, cluster: ClusterSpec):
+    """Time to broadcast build-side tables of ``small_side_mb`` (a scalar or
+    an array) to all workers; an empty side costs nothing.
 
     Torrent broadcast splits the table into ``broadcast.blockSize`` pieces;
     tiny pieces add per-block overhead, compression shrinks the payload.
     """
-    if small_side_mb <= 0:
-        return 0.0
-    payload_mb = small_side_mb
+    small = np.asarray(small_side_mb, dtype=float)
+    payload_mb = small
     if config["broadcast.compress"]:
-        payload_mb *= compression_ratio(int(config["io.compression.zstd.level"]))
+        payload_mb = payload_mb * compression_ratio(int(config["io.compression.zstd.level"]))
     block_mb = max(float(config["broadcast.blockSize"]), 0.5)
-    blocks = max(1, int(payload_mb / block_mb) + 1)
+    blocks = np.maximum(1, (payload_mb / block_mb).astype(np.int64) + 1)
     per_block_overhead_s = 0.002
     transfer_s = payload_mb * cluster.worker_count / cluster.aggregate_network_mb_per_s
-    return transfer_s + blocks * per_block_overhead_s
+    return np.where(small > 0, transfer_s + blocks * per_block_overhead_s, 0.0)

@@ -139,6 +139,96 @@ class TestEncodeDecode:
         assert rebuilt["executor.memory"] == space_x86.default()["executor.memory"]
 
 
+def _encode_oracle(space, config):
+    """The per-parameter loop ``encode`` is checked against."""
+    out = np.empty(space.dim)
+    for i, param in enumerate(space.parameters):
+        lo, hi = param.bounds(space.cluster_name)
+        value = float(config[param.name])
+        out[i] = 0.5 if hi == lo else (value - lo) / (hi - lo)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _decode_oracle(space, point):
+    """The per-parameter loop ``decode`` is checked against."""
+    arr = np.clip(np.asarray(point, dtype=float), 0.0, 1.0)
+    values = {}
+    for i, param in enumerate(space.parameters):
+        lo, hi = param.bounds(space.cluster_name)
+        raw = lo + arr[i] * (hi - lo)
+        if param.kind == "bool":
+            values[param.name] = bool(arr[i] >= 0.5)
+        elif param.kind == "int":
+            values[param.name] = int(round(raw))
+        else:
+            values[param.name] = float(raw)
+    return space.repair(Configuration(values))
+
+
+def _spaces():
+    from repro.sparksim.scenarios import RunStep, degrade_cluster
+
+    x86 = x86_cluster()
+    node_loss = degrade_cluster(x86, RunStep(index=0, datasize_gb=1.0, lost_workers=3))
+    return [ConfigSpace.for_cluster(c) for c in (x86, arm_cluster(), node_loss)] + [ConfigSpace("x86")]
+
+
+def _points(space, rng, n):
+    """Random points, the corners, and points on the rounding boundaries."""
+    points = [rng.random(space.dim) for _ in range(n)]
+    points += [np.zeros(space.dim), np.ones(space.dim), np.full(space.dim, 0.5)]
+    spans = space._bounds[:, 1] - space._bounds[:, 0]
+    for k in range(1, 8):
+        # raw = lo + (k + 0.5): the half-way points integer parameters round.
+        points.append(np.clip((k + 0.5) / np.maximum(spans, 1.0), 0.0, 1.0))
+    return points
+
+
+class TestArrayEncodeDecode:
+    """``encode``/``decode`` give the floats of the per-parameter loops."""
+
+    def test_encode_matches_loop(self, rng):
+        for space in _spaces():
+            for point in _points(space, rng, 40):
+                config = space.decode(point)
+                assert space.encode(config).tobytes() == _encode_oracle(space, config).tobytes()
+
+    def test_decode_matches_loop(self, rng):
+        for space in _spaces():
+            for point in _points(space, rng, 40):
+                got, want = space.decode(point), _decode_oracle(space, point)
+                assert got == want
+                assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+                assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+
+
+class TestRepairOnce:
+    def test_repair_is_idempotent(self, rng):
+        # Configuration(...) drops the repaired mark, so repair() does the work.
+        for space in _spaces():
+            configs = [space.decode(p) for p in _points(space, rng, 200)]
+            configs.append(space.make(**{
+                "executor.instances": 112, "executor.cores": 16, "executor.memory": 48,
+                "executor.memoryOverhead": 49152, "memory.offHeap.size": 49152,
+            }))
+            for config in configs:
+                again = space.repair(Configuration(config.as_dict()))
+                assert again.as_dict() == config.as_dict()
+
+    def test_only_an_equal_space_vouches_for_a_repair(self, x86, rng):
+        from repro.sparksim.scenarios import RunStep, degrade_cluster
+
+        space = ConfigSpace.for_cluster(x86)
+        config = space.sample(rng)
+        assert space.is_repaired(config)
+        assert ConfigSpace.for_cluster(x86).is_repaired(config)  # equal bounds and caps
+        node_loss = degrade_cluster(x86, RunStep(index=0, datasize_gb=1.0, lost_workers=3))
+        assert not ConfigSpace.for_cluster(node_loss).is_repaired(config)
+        assert not ConfigSpace("x86").is_repaired(config)  # same bounds, no caps
+        assert not space.is_repaired(Configuration(config.as_dict()))
+        assert not space.is_repaired(config.replace(**{"executor.memory": 48}))
+
+
 class TestRepairAndValidation:
     def test_sampled_configs_are_valid(self, space_x86, rng):
         for _ in range(25):

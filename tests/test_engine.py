@@ -267,7 +267,8 @@ class TestPinnedOutputs:
                         and config["sql.inMemoryColumnarStorage.partitionPruning"]
                     ):
                         reached.add("selection-pruning")
-        if any(o.oom for o in outcomes):
+        # One outcome per run holds every reduce phase's memory verdict.
+        if any(o.oom.any() for o in outcomes):
             reached.add("oom")
         assert reached == {"broadcast", "spill", "oom", "wide-codegen", "selection-pruning"}
         assert digest.hexdigest() == PINNED_RUN_DIGEST
@@ -352,3 +353,86 @@ class TestRecordContract:
         assert metrics_from_dict(metrics_to_dict(metrics)) == metrics
         for instance in records["instances"].values():
             assert pickle.loads(pickle.dumps(instance)) == instance
+
+
+class TestStageTable:
+    """A run's stage columns are built once per query tuple and cached by
+    the identity of its ``Query`` objects."""
+
+    def test_rebuilt_rqa_subsets_share_one_table(self, x86, tpcds):
+        from repro.core.objective import SparkSQLObjective
+
+        sim = SparkSQLSimulator(x86)
+        objective = SparkSQLObjective(sim, tpcds, rng=0)
+        names = tpcds.query_names[5:14]
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            # Each trial rebuilds the RQA with Application.subset.
+            objective.execute(sim.space.sample(rng), 100.0, queries=names)
+        assert len(sim._tables) == 1
+        table = sim._stage_table(tpcds.subset(names).queries)
+        assert table.names == names
+        assert len(sim._tables) == 1
+
+    def test_skew_shifted_app_with_equal_names_gets_its_own_table(self, x86, tpch):
+        from repro.sparksim.scenarios import shift_application_skew
+
+        shifted = shift_application_skew(tpch, 0.4)
+        assert shifted.name == tpch.name and shifted.query_names == tpch.query_names
+        sim = SparkSQLSimulator(x86)
+        config = sim.space.default()
+        sim.run(tpch, config, 100.0, rng=1)
+        shared = sim.run(shifted, config, 100.0, rng=1)
+        fresh = SparkSQLSimulator(x86).run(shifted, config, 100.0, rng=1)
+        assert len(sim._tables) == 2
+        assert sim._stage_table(shifted.queries) is not sim._stage_table(tpch.queries)
+        assert shared == fresh
+        assert shared != sim.run(tpch, config, 100.0, rng=1)
+
+    def test_pickled_simulator_ships_no_tables(self, x86, tpch):
+        import pickle
+
+        sim = SparkSQLSimulator(x86)
+        config = sim.space.default()
+        before = sim.run(tpch, config, 100.0, rng=2)
+        copy = pickle.loads(pickle.dumps(sim))
+        assert copy._tables == {}
+        assert copy.run(tpch, config, 100.0, rng=2) == before
+
+
+class TestRepairOnce:
+    def test_node_loss_space_repairs_a_baseline_repaired_config(self, x86, tpch):
+        from repro.sparksim import DriftingSimulator
+        from repro.sparksim.configspace import Configuration
+        from repro.sparksim.scenarios import RunStep, degrade_cluster
+
+        step = RunStep(index=0, datasize_gb=100.0, lost_workers=3)
+        drifting = DriftingSimulator(x86, noise=0.0)
+        config = drifting.space.make(**{"executor.instances": 112, "executor.cores": 1})
+        assert drifting.space.is_repaired(config)
+
+        degraded = SparkSQLSimulator(degrade_cluster(x86, step), noise=0.0)
+        repaired = degraded.space.repair(Configuration(config.as_dict()))
+        assert repaired["executor.instances"] < config["executor.instances"]
+
+        drifting.set_step(step)
+        got = drifting.run(tpch, config, 100.0, rng=0)
+        assert got == degraded.run(tpch, repaired, 100.0, rng=0)
+        # Had the inner simulator trusted the baseline repair, it would
+        # have run more executors than the shrunken cluster holds.
+        unrepaired = Configuration(config.as_dict())
+        unrepaired._repaired_by = degraded.space._repair_key
+        assert got != degraded.run(tpch, unrepaired, 100.0, rng=0)
+
+    def test_a_repeated_configuration_is_repaired_and_planned_once(self, x86, tpch, monkeypatch):
+        sim = SparkSQLSimulator(x86)
+        config = sim.space.default().replace(**{"executor.memory": 999})  # not repaired
+        calls = []
+        repair = sim.space.repair
+        monkeypatch.setattr(sim.space, "repair", lambda c: calls.append(c) or repair(c))
+        first = sim.run(tpch, config, 100.0, rng=1)
+        assert sim.run(tpch, config, 100.0, rng=1) == first
+        assert len(calls) == 1
+        # An equal configuration in a new object is repaired again.
+        assert sim.run(tpch, config.replace(), 100.0, rng=1) == first
+        assert len(calls) == 2

@@ -1,5 +1,6 @@
 """Tests for the executor memory / GC / OOM model."""
 
+import numpy as np
 import pytest
 
 from repro.sparksim.configspace import ConfigSpace
@@ -98,3 +99,44 @@ class TestOutcome:
                                "memory.offHeap.enabled": False})
         outcome = evaluate_task_memory(100.0, task_memory_budget(config))
         assert outcome.gc_fraction <= 5.0
+
+
+def _outcome_loop(working_set_gb, budget):
+    """The per-task scalar formula the array model is checked against."""
+    heap_set_gb = working_set_gb
+    if budget.offheap_gb > 0:
+        heap_set_gb = working_set_gb - min(working_set_gb * 0.6, budget.offheap_gb)
+    pressure = heap_set_gb / max(budget.heap_gb, 1e-6)
+    gc_fraction = 0.02 + 0.08 * min(pressure, 1.0) ** 2
+    if pressure > 1.0:
+        gc_fraction += 0.35 * min(pressure - 1.0, 1.0) ** 1.3
+    if pressure > 2.0:
+        gc_fraction += 2.0 * min(pressure - 2.0, 2.0) ** 2
+    spill_gb = max(heap_set_gb - 1.2 * budget.heap_gb, 0.0)
+    return min(gc_fraction, 5.0), spill_gb, pressure > OOM_PRESSURE, pressure
+
+
+class TestArrayOutcome:
+    """One call over an array gives, element by element, the floats of the
+    scalar formula (its powers are libm's, as Python's ``**``)."""
+
+    @pytest.mark.parametrize("offheap", [False, True])
+    def test_matches_scalar_loop(self, space, offheap):
+        budget = task_memory_budget(space.make(**{
+            "executor.memory": 8, "executor.cores": 4,
+            "memory.offHeap.enabled": offheap, "memory.offHeap.size": 4096,
+        }))
+        rng = np.random.default_rng(5)
+        # Pressures from calm through the thrashing tail and past OOM.
+        working_sets = np.concatenate([[0.0], rng.random(3000) * 12.0 * budget.heap_gb])
+        outcome = evaluate_task_memory(working_sets, budget)
+        for i, ws in enumerate(working_sets.tolist()):
+            gc_fraction, spill_gb, oom, pressure = _outcome_loop(ws, budget)
+            assert outcome.gc_fraction[i].hex() == gc_fraction.hex()
+            assert outcome.spill_gb[i].hex() == spill_gb.hex()
+            assert bool(outcome.oom[i]) is oom
+            assert outcome.heap_pressure[i].hex() == pressure.hex()
+
+    def test_scalar_in_scalar_out(self, space):
+        outcome = evaluate_task_memory(1.0, task_memory_budget(space.default()))
+        assert all(np.ndim(field) == 0 for field in outcome)

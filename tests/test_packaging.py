@@ -50,3 +50,10 @@ def test_import_time_third_party_modules_are_runtime_dependencies():
     assert not undeclared, (
         f"imported at module level but not in [project].dependencies: {undeclared}"
     )
+
+
+def test_package_version_matches_pyproject():
+    import repro
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == repro.__version__

@@ -1,5 +1,6 @@
 """Tests for the shuffle/compression cost model."""
 
+import numpy as np
 import pytest
 
 from repro.sparksim.cluster import x86_cluster
@@ -108,3 +109,57 @@ class TestBroadcast:
         small_blocks = broadcast_cost_s(64.0, config.replace(**{"broadcast.blockSize": 1}), cluster)
         big_blocks = broadcast_cost_s(64.0, config.replace(**{"broadcast.blockSize": 16}), cluster)
         assert small_blocks > big_blocks
+
+
+class TestArrayCosts:
+    """One call over an array of volumes gives, element by element, the
+    floats of the scalar formulas."""
+
+    @staticmethod
+    def _shuffle_loop(raw_gb, rates, spill):
+        if raw_gb == 0:
+            return 0.0, 0.0, 0.0, 0.0
+        wire_gb, compress_cpu = raw_gb, 0.0
+        if rates.compress:
+            wire_gb, compress_cpu = raw_gb * rates.ratio, raw_gb * rates.cpu_s_per_gb
+        write_s = wire_gb * 1024.0 / rates.disk_mb_per_s
+        fetch_s = wire_gb * 1024.0 / rates.net_mb_per_s
+        if spill:
+            write_s += raw_gb * (rates.ratio if rates.spill_compress else 1.0) * 1024.0 / rates.disk_mb_per_s
+            if rates.spill_compress:
+                compress_cpu += raw_gb * rates.cpu_s_per_gb
+        return write_s, fetch_s, compress_cpu, wire_gb
+
+    @staticmethod
+    def _broadcast_loop(small_side_mb, config, cluster):
+        if small_side_mb <= 0:
+            return 0.0
+        payload_mb = small_side_mb
+        if config["broadcast.compress"]:
+            payload_mb *= compression_ratio(int(config["io.compression.zstd.level"]))
+        blocks = max(1, int(payload_mb / max(float(config["broadcast.blockSize"]), 0.5)) + 1)
+        return payload_mb * cluster.worker_count / cluster.aggregate_network_mb_per_s + blocks * 0.002
+
+    @pytest.mark.parametrize("switches", [(True, True), (True, False), (False, True), (False, False)])
+    def test_shuffle_matches_scalar_loop(self, config, cluster, switches):
+        compress, spill_compress = switches
+        rates = shuffle_rates(
+            config.replace(**{"shuffle.compress": compress, "shuffle.spill.compress": spill_compress}),
+            cluster,
+        )
+        rng = np.random.default_rng(3)
+        raw = np.concatenate([[0.0], rng.random(500) * 300.0])
+        spill = rng.random(raw.size) < 0.5
+        cost = shuffle_cost(raw, rates, spill=spill)
+        for i, (gb, spilled) in enumerate(zip(raw.tolist(), spill.tolist())):
+            want = self._shuffle_loop(gb, rates, spilled)
+            got = tuple(float(field[i]) for field in cost)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_broadcast_matches_scalar_loop(self, config, cluster, compress):
+        config = config.replace(**{"broadcast.compress": compress, "broadcast.blockSize": 3})
+        small = np.concatenate([[0.0, 1.0, 3.0], np.random.default_rng(4).random(300) * 64.0])
+        got = broadcast_cost_s(small, config, cluster)
+        for i, mb in enumerate(small.tolist()):
+            assert float(got[i]).hex() == self._broadcast_loop(mb, config, cluster).hex()
