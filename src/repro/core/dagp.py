@@ -31,11 +31,11 @@ The class implements the surrogate-engine lifecycle
   holding the ``n_mcmc`` per-sample ``(alpha, K^-1)`` states.
 * ``extend`` appends observations incrementally: the base GP and every
   stacked model grow by an exact rank-k update.  Once
-  ``MCMC_REFRESH_ROWS`` rows have arrived since the last draw, the
+  ``MCMC_REFRESH_ROWS`` (6) rows have arrived since the last draw, the
   hyper-parameters are re-sampled by resuming the previous chain with a
   short burn-in; in between, the posterior samples are kept and merely
-  extended — the dominant O(n^3)-per-theta cost is paid a fraction of
-  the iterations.
+  extended — the chain and the dominant O(n^3)-per-theta refactorization
+  are paid once every six rows.
 * ``acquisition`` evaluates the marginalized EI over all samples in one
   vectorized pass (no per-clone Python loop).
 """
@@ -75,11 +75,15 @@ MCMC_BURN_IN = 10
 MCMC_WARM_BURN_IN = 4
 
 #: How many appended rows may reuse the current hyper-parameter samples
-#: before they are drawn again.  One new observation barely moves the
-#: hyper-parameter posterior; re-sampling at every row would
-#: re-factorize ``n_mcmc`` models per BO iteration for no measurable
-#: gain.
-MCMC_REFRESH_ROWS = 2
+#: before they are drawn again.  A few new observations barely move the
+#: hyper-parameter posterior, and each draw runs a chain and
+#: re-factorizes ``n_mcmc`` models.  Chosen together with LOCAT's 4
+#: samples and the unthinned chain by the sweep in :mod:`repro.bo.mcmc`;
+#: against the earlier draw every 2 rows (6 samples, thinned by 2), a
+#: cold TPC-DS session keeps its tuned duration, evaluations and
+#: simulated overhead within tolerance and runs 559 likelihood
+#: evaluations instead of 1,902.
+MCMC_REFRESH_ROWS = 6
 
 
 def datasize_coordinate(datasize_gb: float | np.ndarray) -> np.ndarray:

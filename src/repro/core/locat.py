@@ -117,7 +117,7 @@ class LOCAT:
         min_iterations: int = DEFAULT_MIN_ITERATIONS,
         max_iterations: int = 25,
         ei_threshold: float = DEFAULT_EI_THRESHOLD,
-        n_mcmc: int = 6,
+        n_mcmc: int = 4,
         use_iicp: bool = True,
         use_dagp: bool = True,
         use_polish: bool = True,

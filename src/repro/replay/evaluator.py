@@ -63,6 +63,8 @@ class ReplayEvaluator:
         #: identical for every candidate this evaluator scores.
         self.replays: tuple[TraceStep, ...] = tuple(steps[int(i)] for i in picks)
         self._cache: dict[tuple, float] = {}
+        #: The application each query subset runs, built on first use.
+        self._targets: dict[tuple[str, ...] | None, object] = {None: app}
         self.cache_hits = 0
         self.cache_misses = 0
         self.n_sim_runs = 0
@@ -75,20 +77,25 @@ class ReplayEvaluator:
     def _measure(
         self,
         config,
+        config_key: str,
         step: TraceStep,
         queries: tuple[str, ...] | None,
         datasize_gb: float | None,
     ) -> float:
-        """One (config, replay slot) duration, memoized per session."""
+        """One (config, replay slot) duration, memoized per session;
+        ``config_key`` is ``canonical_key(config)``, computed once per
+        candidate by the caller."""
         ds = step.datasize_gb if datasize_gb is None else float(datasize_gb)
-        key = (canonical_key(config), step.index, step.rng_key, round(ds, 9), queries)
+        key = (config_key, step.index, step.rng_key, round(ds, 9), queries)
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
         self.n_sim_runs += 1
-        target = self.app if queries is None else self.app.subset(list(queries))
+        target = self._targets.get(queries)
+        if target is None:
+            target = self._targets[queries] = self.app.subset(list(queries))
         # The recorded seed key verbatim: the replayed draw is the run's
         # historical stream bit for bit, shared by every candidate.
         metrics = self.simulator.run(target, config, ds, rng=step.rng_key)
@@ -111,7 +118,8 @@ class ReplayEvaluator:
         that size (what a retune targeting one operating point wants).
         """
         qnames = None if queries is None else tuple(queries)
-        return [self._measure(config, step, qnames, datasize_gb) for step in self.replays]
+        key = canonical_key(config)
+        return [self._measure(config, key, step, qnames, datasize_gb) for step in self.replays]
 
     def mean_duration(
         self,
@@ -170,10 +178,11 @@ class ReplayEvaluator:
         production run lands.
         """
         slots = self.replays if max_pairs is None else self.replays[-int(max_pairs):]
+        inc_key, chal_key = canonical_key(incumbent), canonical_key(challenger)
         pairs = []
         for step in slots:
-            inc = self._measure(incumbent, step, None, None)
-            chal = self._measure(challenger, step, None, None)
+            inc = self._measure(incumbent, inc_key, step, None, None)
+            chal = self._measure(challenger, chal_key, step, None, None)
             pairs.append((step.datasize_gb, inc, chal))
         return pairs
 

@@ -298,7 +298,9 @@ class ConfigSpace:
         values.update(zip(names, np.rint(raw[idx]).astype(np.int64).tolist()))
         idx, names = self._kind_index["float"]
         values.update(zip(names, raw[idx].tolist()))
-        return self.repair(Configuration(values))
+        # The values are already of their parameters' types, so they are
+        # repaired as they are and validated once, by one Configuration.
+        return self._repair_values(values)
 
     # ------------------------------------------------------------------
     # Validation and repair (paper section 5.12)
@@ -359,7 +361,11 @@ class ConfigSpace:
         the per-executor sum fits the container, then shrink
         ``executor.instances`` until cluster totals fit.
         """
-        values = config.as_dict()
+        return self._repair_values(config.as_dict())
+
+    def _repair_values(self, values: dict[str, ParamValue]) -> Configuration:
+        """:meth:`repair` of the configuration holding ``values``, a dict
+        of all parameters it repairs in place."""
         for i, param in enumerate(self.parameters):
             if param.kind == "bool":
                 continue

@@ -194,12 +194,30 @@ class TestArrayEncodeDecode:
                 assert space.encode(config).tobytes() == _encode_oracle(space, config).tobytes()
 
     def test_decode_matches_loop(self, rng):
+        # The oracle builds a Configuration and repairs it (two builds);
+        # decode repairs its own values and builds one.
         for space in _spaces():
-            for point in _points(space, rng, 40):
+            for point in _points(space, rng, 1000):
                 got, want = space.decode(point), _decode_oracle(space, point)
                 assert got == want
                 assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
                 assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+                assert space.is_repaired(got) and space.is_repaired(want)
+
+
+class TestDecodeBuildsOnce:
+    def test_one_construction(self, monkeypatch, rng):
+        built = []
+        init = Configuration.__init__
+
+        def counting_init(self, values):
+            built.append(1)
+            init(self, values)
+
+        monkeypatch.setattr(Configuration, "__init__", counting_init)
+        for space in _spaces():
+            space.decode(rng.random(space.dim))
+        assert len(built) == len(_spaces())
 
 
 class TestRepairOnce:

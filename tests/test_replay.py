@@ -200,6 +200,29 @@ class TestEvaluator:
         assert evaluator.cache_misses == misses
         assert evaluator.cache_hits >= len(evaluator.replays)
 
+    def test_repeated_candidate_on_a_query_subset(self, x86, monkeypatch):
+        """A candidate keys its replays once per call and runs one RQA
+        object: same durations and hit/miss counts as a fresh rerun."""
+        evaluator, simulator = self.make_evaluator(x86)
+        app = evaluator.app
+        queries = list(app.query_names[:2])
+        config = simulator.space.default()
+        want = [
+            simulator.run(app.subset(queries), config, step.datasize_gb, rng=step.rng_key).duration_s
+            for step in evaluator.replays
+        ]
+        distinct = len({(s.index, s.rng_key) for s in evaluator.replays})
+        targets = []
+        run = simulator.run
+        monkeypatch.setattr(
+            simulator, "run", lambda target, *a, **k: targets.append(target) or run(target, *a, **k)
+        )
+        for repeat in (1, 2):
+            assert evaluator.durations(config, queries=queries) == want
+            assert evaluator.cache_misses == distinct
+            assert evaluator.cache_hits == repeat * len(evaluator.replays) - distinct
+        assert len(targets) == distinct and all(t is targets[0] for t in targets)
+
     @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
     def test_crn_variance_never_worse_than_independent(self, name, x86):
         """Paired CRN deltas beat independent draws on every generator."""

@@ -411,9 +411,7 @@ class TestSliceChain:
             for j in range(i + 1, len(samples)):
                 assert samples[i] is not samples[j]
 
-    def test_invalid_thin_and_burn_in(self, fitted_gp):
-        with pytest.raises(ValueError):
-            slice_sample_chain(fitted_gp, n_samples=2, thin=0)
+    def test_invalid_burn_in(self, fitted_gp):
         with pytest.raises(ValueError):
             slice_sample_chain(fitted_gp, n_samples=2, burn_in=-1)
 
@@ -593,19 +591,22 @@ class TestDAGPEngine:
     def test_mcmc_refresh_cadence(self):
         """The samples are reused until MCMC_REFRESH_ROWS rows have
         arrived, then re-drawn by resuming the previous chain."""
-        assert MCMC_REFRESH_ROWS == 2
-        points, datasizes, durations = synthetic_observations(seed=24, n=40)
+        last = 30 + MCMC_REFRESH_ROWS - 1  # the row that completes a refresh
+        points, datasizes, durations = synthetic_observations(seed=24, n=last + 1)
         model = DatasizeAwareGP(config_dim=2, n_mcmc=3)
         model.fit(points[:30], datasizes[:30], durations[:30], rng=1)
         thetas_after_fit = [t.copy() for t in model._theta_samples]
         chain_state = model._mcmc_state.copy()
-        # The first extend reuses the fit's samples (rank-1 stack
-        # updates only); the second brings 2 new rows and re-samples.
-        model.extend(points[30:31], datasizes[30:31], durations[30:31], rng=1)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(thetas_after_fit, model._theta_samples)
-        )
-        model.extend(points[31:32], datasizes[31:32], durations[31:32], rng=5)
+        # The extends before the refresh row reuse the fit's samples
+        # (rank-1 stack updates only); the refresh row re-samples.
+        for row in range(30, last):
+            model.extend(points[row:row + 1], datasizes[row:row + 1], durations[row:row + 1],
+                         rng=1)
+            assert all(
+                np.array_equal(a, b) for a, b in zip(thetas_after_fit, model._theta_samples)
+            )
+        model.extend(points[last:last + 1], datasizes[last:last + 1], durations[last:last + 1],
+                     rng=5)
         resumed, _ = slice_sample_chain(
             model.gp, n_samples=3, burn_in=MCMC_WARM_BURN_IN, rng=5,
             initial_theta=chain_state,
@@ -720,25 +721,25 @@ PINNED_BO_LOOP = {
         [0.08992890458795677, 0.9709185257592405],
         [0.3469911746453982, 0.5355452585890599],
         [0.22279143552845215, 0.28182810633472577],
-        [0.2752930829223385, 0.29621809032207747],
-        [0.26712537747267373, 0.9807155778549794],
-        [0.2429965833541576, 0.34881574128841114],
+        [0.2745676578042237, 0.3232826456095444],
+        [0.46551460344090934, 0.4395869134482585],
+        [0.5672629011845808, 0.2892206846885119],
     ],
     "durations": [
         13.36061994958997,
         14.942615333345683,
         10.576897393383414,
         10.062913801471392,
-        10.006247345922946,
-        14.644544387407528,
-        10.056323661068365,
+        10.011888856161427,
+        10.46879590358213,
+        10.715456519881833,
     ],
     "ei_values": [
         0.02821184417355568,
-        0.06621275652679368,
-        0.05900502371514705,
-        0.02853644307602305,
-        0.03262824764181206,
+        0.07445831781966677,
+        0.06436010140487733,
+        0.06526810504681008,
+        0.05798943446348579,
     ],
     "stopped_by_ei": True,
 }
@@ -750,20 +751,20 @@ PINNED_LOCAT_DURATIONS = [
     100.92531795465439,
     345.1488918823474,
     1990.9731010956084,
-    70.50365717596245,
-    91.47743489356623,
-    74.10941027274636,
-    72.81687881143154,
-    72.86328471441246,
-    76.50839150651117,
-    369.0335347698213,
-    131.18055240975517,
-    78.17275734523461,
-    73.95851918213161,
-    71.98228024837222,
+    80.04118290146772,
+    74.87506764615252,
+    71.85471556872619,
+    73.54082552973142,
+    79.91522137824101,
+    71.10962471939507,
+    73.7778208474313,
+    71.4962342682658,
+    71.6804899918643,
+    74.4254204146819,
+    75.58487461517274,
 ]
 
-PINNED_LOCAT_BEST = 70.50365717596245
+PINNED_LOCAT_BEST = 74.87506764615252
 
 #: A deployed small-budget tenant (``n_mcmc=4``, ``replay_eval="race"``)
 #: fed an abrupt-skew stream until its first drift retune completes: the
@@ -774,73 +775,57 @@ PINNED_LOCAT_BEST = 70.50365717596245
 #: low-fidelity prior, the promotion gate), which the two pins above do
 #: not reach; both its sessions also run ``ModelStack.extend``.
 PINNED_DRIFT_DURATIONS = [
-    49.12836113712969,
-    50.70922100410961,
-    48.504616963383256,
-    49.71729007768345,
-    48.6691646948965,
-    46.096003151539136,
-    49.169159143631994,
-    47.266520842571886,
-    54.58284109566192,
-    50.68101296583539,
-    53.52928079535029,
-    49.33367920064066,
-    49.83432279717855,
-    50.97639628481375,
-    52.65955954917463,
-    57.134579397502755,
-    55.55420154854552,
-    52.17595654677391,
-    50.75467304322095,
-    50.64366321837152,
-    54.89603595875985,
-    49.58622938808073,
-    54.116839398581476,
-    52.836228482582776,
-    57.476583876541156,
+    49.16923894574419,
+    50.75141418505881,
+    48.54497577860232,
+    49.75865791128479,
+    48.7096604239169,
+    46.13435785239029,
+    49.2100708986893,
+    47.30584948590853,
+    107.15181857556331,
 ]
-PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 24 + [(True, "drift", "promoted")]
-PINNED_DRIFT_RETUNE = (2, 49.773743394856965)
+PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 8 + [(True, "drift", "promoted")]
+PINNED_DRIFT_RETUNE = (2, 59.7570769606003)
 PINNED_DRIFT_DEPLOYED = {
-    "broadcast.blockSize": 7,
-    "broadcast.compress": True,
-    "default.parallelism": 236,
-    "driver.cores": 14,
-    "driver.memory": 23,
-    "executor.cores": 12,
+    "broadcast.blockSize": 3,
+    "default.parallelism": 244,
+    "driver.cores": 12,
+    "driver.memory": 18,
+    "executor.cores": 9,
     "executor.instances": 9,
     "executor.memory": 48,
     "executor.memoryOverhead": 1820,
-    "io.compression.zstd.bufferSize": 85,
-    "io.compression.zstd.level": 3,
-    "kryoserializer.buffer": 86,
-    "kryoserializer.buffer.max": 69,
+    "io.compression.zstd.bufferSize": 91,
+    "io.compression.zstd.level": 2,
+    "kryoserializer.buffer": 64,
+    "kryoserializer.buffer.max": 58,
     "locality.wait": 1,
-    "memory.fraction": 0.6273359405016956,
-    "memory.offHeap.enabled": True,
+    "memory.fraction": 0.5981181767533588,
+    "memory.storageFraction": 0.7232386487016782,
     "memory.offHeap.size": 0,
-    "memory.storageFraction": 0.6776265982921313,
-    "rdd.compress": True,
-    "reducer.maxSizeInFlight": 31,
+    "reducer.maxSizeInFlight": 24,
     "scheduler.revive.interval": 2,
+    "shuffle.file.buffer": 86,
+    "shuffle.io.numConnectionsPerPeer": 2,
+    "shuffle.sort.bypassMergeThreshold": 400,
+    "sql.autoBroadcastJoinThreshold": 1024,
+    "sql.cartesianProductExec.buffer.in.memory.threshold": 3337,
+    "sql.codegen.maxFields": 148,
+    "sql.inMemoryColumnarStorage.batchSize": 12218,
+    "sql.shuffle.partitions": 630,
+    "storage.memoryMapThreshold": 6,
+    "broadcast.compress": True,
+    "memory.offHeap.enabled": True,
+    "rdd.compress": True,
     "shuffle.compress": True,
-    "shuffle.file.buffer": 91,
-    "shuffle.io.numConnectionsPerPeer": 1,
-    "shuffle.sort.bypassMergeThreshold": 378,
-    "shuffle.spill.compress": False,
-    "sql.autoBroadcastJoinThreshold": 5404,
-    "sql.cartesianProductExec.buffer.in.memory.threshold": 2983,
-    "sql.codegen.aggregate.map.twolevel.enable": False,
-    "sql.codegen.maxFields": 132,
-    "sql.inMemoryColumnarStorage.batchSize": 11894,
+    "shuffle.spill.compress": True,
+    "sql.codegen.aggregate.map.twolevel.enable": True,
     "sql.inMemoryColumnarStorage.compressed": False,
     "sql.inMemoryColumnarStorage.partitionPruning": True,
     "sql.join.preferSortMergeJoin": False,
-    "sql.retainGroupColumns": True,
-    "sql.shuffle.partitions": 676,
+    "sql.retainGroupColumns": False,
     "sql.sort.enableRadixSort": False,
-    "storage.memoryMapThreshold": 5,
 }
 
 
