@@ -12,7 +12,7 @@ benchmark measures both:
   each costing a fresh Cholesky-backed log-marginal-likelihood, then
   n_mcmc stacked models factorized again.  The engine every BO loop now
   uses grows one surrogate instead, with exact rank-k extends and
-  hyper-parameters re-sampled by a resumed chain every sixth row.  The
+  hyper-parameters re-sampled by a resumed chain every third row.  The
   pinned claim: **at 200-observation histories extend is at least 3x
   faster per iteration than a fresh fit**.
 * **Section B — backends** (each forced through ``backend_policy``,

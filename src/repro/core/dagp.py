@@ -31,11 +31,11 @@ The class implements the surrogate-engine lifecycle
   holding the ``n_mcmc`` per-sample ``(alpha, K^-1)`` states.
 * ``extend`` appends observations incrementally: the base GP and every
   stacked model grow by an exact rank-k update.  Once
-  ``MCMC_REFRESH_ROWS`` (6) rows have arrived since the last draw, the
+  ``MCMC_REFRESH_ROWS`` (3) rows have arrived since the last draw, the
   hyper-parameters are re-sampled by resuming the previous chain with a
   short burn-in; in between, the posterior samples are kept and merely
   extended — the chain and the dominant O(n^3)-per-theta refactorization
-  are paid once every six rows.
+  are paid once every three rows.
 * ``acquisition`` evaluates the marginalized EI over all samples in one
   vectorized pass (no per-clone Python loop).
 """
@@ -79,11 +79,12 @@ MCMC_WARM_BURN_IN = 4
 #: hyper-parameter posterior, and each draw runs a chain and
 #: re-factorizes ``n_mcmc`` models.  Chosen together with LOCAT's 4
 #: samples and the unthinned chain by the sweep in :mod:`repro.bo.mcmc`;
-#: against the earlier draw every 2 rows (6 samples, thinned by 2), a
-#: cold TPC-DS session keeps its tuned duration, evaluations and
-#: simulated overhead within tolerance and runs 559 likelihood
-#: evaluations instead of 1,902.
-MCMC_REFRESH_ROWS = 6
+#: against the earlier draw every 2 rows (6 samples, thinned by 2),
+#: cold TPC-DS sessions and the DAGP adaptation sessions after them
+#: keep their tuned duration, evaluations and simulated overhead within
+#: tolerance, and a cold session runs 842 likelihood evaluations
+#: instead of 1,902.
+MCMC_REFRESH_ROWS = 3
 
 
 def datasize_coordinate(datasize_gb: float | np.ndarray) -> np.ndarray:
@@ -93,6 +94,15 @@ def datasize_coordinate(datasize_gb: float | np.ndarray) -> np.ndarray:
     histories are keyed by :func:`repro.core.datasize.normalize_datasize`.
     """
     return np.asarray(datasize_gb, dtype=float) / DATASIZE_REFERENCE_GB
+
+
+def _stack_factorizes(gp, theta: np.ndarray) -> bool:
+    """Whether a one-sample stack of ``gp`` at ``theta`` factorizes."""
+    try:
+        ModelStack.from_gp(gp, [theta])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class DatasizeAwareGP:
@@ -217,7 +227,18 @@ class DatasizeAwareGP:
             rng=ensure_rng(rng),
             initial_theta=self._mcmc_state if resume else None,
         )
-        self._stack = ModelStack.from_gp(self.gp, self._theta_samples)
+        try:
+            self._stack = ModelStack.from_gp(self.gp, self._theta_samples)
+        except np.linalg.LinAlgError:
+            # The chain's likelihood builds each covariance along one
+            # coordinate, the stack builds the full kernel, and the two
+            # round differently: a sample next to a singular covariance
+            # can pass the first and fail the second.  Keep the samples
+            # the stack can factorize, or else the GP's own fitted
+            # hyper-parameters.
+            kept = [t for t in self._theta_samples if _stack_factorizes(self.gp, t)]
+            self._theta_samples = kept or [self.gp.get_theta().copy()]
+            self._stack = ModelStack.from_gp(self.gp, self._theta_samples)
         self._rows_at_draw = self.n_observations
 
     def fit(
@@ -357,13 +378,18 @@ class DatasizeAwareGP:
             if self._stack is None or grown >= MCMC_REFRESH_ROWS:
                 self._sample_hyperparameters(rng, resume=True)
             else:
-                self._stack.extend(
-                    x,
-                    self.gp.standardized_targets,
-                    self.gp.target_mean,
-                    self.gp.target_std,
-                    extra_noise_new=extra_noise,
-                )
+                try:
+                    self._stack.extend(
+                        x,
+                        self.gp.standardized_targets,
+                        self.gp.target_mean,
+                        self.gp.target_std,
+                        extra_noise_new=extra_noise,
+                    )
+                except np.linalg.LinAlgError:
+                    # A sample whose grown covariance is no longer
+                    # positive definite: draw the samples again now.
+                    self._sample_hyperparameters(rng, resume=True)
         return self
 
     @property

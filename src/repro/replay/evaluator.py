@@ -63,8 +63,6 @@ class ReplayEvaluator:
         #: identical for every candidate this evaluator scores.
         self.replays: tuple[TraceStep, ...] = tuple(steps[int(i)] for i in picks)
         self._cache: dict[tuple, float] = {}
-        #: The application each query subset runs, built on first use.
-        self._targets: dict[tuple[str, ...] | None, object] = {None: app}
         self.cache_hits = 0
         self.cache_misses = 0
         self.n_sim_runs = 0
@@ -78,13 +76,15 @@ class ReplayEvaluator:
         self,
         config,
         config_key: str,
+        target,
         step: TraceStep,
         queries: tuple[str, ...] | None,
         datasize_gb: float | None,
     ) -> float:
         """One (config, replay slot) duration, memoized per session;
-        ``config_key`` is ``canonical_key(config)``, computed once per
-        candidate by the caller."""
+        ``config_key`` is ``canonical_key(config)`` and ``target`` the
+        application ``queries`` select, both built once per candidate by
+        the caller."""
         ds = step.datasize_gb if datasize_gb is None else float(datasize_gb)
         key = (config_key, step.index, step.rng_key, round(ds, 9), queries)
         cached = self._cache.get(key)
@@ -93,9 +93,6 @@ class ReplayEvaluator:
             return cached
         self.cache_misses += 1
         self.n_sim_runs += 1
-        target = self._targets.get(queries)
-        if target is None:
-            target = self._targets[queries] = self.app.subset(list(queries))
         # The recorded seed key verbatim: the replayed draw is the run's
         # historical stream bit for bit, shared by every candidate.
         metrics = self.simulator.run(target, config, ds, rng=step.rng_key)
@@ -118,8 +115,12 @@ class ReplayEvaluator:
         that size (what a retune targeting one operating point wants).
         """
         qnames = None if queries is None else tuple(queries)
+        target = self.app if qnames is None else self.app.subset(list(qnames))
         key = canonical_key(config)
-        return [self._measure(config, key, step, qnames, datasize_gb) for step in self.replays]
+        return [
+            self._measure(config, key, target, step, qnames, datasize_gb)
+            for step in self.replays
+        ]
 
     def mean_duration(
         self,
@@ -181,8 +182,8 @@ class ReplayEvaluator:
         inc_key, chal_key = canonical_key(incumbent), canonical_key(challenger)
         pairs = []
         for step in slots:
-            inc = self._measure(incumbent, inc_key, step, None, None)
-            chal = self._measure(challenger, chal_key, step, None, None)
+            inc = self._measure(incumbent, inc_key, self.app, step, None, None)
+            chal = self._measure(challenger, chal_key, self.app, step, None, None)
             pairs.append((step.datasize_gb, inc, chal))
         return pairs
 
