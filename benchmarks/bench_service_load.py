@@ -2,10 +2,22 @@
 
 The ROADMAP's scale item asks the service front end to outgrow one
 process.  This benchmark sweeps tenant count × worker count with the
-:mod:`repro.loadgen` harness on the observe-heavy mix and records the
-repo's standing service-perf curve: sustained observe throughput,
-latency percentiles, and the failure taxonomy per configuration, in the
-canonical ``run_table.csv`` shape (plus ``BENCH_service_load.json``).
+closed loop below on a fixed observe-heavy mix and records the repo's
+standing service-perf curve: sustained observe throughput, latency
+percentiles, and the failure taxonomy per configuration
+(``BENCH_service_load.json``; the smoke run writes its rows as
+``run_table.csv``).
+
+The loop: tenants are registered with a small tuner and their
+bootstraps paid up front, so the measured window holds only the
+steady-state serving path (ingest, persist, status, config).  Tenant
+ids are chosen so their shard slots cycle round-robin, and each client
+thread owns a fixed subset of them, issuing requests back to back.
+Every request is classed ``ok``, ``rejected`` (HTTP 429 backpressure,
+which is correct behaviour under load) or ``error``; an observe that
+retunes is an ``error`` too, because steady durations must not move
+the drift detector.  Requests started in the warm-up are dropped, and
+latency percentiles are nearest-rank over the ``ok`` requests.
 
 Like ``bench_parallel_speedup`` — which emulates cluster
 sample-collection latency because the simulator answers in
@@ -28,7 +40,7 @@ directory under ``--outdir``, so its fsyncs reach the disk that
 directory is on.  Nothing is asserted on it; it records what sharding
 buys over the store this repository actually ships.
 
-Run the full sweep (also the source of the committed artifacts):
+Run the full sweep (the source of the committed JSON):
 
     PYTHONPATH=src python benchmarks/bench_service_load.py
 
@@ -38,24 +50,20 @@ or the CI-sized smoke sweep:
 """
 
 import argparse
+import csv
 import json
+import math
 import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.loadgen import (
-    OBSERVE_HEAVY,
-    format_report,
-    provision_tenants,
-    run_closed_loop,
-    run_table_row,
-    summarize,
-    write_run_table,
-)
-from repro.service import HistoryStore, TuningClient, TuningService
-from repro.service.sharding import ShardedTuningService
+from repro.service import HistoryStore, ServiceError, TuningClient, TuningService
+from repro.service.sharding import ShardedTuningService, stable_slot
+from repro.stats.sampling import ensure_rng
 
 #: Emulated durable-commit latency per acknowledged append batch (the
 #: replicated-WAL / battery-backed-log ack a production store pays).
@@ -117,6 +125,180 @@ def start_service(store_dir: str, workers: int, kind: str):
     ).start()
 
 
+#: Small-but-real tuner for load-test tenants: a full QCSA/IICP/BO
+#: pass, sized so the one-off bootstrap costs well under a second.
+TUNER = {"n_qcsa": 8, "n_iicp": 6, "max_iterations": 4, "min_iterations": 2,
+         "n_mcmc": 0, "use_polish": False}
+DATASIZE_GB = 10.0
+
+#: The fixed operation mix: ingest-dominated with a trickle of reads.
+MIX = "observe=0.9,status=0.05,config=0.05"
+
+#: Column order of a run-table row (``run_table.csv`` and the JSON rows).
+COLUMNS = (
+    "mode", "workers", "tenants", "clients", "batch_size", "mix", "duration_s", "requests",
+    "throughput_rps", "observe_throughput_rps", "p50_latency_ms", "p95_latency_ms",
+    "p99_latency_ms", "failure_rate", "rejected_rate",
+)
+
+
+@dataclass(frozen=True)
+class Tenant:
+    app_id: str
+    #: The deployed configuration's bootstrap runtime; steady-state
+    #: observes report durations within 2% of it.
+    baseline_s: float
+
+
+@dataclass(frozen=True)
+class Request:
+    op: str  # "observe" | "status" | "config"
+    tenant: str
+    started_s: float  # since the run started; warm-up trimming keys on it
+    latency_s: float
+    outcome: str  # "ok" | "rejected" | "error"
+    #: Observations landed: the batch size for an ok observe, else 0.
+    n_observations: int
+
+
+def balanced_tenant_ids(n: int) -> list[str]:
+    """Tenant ids whose shard slots cycle 0, 1, 2, 3, 0, ...: at 1, 2 or 4
+    workers the tenants spread evenly, so a worker sweep measures
+    scaling, not the luck of the hash draw."""
+    ids: list[str] = []
+    candidate = 0
+    while len(ids) < n:
+        app_id = f"tenant-{candidate:04d}"
+        candidate += 1
+        if stable_slot(app_id) % 4 == len(ids) % 4:
+            ids.append(app_id)
+    return ids
+
+
+def provision(client: TuningClient, n_tenants: int, seed: int = 1) -> list[Tenant]:
+    """Register ``n_tenants`` and pay their bootstraps, 8 at a time."""
+    ids = balanced_tenant_ids(n_tenants)
+    for i, app_id in enumerate(ids):
+        client.register_app(app_id, benchmark="join", seed=seed + i, tuner=TUNER)
+
+    def bootstrap(app_id: str) -> Tenant:
+        job = client.observe(app_id, datasize_gb=DATASIZE_GB)
+        return Tenant(app_id, float(job["decision"]["tuning"]["best_duration_s"]))
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        return list(pool.map(bootstrap, ids))
+
+
+def issue(client, tenant: Tenant, op: str, rng, batch_size: int) -> tuple[str, int]:
+    """Run one operation; returns (outcome, observations landed)."""
+    try:
+        if op == "status":
+            client.app(tenant.app_id)
+            return "ok", 0
+        if op == "config":
+            client.config(tenant.app_id)
+            return "ok", 0
+        durations = tenant.baseline_s * rng.uniform(0.98, 1.02, size=batch_size)
+        if batch_size == 1:
+            job = client.observe(tenant.app_id, DATASIZE_GB, float(durations[0]))
+            decisions = [job["decision"]]
+        else:
+            batch = [{"datasize_gb": DATASIZE_GB, "duration_s": float(d)} for d in durations]
+            decisions = client.observe_batch(tenant.app_id, batch)["decisions"]
+    except ServiceError as exc:
+        return ("rejected" if exc.status == 429 else "error"), 0
+    except OSError:
+        return "error", 0
+    if any(decision["retuned"] for decision in decisions):
+        return "error", 0
+    return "ok", batch_size
+
+
+def run_closed_loop(
+    url: str,
+    tenants: list[Tenant],
+    duration_s: float,
+    clients: int,
+    batch_size: int = 1,
+    seed: int = 1,
+) -> list[Request]:
+    """Drive back-to-back requests from ``clients`` threads.
+
+    Client ``i`` owns ``tenants[i::clients]``, so two threads never
+    interleave observes for one tenant (the service would serialize
+    them anyway) and the measured concurrency stays honest.
+    """
+    if not tenants:
+        raise ValueError("no tenants to drive")
+    clients = min(clients, len(tenants))
+    start = time.monotonic()
+
+    def loop(index: int) -> list[Request]:
+        rng = ensure_rng((seed, index))
+        mine = tenants[index::clients]
+        client = TuningClient(url)
+        requests = []
+        try:
+            while (now := time.monotonic()) < start + duration_s:
+                u = rng.random()
+                op = "observe" if u < 0.9 else "status" if u < 0.95 else "config"
+                tenant = mine[rng.integers(len(mine))]
+                outcome, landed = issue(client, tenant, op, rng, batch_size)
+                latency = time.monotonic() - now
+                requests.append(Request(op, tenant.app_id, now - start, latency, outcome, landed))
+        finally:
+            client.close()
+        return requests
+
+    with ThreadPoolExecutor(max_workers=clients) as pool:
+        return [request for done in pool.map(loop, range(clients)) for request in done]
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (``q`` in [0, 100])."""
+    if not 0 <= q <= 100:
+        raise ValueError(f"q must be in [0, 100], got {q}")
+    if not values:
+        return math.nan
+    ordered = sorted(values)
+    return ordered[max(math.ceil(q / 100.0 * len(ordered)), 1) - 1]
+
+
+def summarize(records: list[Request], duration_s: float, warmup_s: float, **context) -> dict:
+    """One run-table row, dropping requests started in the warm-up.
+
+    Rates divide by the window after the warm-up, not by the span of
+    the kept requests, so an idle tail counts against throughput.
+    ``observe_throughput_rps`` counts observations, so a batch of 32
+    counts 32.  ``context`` fills the configuration columns.
+    """
+    if warmup_s >= duration_s:
+        raise ValueError(f"warmup ({warmup_s}s) must be shorter than the run ({duration_s}s)")
+    kept = [r for r in records if r.started_s >= warmup_s]
+    ok = [r for r in kept if r.outcome == "ok"]
+    window = duration_s - warmup_s
+    latencies = [r.latency_s * 1000.0 for r in ok]
+
+    def share(outcome: str) -> float:
+        return round(sum(r.outcome == outcome for r in kept) / len(kept), 4) if kept else math.nan
+
+    row = {
+        "mode": "closed",
+        "mix": MIX,
+        **context,
+        "duration_s": window,
+        "requests": len(kept),
+        "throughput_rps": round(len(ok) / window, 2),
+        "observe_throughput_rps": round(sum(r.n_observations for r in ok) / window, 2),
+        "p50_latency_ms": round(percentile(latencies, 50), 2),
+        "p95_latency_ms": round(percentile(latencies, 95), 2),
+        "p99_latency_ms": round(percentile(latencies, 99), 2),
+        "failure_rate": share("error"),
+        "rejected_rate": share("rejected"),
+    }
+    return {column: row[column] for column in COLUMNS}
+
+
 def measure_config(
     workers: int,
     tenants: int,
@@ -133,30 +315,22 @@ def measure_config(
         service = start_service(store_dir, workers, kind)
         try:
             client = TuningClient(service.url)
-            plans = provision_tenants(client, tenants, seed=seed)
-            records = run_closed_loop(
-                service.url,
-                plans,
-                OBSERVE_HEAVY,
-                duration_s=duration_s,
-                clients=clients,
-                batch_size=batch_size,
-                seed=seed,
-            )
+            plans = provision(client, tenants, seed=seed)
             client.close()
+            records = run_closed_loop(
+                service.url, plans, duration_s, clients, batch_size=batch_size, seed=seed
+            )
         finally:
             service.close()
-    summary = summarize(records, duration_s=duration_s, warmup_s=warmup_s)
-    row = run_table_row(
-        summary,
-        mode="closed",
+    return summarize(
+        records,
+        duration_s,
+        warmup_s,
         workers=workers,
         tenants=tenants,
         clients=clients,
         batch_size=batch_size,
-        mix=str(OBSERVE_HEAVY),
     )
-    return {"row": row, "summary": summary.to_json()}
 
 
 def run_sweep(
@@ -165,59 +339,57 @@ def run_sweep(
     warmup_s: float,
     seed: int = 1,
     store_parent: str | None = None,
-) -> dict:
-    results = []
+) -> list[dict]:
+    """The run-table rows of ``configs``, in order."""
+    rows = []
     for config in configs:
         kind = config.get("service", "emulated")
+        batch_size = config.get("batch_size", 1)
         print(
             f"  {kind} workers={config['workers']} tenants={config['tenants']} "
-            f"clients={config['clients']} batch={config.get('batch_size', 1)} "
-            f"({duration_s:.0f}s run)...",
+            f"clients={config['clients']} batch={batch_size} ({duration_s:.0f}s run)...",
             flush=True,
         )
-        results.append(
+        rows.append(
             measure_config(
                 workers=config["workers"],
                 tenants=config["tenants"],
                 clients=config["clients"],
                 duration_s=duration_s,
                 warmup_s=warmup_s,
-                batch_size=config.get("batch_size", 1),
+                batch_size=batch_size,
                 seed=seed,
                 kind=kind,
                 store_parent=store_parent,
             )
         )
-    return {
-        "durable_commit_ms": DURABLE_COMMIT_S * 1000.0,
-        "duration_s": duration_s,
-        "warmup_s": warmup_s,
-        "mix": str(OBSERVE_HEAVY),
-        "rows": [r["row"] for r in results],
-        "summaries": [r["summary"] for r in results],
-    }
+    return rows
 
 
-def _tput(result: dict, workers: int, tenants: int, batch_size: int = 1) -> float:
-    for row in result["rows"]:
-        if (
-            row["workers"] == workers
-            and row["tenants"] == tenants
-            and row["batch_size"] == batch_size
-        ):
-            return float(row["observe_throughput_rps"])
+def write_run_table(path: Path, rows: list[dict]) -> Path:
+    """``rows`` as a CSV with the :data:`COLUMNS` header (the CI artifact)."""
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(COLUMNS))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def _row(rows: list[dict], workers: int, tenants: int, batch_size: int = 1) -> dict:
+    for row in rows:
+        if (row["workers"], row["tenants"], row["batch_size"]) == (workers, tenants, batch_size):
+            return row
     raise KeyError(f"no row for workers={workers} tenants={tenants} batch={batch_size}")
 
 
-def _p95(result: dict, workers: int, tenants: int, batch_size: int = 1) -> float:
-    for row in result["rows"]:
-        if (
-            row["workers"] == workers
-            and row["tenants"] == tenants
-            and row["batch_size"] == batch_size
-        ):
-            return float(row["p95_latency_ms"])
-    raise KeyError(f"no row for workers={workers} tenants={tenants} batch={batch_size}")
+def print_rows(rows: list[dict]) -> None:
+    for row in rows:
+        print(
+            f"  {row.get('service', 'emulated'):>8} workers={row['workers']} "
+            f"tenants={row['tenants']} batch={row['batch_size']}: "
+            f"{row['observe_throughput_rps']} observes/s, p95 {row['p95_latency_ms']} ms, "
+            f"failure rate {row['failure_rate']}, rejected rate {row['rejected_rate']}"
+        )
 
 
 FULL_CONFIGS = [
@@ -245,13 +417,15 @@ SMOKE_CONFIGS = [
 
 
 def smoke(outdir: Path, seed: int = 1) -> int:
-    result = run_sweep(SMOKE_CONFIGS, duration_s=3.0, warmup_s=0.75, seed=seed)
-    print(format_report(result["rows"]))
-    write_run_table(outdir / "run_table.csv", result["rows"])
-    print(f"wrote {outdir / 'run_table.csv'}")
-    scaling = _tput(result, 2, 8) / _tput(result, 1, 8)
+    rows = run_sweep(SMOKE_CONFIGS, duration_s=3.0, warmup_s=0.75, seed=seed)
+    print_rows(rows)
+    path = write_run_table(outdir / "run_table.csv", rows)
+    print(f"wrote {path}")
+    scaling = (
+        _row(rows, 2, 8)["observe_throughput_rps"] / _row(rows, 1, 8)["observe_throughput_rps"]
+    )
     print(f"observe-throughput scaling 1 -> 2 workers: {scaling:.2f}x")
-    for row in result["rows"]:
+    for row in rows:
         if row["failure_rate"] > 0:
             print(f"smoke FAILED: failures in {row}", file=sys.stderr)
             return 1
@@ -263,52 +437,48 @@ def smoke(outdir: Path, seed: int = 1) -> int:
 
 
 def full(outdir: Path, seed: int = 1) -> int:
-    result = run_sweep(FULL_CONFIGS, duration_s=12.0, warmup_s=2.0, seed=seed)
-    print(format_report(result["rows"]))
-    scaling = _tput(result, 4, 16) / _tput(result, 1, 16)
-    result["scaling_4w_over_1w_16t"] = scaling
+    duration_s, warmup_s = 12.0, 2.0
+    rows = run_sweep(FULL_CONFIGS, duration_s, warmup_s, seed=seed)
+    print_rows(rows)
+    one, four = _row(rows, 1, 16), _row(rows, 4, 16)
+    scaling = four["observe_throughput_rps"] / one["observe_throughput_rps"]
     print("real fsync'd store (reporting only):")
     real = run_sweep(
-        REAL_STORE_CONFIGS, duration_s=12.0, warmup_s=2.0, seed=seed, store_parent=str(outdir)
+        REAL_STORE_CONFIGS, duration_s, warmup_s, seed=seed, store_parent=str(outdir)
     )
-    for row, config in zip(real["rows"], REAL_STORE_CONFIGS):
+    for row, config in zip(real, REAL_STORE_CONFIGS):
         row["service"] = config["service"]
-        print(
-            f"  {row['service']:>7} workers={row['workers']}: "
-            f"{row['observe_throughput_rps']} observes/s, p95 {row['p95_latency_ms']} ms, "
-            f"failure rate {row['failure_rate']}"
-        )
-    result["real_store"] = {"rows": real["rows"], "summaries": real["summaries"]}
-    write_run_table(outdir / "run_table.csv", result["rows"])
-    with (outdir / "BENCH_service_load.json").open("w") as handle:
+    print_rows(real)
+    result = {
+        "durable_commit_ms": DURABLE_COMMIT_S * 1000.0,
+        "duration_s": duration_s,
+        "warmup_s": warmup_s,
+        "mix": MIX,
+        "rows": rows,
+        "scaling_4w_over_1w_16t": scaling,
+        "real_store": {"rows": real},
+    }
+    path = outdir / "BENCH_service_load.json"
+    with path.open("w") as handle:
         json.dump(result, handle, indent=2)
-    print(f"wrote {outdir / 'run_table.csv'} and {outdir / 'BENCH_service_load.json'}")
+    print(f"wrote {path}")
     print(f"observe-throughput scaling 1 -> 4 workers @ 16 tenants: {scaling:.2f}x")
     ok = True
     if scaling < 2.5:
         print(f"FAILED: expected >= 2.5x at 4 workers, got {scaling:.2f}x", file=sys.stderr)
         ok = False
-    p95_1, p95_4 = _p95(result, 1, 16), _p95(result, 4, 16)
+    p95_1, p95_4 = one["p95_latency_ms"], four["p95_latency_ms"]
     if p95_4 > p95_1 * 1.05:
         print(
             f"FAILED: p95 regressed under sharding ({p95_4:.1f} ms vs {p95_1:.1f} ms)",
             file=sys.stderr,
         )
         ok = False
-    for row in result["rows"]:
+    for row in rows:
         if row["failure_rate"] > 0:
             print(f"FAILED: failures in {row}", file=sys.stderr)
             ok = False
     return 0 if ok else 1
-
-
-def test_service_load_smoke(run_once):
-    """Two workers must out-ingest one on the observe-heavy mix."""
-    result = run_once(run_sweep, SMOKE_CONFIGS, 3.0, 0.75)
-    print("\n" + format_report(result["rows"]))
-    scaling = _tput(result, 2, 8) / _tput(result, 1, 8)
-    assert all(row["failure_rate"] == 0 for row in result["rows"])
-    assert scaling >= 1.5, f"expected >= 1.5x with 2 workers, got {scaling:.2f}x"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,7 +489,8 @@ def main(argv: list[str] | None = None) -> int:
         "sustain >= 1.5x the single-worker observe throughput (for CI)",
     )
     parser.add_argument(
-        "--outdir", default=".", help="where run_table.csv / BENCH_service_load.json go",
+        "--outdir", default=".",
+        help="where run_table.csv (smoke) / BENCH_service_load.json (full) go",
     )
     parser.add_argument("--seed", type=int, default=1, help="random seed")
     args = parser.parse_args(argv)

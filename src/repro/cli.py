@@ -13,8 +13,6 @@ Commands:
 * ``serve`` — run the multi-tenant tuning service (HTTP JSON API) with
   a persistent history store; ``--workers N`` shards tenants across N
   worker processes behind a routing front end;
-* ``loadgen`` — drive closed- or open-loop load against a running
-  service and report throughput / latency percentiles / failure rate;
 * ``check`` — run the repo's own static-analysis rules (RNG/seed
   discipline, hash-order iteration, falsy-zero defaulting, float
   equality, validate-before-persist, lock discipline) over the source
@@ -163,61 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(score partial-retune candidates on common-random-number replays "
         "of the tenant's production trace; see docs/replay.md)",
     )
-
-    loadgen = sub.add_parser(
-        "loadgen", help="drive load against a running tuning service"
-    )
-    loadgen.add_argument(
-        "--url", default="http://127.0.0.1:8080",
-        help="base URL of the service under test (default: http://127.0.0.1:8080)",
-    )
-    loadgen.add_argument(
-        "--tenants", type=int, default=4,
-        help="tenants to provision (registered + bootstrapped up front, "
-        "default: 4)",
-    )
-    loadgen.add_argument(
-        "--benchmark", default="join", choices=list_benchmarks(),
-        help="workload every tenant runs (default: join)",
-    )
-    loadgen.add_argument(
-        "--datasize", type=float, default=10.0,
-        help="per-tenant input size in GB (default: 10)",
-    )
-    loadgen.add_argument(
-        "--mode", choices=("closed", "open"), default="closed",
-        help="closed: N clients back to back; open: Poisson arrivals at "
-        "--rate regardless of completions (default: closed)",
-    )
-    loadgen.add_argument(
-        "--clients", type=int, default=4,
-        help="closed-loop client threads (default: 4)",
-    )
-    loadgen.add_argument(
-        "--rate", type=float, default=50.0,
-        help="open-loop arrival rate in requests/s (default: 50)",
-    )
-    loadgen.add_argument(
-        "--duration", type=float, default=10.0,
-        help="measured run length in seconds (default: 10)",
-    )
-    loadgen.add_argument(
-        "--warmup", type=float, default=1.0,
-        help="seconds trimmed from the start of the run (default: 1)",
-    )
-    loadgen.add_argument(
-        "--mix", default="observe=0.90,status=0.05,config=0.05",
-        help="operation mix as op=weight pairs over observe/status/config "
-        "(default: observe=0.90,status=0.05,config=0.05)",
-    )
-    loadgen.add_argument(
-        "--batch-size", type=int, default=1,
-        help="observations per observe request; >1 uses "
-        "POST /apps/<id>/observe_batch (default: 1)",
-    )
-    loadgen.add_argument("--seed", type=int, default=1, help="random seed")
-    loadgen.add_argument("--csv", metavar="PATH", help="append-style run_table.csv output")
-    loadgen.add_argument("--json", metavar="PATH", help="full summary JSON output")
 
     from repro.analysis.cli import build_check_parser
 
@@ -483,69 +426,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_loadgen(args) -> int:
-    import json as json_module
-
-    from repro.loadgen import (
-        OpMix,
-        format_report,
-        provision_tenants,
-        run_closed_loop,
-        run_open_loop,
-        run_table_row,
-        summarize,
-        write_run_table,
-    )
-    from repro.service import ServiceError, TuningClient
-
-    try:
-        mix = OpMix.parse(args.mix)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.warmup >= args.duration:
-        print("--warmup must be shorter than --duration", file=sys.stderr)
-        return 2
-    client = TuningClient(args.url)
-    try:
-        client.health()
-    except (ServiceError, OSError) as exc:
-        print(f"service at {args.url} is not reachable: {exc}", file=sys.stderr)
-        return 2
-    print(f"provisioning {args.tenants} tenant(s) on {args.url}...")
-    plans = provision_tenants(
-        client, args.tenants, benchmark=args.benchmark,
-        datasize_gb=args.datasize, seed=args.seed,
-    )
-    print(f"driving {args.mode}-loop load for {args.duration:.0f}s (mix {mix})...")
-    if args.mode == "closed":
-        records = run_closed_loop(
-            args.url, plans, mix, duration_s=args.duration, clients=args.clients,
-            batch_size=args.batch_size, seed=args.seed,
-        )
-    else:
-        records = run_open_loop(
-            args.url, plans, mix, duration_s=args.duration, rate_rps=args.rate,
-            batch_size=args.batch_size, seed=args.seed,
-        )
-    client.close()
-    summary = summarize(records, duration_s=args.duration, warmup_s=args.warmup)
-    row = run_table_row(
-        summary, mode=args.mode, workers="", tenants=args.tenants,
-        clients=args.clients if args.mode == "closed" else "",
-        batch_size=args.batch_size, mix=str(mix),
-    )
-    print(format_report([row]))
-    if args.csv:
-        write_run_table(args.csv, [row])
-        print(f"wrote {args.csv}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json_module.dump(summary.to_json(), handle, indent=2)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def cmd_check(args) -> int:
     from repro.analysis.cli import cmd_check as run
 
@@ -560,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": cmd_compare,
         "simulate": cmd_simulate,
         "serve": cmd_serve,
-        "loadgen": cmd_loadgen,
         "check": cmd_check,
     }
     return handlers[args.command](args)

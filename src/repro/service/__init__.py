@@ -29,9 +29,7 @@ story needs and the in-process classes leave out:
   drain.  ``--workers 1`` is byte-identical to the plain service.
 
 Start a service with ``python -m repro serve --store ./tuning-store``
-(add ``--workers N`` to shard across processes, and drive it with
-``python -m repro loadgen``);
-see ``examples/tuning_service.py`` for an end-to-end walkthrough, and
+(add ``--workers N`` to shard across processes); see ``examples/tuning_service.py`` for an end-to-end walkthrough, and
 ``docs/architecture.md`` / ``docs/history-store.md`` for the data flow
 and the on-disk schema.
 """

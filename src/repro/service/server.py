@@ -91,6 +91,15 @@ class _HTTPError(Exception):
         self.message = message
 
 
+def _bad_duration(duration_s: float | None) -> bool:
+    """Whether a reported run duration is unusable: NaN, infinite or not positive.
+
+    Such a value would be written to the run table durably and skew the
+    drift detector, so it is rejected before anything is queued.
+    """
+    return duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0)
+
+
 class TuningService:
     """Store + registry + scheduler behind one HTTP server."""
 
@@ -388,6 +397,10 @@ class _Handler(BaseHTTPRequestHandler):
             # null/array/object JSON values raise TypeError; reject them
             # up front like any other bad input instead of failing a job.
             raise _HTTPError(400, f"datasize_gb/duration_s must be numbers: {exc}") from None
+        if _bad_duration(duration_s):
+            raise _HTTPError(
+                400, f"duration_s must be a finite positive number, got {duration_s!r}"
+            )
         job = self.service.scheduler.submit(
             app_id,
             lambda: registry.observe(app_id, datasize_gb, duration_s),
@@ -429,6 +442,12 @@ class _Handler(BaseHTTPRequestHandler):
                     400,
                     f"observations[{i}] datasize_gb/duration_s must be numbers: {exc}",
                 ) from None
+            if _bad_duration(duration_s):
+                raise _HTTPError(
+                    400,
+                    f"observations[{i}] duration_s must be a finite positive number, "
+                    f"got {duration_s!r}",
+                )
             parsed.append((datasize_gb, duration_s))
         job = self.service.scheduler.submit(
             app_id,
@@ -478,10 +497,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _history(self, app_id: str, query: dict[str, str]) -> None:
         self.service.registry.get(app_id)  # 404 for unknown apps
         source = query.get("source") or None
-        records = self.service.store.observations(app_id, source=source)
         limit = int(query["limit"]) if "limit" in query else None
+        if limit is not None and limit < 0:
+            raise _HTTPError(400, f"limit must be >= 0, got {limit}")
+        records = self.service.store.observations(app_id, source=source)
         if limit is not None:
-            records = records[-limit:]
+            records = records[max(len(records) - limit, 0):]  # the newest `limit`
         self._send_json(
             {"app_id": app_id, "count": len(records), "observations": [r.to_json() for r in records]}
         )

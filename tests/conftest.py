@@ -1,8 +1,8 @@
 """Shared fixtures: simulators, applications, and sample configurations.
 
-Timing helpers for concurrency tests (``wait_until``, ``FakeClock``)
-live in :mod:`timing_helpers` — a plain module so tests can import it
-without tripping over the benchmarks conftest on sys.path.
+The timing helper for concurrency tests (``wait_until``) lives in
+:mod:`timing_helpers` — a plain module so tests can import it without
+tripping over the benchmarks conftest on sys.path.
 """
 
 import numpy as np

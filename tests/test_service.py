@@ -1,6 +1,7 @@
 """Tests for the tuning service: store, scheduler, registry, HTTP API."""
 
 import json
+import math
 import os
 import threading
 import time
@@ -1052,6 +1053,13 @@ class TestServiceIntegration:
             with pytest.raises(ServiceError) as excinfo:
                 client.observe("app", None)
             assert excinfo.value.status == 400
+            # So is a run duration the run table must never hold.
+            for bad in (math.nan, math.inf, -math.inf, 0.0, -3.0):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.observe("app", 100.0, duration_s=bad)
+                assert excinfo.value.status == 400
+                assert "duration_s" in str(excinfo.value)
+            assert service.store.observations("app") == []
             # A job that fails while running still surfaces as HTTP 500.
             original_observe = service.registry.observe
 
@@ -1065,6 +1073,16 @@ class TestServiceIntegration:
                 assert excinfo.value.status == 500
             finally:
                 service.registry.observe = original_observe
+            # ?limit= returns the newest rows; 0 returns none, < 0 is a 400.
+            client.observe("app", 100.0)
+            rows = client.history("app")["observations"]
+            assert len(rows) > 2
+            assert client.history("app", limit=2)["observations"] == rows[-2:]
+            assert client.history("app", limit=0)["count"] == 0
+            assert client.history("app", limit=len(rows) + 5)["count"] == len(rows)
+            with pytest.raises(ServiceError) as excinfo:
+                client.history("app", limit=-2)
+            assert excinfo.value.status == 400
 
     def test_quarantined_tenant_answers_503_and_is_listed(self, tmp_path):
         """Over HTTP, a quarantined tenant is a repairable server-side
@@ -1182,10 +1200,17 @@ class TestObserveBatch:
                 {},
                 {"observations": [{"duration_s": 5.0}]},
                 {"observations": [{"datasize_gb": "wat"}]},
+                *(
+                    {"observations": [{"datasize_gb": 1.0}, {"datasize_gb": 1.0, "duration_s": d}]}
+                    for d in (math.nan, math.inf, -math.inf, 0.0, -3.0)
+                ),
             ):
                 with pytest.raises(ServiceError) as excinfo:
                     client._request("POST", "/apps/app/observe_batch", bad)
                 assert excinfo.value.status == 400
+            # The loop ends on a bad duration, and its error names the item.
+            assert "observations[1] duration_s" in str(excinfo.value)
+            assert service.store.observations("app") == []
             too_many = [{"datasize_gb": 1.0}] * (MAX_BATCH + 1)
             with pytest.raises(ServiceError) as excinfo:
                 client.observe_batch("app", too_many)

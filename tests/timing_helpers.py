@@ -1,17 +1,13 @@
 """Timing discipline for concurrency tests.
 
 ``wait_until`` polls a condition against a deadline instead of sleeping
-a wall-clock guess (the classic flake source on loaded CI machines), and
-:class:`FakeClock` substitutes a controllable monotonic clock for
-components that accept clock/sleep injection (the load-generation
-drivers).
+a wall-clock guess (the classic flake source on loaded CI machines).
 
 A plain module (not ``conftest.py``) so test files can import it by name
 without colliding with the benchmarks directory's conftest on sys.path
 in a full-repo run.
 """
 
-import threading
 import time
 
 
@@ -34,44 +30,3 @@ def wait_until(predicate, timeout=5.0, interval=0.005, message=None):
             )
         time.sleep(interval)
 
-
-class FakeClock:
-    """A controllable monotonic clock with a blocking ``sleep``.
-
-    Components that accept ``clock``/``sleep`` injection (the loadgen
-    drivers) run against this instead of wall time: ``sleep`` blocks the
-    calling thread until the test advances the clock far enough, so
-    open-loop dispatch schedules become exact and instantaneous rather
-    than approximate and slow.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-        self._cond = threading.Condition()
-        #: Number of threads currently blocked in :meth:`sleep` — tests
-        #: use it to advance only once the driver is actually waiting.
-        self.sleepers = 0
-
-    def monotonic(self) -> float:
-        with self._cond:
-            return self._now
-
-    def sleep(self, seconds: float) -> None:
-        if seconds <= 0:
-            return
-        with self._cond:
-            deadline = self._now + float(seconds)
-            self.sleepers += 1
-            try:
-                while self._now < deadline:
-                    self._cond.wait()
-            finally:
-                self.sleepers -= 1
-
-    def advance(self, seconds: float) -> None:
-        """Move time forward and wake every sleeper whose deadline passed."""
-        if seconds < 0:
-            raise ValueError("cannot advance a monotonic clock backwards")
-        with self._cond:
-            self._now += float(seconds)
-            self._cond.notify_all()
