@@ -197,11 +197,16 @@ class TestClosedLoop:
         assert records
         assert all(r.outcome == "ok" for r in records)
         assert any(r.op == "observe" for r in records)
-        # Tenants are pinned tenants[i::2], one per client; both are driven.
-        assert {r.tenant for r in records} == {tenant.app_id for tenant in tenants}
         row = bench.summarize(records, 1.5, 0.25, **CONFIG)
         assert row["failure_rate"] == 0.0
         assert row["throughput_rps"] > 0
+
+    def test_closed_loop_pins_tenants_to_clients(self, live_service):
+        service, tenants = live_service
+        records = bench.run_closed_loop(service.url, tenants, 0.5, clients=2, seed=3)
+        # With tenants pinned tenants[i::2], each tenant is driven by
+        # exactly one client; both tenants must still appear.
+        assert {r.tenant for r in records} == {tenant.app_id for tenant in tenants}
 
     def test_empty_tenants_rejected(self):
         with pytest.raises(ValueError, match="no tenants"):
