@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 
 from repro.core import LOCAT, PageHinkleyDetector
-from repro.core.online import OnlineController, config_key
+from repro.core.online import OnlineController
 from repro.sparksim import get_application
 from repro.sparksim.cluster import get_cluster
 from repro.sparksim.scenarios import (
@@ -53,6 +53,7 @@ from repro.sparksim.scenarios import (
     cluster_degradation,
     stable,
 )
+from repro.sparksim.serialize import canonical_key
 
 #: Reduced session budgets so a dozen scenario runs stay benchmark-sized.
 TUNER = {"n_qcsa": 10, "n_iicp": 8, "max_iterations": 6, "min_iterations": 3, "n_mcmc": 0}
@@ -184,7 +185,7 @@ def drive(
             rejected += phase == "rejected"
         elif phase == "reconfirmed":
             reconfirmed += 1
-        if config_key(controller.deployed_config) != config_key(incumbent):
+        if canonical_key(controller.deployed_config) != canonical_key(incumbent):
             old_s = truth.measure(step, incumbent)
             new_s = truth.measure(step, controller.deployed_config)
             deploys.append(

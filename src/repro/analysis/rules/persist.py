@@ -26,12 +26,10 @@ WRITE_METHODS = frozenset(
     {
         "append",
         "append_many",
-        "append_trace",
         "append_winners",
         "register_app",
         "save_artifacts",
         "save_deployment",
-        "save_fingerprint",
         "save_transfer",
         "_write_json",
     }

@@ -12,6 +12,10 @@ arms under common random numbers.  A stdlib ``random`` draw or a naked
 * module-level ``*_SALT`` integer constants must be unique across the
   whole tree, guarding the ``REPLAY_SEED_SALT`` / ``SHADOW_SEED_SALT``
   disjointness that keeps the two subsystems' streams independent.
+
+The first two checks cover library code only.  Salts are collected from
+every file checked, tests and benchmarks included: a benchmark salt
+equal to a library one would draw the library's streams.
 """
 
 from __future__ import annotations
@@ -45,13 +49,16 @@ class RngDisciplineRule(Rule):
         "discipline; seed-salt constants must be globally unique"
     )
 
+    #: Salts are collected from test and benchmark files too.
+    applies_to_tests = True
+
     def __init__(self):
         #: salt value -> [(module rel_path, constant name, Finding)].
         self._salts: dict[int, list[tuple[str, str, Finding]]] = {}
 
     def check_module(self, module: ModuleInfo) -> list[Finding]:
         self._collect_salts(module)
-        if module.rel_path.endswith(BLESSED_SUFFIXES):
+        if module.is_test or module.rel_path.endswith(BLESSED_SUFFIXES):
             return []
         findings: list[Finding] = []
         for node in ast.walk(module.tree):

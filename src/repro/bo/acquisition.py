@@ -60,29 +60,6 @@ def probability_of_improvement(
     return ndtr((best - mean - xi) / std)
 
 
-def constant_liar(observed: np.ndarray, strategy: str = "min") -> float:
-    """The "lie" value for constant-liar batch (q-EI) proposals.
-
-    Greedy batch construction (Ginsbourger et al.) pretends each pending
-    point has already returned ``lie`` and refits the surrogate before
-    picking the next point.  For minimization, ``"min"`` (lie = best
-    observed value) is the optimistic liar: the surrogate mean near a
-    pending point drops to the incumbent, EI there collapses, and the
-    next proposal is pushed toward genuinely new regions.  ``"mean"``
-    and ``"max"`` are the usual milder/pessimistic variants.
-    """
-    observed = np.asarray(observed, dtype=float).ravel()
-    if observed.size == 0:
-        raise ValueError("constant_liar needs at least one observation")
-    if strategy == "min":
-        return float(np.min(observed))
-    if strategy == "mean":
-        return float(np.mean(observed))
-    if strategy == "max":
-        return float(np.max(observed))
-    raise ValueError(f"unknown constant-liar strategy {strategy!r}")
-
-
 def upper_confidence_bound(
     mean: np.ndarray,
     std: np.ndarray,

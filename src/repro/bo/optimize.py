@@ -69,7 +69,7 @@ def propose_batch(
     ``score_for(pending)`` must return the acquisition function to
     maximize given the unit points already chosen for this batch —
     typically a constant-liar surrogate refit (see
-    :func:`repro.bo.acquisition.constant_liar`).  With an empty
+    :meth:`repro.core.tuner.BOLoop._liar_score_factory`).  With an empty
     ``pending`` it must be the true acquisition, so the first returned
     value is the exact single-point EI maximum and batch callers can
     apply their stop rule to it unchanged.

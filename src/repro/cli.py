@@ -68,14 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 (default) reproduces the serial trajectory exactly",
     )
     tune.add_argument(
-        "--replay-eval", choices=REPLAY_EVAL_MODES, default="off",
-        help="trace-replay candidate evaluation: 'off' (default, bit-for-bit "
-        "the historic trajectory) or 'race' (capture a production trace and "
-        "score partial-retune candidates on common-random-number replays of "
-        "it, racing the field down to one live validation run; see "
-        "docs/replay.md)",
-    )
-    tune.add_argument(
         "--shadow-runs", type=int, default=6, metavar="N",
         help="paired measurements of the tuned configuration against the "
         "cluster defaults under common random numbers before it is written "
@@ -244,7 +236,6 @@ def cmd_tune(args) -> int:
     locat = LOCAT(
         simulator, app, rng=args.seed, max_iterations=args.iterations,
         n_workers=args.workers, transfer_from=plan,
-        replay_eval=args.replay_eval,
     )
     result = locat.tune(args.datasize)
     if plan is not None:

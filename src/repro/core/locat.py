@@ -70,7 +70,6 @@ from repro.replay.trace import (
     MIN_TRACE_STEPS,
     REPLAY_EVAL_MODES,
     ReplayTrace,
-    TraceStep,
 )
 from repro.sparksim.configspace import Configuration
 from repro.sparksim.engine import SparkSQLSimulator
@@ -505,9 +504,9 @@ class LOCAT:
     ) -> None:
         """Record one production run into the replay trace.
 
-        A no-op with ``replay_eval="off"`` — the trace, its derived RNG
-        keys, and the persistence that follows must not exist on the
-        bit-for-bit default path.  Never consumes :attr:`rng`.
+        A no-op with ``replay_eval="off"`` — the trace and its derived
+        RNG keys must not exist on the bit-for-bit default path.  Never
+        consumes :attr:`rng`.
         """
         if self.replay_eval == "off":
             return
@@ -519,11 +518,21 @@ class LOCAT:
             environment=environment,
         )
 
-    def restore_replay_trace(self, steps: list[TraceStep]) -> None:
-        """Rehydrate the trace persisted by a previous process."""
-        self.replay_trace = ReplayTrace.from_steps(
-            steps, capacity=self.replay_trace.capacity
+    def restore_replay_trace(
+        self, runs: list[tuple[Configuration, float, float]], first_index: int
+    ) -> None:
+        """Rebuild the trace from a previous process's production runs.
+
+        ``runs`` are ``(config, datasize_gb, duration_s)`` tuples, oldest
+        first, and ``first_index`` counts the production runs older than
+        them.  Each run is recorded again at the index it had when it
+        was first recorded, so it gets back the same RNG key.
+        """
+        self.replay_trace = ReplayTrace(
+            capacity=self.replay_trace.capacity, first_index=first_index
         )
+        for config, datasize_gb, duration_s in runs:
+            self.record_production_run(datasize_gb, duration_s, config=config)
 
     def replay_shadow_pairs(
         self, incumbent: Configuration, challenger: Configuration,
@@ -618,8 +627,10 @@ class LOCAT:
                 self._predictor_count = count
             return self._predictor
         # The monitoring predictor picks its backend by history size
-        # like every surrogate: it is extended on every production run,
-        # so an aging tenant's drift checks must not grow with history.
+        # like every surrogate: it grows with every tuning observation
+        # and is queried on every production run (production runs never
+        # enter it), so an aging tenant's drift checks must not grow
+        # with history.
         predictor = DatasizeAwareGP(iicp.n_components, n_mcmc=0)
         predictor.fit(
             np.stack([iicp.encode(o.config) for o in self._observations]),

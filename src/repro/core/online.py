@@ -65,24 +65,7 @@ from repro.core.promotion import (
 from repro.core.result import TuningResult
 from repro.stats.sampling import ensure_rng
 from repro.sparksim.configspace import Configuration
-
-
-def config_key(config: Configuration) -> tuple:
-    """Canonical identity of a configuration for equality checks.
-
-    Exact ``Configuration.__eq__`` is too brittle across process
-    restarts: a configuration rehydrated from ``deployed.json`` must
-    match one a retune rebuilt from ``runs.jsonl`` (the shadow gate's
-    "retune re-confirmed the incumbent" check), and a JSON float/type
-    round trip (or any upstream arithmetic) may leave the two off by one
-    ulp.  The key compares booleans as booleans and every numeric value
-    as a float rounded well below parameter resolution, so equal logical
-    configurations always collide.
-    """
-    return tuple(
-        (name, value if isinstance(value, bool) else round(float(value), 9))
-        for name, value in sorted(config.as_dict().items())
-    )
+from repro.sparksim.serialize import canonical_key
 
 
 @dataclass
@@ -366,7 +349,7 @@ class OnlineController:
         """Open a shadow for a retune's winner instead of deploying it."""
         state = self._state
         assert state is not None
-        if config_key(result.best_config) == config_key(state.config):
+        if canonical_key(result.best_config) == canonical_key(state.config):
             # The retune re-confirmed the incumbent: nothing to gate.
             # Re-deploying refreshes the calibration and detector window.
             self._deploy(result, datasize_gb)

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bo.acquisition import constant_liar
 from repro.bo.lhs import latin_hypercube
 from repro.bo.optimize import maximize_acquisition, propose_batch
 from repro.core.dagp import DatasizeAwareGP
@@ -159,7 +158,6 @@ class BOLoop:
         n_mcmc: int = 8,
         n_candidates: int = 384,
         batch_size: int = 1,
-        liar_strategy: str = "min",
         backend_policy: BackendPolicy | None = None,
         rng: int | np.random.Generator | None = None,
     ):
@@ -186,7 +184,6 @@ class BOLoop:
         self.n_mcmc = n_mcmc
         self.n_candidates = n_candidates
         self.batch_size = batch_size
-        self.liar_strategy = liar_strategy
         self.backend_policy = backend_policy
         self.rng = ensure_rng(rng)
 
@@ -382,12 +379,9 @@ class BOLoop:
         Greedy q-EI grows ``pending`` monotonically within a batch, so
         one copy serves the whole round.
         """
-        # The lie is computed over the *own* durations observed at the
-        # target datasize (donor rows are another application's scale):
-        # "min" equals the incumbent (CL-min), while "mean" and "max"
-        # genuinely differ as milder/pessimistic variants.
-        at_target = [trace.durations[i] for i in trace.own_indices(datasize_gb)]
-        lie = constant_liar(np.asarray(at_target), self.liar_strategy)
+        # The lie is the minimum of the *own* durations observed at the
+        # target datasize (donor rows are another application's scale).
+        lie = float(np.min([trace.durations[i] for i in trace.own_indices(datasize_gb)]))
         state: dict = {"model": None, "applied": 0}
 
         def score_for(pending: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:

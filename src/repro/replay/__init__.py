@@ -4,8 +4,8 @@ Three pieces, wired through :meth:`LOCAT.adapt
 <repro.core.locat.LOCAT.adapt>`, the promotion gate, and the service:
 
 * :mod:`~repro.replay.trace` — per-tenant recorded history (query mix,
-  datasizes, environment state, exact per-step RNG seed keys), persisted
-  as ``trace.jsonl`` next to the run table;
+  datasizes, environment state, exact per-step RNG seed keys), which the
+  service rebuilds from the run table's production rows;
 * :mod:`~repro.replay.evaluator` — score every candidate against the
   *same* bootstrap-resampled replays of that trace under common random
   numbers, with paired-bootstrap comparisons;

@@ -24,11 +24,8 @@ requests within a session are memoized; hit/miss counters surface in
 
 from __future__ import annotations
 
-import math
-
 from repro.replay.trace import DEFAULT_N_REPLAYS, REPLAY_SEED_SALT, ReplayTrace, TraceStep
 from repro.sparksim.serialize import canonical_key
-from repro.stats.abtest import ABTestResult, paired_bootstrap
 from repro.stats.sampling import ensure_rng
 
 
@@ -131,61 +128,6 @@ class ReplayEvaluator:
         """Mean replay duration — the low-variance score BO optimizes."""
         times = self.durations(config, queries=queries, datasize_gb=datasize_gb)
         return float(sum(times) / len(times))
-
-    def paired_log_deltas(
-        self,
-        baseline,
-        challenger,
-        queries: list[str] | tuple[str, ...] | None = None,
-        datasize_gb: float | None = None,
-        n_replays: int | None = None,
-    ) -> list[float]:
-        """Per-slot ``log(baseline) - log(challenger)`` deltas (positive
-        = challenger faster), over the first ``n_replays`` slots."""
-        base = self.durations(baseline, queries=queries, datasize_gb=datasize_gb)
-        chal = self.durations(challenger, queries=queries, datasize_gb=datasize_gb)
-        if n_replays is not None:
-            base, chal = base[:n_replays], chal[:n_replays]
-        return [
-            math.log(max(b, 1e-12)) - math.log(max(c, 1e-12))
-            for b, c in zip(base, chal)
-        ]
-
-    def compare(
-        self,
-        baseline,
-        challenger,
-        alpha: float = 0.05,
-        queries: list[str] | tuple[str, ...] | None = None,
-        datasize_gb: float | None = None,
-        seed: int | tuple[int, ...] = 0,
-    ) -> ABTestResult:
-        """Percentile-bootstrap comparison over the paired replay deltas."""
-        deltas = self.paired_log_deltas(
-            baseline, challenger, queries=queries, datasize_gb=datasize_gb
-        )
-        return paired_bootstrap(deltas, alpha=alpha, seed=seed)
-
-    def shadow_pairs(
-        self, incumbent, challenger, max_pairs: int | None = None
-    ) -> list[tuple[float, float, float]]:
-        """CRN measurement pairs for the promotion gate, replayed.
-
-        Full-application runs of both arms on the newest replay slots at
-        each slot's recorded datasize, returned as ``(datasize_gb,
-        incumbent_s, challenger_s)`` tuples — the shape
-        :class:`~repro.core.promotion.ShadowPair` is built from.  Lets a
-        gate reach a verdict from recorded history alone, before any
-        production run lands.
-        """
-        slots = self.replays if max_pairs is None else self.replays[-int(max_pairs):]
-        inc_key, chal_key = canonical_key(incumbent), canonical_key(challenger)
-        pairs = []
-        for step in slots:
-            inc = self._measure(incumbent, inc_key, self.app, step, None, None)
-            chal = self._measure(challenger, chal_key, self.app, step, None, None)
-            pairs.append((step.datasize_gb, inc, chal))
-        return pairs
 
     def stats(self) -> dict:
         """Session counters (surfaced in ``TuningResult.details``)."""

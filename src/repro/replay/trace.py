@@ -13,10 +13,11 @@ paired difference cancels the common noise (common random numbers).
 
 :class:`ReplayTrace` is a bounded ring of the most recent steps.  The
 bound keeps replays representative of the *current* workload (an
-old-regime step replayed after drift would vote for stale candidates)
-and keeps the persisted ``trace.jsonl`` tail that matters small.  Step
-indices are monotonic across the ring — a dropped prefix never recycles
-an index, so derived RNG keys never collide.
+old-regime step replayed after drift would vote for stale candidates).
+Step indices are monotonic across the ring — a dropped prefix never
+recycles an index, so derived RNG keys never collide.  Nothing here is
+persisted: the service rebuilds a tenant's trace from the production
+rows of its run table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 #: Seed-key namespace for every replay-derived generator.  Disjoint from
 #: the shadow gate's ``SHADOW_SEED_SALT`` (0x5AB0) so replay draws can
@@ -98,48 +98,16 @@ class TraceStep:
             self, "rng_key", tuple(int(s) for s in self.rng_key)
         )
 
-    def to_json(self) -> dict:
-        """JSON-safe dict (the ``trace.jsonl`` line format)."""
-        return {
-            "index": self.index,
-            "datasize_gb": self.datasize_gb,
-            "rng_key": list(self.rng_key),
-            "duration_s": self.duration_s,
-            "config_key": self.config_key,
-            "skew_shift": self.skew_shift,
-            "core_factor": self.core_factor,
-            "disk_factor": self.disk_factor,
-            "network_factor": self.network_factor,
-            "lost_workers": self.lost_workers,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> TraceStep:
-        """Exact inverse of :meth:`to_json`."""
-        duration = data.get("duration_s")
-        return cls(
-            index=int(data["index"]),
-            datasize_gb=float(data["datasize_gb"]),
-            rng_key=tuple(int(s) for s in data["rng_key"]),
-            duration_s=None if duration is None else float(duration),
-            config_key=data.get("config_key"),
-            skew_shift=float(data.get("skew_shift", 0.0)),
-            core_factor=float(data.get("core_factor", 1.0)),
-            disk_factor=float(data.get("disk_factor", 1.0)),
-            network_factor=float(data.get("network_factor", 1.0)),
-            lost_workers=int(data.get("lost_workers", 0)),
-        )
-
 
 class ReplayTrace:
     """A bounded ring of the most recent :class:`TraceStep` records."""
 
-    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY, first_index: int = 0):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
         self._steps: deque[TraceStep] = deque(maxlen=self.capacity)
-        self._next_index = 0
+        self._next_index = int(first_index)
 
     # ------------------------------------------------------------------
     @property
@@ -155,7 +123,9 @@ class ReplayTrace:
     @property
     def next_index(self) -> int:
         """The index the next recorded step will get (monotonic across
-        ring drops and restarts — never recycled)."""
+        ring drops — never recycled).  A trace rebuilt after a restart
+        starts at ``first_index``, the count of production runs older
+        than its first step."""
         return self._next_index
 
     def __len__(self) -> int:
@@ -198,24 +168,9 @@ class ReplayTrace:
             network_factor=float(getattr(env, "network_factor", 1.0)),
             lost_workers=int(getattr(env, "lost_workers", 0)),
         )
-        self.append(step)
-        return step
-
-    def append(self, step: TraceStep) -> None:
-        """Append an already-built step (rehydration path)."""
         self._steps.append(step)
-        self._next_index = max(self._next_index, step.index + 1)
-
-    @classmethod
-    def from_steps(
-        cls, steps: Iterable[TraceStep], capacity: int = DEFAULT_TRACE_CAPACITY
-    ) -> ReplayTrace:
-        """Rebuild a trace from persisted steps (the ring keeps the
-        newest ``capacity`` of them)."""
-        trace = cls(capacity=capacity)
-        for step in steps:
-            trace.append(step)
-        return trace
+        self._next_index += 1
+        return step
 
 
 __all__ = [

@@ -20,8 +20,9 @@ ranks the store's existing tenants as donors
 exists — hands LOCAT a :class:`~repro.transfer.donor.TransferPlan` so
 the new tenant's bootstrap shrinks to a few runs seeded by the donor's
 history.  With no eligible donor the registration degrades to a plain
-cold start (bit for bit).  Every registration persists the workload's
-static fingerprint so later tenants can rank it as a donor.
+cold start (bit for bit).  A donor's static fingerprint is recomputed
+from the benchmark named in its ``app.json``; nothing else is stored
+for it.
 """
 
 from __future__ import annotations
@@ -183,9 +184,6 @@ class AppSession:
     lock: threading.RLock = field(default_factory=threading.RLock)
     #: Prefix of ``locat.observation_history`` already in the store.
     persisted_observations: int = 0
-    #: Replay-trace steps with ``index`` below this are already in the
-    #: store's ``trace.jsonl`` — only newer steps get appended.
-    persisted_trace_index: int = 0
     #: Whether this session was warm-started from the store.
     restored: bool = False
     n_observes: int = 0
@@ -261,7 +259,6 @@ class AppSession:
                 "mode": locat.replay_eval,
                 "trace_steps": locat.replay_trace.n_steps,
                 "trace_next_index": locat.replay_trace.next_index,
-                "persisted_trace_index": self.persisted_trace_index,
             },
         }
 
@@ -373,12 +370,6 @@ class TuningRegistry:
             if app_id in self._sessions:
                 raise ValueError(f"application {app_id!r} is already registered")
             self.store.register_app(app_id, meta)  # also validates app_id
-            self.store.save_fingerprint(
-                app_id,
-                WorkloadFingerprint.from_application(
-                    get_application(benchmark), benchmark=benchmark
-                ).to_json(),
-            )
             session = self._build_session(app_id, meta)
             self._sessions[app_id] = session
         return session
@@ -459,24 +450,21 @@ class TuningRegistry:
         meta = _drop_retired_settings(app_id, self.store.app_meta(app_id))
         session = self._build_session(app_id, meta)
         session.transfer_provenance = self.store.load_transfer(app_id)
+        rows = self.store.observations(app_id)
+        tuning_rows = [r for r in rows if r.source == SOURCE_TUNING]
         if session.locat.replay_eval != "off":
-            # The replay trace is a rebuildable optimization cache, not
-            # authoritative state: a corrupt trace.jsonl logs a warning
-            # and restarts with an empty trace instead of quarantining
-            # the tenant the way a corrupt run table would.
-            try:
-                trace_steps = self.store.load_trace(app_id)
-            except ValueError as exc:
-                print(
-                    f"warning: discarding replay trace for {app_id!r}: {exc}",
-                    file=sys.stderr,
-                )
-                trace_steps = []
-            if trace_steps:
-                session.locat.restore_replay_trace(trace_steps)
-            session.persisted_trace_index = session.locat.replay_trace.next_index
+            # The replay trace is the newest production rows: the n-th
+            # production row was recorded as trace step n.
+            production = [r for r in rows if r.source == SOURCE_PRODUCTION]
+            recent = production[-session.locat.replay_trace.capacity:]
+            session.locat.restore_replay_trace(
+                [
+                    (config_from_dict(r.config), r.datasize_gb, r.duration_s)
+                    for r in recent
+                ],
+                first_index=len(production) - len(recent),
+            )
         qcsa, cps = self.store.load_artifacts(app_id)
-        tuning_rows = self.store.observations(app_id, source=SOURCE_TUNING)
         if cps is not None and len(tuning_rows) >= MIN_RESTORE_OBSERVATIONS:
             session.locat.restore(
                 qcsa,
@@ -590,7 +578,6 @@ class TuningRegistry:
                 datasize_gb=ds,
                 duration_s=dur,
                 source=SOURCE_TUNING,
-                reduced=True,
                 timestamp=now,
             )
             for config, ds, dur in history[persisted:]
@@ -604,7 +591,6 @@ class TuningRegistry:
                     datasize_gb=decision.datasize_gb,
                     duration_s=float(duration_s),
                     source=SOURCE_PRODUCTION,
-                    reduced=False,
                     timestamp=now,
                 )
             )
@@ -644,14 +630,6 @@ class TuningRegistry:
         events = session.controller.drain_promotion_events()
         if events:
             self.store.append_winners(session.app_id, events)
-        if locat.replay_eval != "off":
-            new_steps = [
-                step for step in locat.replay_trace.steps
-                if step.index >= session.persisted_trace_index
-            ]
-            if new_steps:
-                self.store.append_trace(session.app_id, new_steps)
-                session.persisted_trace_index = locat.replay_trace.next_index
         if session.controller.is_deployed:
             state = {
                 "config": config_to_dict(session.controller.deployed_config),

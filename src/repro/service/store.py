@@ -12,10 +12,6 @@ One directory per registered application:
     <root>/<app_id>/deployed.json   the controller's deployed state
                                     (config, tuned datasizes, drift
                                     window), rewritten after every job
-    <root>/<app_id>/fingerprint.json  the application's static workload
-                                    fingerprint, written at registration
-                                    (donor ranking for transfer
-                                    warm-starts reads it)
     <root>/<app_id>/transfer.json   transfer-warm-start provenance
                                     (donor, similarity, agreement,
                                     outcome), written once after a
@@ -24,24 +20,21 @@ One directory per registered application:
                                     one record per promote/reject
                                     decision (both configs, paired
                                     deltas with CIs, decision reason)
-    <root>/<app_id>/trace.jsonl     replay trace: one JSON line per
-                                    recorded production run (datasize,
-                                    environment factors, RNG seed key,
-                                    measured duration), only for tenants
-                                    with replay evaluation enabled
 
 The run table is the durable substrate everything else rebuilds from —
 the CPE/KPCA manifold and the DAGP are deliberately *not* persisted,
 because LOCAT refits both from observations anyway (see
-:meth:`repro.core.locat.LOCAT.restore`).  Appends are flushed per line
-(and fsynced), so a killed service loses at most the observation being
-written; a torn trailing line is dropped on replay.  Every JSON
-document is written atomically (temp file + rename).  Datasizes are
-canonicalized through :func:`repro.core.datasize.normalize_datasize` at
-the record boundary, so JSON round trips cannot fork one logical
-history into two.  The full field-by-field schema, including units and
-provenance of every run-table column, is documented in
-``docs/history-store.md``.
+:meth:`repro.core.locat.LOCAT.restore`).  Neither are the replay trace
+(rebuilt from the newest production rows) nor the workload fingerprint
+(recomputed from the benchmark named in ``app.json``).  Appends are
+flushed per line (and fsynced), so a killed service loses at most the
+observation being written; a torn trailing line is dropped on replay.
+Every JSON document is written atomically (temp file + rename).
+Datasizes are canonicalized through
+:func:`repro.core.datasize.normalize_datasize` at the record boundary,
+so JSON round trips cannot fork one logical history into two.  The full
+field-by-field schema, including units and provenance of every
+run-table column, is documented in ``docs/history-store.md``.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ from pathlib import Path
 from repro.core.datasize import normalize_datasize
 from repro.core.iicp import CPSResult
 from repro.core.qcsa import QCSAResult
-from repro.replay.trace import TraceStep
 
 #: Sources a run-table record can come from.
 SOURCE_TUNING = "tuning"        # an RQA/bootstrap sample collected by LOCAT
@@ -95,7 +87,6 @@ class ObservationRecord:
     datasize_gb: float
     duration_s: float            # RQA duration for tuning rows, full-app for production
     source: str                  # SOURCE_TUNING or SOURCE_PRODUCTION
-    reduced: bool = True         # True when only the RQA was executed
     timestamp: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
@@ -112,7 +103,6 @@ class ObservationRecord:
             "datasize_gb": self.datasize_gb,
             "duration_s": self.duration_s,
             "source": self.source,
-            "reduced": self.reduced,
             "timestamp": self.timestamp,
         }
 
@@ -123,7 +113,6 @@ class ObservationRecord:
             datasize_gb=float(data["datasize_gb"]),
             duration_s=float(data["duration_s"]),
             source=data["source"],
-            reduced=bool(data.get("reduced", True)),
             timestamp=float(data.get("timestamp", 0.0)),
         )
 
@@ -340,65 +329,6 @@ class HistoryStore:
         return records
 
     # ------------------------------------------------------------------
-    # Replay trace (trace.jsonl, same durability contract as runs.jsonl)
-    # ------------------------------------------------------------------
-    def append_trace(self, app_id: str, steps: list[TraceStep]) -> None:
-        """Append replay-trace steps, one flushed JSON line each.
-
-        Same crash semantics as :meth:`append_many`: the torn tail is
-        trimmed before appending, each batch is fsynced, and a killed
-        service loses at most the step being written.
-        """
-        if not steps:
-            return
-        path = self.app_dir(app_id) / "trace.jsonl"
-        with self._app_lock(app_id):
-            self._truncate_torn_tail(path)
-            with open(path, "a") as handle:
-                for step in steps:
-                    handle.write(json.dumps(step.to_json()) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def load_trace(self, app_id: str) -> list[TraceStep]:
-        """The persisted replay trace in append order.
-
-        A torn trailing line (no newline) is dropped — it was never
-        durable.  A corrupt *newline-terminated* line raises
-        ``ValueError``: unlike the run table, a damaged trace never
-        quarantines the tenant (the registry logs and restarts with an
-        empty trace — a trace is an optimization cache the next
-        production runs rebuild, not the tenant's knowledge).
-        """
-        path = self.app_dir(app_id) / "trace.jsonl"
-        if not path.exists():
-            return []
-        try:
-            text = path.read_text()
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"corrupt replay trace for application {app_id!r}: "
-                f"{path} is not valid UTF-8 ({exc})"
-            ) from exc
-        lines = text.splitlines()
-        if lines and not text.endswith("\n"):
-            lines = lines[:-1]  # torn tail: never durable
-        steps: list[TraceStep] = []
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                steps.append(TraceStep.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"corrupt replay trace for application {app_id!r}: "
-                    f"line {i + 1} of {path} is not a valid trace step "
-                    f"({exc})"
-                ) from exc
-        return steps
-
-    # ------------------------------------------------------------------
     # Bootstrap artifacts and deployed state
     # ------------------------------------------------------------------
     def has_artifacts(self, app_id: str) -> bool:
@@ -421,18 +351,6 @@ class HistoryStore:
         qcsa = _qcsa_from_json(data["qcsa"]) if data.get("qcsa") else None
         cps = _cps_from_json(data["cps"]) if data.get("cps") else None
         return qcsa, cps
-
-    def save_fingerprint(self, app_id: str, fingerprint: dict) -> None:
-        """Persist an application's workload-fingerprint JSON."""
-        with self._app_lock(app_id):
-            self._write_json(self.app_dir(app_id) / "fingerprint.json", fingerprint)
-
-    def load_fingerprint(self, app_id: str) -> dict | None:
-        """The persisted fingerprint, or None for pre-fingerprint apps."""
-        path = self.app_dir(app_id) / "fingerprint.json"
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
 
     def save_transfer(self, app_id: str, provenance: dict) -> None:
         """Persist a tenant's transfer-warm-start provenance.

@@ -11,8 +11,9 @@ portability result (Figure 21):
 
 1. **Fingerprint similarity** (workload shape): donors are ranked by
    :func:`~repro.transfer.fingerprint.fingerprint_similarity` between
-   the target's static fingerprint and each donor's stored fingerprint
-   (with the donor's dynamic part filled in from its run table).  Donors
+   the target's static fingerprint and each donor's fingerprint
+   (recomputed from its benchmark, with the dynamic part filled in from
+   its run table).  Donors
    below ``min_similarity``, without bootstrap artifacts, or with too
    few tuning observations are not candidates at all.
 2. **Importance-profile agreement** (:func:`cps_agreement`): after the
@@ -23,8 +24,8 @@ portability result (Figure 21):
 
 Everything here reads the store; nothing writes.  The store argument is
 duck-typed (any object with ``list_apps`` / ``app_meta`` /
-``load_artifacts`` / ``load_fingerprint`` / ``observations``) so this
-module does not import :mod:`repro.service`.
+``load_artifacts`` / ``observations``) so this module does not import
+:mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -118,21 +119,16 @@ def cps_agreement(a: CPSResult, b: CPSResult) -> float:
 def stored_fingerprint(store, app_id: str, rows: list | None = None) -> WorkloadFingerprint:
     """An application's fingerprint with its dynamic part filled in.
 
-    Prefers the persisted ``fingerprint.json`` (apps registered before
-    fingerprints existed fall back to recomputing from the benchmark
-    name), then folds the run table's tuning rows into the dynamic
-    ``seconds_per_gb`` component.  Pass ``rows`` when the caller already
-    read the tuning rows, so ranking does not re-parse every
-    candidate's run table.
+    The static part depends only on the benchmark named in the
+    application's metadata; the run table's tuning rows fill in the
+    dynamic ``seconds_per_gb`` component.  Pass ``rows`` when the
+    caller already read the tuning rows, so ranking does not re-parse
+    every candidate's run table.
     """
-    data = store.load_fingerprint(app_id)
-    if data is not None:
-        fingerprint = WorkloadFingerprint.from_json(data)
-    else:
-        benchmark = store.app_meta(app_id)["benchmark"]
-        fingerprint = WorkloadFingerprint.from_application(
-            get_application(benchmark), benchmark=benchmark
-        )
+    benchmark = store.app_meta(app_id)["benchmark"]
+    fingerprint = WorkloadFingerprint.from_application(
+        get_application(benchmark), benchmark=benchmark
+    )
     if rows is None:
         rows = store.observations(app_id, source="tuning")
     if rows:
@@ -164,7 +160,7 @@ def donor_candidate(
         fingerprint = stored_fingerprint(store, app_id, rows=rows)
     except (ValueError, KeyError, json.JSONDecodeError, OSError):
         # Any unreadable persisted state (corrupt run table, truncated
-        # artifacts/fingerprint/meta JSON) makes this tenant ineligible
+        # artifacts/meta JSON) makes this tenant ineligible
         # to donate — it must not break *other* tenants' registrations
         # or rehydrations (the donor ranking scans the whole store).
         # The owning tenant's own rehydration surfaces the error.

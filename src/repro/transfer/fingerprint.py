@@ -25,10 +25,9 @@ A :class:`WorkloadFingerprint` is that signature.  It has two parts:
 transfer bootstrap in :class:`~repro.core.locat.LOCAT` re-checks it with
 the dynamic part filled in before transplanting any history.
 
-Fingerprints round-trip exactly through JSON (:meth:`to_json` /
-:meth:`from_json`): the service persists one per registered application
-(``fingerprint.json`` in the history store) so future tenants can rank
-donors without rebuilding their applications.
+The static part depends only on the application, so the service
+stores no fingerprints: donor ranking recomputes each tenant's from the
+benchmark it registered with.
 """
 
 from __future__ import annotations
@@ -144,39 +143,6 @@ class WorkloadFingerprint:
         if not rates:
             return self
         return replace(self, seconds_per_gb=float(median(rates)))
-
-    # ------------------------------------------------------------------
-    # JSON codec (exact round trip; persisted as fingerprint.json)
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "n_queries": self.n_queries,
-            "category_mix": dict(self.category_mix),
-            "stage_kind_mix": dict(self.stage_kind_mix),
-            "shuffle_intensity": self.shuffle_intensity,
-            "input_intensity": self.input_intensity,
-            "cpu_intensity": self.cpu_intensity,
-            "skew": self.skew,
-            "broadcast_mb": self.broadcast_mb,
-            "seconds_per_gb": self.seconds_per_gb,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WorkloadFingerprint":
-        seconds = data.get("seconds_per_gb")
-        return cls(
-            benchmark=str(data["benchmark"]),
-            n_queries=int(data["n_queries"]),
-            category_mix={str(k): float(v) for k, v in data["category_mix"].items()},
-            stage_kind_mix={str(k): float(v) for k, v in data["stage_kind_mix"].items()},
-            shuffle_intensity=float(data["shuffle_intensity"]),
-            input_intensity=float(data["input_intensity"]),
-            cpu_intensity=float(data["cpu_intensity"]),
-            skew=float(data["skew"]),
-            broadcast_mb=float(data["broadcast_mb"]),
-            seconds_per_gb=None if seconds is None else float(seconds),
-        )
 
 
 def _mix_similarity(a: dict[str, float], b: dict[str, float]) -> float:

@@ -82,14 +82,36 @@ class TestRngDiscipline:
         result = run_check([str(tmp_path)], rules=[rule], root=tmp_path)
         assert result.new == []
 
-    def test_repo_salts_are_disjoint(self):
-        """The tree's salts, checked as CI's ``repro check`` checks them.
+    def test_benchmark_salt_colliding_with_library_salt_is_flagged(self, tmp_path):
+        library = tmp_path / "src" / "repro" / "replay" / "trace.py"
+        library.parent.mkdir(parents=True)
+        library.write_text("REPLAY_SEED_SALT = 0x3EBA\n")
+        bench = tmp_path / "benchmarks" / "bench_sweep.py"
+        bench.parent.mkdir()
+        bench.write_text("SWEEP_SALT = 0x3EBA\n")
+        result = run_check(
+            [str(tmp_path / "src"), str(tmp_path / "benchmarks")],
+            rules=[RngDisciplineRule()], root=tmp_path,
+        )
+        assert sorted(f.rel_path for f in result.new) == [
+            "benchmarks/bench_sweep.py", "src/repro/replay/trace.py",
+        ]
 
-        The engine exempts files under ``benchmarks/`` and ``tests/``
-        from its rules, so only salts under ``src/`` are compared.
-        """
+    def test_test_files_keep_their_rng_freedom(self, tmp_path):
+        """Only the salt check reaches tests and benchmarks."""
+        bench = tmp_path / "benchmarks" / "bench_load.py"
+        bench.parent.mkdir()
+        bench.write_text(
+            "import random\nimport numpy as np\n"
+            "rng = np.random.default_rng(7)\nLOAD_SALT = 0x1234\n"
+        )
+        result = run_check([str(bench)], rules=[RngDisciplineRule()], root=tmp_path)
+        assert result.new == []
+
+    def test_repo_salts_are_disjoint(self):
+        """The tree's salts, checked as CI's ``repro check`` checks them."""
         rule = RngDisciplineRule()
-        paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
+        paths = [str(REPO_ROOT / d) for d in ("src", "tests", "benchmarks")]
         result = run_check(paths, rules=[rule], root=REPO_ROOT)
         assert result.new == []
         # Not vacuous: at least REPLAY_SEED_SALT and SHADOW_SEED_SALT were seen.

@@ -27,14 +27,14 @@ class TestParser:
         assert args.set == ["a=1", "b=2"]
 
     def test_replay_eval_flags(self):
-        assert build_parser().parse_args(["tune"]).replay_eval == "off"
-        args = build_parser().parse_args(["tune", "--replay-eval", "race"])
-        assert args.replay_eval == "race"
         assert build_parser().parse_args(["serve"]).replay_eval == "off"
         args = build_parser().parse_args(["serve", "--replay-eval", "race"])
         assert args.replay_eval == "race"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["tune", "--replay-eval", "sometimes"])
+            build_parser().parse_args(["serve", "--replay-eval", "sometimes"])
+        # tune never records a production run, so it has no replay mode.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tune", "--replay-eval", "race"])
 
 
 class TestCommands:

@@ -6,9 +6,10 @@ import re
 import pytest
 
 from repro.core import LOCAT
-from repro.core.online import OnlineController, config_key
+from repro.core.online import OnlineController
 from repro.core.result import TuningResult
 from repro.sparksim import SparkSQLSimulator
+from repro.sparksim.serialize import canonical_key
 
 
 def make_locat(cluster, app, seed=7):
@@ -249,7 +250,7 @@ class TestConfigKeyMatching:
             **{"memory.fraction": config["memory.fraction"] + 1e-12}
         )
         assert config != perturbed  # exact equality is brittle...
-        assert config_key(config) == config_key(perturbed)  # ...the key is not
+        assert canonical_key(config) == canonical_key(perturbed)  # ...the key is not
 
 
 class TestStateRestore:

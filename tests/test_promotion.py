@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineController, config_key
+from repro.core.online import OnlineController
 from repro.core.promotion import (
     DECISION_EXTEND,
     DECISION_PROMOTE,
@@ -20,6 +20,7 @@ from repro.core.promotion import (
 from repro.core.result import TuningResult
 from repro.service.registry import TuningRegistry
 from repro.service.store import HistoryStore
+from repro.sparksim.serialize import canonical_key
 from repro.stats.abtest import (
     MIN_PAIRS_FOR_SIGNIFICANCE,
     ABTestResult,
@@ -265,7 +266,7 @@ def make_shadow_controller(space, challenger_factor, **kwargs):
 
     def measure(config, datasize_gb, rng):
         base = 50.0 * datasize_gb / 100.0
-        if config_key(config) == config_key(locat.challenger):
+        if canonical_key(config) == canonical_key(locat.challenger):
             return base * challenger_factor
         return base
 
@@ -300,7 +301,7 @@ class TestControllerShadow:
         assert decision.promotion["phase"] == "shadow_started"
         assert controller.shadow_active
         # The challenger is NOT deployed: production keeps the incumbent.
-        assert config_key(controller.deployed_config) == config_key(locat.config)
+        assert canonical_key(controller.deployed_config) == canonical_key(locat.config)
         assert locat.adapt_calls  # the retune itself did run
 
     def test_faster_challenger_promoted(self, space_x86):
@@ -317,7 +318,7 @@ class TestControllerShadow:
         # on production pairs is not a second one.
         assert not final.retuned and final.trigger == "none"
         assert final.result is None
-        assert config_key(controller.deployed_config) == config_key(locat.challenger)
+        assert canonical_key(controller.deployed_config) == canonical_key(locat.challenger)
         assert controller.promotion_status()["promoted"] == 1
         # Clear dominance stops early: 3 pairs, not the full budget.
         assert final.promotion["n_pairs"] == 3
@@ -332,7 +333,7 @@ class TestControllerShadow:
             decision = controller.observe(100.0, duration_s=50.0)
         assert decision.promotion["phase"] == "rejected"
         assert not decision.retuned
-        assert config_key(controller.deployed_config) == config_key(locat.config)
+        assert canonical_key(controller.deployed_config) == canonical_key(locat.config)
         assert controller.promotion_status()["rejected"] == 1
         [event] = controller.promotion_events
         assert event["decision"] == DECISION_REJECT
@@ -356,7 +357,7 @@ class TestControllerShadow:
         assert decision.trigger == "datasize"
         assert decision.promotion["phase"] == "shadow_started"
         assert controller.shadow_active
-        assert config_key(controller.deployed_config) == config_key(locat.config)
+        assert canonical_key(controller.deployed_config) == canonical_key(locat.config)
 
     def test_rejected_datasize_challenger_marks_the_size_tuned(self, space_x86):
         controller, locat = make_shadow_controller(space_x86, 1.0)
@@ -366,7 +367,7 @@ class TestControllerShadow:
         while controller.shadow_active:
             decision = controller.observe(400.0, duration_s=200.0)
         assert decision.promotion["phase"] == "rejected"
-        assert config_key(controller.deployed_config) == config_key(locat.config)
+        assert canonical_key(controller.deployed_config) == canonical_key(locat.config)
         assert 400.0 in controller.tuned_datasizes
         # The incumbent held its place at 400 GB: another observe there
         # neither re-tunes nor reopens the shadow.
@@ -417,7 +418,7 @@ class TestControllerShadow:
         while resumed.shadow_active:
             decision = resumed.observe(100.0, duration_s=50.0)
         assert decision.promotion["phase"] == "promoted"
-        assert config_key(resumed.deployed_config) == config_key(locat2.challenger)
+        assert canonical_key(resumed.deployed_config) == canonical_key(locat2.challenger)
 
     def test_status_shape(self, space_x86):
         controller, _ = make_shadow_controller(space_x86, 0.5)
@@ -569,8 +570,8 @@ class TestServicePromotion:
         assert status["promoted"] + status["rejected"] == 1
         assert status["last_decision"]["run_id"] == record["run_id"]
         if decision.promotion["phase"] == "rejected":
-            assert config_key(final.get("app").controller.deployed_config) == (
-                config_key(incumbent)
+            assert canonical_key(final.get("app").controller.deployed_config) == (
+                canonical_key(incumbent)
             )
 
     def test_immediate_tenant_deployed_json_unchanged(self, tmp_path):

@@ -2,9 +2,10 @@
 
 Covers the contracts the replay-based candidate evaluator depends on:
 
-* trace steps and ring-buffer semantics survive a JSON round trip;
-* the store persists and rehydrates ``trace.jsonl`` across restarts,
-  degrading a corrupt trace to a warning (never a quarantine);
+* the ring buffer keeps the newest steps with never-recycled indices;
+* a restart rebuilds a tenant's trace from the run table's production
+  rows, equal to the live trace field for field, and ignores the
+  ``trace.jsonl`` older versions wrote;
 * a recorded RNG key replays the production measurement bit for bit;
 * CRN paired deltas have no more variance than independent draws on
   every scenario generator;
@@ -13,7 +14,7 @@ Covers the contracts the replay-based candidate evaluator depends on:
 * ``replay_eval="off"`` reproduces the historic trajectory exactly.
 """
 
-import json
+import os
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from repro.sparksim.scenarios import (
     ScenarioStream,
     build_scenario,
 )
+from repro.transfer import WorkloadFingerprint
+from repro.transfer.donor import stored_fingerprint
 
 TINY_TUNER = {
     "n_qcsa": 10, "n_iicp": 8, "max_iterations": 6,
@@ -56,15 +59,6 @@ def make_trace(n: int = 5, capacity: int = DEFAULT_TRACE_CAPACITY) -> ReplayTrac
 # Trace steps and the ring buffer
 # ----------------------------------------------------------------------
 class TestTrace:
-    def test_step_json_round_trip(self):
-        step = TraceStep(
-            index=3, datasize_gb=75.0, rng_key=(11, 3), duration_s=120.5,
-            config_key="ab12cd34ef56", skew_shift=0.2, core_factor=0.8,
-        )
-        again = TraceStep.from_json(json.loads(json.dumps(step.to_json())))
-        assert again == step
-        assert again.rng_key == (11, 3)
-
     def test_step_validation(self):
         with pytest.raises(ValueError):
             TraceStep(index=-1, datasize_gb=50.0, rng_key=(1,))
@@ -84,58 +78,85 @@ class TestTrace:
         keys = {s.rng_key for s in trace.steps}
         assert len(keys) == 6
 
-    def test_from_steps_resumes_index(self):
+    def test_first_index_continues_the_numbering(self):
         trace = make_trace(n=5)
-        again = ReplayTrace.from_steps(trace.steps, capacity=trace.capacity)
-        assert [s.to_json() for s in again.steps] == [
-            s.to_json() for s in trace.steps
-        ]
-        again.record(datasize_gb=60.0, duration_s=90.0)
-        assert again.steps[-1].index == 5
+        again = ReplayTrace(capacity=trace.capacity, first_index=2)
+        for i in range(2, 5):
+            again.record(datasize_gb=50.0 + i, duration_s=100.0 + i)
+        assert again.steps == trace.steps[2:]
+        assert again.next_index == 5
 
 
 # ----------------------------------------------------------------------
-# Store persistence: trace.jsonl
+# The trace a restart rebuilds from the run table
 # ----------------------------------------------------------------------
+def race_registry(store, capacity=None) -> TuningRegistry:
+    registry = TuningRegistry(store, rehydrate=False, default_replay_eval="race")
+    tuner = TINY_TUNER if capacity is None else {**TINY_TUNER, "replay_capacity": capacity}
+    registry.register("app", benchmark="join", seed=7, tuner=tuner)
+    registry.observe("app", 100.0)
+    return registry
+
+
+def restarted_trace(store) -> tuple[TraceStep, ...]:
+    restarted = TuningRegistry(store, default_replay_eval="race")
+    assert restarted.quarantined == {}
+    return restarted.get("app").locat.replay_trace.steps
+
+
 class TestTraceStore:
-    def register(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        store.register_app("app", {"benchmark": "join", "cluster": "x86"})
-        return store
-
     def test_round_trip(self, tmp_path):
-        store = self.register(tmp_path)
-        steps = make_trace(n=4).steps
-        store.append_trace("app", steps)
-        assert [s.to_json() for s in store.load_trace("app")] == [
-            s.to_json() for s in steps
-        ]
+        store = HistoryStore(tmp_path)
+        registry = race_registry(store)
+        for i in range(4):
+            registry.observe("app", 100.0, duration_s=60.0 + i)
+        live = registry.get("app").locat.replay_trace
+        assert [s.index for s in live.steps] == [0, 1, 2, 3]
+        assert restarted_trace(store) == live.steps
 
     def test_append_extends(self, tmp_path):
-        store = self.register(tmp_path)
-        trace = make_trace(n=6)
-        store.append_trace("app", trace.steps[:3])
-        store.append_trace("app", trace.steps[3:])
-        assert len(store.load_trace("app")) == 6
+        """Runs after a restart extend the rebuilt trace exactly as they
+        would have extended the live one."""
+        durations = (60.0, 61.0, 62.0)
+        live = race_registry(HistoryStore(tmp_path / "live"))
+        for duration in durations:
+            live.observe("app", 100.0, duration_s=duration)
+        store = HistoryStore(tmp_path / "restarted")
+        before = race_registry(store)
+        before.observe("app", 100.0, duration_s=durations[0])
+        after = TuningRegistry(store, default_replay_eval="race")
+        for duration in durations[1:]:
+            after.observe("app", 100.0, duration_s=duration)
+        steps = live.get("app").locat.replay_trace.steps
+        assert [s.index for s in steps] == [0, 1, 2]
+        assert after.get("app").locat.replay_trace.steps == steps
+        assert restarted_trace(store) == steps
 
     def test_missing_trace_is_empty(self, tmp_path):
-        store = self.register(tmp_path)
-        assert store.load_trace("app") == []
-
-    def test_torn_tail_dropped(self, tmp_path):
-        store = self.register(tmp_path)
-        store.append_trace("app", make_trace(n=3).steps)
-        path = tmp_path / "app" / "trace.jsonl"
-        path.write_bytes(path.read_bytes() + b'{"index": 99, "datas')
-        assert len(store.load_trace("app")) == 3
+        store = HistoryStore(tmp_path)
+        race_registry(store)  # deployed, but no measured production run yet
+        assert restarted_trace(store) == ()
 
     def test_corrupt_line_raises_value_error(self, tmp_path):
-        store = self.register(tmp_path)
-        store.append_trace("app", make_trace(n=2).steps)
-        path = tmp_path / "app" / "trace.jsonl"
+        """A corrupt run-table row is never skipped: every later step
+        would shift to another index and so to another RNG key."""
+        store = HistoryStore(tmp_path)
+        registry = race_registry(store)
+        registry.observe("app", 100.0, duration_s=60.0)
+        path = tmp_path / "app" / "runs.jsonl"
         path.write_bytes(path.read_bytes() + b"not json at all\n")
         with pytest.raises(ValueError):
-            store.load_trace("app")
+            store.observations("app")
+        assert "app" in TuningRegistry(store, default_replay_eval="race").quarantined
+
+    def test_torn_tail_dropped(self, tmp_path):
+        store = HistoryStore(tmp_path)
+        registry = race_registry(store)
+        for i in range(3):
+            registry.observe("app", 100.0, duration_s=60.0 + i)
+        path = tmp_path / "app" / "runs.jsonl"
+        path.write_bytes(path.read_bytes() + b'{"config": {}, "datas')
+        assert restarted_trace(store) == registry.get("app").locat.replay_trace.steps
 
 
 # ----------------------------------------------------------------------
@@ -441,51 +462,68 @@ class TestServiceReplay:
             )
 
     def test_trace_survives_restart(self, tmp_path):
+        """A ring that wrapped, across retunes, is rebuilt field for field."""
         store = HistoryStore(tmp_path)
-        registry = TuningRegistry(
-            store, rehydrate=False, default_replay_eval="race"
-        )
-        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
-        registry.observe("app", 100.0)
-        for i in range(4):
-            registry.observe("app", 100.0, duration_s=60.0 + i)
+        registry = race_registry(store, capacity=16)
+        # Alternate two datasizes far apart in runs of ten: each jump
+        # retunes, and the durations are the deployed config's own.
+        for block in range(5):
+            datasize = 100.0 if block % 2 == 0 else 300.0
+            for i in range(10):
+                registry.observe("app", datasize, duration_s=60.0 + block + 0.1 * i)
         session = registry.get("app")
+        live = session.locat.replay_trace
+        assert len(store.observations("app", source="production")) >= 40
+        assert session.n_retunes >= 1
+        assert live.n_steps == 16 and live.next_index >= 40
         status = session.status()["replay"]
-        assert status["mode"] == "race"
-        assert status["trace_steps"] == 4
-        assert status["persisted_trace_index"] == 4
-        assert (tmp_path / "app" / "trace.jsonl").exists()
+        assert status == {
+            "mode": "race", "trace_steps": 16, "trace_next_index": live.next_index,
+        }
 
         restarted = TuningRegistry(store, default_replay_eval="race")
         again = restarted.get("app")
-        assert again.status()["replay"]["trace_steps"] == 4
-        assert [s.to_json() for s in again.locat.replay_trace.steps] == [
-            s.to_json() for s in session.locat.replay_trace.steps
-        ]
-        # New runs keep extending the persisted trace, not rewriting it.
+        assert again.locat.replay_trace.steps == live.steps
+        assert again.status()["replay"] == status
+        # New runs keep extending the rebuilt trace with fresh indices.
         restarted.observe("app", 100.0, duration_s=64.0)
-        assert again.status()["replay"]["trace_steps"] == 5
-        assert len(store.load_trace("app")) == 5
+        assert again.locat.replay_trace.steps[-1].index == live.next_index
 
-    def test_corrupt_trace_warns_instead_of_quarantining(
-        self, tmp_path, capsys
-    ):
+    def test_race_observe_makes_one_fsync(self, tmp_path, monkeypatch):
+        registry = race_registry(HistoryStore(tmp_path))
+        registry.observe("app", 100.0, duration_s=60.0)
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
+        decision = registry.observe("app", 100.0, duration_s=61.0)
+        assert not decision.retuned
+        assert len(calls) == 1
+        assert sorted(p.name for p in (tmp_path / "app").iterdir()) == [
+            "app.json", "artifacts.json", "deployed.json", "runs.jsonl",
+        ]
+
+    def test_leftover_trace_and_fingerprint_files_are_ignored(self, tmp_path):
+        """Files older versions wrote are never read: a garbage
+        ``trace.jsonl`` or ``fingerprint.json`` changes nothing."""
         store = HistoryStore(tmp_path)
-        registry = TuningRegistry(
-            store, rehydrate=False, default_replay_eval="race"
-        )
-        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
-        registry.observe("app", 100.0)
+        registry = race_registry(store)
         for i in range(3):
             registry.observe("app", 100.0, duration_s=60.0 + i)
-        path = tmp_path / "app" / "trace.jsonl"
-        path.write_bytes(b"garbage\n" + path.read_bytes())
+        clean = TuningRegistry(store, default_replay_eval="race").get("app")
+        for name in ("trace.jsonl", "fingerprint.json"):
+            (tmp_path / "app" / name).write_bytes(b"garbage\n")
 
         restarted = TuningRegistry(store, default_replay_eval="race")
-        assert "app" not in restarted.quarantined
+        assert restarted.quarantined == {}
         session = restarted.get("app")
-        assert session.status()["replay"]["trace_steps"] == 0
-        assert "trace" in capsys.readouterr().err
+        assert session.status() == clean.status()
+        assert session.locat.replay_trace.steps == clean.locat.replay_trace.steps
+        assert session.locat.replay_trace.n_steps == 3
+        target = WorkloadFingerprint.from_application(get_application("join"), benchmark="join")
+        assert stored_fingerprint(store, "app") == target.with_observations(
+            *zip(*[(r.datasize_gb, r.duration_s)
+                   for r in store.observations("app", source="tuning")])
+        )
 
     def test_off_tenant_writes_no_trace(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)

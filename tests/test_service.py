@@ -88,7 +88,7 @@ class TestHistoryStore:
         config = config_to_dict(space_x86.default())
         store.append_many("app-1", [
             ObservationRecord(config, 100.0, 42.0, SOURCE_TUNING),
-            ObservationRecord(config, 100.0, 55.0, SOURCE_PRODUCTION, reduced=False),
+            ObservationRecord(config, 100.0, 55.0, SOURCE_PRODUCTION),
         ])
         store.append("app-1", ObservationRecord(config, 120.0, 47.5, SOURCE_TUNING))
         rows = store.observations("app-1")
@@ -96,6 +96,23 @@ class TestHistoryStore:
         assert [r.datasize_gb for r in rows] == [100.0, 100.0, 120.0]
         assert config_from_dict(rows[0].config) == space_x86.default()
         assert [r.duration_s for r in store.observations("app-1", source=SOURCE_TUNING)] == [42.0, 47.5]
+
+    def test_legacy_reduced_column_is_ignored(self, tmp_path, space_x86):
+        """Older stores wrote a ``reduced`` column; rows carrying it still
+        parse, and new rows no longer write it."""
+        store = HistoryStore(tmp_path)
+        store.register_app("app-1", {})
+        config = config_to_dict(space_x86.default())
+        legacy = {"config": config, "datasize_gb": 100.0, "duration_s": 42.0,
+                  "source": SOURCE_TUNING, "reduced": True, "timestamp": 1.0}
+        (tmp_path / "app-1" / "runs.jsonl").write_text(json.dumps(legacy) + "\n")
+        store.append("app-1", ObservationRecord(config, 100.0, 55.0, SOURCE_PRODUCTION))
+        rows = store.observations("app-1")
+        assert [(r.source, r.duration_s) for r in rows] == [
+            (SOURCE_TUNING, 42.0), (SOURCE_PRODUCTION, 55.0),
+        ]
+        newest = json.loads((tmp_path / "app-1" / "runs.jsonl").read_text().splitlines()[-1])
+        assert "reduced" not in newest
 
     def test_datasize_identity_survives_json_round_trip(self, tmp_path, space_x86):
         """100 (int), 100.0 (float), and "100" (string) are one history
@@ -544,7 +561,6 @@ class TestTuningRegistry:
         production = store.observations("app", source=SOURCE_PRODUCTION)
         assert len(production) == 1
         assert production[0].duration_s == 123.0
-        assert not production[0].reduced
 
     def test_production_rows_name_the_config_that_actually_ran(self, tmp_path):
         """A promoted retune swaps the deployment; every measured duration

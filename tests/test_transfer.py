@@ -18,7 +18,10 @@ from repro.transfer import (
     fingerprint_similarity,
     rank_donors,
     select_donor,
+    stored_fingerprint,
 )
+from repro.service.store import SOURCE_PRODUCTION, SOURCE_TUNING, ObservationRecord
+from repro.sparksim.serialize import config_to_dict
 
 #: Small LOCAT settings so tuning sessions stay cheap in tests.  n_qcsa
 #: is kept well above the transfer bootstrap so savings are visible.
@@ -27,26 +30,27 @@ TINY_TUNER = {"n_qcsa": 16, "n_iicp": 10, "max_iterations": 5, "min_iterations":
 
 class TestFingerprint:
     @pytest.mark.parametrize("name", ["tpch", "tpcds", "join", "scan", "aggregation"])
-    def test_json_round_trip(self, name):
-        fingerprint = WorkloadFingerprint.from_application(
+    def test_stored_fingerprint_follows_the_benchmark(self, tmp_path, name):
+        store = HistoryStore(tmp_path)
+        store.register_app("app", {"benchmark": name})
+        assert stored_fingerprint(store, "app") == WorkloadFingerprint.from_application(
             get_application(name), benchmark=name
         )
-        assert WorkloadFingerprint.from_json(fingerprint.to_json()) == fingerprint
 
-    def test_json_round_trip_with_dynamic_part(self):
-        fingerprint = WorkloadFingerprint.from_application(get_application("join"))
-        fingerprint = fingerprint.with_observations([100.0, 200.0, 300.0], [50.0, 95.0, 160.0])
-        assert fingerprint.seconds_per_gb is not None
-        rebuilt = WorkloadFingerprint.from_json(fingerprint.to_json())
-        assert rebuilt == fingerprint
-        assert rebuilt.seconds_per_gb == fingerprint.seconds_per_gb
-
-    def test_survives_json_serialization(self):
-        import json
-
-        fingerprint = WorkloadFingerprint.from_application(get_application("tpch"))
-        wire = json.loads(json.dumps(fingerprint.to_json()))
-        assert WorkloadFingerprint.from_json(wire) == fingerprint
+    def test_stored_fingerprint_dynamic_part_from_tuning_rows(self, tmp_path):
+        store = HistoryStore(tmp_path)
+        store.register_app("app", {"benchmark": "join"})
+        config = config_to_dict(SparkSQLSimulator(get_cluster("x86")).space.default())
+        store.append_many("app", [
+            ObservationRecord(config, 100.0, 50.0, SOURCE_TUNING),
+            ObservationRecord(config, 200.0, 95.0, SOURCE_TUNING),
+            ObservationRecord(config, 300.0, 900.0, SOURCE_PRODUCTION),
+        ])
+        fingerprint = stored_fingerprint(store, "app")
+        assert fingerprint.seconds_per_gb == pytest.approx((0.5 + 0.475) / 2)
+        assert fingerprint == WorkloadFingerprint.from_application(
+            get_application("join"), benchmark="join"
+        ).with_observations([100.0, 200.0], [50.0, 95.0])
 
     def test_self_similarity_is_one(self):
         for benchmark in list_benchmarks():
@@ -269,12 +273,10 @@ class TestTransferWarmStart:
         assert len(anchors) >= 1
         assert locat._transfer_anchor_measured
 
-    def test_fingerprint_persisted_at_registration(self, tmp_path):
+    def test_registration_writes_only_app_json(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path))
         registry.register("app", "scan", seed=1, tuner=TINY_TUNER)
-        data = registry.store.load_fingerprint("app")
-        assert data is not None
-        assert WorkloadFingerprint.from_json(data).benchmark == "scan"
+        assert [p.name for p in (tmp_path / "app").iterdir()] == ["app.json"]
 
     def test_http_registration_carries_warm_start(self, tmp_path):
         from repro.service import TuningClient
