@@ -546,23 +546,26 @@ class LOCAT:
         promotion gate reach a verdict before any production run lands.
         Deliberately bypasses :attr:`objective` — replays are rescoring
         of recorded history, not new samples — and returns ``[]`` when
-        replay evaluation is off or the trace is too short.
+        replay evaluation is off or the trace is too short.  Each run
+        depends only on its configuration, datasize, key and
+        environment, so one arm's steps run before the other's: the
+        simulator then evaluates an arm's stages once per stretch of
+        steps at one datasize.
         """
         if self.replay_eval == "off" or self.replay_trace.n_steps < MIN_TRACE_STEPS:
             return []
         steps = self.replay_trace.steps
         if max_pairs is not None:
             steps = steps[-int(max_pairs):]
-        pairs = []
-        for step in steps:
-            inc = self.simulator.run(
-                self.app, incumbent, step.datasize_gb, rng=step.rng_key
-            ).duration_s
-            chal = self.simulator.run(
-                self.app, challenger, step.datasize_gb, rng=step.rng_key
-            ).duration_s
-            pairs.append((step.datasize_gb, float(inc), float(chal)))
-        return pairs
+
+        def replayed(config: Configuration) -> list[float]:
+            return [
+                float(self.simulator.run(self.app, config, step.datasize_gb, rng=step.rng_key).duration_s)
+                for step in steps
+            ]
+
+        inc, chal = replayed(incumbent), replayed(challenger)
+        return [(step.datasize_gb, i, c) for step, i, c in zip(steps, inc, chal)]
 
     # ------------------------------------------------------------------
     # Online prediction (the drift path)

@@ -131,7 +131,7 @@ class Configuration(Mapping):
     defaults).
     """
 
-    __slots__ = ("_values", "_repaired_by")
+    __slots__ = ("_values", "_repaired_by", "_encoded")
 
     def __init__(self, values: Mapping[str, ParamValue]):
         missing = [p.name for p in PARAMETERS if p.name not in values]
@@ -144,6 +144,9 @@ class Configuration(Mapping):
         # The repair key of the space whose repair() returned this object
         # (see ConfigSpace.is_repaired); None for any other construction.
         self._repaired_by: tuple | None = None
+        # (encode key, unit-cube vector) of the latest space that encoded
+        # this object (see ConfigSpace.encode).
+        self._encoded: tuple[bytes, np.ndarray] | None = None
 
     @staticmethod
     def _coerce(param: Parameter, value: ParamValue) -> ParamValue:
@@ -218,6 +221,8 @@ class ConfigSpace:
         # Everything repair() reads from the space: spaces with equal keys
         # repair every configuration alike.
         self._repair_key = (self._bounds.tobytes(), container_memory_gb, total_cores, total_memory_gb)
+        # Everything encode() reads from the space.
+        self._encode_key = self._bounds.tobytes()
 
     @classmethod
     def for_cluster(cls, cluster) -> "ConfigSpace":
@@ -275,12 +280,25 @@ class ConfigSpace:
     def encode(self, config: Configuration) -> np.ndarray:
         """Map a configuration to a point in [0, 1]^dim.
 
-        A parameter whose range is a single value encodes as 0.5.
+        A parameter whose range is a single value encodes as 0.5.  The
+        point is computed once per configuration and space bounds and
+        kept on the (immutable) configuration; each call returns a fresh
+        copy, which the caller may write into.
         """
+        return self._encoded(config).copy()
+
+    def _encoded(self, config: Configuration) -> np.ndarray:
+        """The cached, read-only :meth:`encode` of ``config``."""
+        cached = config._encoded  # one read: another thread may replace it
+        if cached is not None and cached[0] == self._encode_key:
+            return cached[1]
         values = np.array([float(config[name]) for name in self._names])
         out = np.full(self.dim, 0.5)
         np.divide(values - self._lo, self._span, out=out, where=self._span != 0)
-        return np.clip(out, 0.0, 1.0)
+        point = np.clip(out, 0.0, 1.0)
+        point.flags.writeable = False
+        config._encoded = (self._encode_key, point)
+        return point
 
     def decode(self, point: np.ndarray) -> Configuration:
         """Map a unit-cube point back to a valid (repaired) configuration.
@@ -447,9 +465,7 @@ class ConfigSpace:
     # ------------------------------------------------------------------
     def encode_subset(self, config: Configuration, names: Iterable[str]) -> np.ndarray:
         """Unit-cube encoding restricted to ``names`` (order preserved)."""
-        full = self.encode(config)
-        idx = [PARAMETER_INDEX[n] for n in names]
-        return full[idx]
+        return self._encoded(config)[[PARAMETER_INDEX[n] for n in names]]
 
     def decode_subset(
         self,

@@ -42,14 +42,25 @@ def list_benchmarks() -> list[str]:
     return list(_BUILDERS)
 
 
+#: The application of each builder name, built at its first request.
+_APPLICATIONS: dict[str, Application] = {}
+
+
 def get_application(name: str) -> Application:
-    """Build a benchmark application by name (case-insensitive)."""
+    """The benchmark application of ``name`` (case-insensitive).
+
+    Builders are pure and applications immutable, so every call with
+    one name returns the same object, built once.
+    """
     key = name.lower().replace("-", "").replace("_", "")
-    key = {"tpcds": "tpcds", "tpch": "tpch"}.get(key, key)
-    try:
-        return _BUILDERS[key]()
-    except KeyError:
-        raise ValueError(f"unknown benchmark {name!r}; choose from {list(_BUILDERS)}") from None
+    app = _APPLICATIONS.get(key)
+    if app is None:
+        try:
+            builder = _BUILDERS[key]
+        except KeyError:
+            raise ValueError(f"unknown benchmark {name!r}; choose from {list(_BUILDERS)}") from None
+        app = _APPLICATIONS.setdefault(key, builder())
+    return app
 
 
 __all__ = [

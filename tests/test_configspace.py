@@ -5,6 +5,7 @@ import pytest
 
 from repro.sparksim.cluster import arm_cluster, x86_cluster
 from repro.sparksim.configspace import (
+    PARAMETER_INDEX,
     PARAMETERS,
     ConfigSpace,
     Configuration,
@@ -203,6 +204,34 @@ class TestArrayEncodeDecode:
                 assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
                 assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
                 assert space.is_repaired(got) and space.is_repaired(want)
+
+
+class TestEncodeOnce:
+    def test_a_written_encoding_leaves_the_cached_one(self, space_x86, rng):
+        config = space_x86.sample(rng)
+        first = space_x86.encode(config)
+        want = first.copy()
+        first[:] = 0.25
+        assert space_x86.encode(config).tobytes() == want.tobytes()
+        assert space_x86.encode_subset(config, ["executor.cores"])[0] == want[PARAMETER_INDEX["executor.cores"]]
+
+    def test_an_arm_and_an_x86_space_encode_differently(self, space_x86, space_arm):
+        config = space_x86.default()
+        x86 = space_x86.encode(config)
+        arm = space_arm.encode(config)
+        assert x86.tobytes() != arm.tobytes()
+        assert arm.tobytes() == _encode_oracle(space_arm, config).tobytes()
+        assert space_x86.encode(config).tobytes() == x86.tobytes() == _encode_oracle(space_x86, config).tobytes()
+
+    def test_one_computation_per_configuration(self, space_x86, rng, monkeypatch):
+        config = space_x86.sample(rng)
+        reads = []
+        getitem = Configuration.__getitem__
+        monkeypatch.setattr(Configuration, "__getitem__", lambda self, k: reads.append(k) or getitem(self, k))
+        for _ in range(3):
+            space_x86.encode(config)
+            space_x86.encode_subset(config, ["executor.cores", "rdd.compress"])
+        assert len(reads) == space_x86.dim
 
 
 class TestDecodeBuildsOnce:

@@ -436,3 +436,90 @@ class TestRepairOnce:
         # An equal configuration in a new object is repaired again.
         assert sim.run(tpch, config.replace(), 100.0, rng=1) == first
         assert len(calls) == 2
+
+
+class TestStageMemo:
+    """A run reuses the latest run's stage evaluation when the plan, the
+    stage table and the datasize repeat; every run still equals a fresh
+    simulator's, bit for bit."""
+
+    @staticmethod
+    def exact(metrics) -> str:
+        from repro.sparksim import metrics_to_dict
+
+        return _canonical(metrics_to_dict(metrics))
+
+    def check(self, cluster, runs, noise=0.04):
+        """Run ``(app, config, datasize, rng)`` in order on one simulator
+        and each on a fresh one; return the shared simulator."""
+        sim = SparkSQLSimulator(cluster, noise=noise)
+        for app, config, datasize, rng in runs:
+            got = sim.run(app, config, datasize, rng=rng)
+            want = SparkSQLSimulator(cluster, noise=noise).run(app, config, datasize, rng=rng)
+            assert self.exact(got) == self.exact(want)
+        return sim
+
+    def counting(self, sim, monkeypatch) -> list:
+        calls = []
+        evaluate = sim._evaluate_stages
+        monkeypatch.setattr(sim, "_evaluate_stages", lambda *a: calls.append(1) or evaluate(*a))
+        return calls
+
+    def test_a_repeated_candidate_evaluates_its_stages_once(self, x86, tpch, monkeypatch):
+        sim = SparkSQLSimulator(x86)
+        calls = self.counting(sim, monkeypatch)
+        config = sim.space.default()
+        runs = [sim.run(tpch, config, 100.0, rng=(5, i)) for i in range(6)]
+        assert len(calls) == 1
+        fresh = [SparkSQLSimulator(x86).run(tpch, config, 100.0, rng=(5, i)) for i in range(6)]
+        assert [self.exact(m) for m in runs] == [self.exact(m) for m in fresh]
+        assert len({m.duration_s for m in runs}) == 6  # each run draws its own noise
+
+    def test_alternating_configurations(self, x86, tpch):
+        space = SparkSQLSimulator(x86).space
+        a, b = space.default(), space.sample(np.random.default_rng(3))
+        runs = [(tpch, config, 100.0, i) for i in range(3) for config in (a, b, b)]
+        self.check(x86, runs)
+
+    def test_a_changed_datasize_evaluates_again(self, x86, tpch, monkeypatch):
+        sim = SparkSQLSimulator(x86)
+        calls = self.counting(sim, monkeypatch)
+        config = sim.space.default()
+        for i, datasize in enumerate((100.0, 100.0, 300.0, 300.0, 100.0)):
+            got = sim.run(tpch, config, datasize, rng=i)
+            want = SparkSQLSimulator(x86).run(tpch, config, datasize, rng=i)
+            assert self.exact(got) == self.exact(want)
+        assert len(calls) == 3
+
+    def test_skew_shifted_copy_with_equal_names(self, x86, tpch):
+        from repro.sparksim.scenarios import shift_application_skew
+
+        shifted = shift_application_skew(tpch, 0.4)
+        config = SparkSQLSimulator(x86).space.default()
+        self.check(x86, [(tpch, config, 100.0, 1), (shifted, config, 100.0, 1), (tpch, config, 100.0, 1)])
+
+    def test_a_caller_generator_is_left_as_a_fresh_simulator_leaves_it(self, x86, tpch):
+        sim = SparkSQLSimulator(x86)
+        config = sim.space.default()
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            got = sim.run(tpch, config, 100.0, rng=ours)
+            want = SparkSQLSimulator(x86).run(tpch, config, 100.0, rng=theirs)
+            assert self.exact(got) == self.exact(want)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_noise_free_runs(self, x86, tpch):
+        config = SparkSQLSimulator(x86).space.default()
+        sim = self.check(x86, [(tpch, config, 100.0, i) for i in range(3)], noise=0.0)
+        assert sim.run(tpch, config, 100.0) == sim.run(tpch, config, 100.0)
+
+    def test_pickled_simulator_ships_no_memo(self, x86, tpch):
+        import pickle
+
+        sim = SparkSQLSimulator(x86)
+        config = sim.space.default()
+        before = sim.run(tpch, config, 100.0, rng=2)
+        assert sim._last_stages is not None
+        copy = pickle.loads(pickle.dumps(sim))
+        assert copy._last_stages is None
+        assert self.exact(copy.run(tpch, config, 100.0, rng=2)) == self.exact(before)

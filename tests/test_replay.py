@@ -244,6 +244,21 @@ class TestEvaluator:
             assert evaluator.cache_hits == repeat * len(evaluator.replays) - distinct
         assert len(targets) == distinct and all(t is targets[0] for t in targets)
 
+    def test_one_stage_evaluation_for_all_slots(self, x86, monkeypatch):
+        evaluator, simulator = self.make_evaluator(x86, n_trace=64, n_replays=16)
+        assert len({s.rng_key for s in evaluator.replays}) == 16
+        calls = []
+        evaluate = simulator._evaluate_stages
+        monkeypatch.setattr(simulator, "_evaluate_stages", lambda *a: calls.append(1) or evaluate(*a))
+        config = simulator.space.default()
+        got = evaluator.durations(config)
+        assert len(calls) == 1 and evaluator.n_sim_runs == 16
+        fresh = SparkSQLSimulator(x86, noise=0.04)
+        assert got == [
+            fresh.run(evaluator.app, config, s.datasize_gb, rng=s.rng_key).duration_s
+            for s in evaluator.replays
+        ]
+
     @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
     def test_crn_variance_never_worse_than_independent(self, name, x86):
         """Paired CRN deltas beat independent draws on every generator."""
@@ -371,6 +386,28 @@ class TestLocatReplay:
         for datasize_gb, inc_s, chal_s in pairs:
             assert datasize_gb == 100.0
             assert inc_s > 0 and chal_s > 0
+
+    def test_replay_shadow_pairs_match_alternating_runs(self, x86, join_app):
+        """Running one arm's steps before the other's gives the pairs
+        that running the arms step by step gives."""
+        locat = LOCAT(
+            SparkSQLSimulator(x86), join_app, rng=7, replay_eval="race", **TINY_TUNER,
+        )
+        for i, datasize in enumerate((100.0, 100.0, 200.0, 100.0, 300.0, 300.0)):
+            locat.record_production_run(datasize, 90.0 + i)
+        space = locat.simulator.space
+        incumbent = space.default()
+        challenger = incumbent.replace(**{"sql.shuffle.partitions": 800})
+        alternating = SparkSQLSimulator(x86)
+        want = [
+            (
+                step.datasize_gb,
+                alternating.run(join_app, incumbent, step.datasize_gb, rng=step.rng_key).duration_s,
+                alternating.run(join_app, challenger, step.datasize_gb, rng=step.rng_key).duration_s,
+            )
+            for step in locat.replay_trace.steps[-4:]
+        ]
+        assert locat.replay_shadow_pairs(incumbent, challenger, max_pairs=4) == want
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,27 @@ class TestFingerprint:
             get_application("join"), benchmark="join"
         ).with_observations([100.0, 200.0], [50.0, 95.0])
 
+    def test_ranking_tpcds_donors_builds_the_plan_once(self, tmp_path, monkeypatch):
+        from repro.sparksim import workloads
+
+        builds = []
+        build = workloads._BUILDERS["tpcds"]
+        monkeypatch.setitem(workloads._BUILDERS, "tpcds", lambda: builds.append(1) or build())
+        monkeypatch.setattr(workloads, "_APPLICATIONS", {})
+        store = HistoryStore(tmp_path)
+        config = config_to_dict(SparkSQLSimulator(get_cluster("x86")).space.default())
+        cps = CPSResult(scc={"executor.cores": 0.5}, selected=("executor.cores",), threshold=0.2)
+        donors = [f"donor-{i}" for i in range(4)]
+        for app_id in donors:
+            store.register_app(app_id, {"benchmark": "tpcds"})
+            store.save_artifacts(app_id, None, cps)
+            store.append_many(app_id, [
+                ObservationRecord(config, 100.0 * (1 + i), 50.0 + i, SOURCE_TUNING) for i in range(6)
+            ])
+        target = WorkloadFingerprint.from_application(build(), benchmark="tpcds")
+        assert sorted(c.app_id for c in rank_donors(store, target)) == donors
+        assert len(builds) == 1
+
     def test_self_similarity_is_one(self):
         for benchmark in list_benchmarks():
             fingerprint = WorkloadFingerprint.from_application(get_application(benchmark))

@@ -102,3 +102,9 @@ class TestRegistry:
     def test_unknown_benchmark(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             get_application("ycsb")
+
+    def test_one_shared_application_per_name(self):
+        for name in list_benchmarks():
+            assert get_application(name) is get_application(name.upper())
+        assert get_application("TPC-DS") is get_application("tpc_ds")
+        assert get_application("tpch") is not get_application("tpcds")
