@@ -75,7 +75,7 @@ def drive(
     # cluster), so the tuner's simulator follows the scenario step.
     simulator = DriftingSimulator(cluster)
     locat = LOCAT(simulator, app, rng=seed, **tuner)
-    controller = OnlineController(locat, datasize_margin=0.3)
+    controller = OnlineController(locat)
     stream = ScenarioStream(scenario, app, cluster, seed=seed + 1000)
 
     controller.observe(scenario.steps[0].datasize_gb)  # initial deployment

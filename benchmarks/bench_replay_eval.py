@@ -18,6 +18,12 @@ once per mode and scores:
 * **deployed regret** — mean measured production duration after drift
   onset (a cheaper retune must not deploy worse configurations);
 * **wall-clock per retune** — end-to-end time of the retuning observe;
+  a full run repeats the suite :data:`N_WALL_RUNS` times and reports
+  the median and range of the per-run means, since one run's three
+  retunes spread too widely to compare modes.  Pin BLAS to one thread
+  (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1``, as
+  ``perfbench`` does): on a 2-vCPU host, BLAS threads contending with
+  each other doubled the wall figures and widened their range;
 * **variance-reduction factor** — Var of independent-draw log-deltas
   over Var of CRN paired log-deltas for a fixed config pair, measured
   directly on the simulator (the statistical reason racing can discard
@@ -84,7 +90,7 @@ def drive(
     simulator = DriftingSimulator(cluster)
     locat = LOCAT(simulator, app, rng=seed, replay_eval=mode, **TUNER)
     controller = OnlineController(
-        locat, datasize_margin=0.3,
+        locat,
         # The scenario stream records the trace itself (real rng keys
         # plus the drifted environment per step) — recording again at
         # observe() would duplicate every production run.
@@ -198,6 +204,26 @@ def summarize(results: list[dict], vrf: dict) -> dict:
     return summary
 
 
+#: Full-run repetitions behind ``wall_s_per_retune``.  The suite is
+#: seeded, so every repetition repeats the evaluations and regret; only
+#: the wall time varies.
+N_WALL_RUNS = 6
+
+
+def repeat_wall(runs: list[tuple[list[dict], dict]]) -> tuple[list[dict], dict]:
+    """The first run's results, with each mode's ``wall_s_per_retune``
+    replaced by the median of the runs' means, next to their range."""
+    results, summary = runs[0]
+    for mode in MODES:
+        walls = [run_summary["modes"][mode]["wall_s_per_retune"] for _, run_summary in runs]
+        summary["modes"][mode].update(
+            wall_s_per_retune=statistics.median(walls),
+            wall_s_per_retune_range=[min(walls), max(walls)],
+            wall_s_per_retune_runs=walls,
+        )
+    return results, summary
+
+
 def render(results: list[dict], summary: dict) -> str:
     lines = [
         "replay-based candidate evaluation: eval budget / regret / wall-clock",
@@ -228,10 +254,17 @@ def render(results: list[dict], summary: dict) -> str:
         m = summary["modes"][mode]
         epr = "-" if m["evals_per_retune"] is None else f"{m['evals_per_retune']:.1f}"
         reg = "-" if m["deployed_regret_s"] is None else f"{m['deployed_regret_s']:.1f}"
-        lines.append(
+        line = (
             f"overall {mode:5s}: {m['n_drift_retunes']} drift retunes, "
             f"{epr} evals/retune, regret {reg}s"
         )
+        if "wall_s_per_retune_range" in m:
+            low, high = m["wall_s_per_retune_range"]
+            line += (
+                f", wall {m['wall_s_per_retune']:.3f}s/retune "
+                f"(median of {len(m['wall_s_per_retune_runs'])} runs, {low:.3f}-{high:.3f})"
+            )
+        lines.append(line)
     lines.append(
         f"CRN variance reduction: {vrf['factor']:.3g}x over independent draws "
         f"({vrf['n_pairs']} pairs)"
@@ -337,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
             n_vrf_pairs=20,
         )
     else:
-        results, summary = run_suite()
+        results, summary = repeat_wall([run_suite() for _ in range(N_WALL_RUNS)])
 
     print(render(results, summary))
     payload = {

@@ -151,7 +151,6 @@ def drive(
     locat = LOCAT(simulator, app, rng=seed, **tuner)
     controller = OnlineController(
         locat,
-        datasize_margin=0.3,
         detector=spec["detector"]() if spec["detector"] else None,
         shadow_runs=shadow_runs,
     )

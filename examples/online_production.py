@@ -25,7 +25,7 @@ def main() -> None:
     app = get_application("tpch")
     simulator = SparkSQLSimulator(x86_cluster())
     locat = LOCAT(simulator, app, rng=11, max_iterations=15)
-    controller = OnlineController(locat, datasize_margin=0.3)
+    controller = OnlineController(locat)
 
     rows = []
     last_duration = None

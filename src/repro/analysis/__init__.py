@@ -7,23 +7,16 @@ iteration, falsy-zero defaulting, float equality, validate-before-
 persist write ordering in the service layer, and lock discipline for
 annotated shared attributes.
 
-Findings can be silenced two ways (see ``docs/static-analysis.md``):
-
-* inline — a ``# repro: allow[rule-id]`` comment on (or immediately
-  above) the offending line, for deliberate violations that should stay
-  visible at the call site;
-* the committed ``analysis-baseline.json`` — grandfathered findings
-  matched by content fingerprint, so the CI gate lands strict without a
-  big-bang cleanup and any *new* finding still fails the build.
+A finding is accepted only inline: a ``# repro: allow[rule-id]``
+comment on (or immediately above) the offending line keeps a deliberate
+violation visible at its call site (see ``docs/static-analysis.md``).
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisEngine, Finding, Rule, run_check
 from repro.analysis.rules import default_rules
 
 __all__ = [
     "AnalysisEngine",
-    "Baseline",
     "Finding",
     "Rule",
     "default_rules",

@@ -1,19 +1,18 @@
 """The ``repro check`` command.
 
-Exit codes: 0 — clean (modulo baseline), 1 — new findings, 2 — usage
-error.  ``--json`` emits a machine-readable report with a stable schema
-(see :meth:`repro.analysis.findings.Finding.to_json`); CI consumes the
-human form and the exit code.
+Exit codes: 0 — clean, 1 — findings, 2 — usage error.  A finding is
+accepted only by an inline ``# repro: allow[rule-id]`` comment.
+``--json`` emits a machine-readable report with a stable schema (see
+:meth:`repro.analysis.findings.Finding.to_json`); CI consumes the human
+form and the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from repro.analysis.baseline import DEFAULT_BASELINE, Baseline
 from repro.analysis.engine import run_check
 from repro.analysis.rules import default_rules
 
@@ -28,38 +27,10 @@ def build_check_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentPars
         help="machine-readable report on stdout (stable schema)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline of grandfathered findings (default: {DEFAULT_BASELINE} "
-        "in the current directory, when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather exactly the current findings",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
     return parser
-
-
-def _resolve_baseline(args) -> Baseline:
-    if args.no_baseline:
-        return Baseline.empty()
-    path = args.baseline
-    if path is None and os.path.exists(DEFAULT_BASELINE):
-        path = DEFAULT_BASELINE
-    if path is None:
-        return Baseline.empty()
-    if not os.path.exists(path):
-        if args.baseline is not None and not args.update_baseline:
-            raise FileNotFoundError(f"baseline {path!r} does not exist")
-        return Baseline(path=path)
-    return Baseline.load(path)
 
 
 def cmd_check(args) -> int:
@@ -69,22 +40,10 @@ def cmd_check(args) -> int:
             print(f"{rule.rule_id:24s} {rule.description}")
         return 0
     try:
-        baseline = _resolve_baseline(args)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        result = run_check(args.paths, rules=rules, baseline=baseline)
+        result = run_check(args.paths, rules=rules)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        path = args.baseline or baseline.path or DEFAULT_BASELINE
-        all_findings = sorted(result.new + result.grandfathered)
-        Baseline.empty().write(all_findings, path)
-        print(f"wrote {path} grandfathering {len(all_findings)} finding(s)")
-        return 0
 
     if args.as_json:
         print(
@@ -92,9 +51,7 @@ def cmd_check(args) -> int:
                 {
                     "version": 1,
                     "files": result.n_files,
-                    "findings": [f.to_json() for f in result.new],
-                    "grandfathered": [f.to_json() for f in result.grandfathered],
-                    "stale_baseline": result.stale_baseline,
+                    "findings": [f.to_json() for f in result.findings],
                     "exit_code": result.exit_code,
                 },
                 indent=2,
@@ -102,19 +59,7 @@ def cmd_check(args) -> int:
         )
         return result.exit_code
 
-    for finding in result.new:
+    for finding in result.findings:
         print(finding.format())
-    summary = (
-        f"checked {result.n_files} file(s): {len(result.new)} finding(s)"
-    )
-    if result.grandfathered:
-        summary += f", {len(result.grandfathered)} grandfathered by the baseline"
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entr(y/ies)"
-    print(summary)
-    for entry in result.stale_baseline:
-        print(
-            f"  stale baseline entry: [{entry.get('rule')}] {entry.get('path')} "
-            f"({entry['fingerprint']}) — fixed? remove it or run --update-baseline"
-        )
+    print(f"checked {result.n_files} file(s): {len(result.findings)} finding(s)")
     return result.exit_code

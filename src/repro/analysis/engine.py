@@ -4,8 +4,7 @@ Each rule is an AST pass over one parsed module (plus an optional
 cross-module ``finalize`` for project-wide invariants such as seed-salt
 uniqueness).  The engine owns everything rules should not reimplement:
 file discovery, parsing, parent links on AST nodes, test-file
-classification, inline ``# repro: allow[rule-id]`` suppressions, and
-baseline matching.
+classification and inline ``# repro: allow[rule-id]`` suppressions.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.findings import Finding
 
 #: Inline suppression: ``# repro: allow[rule-id]`` or
@@ -67,7 +65,7 @@ class ModuleInfo:
     """One parsed source file handed to every rule."""
 
     path: str  # as the user named it (printed in findings)
-    rel_path: str  # repo-relative posix form (baseline fingerprints)
+    rel_path: str  # root-relative posix form (rule and test-file scoping)
     source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
@@ -83,15 +81,7 @@ class ModuleInfo:
             line, col = node_or_line, 0
         else:
             line, col = node_or_line.lineno, node_or_line.col_offset
-        return Finding(
-            path=self.path,
-            line=line,
-            col=col,
-            rule=rule,
-            message=message,
-            rel_path=self.rel_path,
-            fingerprint=fingerprint(rule, self.rel_path, self.line(line)),
-        )
+        return Finding(path=self.path, line=line, col=col, rule=rule, message=message)
 
     def allowed_rules(self, lineno: int) -> set[str]:
         """Rule ids suppressed on ``lineno`` by inline allow comments."""
@@ -144,9 +134,8 @@ class AnalysisEngine:
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate rule ids: {sorted(ids)}")
         self.rules = list(rules)
-        #: Fingerprint/baseline paths are computed relative to this
-        #: directory (the baseline file's home, normally the repo root),
-        #: so matching does not depend on the invocation directory.
+        #: Rules scope and classify files by their path relative to
+        #: this directory (normally the repo root).
         self.root = Path(root).resolve() if root is not None else Path.cwd()
 
     # ------------------------------------------------------------------
@@ -185,8 +174,6 @@ class AnalysisEngine:
                 col=(exc.offset or 1) - 1,
                 rule="syntax-error",
                 message=f"file does not parse: {exc.msg}",
-                rel_path=rel_path,
-                fingerprint=fingerprint("syntax-error", rel_path, ""),
             )
         ParentVisitor().visit(tree)
         return ModuleInfo(
@@ -222,38 +209,24 @@ class AnalysisEngine:
 class CheckResult:
     """Outcome of one ``repro check`` run."""
 
-    new: list[Finding]
-    grandfathered: list[Finding]
-    stale_baseline: list[dict]
+    findings: list[Finding]
     n_files: int
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new else 0
+        return 1 if self.findings else 0
 
 
 def run_check(
     paths: list[str],
     rules: list[Rule] | None = None,
-    baseline: Baseline | None = None,
     root: str | Path | None = None,
 ) -> CheckResult:
-    """Run the default (or given) rule set and apply the baseline."""
+    """Run the default (or given) rule set over ``paths``."""
     if rules is None:
         from repro.analysis.rules import default_rules
 
         rules = default_rules()
-    if baseline is None:
-        baseline = Baseline.empty()
-    if root is None and baseline.path is not None:
-        root = Path(baseline.path).resolve().parent
     engine = AnalysisEngine(rules, root=root)
     files = engine.collect_files(paths)
-    findings = engine.check_paths(paths)
-    new, grandfathered, stale = baseline.split(findings)
-    return CheckResult(
-        new=new,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
-        n_files=len(files),
-    )
+    return CheckResult(findings=engine.check_paths(paths), n_files=len(files))

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one source location.
 
-    ``path`` is the file as the user named it (what gets printed);
-    ``rel_path`` is the repo-relative form used for baseline
-    fingerprints, so matching does not depend on the directory
-    ``repro check`` was invoked from.
+    ``path`` is the file as the user named it (what gets printed).
     """
 
     path: str
@@ -20,8 +17,6 @@ class Finding:
     col: int
     rule: str
     message: str
-    rel_path: str = field(default="", compare=False)
-    fingerprint: str = field(default="", compare=False)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -34,5 +29,4 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }

@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--eval-workers", type=int, default=1,
-        help="per-session parallel evaluation workers for tenants that do not "
-        "set tuner.n_workers themselves (default: 1, fully serial sessions)",
+        help="per-session parallel evaluation workers of every tenant "
+        "(default: 1, fully serial sessions)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
@@ -148,10 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--replay-eval", default="off", choices=REPLAY_EVAL_MODES,
-        help="default trace-replay evaluation mode for tenants that do not "
-        "set tuner.replay_eval themselves: 'off' (default) or 'race' "
-        "(score partial-retune candidates on common-random-number replays "
-        "of the tenant's production trace; see docs/replay.md)",
+        help="trace-replay evaluation mode of every tenant: 'off' (default) "
+        "or 'race' (score partial-retune candidates on common-random-number "
+        "replays of the tenant's production trace; see docs/replay.md)",
     )
 
     from repro.analysis.cli import build_check_parser
@@ -386,7 +385,7 @@ def cmd_serve(args) -> int:
             args.store, host=args.host, port=args.port,
             n_workers=args.tuning_threads, eval_workers=args.eval_workers,
             default_warm_start=args.warm_start,
-            default_replay_eval=args.replay_eval,
+            replay_eval=args.replay_eval,
             max_pending=args.max_pending, log_requests=args.log_requests,
         )
         rehydrated = service.registry.app_ids()
@@ -398,7 +397,7 @@ def cmd_serve(args) -> int:
             args.store, host=args.host, port=args.port, workers=args.workers,
             tuning_threads=args.tuning_threads, eval_workers=args.eval_workers,
             default_warm_start=args.warm_start,
-            default_replay_eval=args.replay_eval,
+            replay_eval=args.replay_eval,
             max_pending=args.max_pending, log_requests=args.log_requests,
         )
         print(

@@ -63,14 +63,8 @@ from repro.core.objective import SparkSQLObjective, Trial
 from repro.core.parallel import EvalRequest, ParallelEvaluator
 from repro.core.qcsa import DEFAULT_N_QCSA, QCSAResult, analyze_samples
 from repro.core.result import TuningResult
-from repro.core.tuner import BOLoop, DEFAULT_EI_THRESHOLD, DEFAULT_MIN_ITERATIONS
-from repro.replay.trace import (
-    DEFAULT_N_REPLAYS,
-    DEFAULT_TRACE_CAPACITY,
-    MIN_TRACE_STEPS,
-    REPLAY_EVAL_MODES,
-    ReplayTrace,
-)
+from repro.core.tuner import BOLoop, DEFAULT_MIN_ITERATIONS
+from repro.replay.trace import MIN_TRACE_STEPS, REPLAY_EVAL_MODES, ReplayTrace
 from repro.sparksim.configspace import Configuration
 from repro.sparksim.engine import SparkSQLSimulator
 from repro.sparksim.query import Application
@@ -115,17 +109,13 @@ class LOCAT:
         n_iicp: int = DEFAULT_N_IICP,
         min_iterations: int = DEFAULT_MIN_ITERATIONS,
         max_iterations: int = 25,
-        ei_threshold: float = DEFAULT_EI_THRESHOLD,
         n_mcmc: int = 4,
         use_iicp: bool = True,
         use_dagp: bool = True,
         use_polish: bool = True,
         n_workers: int = 1,
         transfer_from: TransferPlan | None = None,
-        n_adapt_iterations: int | None = None,
         replay_eval: str = "off",
-        replay_capacity: int = DEFAULT_TRACE_CAPACITY,
-        n_replays: int = DEFAULT_N_REPLAYS,
         rng: int | np.random.Generator | None = None,
     ):
         self.simulator = simulator
@@ -134,20 +124,12 @@ class LOCAT:
         self.n_iicp = n_iicp
         self.min_iterations = min_iterations
         self.max_iterations = max_iterations
-        self.ei_threshold = ei_threshold
         self.n_mcmc = n_mcmc
         self.use_iicp = use_iicp
         self.use_dagp = use_dagp
         self.use_polish = use_polish
         self.n_workers = int(n_workers)
         self.transfer_from = transfer_from
-        if n_adapt_iterations is not None and int(n_adapt_iterations) < 1:
-            raise ValueError("n_adapt_iterations must be at least 1")
-        #: BO budget of a drift-triggered :meth:`adapt` session; None
-        #: derives about a third of the full budget.
-        self._n_adapt_iterations = (
-            None if n_adapt_iterations is None else int(n_adapt_iterations)
-        )
         if replay_eval not in REPLAY_EVAL_MODES:
             raise ValueError(
                 f"replay_eval must be one of {REPLAY_EVAL_MODES}, got {replay_eval!r}"
@@ -157,11 +139,8 @@ class LOCAT:
         #: candidates on CRN replays of the recorded trace and races the
         #: finalists, so only the survivor is measured live.
         self.replay_eval = replay_eval
-        if int(n_replays) < 1:
-            raise ValueError("n_replays must be at least 1")
-        self.n_replays = int(n_replays)
         #: Recorded production history replays are resampled from.
-        self.replay_trace = ReplayTrace(capacity=int(replay_capacity))
+        self.replay_trace = ReplayTrace()
         self._replay_sessions = 0
         #: Cached point-estimate DAGP over the observation history, used
         #: by :meth:`predict_log_duration` (the online drift path).
@@ -574,12 +553,10 @@ class LOCAT:
     def n_adapt_iterations(self) -> int:
         """BO budget of a partial :meth:`adapt` session.
 
-        Defaults to about a third of the full ``max_iterations`` — the
-        surrogate is warm, so a drift retune only needs enough fresh
-        evaluations to re-anchor it, not a full search.
+        About a third of the full ``max_iterations`` — the surrogate is
+        warm, so a drift retune only needs enough fresh evaluations to
+        re-anchor it, not a full search.
         """
-        if self._n_adapt_iterations is not None:
-            return min(self._n_adapt_iterations, self.max_iterations)
         return max(2, min(self.max_iterations, (self.max_iterations + 2) // 3))
 
     @property
@@ -877,7 +854,6 @@ class LOCAT:
                 self.simulator,
                 self.app,
                 self.replay_trace,
-                n_replays=self.n_replays,
                 seed=self._replay_sessions,
             )
         # A partial (drift) session quarantines everything measured
@@ -1027,7 +1003,6 @@ class LOCAT:
                 n_init=3,
                 min_iterations=max(0, session_min - iterations_done),
                 max_iterations=chunk,
-                ei_threshold=self.ei_threshold,
                 n_mcmc=self.n_mcmc,
                 batch_size=self.n_workers,
                 rng=self.rng,

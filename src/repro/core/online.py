@@ -67,6 +67,10 @@ from repro.stats.sampling import ensure_rng
 from repro.sparksim.configspace import Configuration
 from repro.sparksim.serialize import canonical_key
 
+#: Relative distance to the nearest tuned datasize beyond which a new
+#: size triggers adaptation: tuned at 300 GB covers ~210-390 GB.
+DATASIZE_MARGIN = 0.3
+
 
 @dataclass
 class OnlineDecision:
@@ -98,18 +102,16 @@ class _DeployedState:
 class OnlineController:
     """Drives LOCAT from a stream of production runs.
 
-    ``datasize_margin`` — relative distance to the nearest tuned
-    datasize beyond which a new size triggers adaptation (default 30%:
-    tuned at 300 GB covers ~210-390 GB).
+    A datasize further than :data:`DATASIZE_MARGIN` (relative) from
+    every tuned datasize triggers adaptation.
     ``detector`` — a :class:`~repro.core.drift.DriftDetector` instance
     watching the deployment; None (default) builds a
     :class:`~repro.core.drift.PageHinkleyDetector` over DAGP-standardized
     residuals.
-    ``shadow_runs`` / ``ab_alpha`` parameterize the promotion gate
-    every retune's winner passes (the minimum pair count and the
-    significance level); ``shadow_measure`` overrides how a shadow arm
-    is measured (``(config, datasize_gb, rng) -> duration_s``,
-    defaulting to the tuner's own simulator).
+    ``shadow_runs`` is the minimum pair count of the promotion gate
+    every retune's winner passes; ``shadow_measure`` overrides how a
+    shadow arm is measured (``(config, datasize_gb, rng) ->
+    duration_s``, defaulting to the tuner's own simulator).
     ``capture_replay_trace`` — record every measured production run into
     the tuner's :class:`~repro.replay.trace.ReplayTrace`; ``None``
     (default) follows the tuner's ``replay_eval`` setting.  With replay
@@ -121,25 +123,18 @@ class OnlineController:
     def __init__(
         self,
         locat: LOCAT,
-        datasize_margin: float = 0.3,
         detector: DriftDetector | None = None,
         shadow_runs: int = 6,
-        ab_alpha: float = 0.05,
         shadow_measure: Callable[[Configuration, float, np.random.Generator], float]
         | None = None,
         capture_replay_trace: bool | None = None,
     ):
-        if datasize_margin <= 0:
-            raise ValueError("datasize_margin must be positive")
         if detector is not None and not isinstance(detector, DriftDetector):
             raise TypeError(
                 f"detector must be a DriftDetector instance, got {detector!r}"
             )
         self.locat = locat
-        self.datasize_margin = datasize_margin
-        # The gate validates shadow_runs/ab_alpha at construction, so a
-        # bad tenant key fails at registration, not at first drift.
-        self._gate = PromotionGate(min_runs=shadow_runs, alpha=ab_alpha)
+        self._gate = PromotionGate(min_runs=shadow_runs)
         self._shadow_measure = shadow_measure or self._default_shadow_measure
         # getattr: tests drive the controller with stub tuners that
         # predate the replay attributes.
@@ -286,7 +281,7 @@ class OnlineController:
     def would_retune(self, datasize_gb: float) -> bool:
         """Whether an observe at this datasize *deterministically* starts
         a tuning session: nothing deployed yet, or the size is beyond
-        ``datasize_margin`` from everything tuned.  Drift-triggered
+        :data:`DATASIZE_MARGIN` from everything tuned.  Drift-triggered
         retunes depend on the measured duration and are not predicted.
         The scheduler uses this to size a job's slot reservation before
         running it."""
@@ -294,7 +289,7 @@ class OnlineController:
         if self._state is None:
             return True
         nearest = min(self._state.tuned_datasizes, key=lambda d: abs(d - datasize_gb))
-        return abs(datasize_gb - nearest) / nearest > self.datasize_margin
+        return abs(datasize_gb - nearest) / nearest > DATASIZE_MARGIN
 
     # ------------------------------------------------------------------
     # Expectations

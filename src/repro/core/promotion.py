@@ -47,6 +47,9 @@ DECISION_EXTEND = "extend"
 #: streams disjoint from every other seeded subsystem.
 SHADOW_SEED_SALT = 0x5AB0
 
+#: Two-sided significance level of the gate's bootstrap interval.
+SHADOW_ALPHA = 0.05
+
 #: Shadow budget in units of ``min_runs``: at this many times the
 #: minimum pair count the gate forces a terminal decision.
 SHADOW_BUDGET_FACTOR = 3
@@ -137,26 +140,17 @@ class PromotionGate:
     ``min_runs`` — pairs required before a regular significance verdict
     (early stop on clear dominance may fire sooner, but never before
     the bootstrap itself is meaningful).
-    ``alpha`` — two-sided significance level of the bootstrap interval.
+    The bootstrap interval is two-sided at :data:`SHADOW_ALPHA`.
     The shadow budget ``max_runs`` is ``SHADOW_BUDGET_FACTOR *
     min_runs`` pairs; there the gate forces a terminal decision,
     rejecting unless the challenger is significantly better.
     """
 
-    def __init__(
-        self,
-        min_runs: int = 6,
-        alpha: float = 0.05,
-        n_boot: int = DEFAULT_N_BOOT,
-    ):
+    def __init__(self, min_runs: int = 6):
         if min_runs < 1:
             raise ValueError("min_runs must be at least 1")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
         self.min_runs = int(min_runs)
-        self.alpha = float(alpha)
         self.max_runs = SHADOW_BUDGET_FACTOR * self.min_runs
-        self.n_boot = int(n_boot)
 
     def test(self, shadow: ShadowState) -> ABTestResult:
         """The paired bootstrap over the shadow's current pairs.
@@ -167,8 +161,8 @@ class PromotionGate:
         """
         return paired_bootstrap(
             shadow.deltas,
-            alpha=self.alpha,
-            n_boot=self.n_boot,
+            alpha=SHADOW_ALPHA,
+            n_boot=DEFAULT_N_BOOT,
             seed=(SHADOW_SEED_SALT, shadow.seed, len(shadow.pairs)),
         )
 

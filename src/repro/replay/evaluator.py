@@ -4,10 +4,11 @@ Independent Monte Carlo is the wrong tool for *comparing* candidate
 configurations: each fresh evaluation pays a fresh environment draw, so
 budgets end up sized for noise, not information.  The replay evaluator
 fixes the draws instead.  At construction it bootstrap-resamples the
-tenant's :class:`~repro.replay.trace.ReplayTrace` into ``n_replays``
-replay slots — the *same* slots for every candidate — and measuring a
-candidate on slot ``j`` reruns the simulator with the recorded step's
-exact RNG seed key.  Two candidates measured on the same slot therefore
+tenant's :class:`~repro.replay.trace.ReplayTrace` into
+:data:`~repro.replay.trace.DEFAULT_N_REPLAYS` replay slots — the
+*same* slots for every candidate — and measuring a candidate on slot
+``j`` reruns the simulator with the recorded step's exact RNG seed
+key.  Two candidates measured on the same slot therefore
 share their environment draw, their paired log-delta cancels the common
 noise, and a percentile bootstrap over those deltas
 (:mod:`repro.stats.abtest`) separates candidates with a handful of
@@ -44,18 +45,15 @@ class ReplayEvaluator:
         simulator,
         app,
         trace: ReplayTrace,
-        n_replays: int = DEFAULT_N_REPLAYS,
         seed: int = 0,
     ):
-        if n_replays < 1:
-            raise ValueError("n_replays must be at least 1")
         steps = trace.steps
         if not steps:
             raise ValueError("cannot build a replay evaluator from an empty trace")
         self.simulator = simulator
         self.app = app
         rng = ensure_rng((REPLAY_SEED_SALT, int(seed)))
-        picks = rng.integers(0, len(steps), size=int(n_replays))
+        picks = rng.integers(0, len(steps), size=DEFAULT_N_REPLAYS)
         #: The replay slots: a fixed bootstrap resample of the trace,
         #: identical for every candidate this evaluator scores.
         self.replays: tuple[TraceStep, ...] = tuple(steps[int(i)] for i in picks)

@@ -150,7 +150,6 @@ class TuningClient:
         cluster: str = "x86",
         seed: int = 1,
         tuner: dict | None = None,
-        controller: dict | None = None,
         warm_start: str | None = None,
     ) -> dict:
         """Register a tenant; ``warm_start="transfer"`` asks the service
@@ -164,8 +163,6 @@ class TuningClient:
         }
         if tuner:
             body["tuner"] = tuner
-        if controller:
-            body["controller"] = controller
         if warm_start is not None:
             body["warm_start"] = warm_start
         return self._request("POST", "/apps", body)

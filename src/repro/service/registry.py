@@ -50,18 +50,14 @@ from repro.transfer import (
     select_donor,
 )
 
-#: LOCAT keyword arguments a tenant may override at registration time.
+#: LOCAT keyword arguments a tenant may override at registration time:
+#: the session budgets, the only settings callers set to different
+#: values.  Everything else is a constant or comes from the service
+#: (``n_workers`` from ``--eval-workers``, ``replay_eval`` from
+#: ``--replay-eval``).
 TUNER_KEYS = frozenset(
-    {
-        "n_qcsa", "n_iicp",
-        "min_iterations", "max_iterations", "ei_threshold", "n_mcmc",
-        "use_iicp", "use_dagp", "use_polish", "n_workers",
-        "n_adapt_iterations", "replay_eval", "replay_capacity", "n_replays",
-    }
+    {"n_qcsa", "n_iicp", "min_iterations", "max_iterations", "n_mcmc", "use_polish"}
 )
-
-#: OnlineController keyword arguments a tenant may override.
-CONTROLLER_KEYS = frozenset({"datasize_margin", "shadow_runs", "ab_alpha"})
 
 #: How a new tenant's first bootstrap may be seeded.
 WARM_START_MODES = ("cold", "transfer")
@@ -96,66 +92,30 @@ def _validate_warm_start(warm_start: str) -> None:
 def _validate_tuner(tuner: dict) -> None:
     if not TUNER_KEYS.issuperset(tuner):
         raise ValueError(f"unknown tuner settings: {sorted(set(tuner) - TUNER_KEYS)}")
-    for key in ("n_workers", "n_adapt_iterations", "replay_capacity", "n_replays"):
-        if key in tuner:
-            value = tuner[key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(
-                    f"tuner.{key} must be a positive integer, got {value!r}"
-                )
-    if tuner.get("replay_eval", "off") not in REPLAY_EVAL_MODES:
-        raise ValueError(
-            f"tuner.replay_eval must be one of {REPLAY_EVAL_MODES}, "
-            f"got {tuner['replay_eval']!r}"
-        )
-
-
-def _validate_controller(controller: dict) -> None:
-    if not CONTROLLER_KEYS.issuperset(controller):
-        raise ValueError(
-            f"unknown controller settings: {sorted(set(controller) - CONTROLLER_KEYS)}"
-        )
-    if "shadow_runs" in controller:
-        value = controller["shadow_runs"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(
-                f"controller.shadow_runs must be a positive integer, got {value!r}"
-            )
-    if "ab_alpha" in controller:
-        value = controller["ab_alpha"]
-        if (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not 0.0 < float(value) < 1.0
-        ):
-            raise ValueError(
-                "controller.ab_alpha must be a number strictly between "
-                f"0 and 1, got {value!r}"
-            )
 
 
 def _drop_retired_settings(app_id: str, meta: dict) -> dict:
     """A copy of persisted tenant metadata without retired settings.
 
     Earlier versions accepted tenant keys that no longer exist (such
-    as ``tuner.surrogate_backend`` or ``controller.promotion``).  A
+    as ``tuner.ei_threshold`` or the whole ``controller`` section).  A
     store carrying one still rehydrates: each such setting is dropped
     with one warning on stderr and the tenant runs on what replaced it.
-    Registration keeps rejecting them (:func:`_validate_tuner`,
-    :func:`_validate_controller`).
+    Registration keeps rejecting them (:func:`_validate_tuner`).
     """
     tuner = dict(meta.get("tuner") or {})
-    controller = dict(meta.get("controller") or {})
-    retired = [("tuner", key) for key in sorted(set(tuner) - TUNER_KEYS)]
-    retired += [("controller", key) for key in sorted(set(controller) - CONTROLLER_KEYS)]
-    for section, key in retired:
-        settings = tuner if section == "tuner" else controller
+    retired = [
+        ("tuner", key, tuner.pop(key)) for key in sorted(set(tuner) - TUNER_KEYS)
+    ]
+    controller = meta.get("controller") or {}
+    retired += [("controller", key, controller[key]) for key in sorted(controller)]
+    for section, key, value in retired:
         print(
-            f"warning: {app_id!r}: ignoring retired setting "
-            f"{section}.{key}={settings.pop(key)!r}",
+            f"warning: {app_id!r}: ignoring retired setting {section}.{key}={value!r}",
             file=sys.stderr,
         )
-    return {**meta, "tuner": tuner, "controller": controller}
+    kept = {k: v for k, v in meta.items() if k != "controller"}
+    return {**kept, "tuner": tuner}
 
 
 class QuarantinedApplicationError(RuntimeError):
@@ -270,41 +230,30 @@ class TuningRegistry:
         self,
         store: HistoryStore,
         rehydrate: bool = True,
-        default_eval_workers: int = 1,
-        max_eval_workers: int | None = None,
+        eval_workers: int = 1,
         default_warm_start: str = "cold",
-        default_replay_eval: str = "off",
+        replay_eval: str = "off",
     ):
-        if default_eval_workers < 1:
-            raise ValueError("default_eval_workers must be at least 1")
-        if max_eval_workers is not None and max_eval_workers < 1:
-            raise ValueError("max_eval_workers must be at least 1")
+        if eval_workers < 1:
+            raise ValueError("eval_workers must be at least 1")
         if default_warm_start not in WARM_START_MODES:
             raise ValueError(
                 f"default_warm_start must be one of {WARM_START_MODES}, "
                 f"got {default_warm_start!r}"
             )
-        if default_replay_eval not in REPLAY_EVAL_MODES:
+        if replay_eval not in REPLAY_EVAL_MODES:
             raise ValueError(
-                f"default_replay_eval must be one of {REPLAY_EVAL_MODES}, "
-                f"got {default_replay_eval!r}"
+                f"replay_eval must be one of {REPLAY_EVAL_MODES}, got {replay_eval!r}"
             )
         self.store = store
         #: Warm-start mode for registrations that do not choose one.
         self.default_warm_start = default_warm_start
-        #: Replay-evaluation mode for tenants that do not set
-        #: ``tuner.replay_eval`` themselves (service-level default).
-        #: Applied at session construction, not persisted, so changing
-        #: the service default re-homes existing tenants on the next
-        #: restart while explicit tenant choices stick.
-        self.default_replay_eval = default_replay_eval
-        #: Evaluation parallelism given to sessions whose tenants did not
-        #: set ``tuner.n_workers`` themselves (service-level default).
-        self.default_eval_workers = int(default_eval_workers)
-        #: Operator-set ceiling on any session's evaluation parallelism.
-        #: Tenant overrides are clamped to it, so no tenant can demand
-        #: more concurrency than the machine was provisioned for.
-        self.max_eval_workers = None if max_eval_workers is None else int(max_eval_workers)
+        #: Replay-evaluation mode of every tenant.  Applied at session
+        #: construction, not persisted, so changing it re-homes existing
+        #: tenants on the next restart.
+        self.replay_eval = replay_eval
+        #: Evaluation parallelism of every tenant's sessions.
+        self.eval_workers = int(eval_workers)
         self._sessions: dict[str, AppSession] = {}  # guarded-by: _lock
         #: Tenants whose persisted state could not be rehydrated
         #: (app_id -> error message).  They are excluded from
@@ -335,7 +284,6 @@ class TuningRegistry:
         cluster: str = "x86",
         seed: int = 1,
         tuner: dict | None = None,
-        controller: dict | None = None,
         warm_start: str | None = None,
     ) -> AppSession:
         """Register a new application and persist its metadata.
@@ -351,18 +299,15 @@ class TuningRegistry:
         warm_start = warm_start if warm_start is not None else self.default_warm_start
         _validate_warm_start(warm_start)
         tuner = dict(tuner or {})
-        controller = dict(controller or {})
         # Every store write below must stay *after* these validators —
         # see the validator block's module comment (rehydration
         # poisoning); ``repro check`` enforces the ordering.
         _validate_tuner(tuner)
-        _validate_controller(controller)
         meta = {
             "benchmark": benchmark,
             "cluster": cluster,
             "seed": int(seed),
             "tuner": tuner,
-            "controller": controller,
             "warm_start": warm_start,
             "registered_at": time.time(),
         }
@@ -400,13 +345,6 @@ class TuningRegistry:
     def _build_session(self, app_id: str, meta: dict) -> AppSession:
         simulator = SparkSQLSimulator(get_cluster(meta["cluster"]))
         app = get_application(meta["benchmark"])
-        tuner_kwargs = dict(meta.get("tuner", {}))
-        tuner_kwargs.setdefault("n_workers", self.default_eval_workers)
-        tuner_kwargs.setdefault("replay_eval", self.default_replay_eval)
-        if self.max_eval_workers is not None:
-            tuner_kwargs["n_workers"] = min(
-                int(tuner_kwargs["n_workers"]), self.max_eval_workers
-            )
         warm_start = meta.get("warm_start", "cold")
         plan = None
         if warm_start == "transfer" and not self.store.has_artifacts(app_id):
@@ -415,9 +353,10 @@ class TuningRegistry:
             plan = self._transfer_plan(app_id, meta["benchmark"])
         locat = LOCAT(
             simulator, app, rng=int(meta.get("seed", 1)), transfer_from=plan,
-            **tuner_kwargs,
+            n_workers=self.eval_workers, replay_eval=self.replay_eval,
+            **meta.get("tuner", {}),
         )
-        online = OnlineController(locat, **meta.get("controller", {}))
+        online = OnlineController(locat)
         return AppSession(
             app_id=app_id,
             benchmark=meta["benchmark"],

@@ -6,10 +6,10 @@ Endpoints (all request/response bodies are JSON):
     GET  /apps                    list registered applications
     POST /apps                    register: {"app_id", "benchmark",
                                   "cluster"?, "seed"?, "tuner"?,
-                                  "controller"?, "warm_start"?
-                                  ("cold" | "transfer": seed the first
-                                  bootstrap from the most similar
-                                  existing tenant's history)}
+                                  "warm_start"? ("cold" | "transfer":
+                                  seed the first bootstrap from the
+                                  most similar existing tenant's
+                                  history)}; any other field is a 400
     GET  /apps/<id>               session status
     POST /apps/<id>/observe       {"datasize_gb", "duration_s"?,
                                   "wait"?}; wait=false returns 202 with
@@ -56,6 +56,11 @@ from repro.sparksim.serialize import config_to_dict
 
 #: Cap on how long a ``wait=true`` observe may block the HTTP thread.
 MAX_WAIT_S = 600.0
+
+#: The fields of a ``POST /apps`` body.
+REGISTRATION_FIELDS = frozenset(
+    {"app_id", "benchmark", "cluster", "seed", "tuner", "warm_start"}
+)
 
 #: Cap on how many observations one ``observe_batch`` request may carry.
 MAX_BATCH = 1000
@@ -112,7 +117,7 @@ class TuningService:
         eval_workers: int = 1,
         rehydrate: bool = True,
         default_warm_start: str = "cold",
-        default_replay_eval: str = "off",
+        replay_eval: str = "off",
         max_pending: int | None = None,
         log_requests: bool = False,
         admin: bool = False,
@@ -120,16 +125,12 @@ class TuningService:
         store_factory=None,
     ):
         """``n_workers`` bounds concurrent tuning jobs across tenants;
-        ``eval_workers`` is the per-session evaluation parallelism given
-        to tenants that do not set ``tuner.n_workers`` themselves.  The
-        scheduler's slot budget is ``n_workers * eval_workers`` and
-        tenant ``tuner.n_workers`` overrides are clamped to it, so the
-        machine never runs more evaluations at once than the operator
-        provisioned.  ``default_warm_start`` applies to registrations
-        that do not pick a mode themselves ("cold" or "transfer");
-        ``default_replay_eval`` turns on trace-replay candidate
-        evaluation for tenants that do not set ``tuner.replay_eval``
-        ("off" or "race" — see :mod:`repro.replay`).
+        ``eval_workers`` is every session's evaluation parallelism, so
+        the scheduler's slot budget is ``n_workers * eval_workers``.
+        ``default_warm_start`` applies to registrations that do not pick
+        a mode themselves ("cold" or "transfer"); ``replay_eval`` is
+        every tenant's trace-replay candidate evaluation mode ("off" or
+        "race" — see :mod:`repro.replay`).
 
         ``max_pending`` bounds the scheduler's queued backlog: beyond it
         submissions answer 429 with a ``Retry-After`` hint instead of
@@ -143,15 +144,18 @@ class TuningService:
         :mod:`repro.service.sharding`).  ``store_factory`` substitutes a
         :class:`HistoryStore` subclass (tests, benchmarks emulating
         slow durable storage)."""
+        # Imported here: the sharding package imports this module.
+        from repro.service.sharding.shard import check_store_layout
+
+        check_store_layout(store_dir, None)
         total_slots = n_workers * max(int(eval_workers), 1)
         self.store = (store_factory or HistoryStore)(store_dir)
         self.registry = TuningRegistry(
             self.store,
             rehydrate=rehydrate,
-            default_eval_workers=eval_workers,
-            max_eval_workers=total_slots,
+            eval_workers=eval_workers,
             default_warm_start=default_warm_start,
-            default_replay_eval=default_replay_eval,
+            replay_eval=replay_eval,
         )
         self.scheduler = JobScheduler(
             n_workers=n_workers,
@@ -368,6 +372,11 @@ class _Handler(BaseHTTPRequestHandler):
         for key in ("app_id", "benchmark"):
             if key not in body:
                 raise _HTTPError(400, f"missing required field {key!r}")
+        unknown = set(body) - REGISTRATION_FIELDS
+        if unknown:
+            # A field the service would drop (such as the retired
+            # "controller" section) must not look accepted.
+            raise _HTTPError(400, f"unknown registration fields: {sorted(unknown)}")
         registry = self.service.registry
         try:
             session = registry.register(
@@ -376,7 +385,6 @@ class _Handler(BaseHTTPRequestHandler):
                 cluster=body.get("cluster", "x86"),
                 seed=body.get("seed", 1),
                 tuner=body.get("tuner"),
-                controller=body.get("controller"),
                 warm_start=body.get("warm_start"),
             )
         except ValueError as exc:

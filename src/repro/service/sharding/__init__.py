@@ -28,6 +28,7 @@ from repro.service.sharding.shard import (
     N_SLOTS,
     ShardMap,
     apply_reshard,
+    check_store_layout,
     plan_reshard,
     stable_slot,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "WorkerSpec",
     "WorkerSupervisor",
     "apply_reshard",
+    "check_store_layout",
     "default_service",
     "plan_reshard",
     "stable_slot",

@@ -29,7 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.service.server import MAX_WAIT_S
-from repro.service.sharding.shard import ShardMap
+from repro.service.sharding.shard import ShardMap, check_store_layout
 from repro.service.sharding.worker import (
     DRAIN_TIMEOUT_S,
     START_TIMEOUT_S,
@@ -66,7 +66,7 @@ class ShardedTuningService:
         tuning_threads: int = 4,
         eval_workers: int = 1,
         default_warm_start: str = "cold",
-        default_replay_eval: str = "off",
+        replay_eval: str = "off",
         max_pending: int | None = None,
         log_requests: bool = False,
         service_factory=None,
@@ -82,6 +82,7 @@ class ShardedTuningService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store_dir = str(store_dir)
         self.shard_map = ShardMap(workers)
+        check_store_layout(self.store_dir, self.shard_map)
         specs = []
         for shard in range(workers):
             shard_dir = self.shard_map.shard_dir(self.store_dir, shard)
@@ -93,7 +94,7 @@ class ShardedTuningService:
                     tuning_threads=tuning_threads,
                     eval_workers=eval_workers,
                     default_warm_start=default_warm_start,
-                    default_replay_eval=default_replay_eval,
+                    replay_eval=replay_eval,
                     max_pending=max_pending,
                     log_requests=log_requests,
                     # Single-worker mode keeps legacy job ids so the

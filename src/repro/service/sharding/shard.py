@@ -9,12 +9,15 @@ second step changes when the worker count changes, and because every
 application's data lives in a self-contained per-app directory under
 its shard's store, a worker-count change is an offline directory move
 (:func:`plan_reshard` / :func:`apply_reshard`), not a rehash of live
-state.
+state.  Until that move is made, :func:`check_store_layout` keeps a
+service from starting on a store whose tenants sit where it would not
+look for them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +70,51 @@ class ShardMap:
         for slot in range(self.n_slots):
             table[slot % self.n_workers].append(slot)
         return table
+
+
+_SHARD_DIR_RE = re.compile(r"shard-\d+")
+
+
+def check_store_layout(root: str | Path, shard_map: ShardMap | None) -> None:
+    """Refuse a store whose tenants a service would not find.
+
+    ``shard_map`` is the layout the service reads: None for the plain
+    single-process service (tenant directories directly under
+    ``root``), else one ``shard-NN/`` directory per worker, each holding
+    the tenants :meth:`ShardMap.shard_of` assigns to it.  A tenant
+    anywhere else would be missing from ``GET /apps``, answer 404, and
+    be forked by a client that re-registers it, so this raises
+    :class:`ValueError` naming every misplaced tenant instead.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        return
+    misplaced: list[str] = []
+    for entry in sorted(root.iterdir()):
+        if (entry / "app.json").exists():
+            if shard_map is not None:
+                misplaced.append(entry.name)
+            continue
+        if not entry.is_dir() or _SHARD_DIR_RE.fullmatch(entry.name) is None:
+            continue
+        for app_dir in sorted(entry.iterdir()):
+            if (app_dir / "app.json").exists() and (
+                shard_map is None
+                or app_dir.parent != shard_map.shard_dir(root, shard_map.shard_of(app_dir.name))
+            ):
+                misplaced.append(f"{entry.name}/{app_dir.name}")
+    if misplaced:
+        layout = (
+            "the plain layout" if shard_map is None
+            else f"the layout of {shard_map.n_workers} shard(s)"
+        )
+        raise ValueError(
+            f"store {str(root)!r} does not match {layout}; misplaced tenants: "
+            f"{', '.join(misplaced)}.  Restart with the worker count that wrote "
+            "the store (1 for tenants directly under it), or move tenants "
+            "between shard directories while the service is stopped with "
+            "repro.service.sharding.apply_reshard(plan_reshard(root, old, new))."
+        )
 
 
 @dataclass(frozen=True)

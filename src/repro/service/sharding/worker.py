@@ -45,7 +45,7 @@ class WorkerSpec:
     tuning_threads: int = 4
     eval_workers: int = 1
     default_warm_start: str = "cold"
-    default_replay_eval: str = "off"
+    replay_eval: str = "off"
     max_pending: int | None = None
     log_requests: bool = False
     #: Job-id namespace, e.g. ``"w2-"`` — empty for single-worker mode
@@ -68,7 +68,7 @@ def default_service(spec: WorkerSpec) -> TuningService:
         eval_workers=spec.eval_workers,
         rehydrate=True,
         default_warm_start=spec.default_warm_start,
-        default_replay_eval=spec.default_replay_eval,
+        replay_eval=spec.replay_eval,
         max_pending=spec.max_pending,
         log_requests=spec.log_requests,
         admin=True,

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, default_rules, run_check
-from repro.analysis.baseline import fingerprint
+from repro.analysis import default_rules, run_check
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.rules.falsyzero import FalsyZeroRule
 from repro.analysis.rules.floateq import FloatEqRule
@@ -26,8 +25,7 @@ def check_source(tmp_path, source, rules, name="mod.py"):
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    result = run_check([str(path)], rules=rules, baseline=Baseline.empty(), root=tmp_path)
-    return result.new
+    return run_check([str(path)], rules=rules, root=tmp_path).findings
 
 
 class TestRngDiscipline:
@@ -72,15 +70,15 @@ class TestRngDiscipline:
         (tmp_path / "a.py").write_text("A_SEED_SALT = 0x1234\n")
         (tmp_path / "b.py").write_text("B_SEED_SALT = 0x1234\n")
         result = run_check([str(tmp_path)], rules=[rule], root=tmp_path)
-        assert len(result.new) == 2
-        assert all("salt" in f.message.lower() for f in result.new)
+        assert len(result.findings) == 2
+        assert all("salt" in f.message.lower() for f in result.findings)
 
     def test_distinct_salts_are_clean(self, tmp_path):
         rule = RngDisciplineRule()
         (tmp_path / "a.py").write_text("A_SEED_SALT = 0x1234\n")
         (tmp_path / "b.py").write_text("B_SEED_SALT = 0x4321\n")
         result = run_check([str(tmp_path)], rules=[rule], root=tmp_path)
-        assert result.new == []
+        assert result.findings == []
 
     def test_benchmark_salt_colliding_with_library_salt_is_flagged(self, tmp_path):
         library = tmp_path / "src" / "repro" / "replay" / "trace.py"
@@ -93,7 +91,7 @@ class TestRngDiscipline:
             [str(tmp_path / "src"), str(tmp_path / "benchmarks")],
             rules=[RngDisciplineRule()], root=tmp_path,
         )
-        assert sorted(f.rel_path for f in result.new) == [
+        assert sorted(Path(f.path).relative_to(tmp_path).as_posix() for f in result.findings) == [
             "benchmarks/bench_sweep.py", "src/repro/replay/trace.py",
         ]
 
@@ -106,14 +104,14 @@ class TestRngDiscipline:
             "rng = np.random.default_rng(7)\nLOAD_SALT = 0x1234\n"
         )
         result = run_check([str(bench)], rules=[RngDisciplineRule()], root=tmp_path)
-        assert result.new == []
+        assert result.findings == []
 
     def test_repo_salts_are_disjoint(self):
         """The tree's salts, checked as CI's ``repro check`` checks them."""
         rule = RngDisciplineRule()
         paths = [str(REPO_ROOT / d) for d in ("src", "tests", "benchmarks")]
         result = run_check(paths, rules=[rule], root=REPO_ROOT)
-        assert result.new == []
+        assert result.findings == []
         # Not vacuous: at least REPLAY_SEED_SALT and SHADOW_SEED_SALT were seen.
         assert len(rule._salts) >= 2
 
@@ -332,7 +330,7 @@ class TestValidateBeforePersist:
             rules=[ValidateBeforePersistRule()],
             root=REPO_ROOT,
         )
-        assert result.new == []
+        assert result.findings == []
 
 
 RACE_FIXTURE = """
@@ -521,78 +519,6 @@ class TestSuppressions:
         assert len(findings) == 1
 
 
-class TestBaseline:
-    def _one_finding(self, tmp_path, source, name="mod.py"):
-        path = tmp_path / name
-        path.write_text(textwrap.dedent(source))
-        return run_check(
-            [str(path)], rules=[FloatEqRule()], baseline=Baseline.empty(), root=tmp_path
-        ).new
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        original = self._one_finding(tmp_path, "x = 1.0 == 1.0\n")
-        drifted = self._one_finding(tmp_path, "import math\n\n\nx = 1.0 == 1.0\n")
-        assert len(original) == len(drifted) == 1
-        assert original[0].fingerprint == drifted[0].fingerprint
-        assert original[0].line != drifted[0].line
-
-    def test_grandfathered_findings_do_not_fail(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("x = 1.0 == 1.0\n")
-        baseline_path = tmp_path / "analysis-baseline.json"
-        first = run_check([str(path)], rules=[FloatEqRule()], root=tmp_path)
-        Baseline.empty().write(first.new, baseline_path)
-
-        baseline = Baseline.load(baseline_path)
-        second = run_check([str(path)], rules=[FloatEqRule()], baseline=baseline)
-        assert second.new == []
-        assert len(second.grandfathered) == 1
-        assert second.exit_code == 0
-
-    def test_duplicated_violation_exceeds_baseline_budget(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("x = 1.0 == 1.0\n")
-        baseline_path = tmp_path / "analysis-baseline.json"
-        first = run_check([str(path)], rules=[FloatEqRule()], root=tmp_path)
-        Baseline.empty().write(first.new, baseline_path)
-
-        # The same violating line now appears twice: one is
-        # grandfathered, the copy must fail the check.
-        path.write_text("x = 1.0 == 1.0\ny = 2\nx = 1.0 == 1.0\n")
-        baseline = Baseline.load(baseline_path)
-        second = run_check([str(path)], rules=[FloatEqRule()], baseline=baseline)
-        assert len(second.grandfathered) == 1
-        assert len(second.new) == 1
-        assert second.exit_code == 1
-
-    def test_fixed_finding_reports_stale_entry(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("x = 1.0 == 1.0\n")
-        baseline_path = tmp_path / "analysis-baseline.json"
-        first = run_check([str(path)], rules=[FloatEqRule()], root=tmp_path)
-        Baseline.empty().write(first.new, baseline_path)
-
-        path.write_text("import math\nx = math.isclose(1.0, 1.0)\n")
-        baseline = Baseline.load(baseline_path)
-        second = run_check([str(path)], rules=[FloatEqRule()], baseline=baseline)
-        assert second.new == []
-        assert len(second.stale_baseline) == 1
-        assert second.exit_code == 0
-
-    def test_rejects_unknown_version(self, tmp_path):
-        bad = tmp_path / "analysis-baseline.json"
-        bad.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(bad)
-
-    def test_fingerprint_is_content_based(self):
-        a = fingerprint("float-eq", "src/mod.py", "x = 1.0 == 1.0")
-        b = fingerprint("float-eq", "src/mod.py", "   x = 1.0 == 1.0   ")
-        c = fingerprint("float-eq", "src/mod.py", "y = 2.0 == 2.0")
-        assert a == b  # whitespace-insensitive
-        assert a != c
-
-
 class TestEngine:
     def test_duplicate_rule_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -602,7 +528,7 @@ class TestEngine:
         path = tmp_path / "broken.py"
         path.write_text("def f(:\n")
         result = run_check([str(path)], rules=[FloatEqRule()], root=tmp_path)
-        assert [f.rule for f in result.new] == ["syntax-error"]
+        assert [f.rule for f in result.findings] == ["syntax-error"]
 
     def test_findings_are_not_duplicated_across_scopes(self, tmp_path):
         # Nested functions must not be revisited once per enclosing
@@ -642,45 +568,41 @@ class TestCLI:
             env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
         )
 
-    def test_self_check_is_clean_modulo_committed_baseline(self):
-        proc = self._run("src/repro")
+    def test_self_check_is_clean(self):
+        # No baseline exists: an inline allow comment is the only way a
+        # finding is accepted.
+        assert not (REPO_ROOT / "analysis-baseline.json").exists()
+        proc = self._run("src/", "tests/", "benchmarks/")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stdout
 
-    def test_json_schema_is_stable(self):
+    def test_json_schema_is_stable(self, tmp_path):
         proc = self._run("src/repro", "--json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         report = json.loads(proc.stdout)
-        assert set(report) == {
-            "version",
-            "files",
-            "findings",
-            "grandfathered",
-            "stale_baseline",
-            "exit_code",
-        }
+        assert set(report) == {"version", "files", "findings", "exit_code"}
         assert report["version"] == 1
         assert report["exit_code"] == 0
-        for entry in report["grandfathered"]:
-            assert set(entry) == {
-                "rule",
-                "path",
-                "line",
-                "col",
-                "message",
-                "fingerprint",
-            }
+        bad = tmp_path / "bad.py"
+        bad.write_text("import random\n")
+        report = json.loads(self._run(str(bad), "--json").stdout)
+        assert report["exit_code"] == 1
+        for entry in report["findings"]:
+            assert set(entry) == {"rule", "path", "line", "col", "message"}
 
     def test_new_finding_fails_with_exit_1(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\n")
-        proc = self._run(str(bad), "--no-baseline")
+        proc = self._run(str(bad))
         assert proc.returncode == 1
         assert "rng-discipline" in proc.stdout
 
     def test_usage_error_exits_2(self, tmp_path):
-        proc = self._run("src/repro", "--baseline", str(tmp_path / "missing.json"))
-        assert proc.returncode == 2
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not python\n")
+        assert self._run(str(notes)).returncode == 2
+        for retired in ("--baseline=x.json", "--no-baseline", "--update-baseline"):
+            assert self._run("src/repro", retired).returncode == 2, retired
 
     def test_list_rules(self):
         proc = self._run("--list-rules")

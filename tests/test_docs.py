@@ -128,3 +128,14 @@ def test_benchmark_index_covers_every_benchmark():
     ghosts = sorted(listed - on_disk)
     assert not missing, f"benchmarks missing from docs/benchmarks.md: {missing}"
     assert not ghosts, f"docs/benchmarks.md lists nonexistent benchmarks: {ghosts}"
+
+
+def test_documented_tuner_keys_match_the_registry():
+    """The app.json table in docs/history-store.md lists exactly the
+    tenant keys registration accepts."""
+    from repro.service.registry import TUNER_KEYS
+
+    schema = (REPO_ROOT / "docs" / "history-store.md").read_text()
+    row = next(line for line in schema.splitlines() if line.startswith("| `tuner` |"))
+    documented = set(re.findall(r"`(\w+)`", row.split("registry:", 1)[1]))
+    assert documented == TUNER_KEYS

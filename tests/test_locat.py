@@ -173,8 +173,6 @@ class TestPartialSessions:
         # 2 BO evaluations + the resource-parameter polish sweep + the
         # candidate/validation runs: well under half a cold session.
         assert tight.evaluations <= 20
-        with pytest.raises(ValueError):
-            small_locat(sim_x86, join_app, n_adapt_iterations=0)
 
     def test_adapt_re_measures_the_incumbent(self, sim_x86, join_app):
         """A partial session at an already-seen datasize must give the

@@ -21,7 +21,7 @@ def make_locat(cluster, app, seed=7):
 
 @pytest.fixture()
 def controller(x86, join_app):
-    return OnlineController(make_locat(x86, join_app), datasize_margin=0.3)
+    return OnlineController(make_locat(x86, join_app))
 
 
 class TestLifecycle:
@@ -256,7 +256,7 @@ class TestConfigKeyMatching:
 class TestStateRestore:
     def test_restore_state_round_trip(self, controller):
         first = controller.observe(100.0)
-        fresh = OnlineController(controller.locat, datasize_margin=0.3)
+        fresh = OnlineController(controller.locat)
         assert not fresh.is_deployed
         fresh.restore_state(
             controller.deployed_config,
@@ -275,7 +275,7 @@ class TestStateRestore:
         baseline = first.result.best_duration_s
         # One mildly slow run: evidence, but under the threshold.
         assert not controller.observe(100.0, duration_s=baseline * 1.4).retuned
-        fresh = OnlineController(controller.locat, datasize_margin=0.3)
+        fresh = OnlineController(controller.locat)
         fresh.restore_state(
             controller.deployed_config,
             controller.tuned_datasizes,
@@ -292,7 +292,7 @@ class TestStateRestore:
         (which would guarantee a spurious alarm right after)."""
         first = controller.observe(100.0)
         baseline = first.result.best_duration_s
-        legacy = OnlineController(controller.locat, datasize_margin=0.3)
+        legacy = OnlineController(controller.locat)
         legacy.restore_state(
             controller.deployed_config, controller.tuned_datasizes
         )
@@ -310,7 +310,7 @@ class TestStateRestore:
         offset = controller.log_offset
         assert state["n"] == 3 and offset is not None
 
-        fresh = OnlineController(controller.locat, datasize_margin=0.3)
+        fresh = OnlineController(controller.locat)
         fresh.restore_state(
             controller.deployed_config,
             controller.tuned_datasizes,
@@ -336,5 +336,5 @@ class TestStateRestore:
 class TestValidation:
     def test_constructor_guards(self, x86, join_app):
         locat = LOCAT(SparkSQLSimulator(x86), join_app, rng=0)
-        with pytest.raises(ValueError):
-            OnlineController(locat, datasize_margin=0.0)
+        with pytest.raises(TypeError, match="DriftDetector"):
+            OnlineController(locat, detector="ph")

@@ -184,8 +184,6 @@ class TestPromotionGate:
     def test_gate_validation(self):
         with pytest.raises(ValueError):
             PromotionGate(min_runs=0)
-        with pytest.raises(ValueError):
-            PromotionGate(alpha=1.5)
 
     def test_evaluate_is_deterministic(self, space_x86):
         gate = PromotionGate(min_runs=4)
@@ -288,8 +286,6 @@ class TestControllerShadow:
             OnlineController(_StubLocat(space_x86), promotion="shadow_ab")
         with pytest.raises(ValueError):
             OnlineController(_StubLocat(space_x86), shadow_runs=0)
-        with pytest.raises(ValueError):
-            OnlineController(_StubLocat(space_x86), ab_alpha=2.0)
 
     def test_drift_retune_opens_shadow_not_deploy(self, space_x86):
         controller, locat = make_shadow_controller(space_x86, 0.5)
@@ -442,34 +438,18 @@ TINY_TUNER = {
     "min_iterations": 3, "n_mcmc": 0,
 }
 
-SHADOW_CONTROLLER = {"shadow_runs": 2, "ab_alpha": 0.05}
-
 
 class TestServicePromotion:
     def test_tenant_keys_validated_before_store_write(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
-        cases = [
-            # The retired mode key is rejected whatever its value.
-            {"promotion": "shadow_ab"},
-            {"promotion": "immediate"},
-            {"shadow_runs": 0},
-            {"shadow_runs": True},
-            {"shadow_runs": "6"},
-            {"ab_alpha": 0.0},
-            {"ab_alpha": 1.0},
-            {"ab_alpha": True},
-            {"ab_alpha": "0.05"},
-        ]
-        for controller in cases:
-            with pytest.raises(ValueError):
-                registry.register("app", benchmark="join", controller=controller)
+        # Promotion settings are constants: no tenant key reaches them.
+        for tuner in ({"promotion": "shadow_ab"}, {"shadow_runs": 4}, {"ab_alpha": 0.1}):
+            with pytest.raises(ValueError, match="unknown tuner settings"):
+                registry.register("app", benchmark="join", tuner=tuner)
             # Nothing persisted: the id is still free, and a service
             # restart cannot trip over a poisoned registration.
             assert not registry.store.has_app("app")
-        registry.register(
-            "app", benchmark="join",
-            controller={"shadow_runs": 4, "ab_alpha": 0.1},
-        )
+        registry.register("app", benchmark="join")
         assert registry.store.has_app("app")
 
     def test_registry_default_promotion_applies(self, tmp_path):
@@ -491,10 +471,7 @@ class TestServicePromotion:
 
     def test_status_includes_promotion_block(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
-        session = registry.register(
-            "app", benchmark="join", seed=7, tuner=TINY_TUNER,
-            controller=SHADOW_CONTROLLER,
-        )
+        session = registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
         status = session.status()["promotion"]
         assert status == {
             "shadow_active": False, "shadow": None,
@@ -505,8 +482,8 @@ class TestServicePromotion:
         status = session.status()["promotion"]
         assert status["shadow_active"] is True
         assert status["shadow"]["run_id"] == opened.promotion["run_id"]
-        assert status["shadow"]["min_runs"] == 2
-        assert status["shadow"]["max_runs"] == SHADOW_BUDGET_FACTOR * 2
+        assert status["shadow"]["min_runs"] == 6
+        assert status["shadow"]["max_runs"] == SHADOW_BUDGET_FACTOR * 6
 
     def test_promotion_through_pairs_counts_one_retune(self, tmp_path):
         """One drift session counts as one retune, also when its winner
@@ -530,10 +507,7 @@ class TestServicePromotion:
     def test_shadow_survives_restart_and_writes_winners(self, tmp_path):
         store = HistoryStore(tmp_path)
         registry = TuningRegistry(store, rehydrate=False)
-        registry.register(
-            "app", benchmark="join", seed=7, tuner=TINY_TUNER,
-            controller=SHADOW_CONTROLLER,
-        )
+        registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
         base = first.result.best_duration_s
         opened = registry.observe("app", 100.0, duration_s=base * 3.0)

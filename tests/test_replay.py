@@ -14,11 +14,14 @@ Covers the contracts the replay-based candidate evaluator depends on:
 * ``replay_eval="off"`` reproduces the historic trajectory exactly.
 """
 
+import functools
 import os
 
 import numpy as np
 import pytest
 
+import repro.core.locat as locat_module
+import repro.replay.evaluator as evaluator_module
 from repro.core import LOCAT
 from repro.core.online import OnlineController
 from repro.replay import (
@@ -90,16 +93,15 @@ class TestTrace:
 # ----------------------------------------------------------------------
 # The trace a restart rebuilds from the run table
 # ----------------------------------------------------------------------
-def race_registry(store, capacity=None) -> TuningRegistry:
-    registry = TuningRegistry(store, rehydrate=False, default_replay_eval="race")
-    tuner = TINY_TUNER if capacity is None else {**TINY_TUNER, "replay_capacity": capacity}
-    registry.register("app", benchmark="join", seed=7, tuner=tuner)
+def race_registry(store) -> TuningRegistry:
+    registry = TuningRegistry(store, rehydrate=False, replay_eval="race")
+    registry.register("app", benchmark="join", seed=7, tuner=TINY_TUNER)
     registry.observe("app", 100.0)
     return registry
 
 
 def restarted_trace(store) -> tuple[TraceStep, ...]:
-    restarted = TuningRegistry(store, default_replay_eval="race")
+    restarted = TuningRegistry(store, replay_eval="race")
     assert restarted.quarantined == {}
     return restarted.get("app").locat.replay_trace.steps
 
@@ -124,7 +126,7 @@ class TestTraceStore:
         store = HistoryStore(tmp_path / "restarted")
         before = race_registry(store)
         before.observe("app", 100.0, duration_s=durations[0])
-        after = TuningRegistry(store, default_replay_eval="race")
+        after = TuningRegistry(store, replay_eval="race")
         for duration in durations[1:]:
             after.observe("app", 100.0, duration_s=duration)
         steps = live.get("app").locat.replay_trace.steps
@@ -147,7 +149,7 @@ class TestTraceStore:
         path.write_bytes(path.read_bytes() + b"not json at all\n")
         with pytest.raises(ValueError):
             store.observations("app")
-        assert "app" in TuningRegistry(store, default_replay_eval="race").quarantined
+        assert "app" in TuningRegistry(store, replay_eval="race").quarantined
 
     def test_torn_tail_dropped(self, tmp_path):
         store = HistoryStore(tmp_path)
@@ -201,9 +203,9 @@ class TestEvaluator:
         trace = ReplayTrace()
         for i in range(n_trace):
             trace.record(datasize_gb=100.0, duration_s=100.0)
-        return ReplayEvaluator(
-            simulator, app, trace, n_replays=n_replays, seed=1
-        ), simulator
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluator_module, "DEFAULT_N_REPLAYS", n_replays)
+            return ReplayEvaluator(simulator, app, trace, seed=1), simulator
 
     def test_empty_trace_rejected(self, x86):
         app = get_application("aggregation")
@@ -317,8 +319,6 @@ class TestLocatReplay:
         simulator = SparkSQLSimulator(x86)
         with pytest.raises(ValueError):
             LOCAT(simulator, join_app, replay_eval="sometimes")
-        with pytest.raises(ValueError):
-            LOCAT(simulator, join_app, n_replays=0)
         assert REPLAY_EVAL_MODES == ("off", "race")
 
     def test_off_mode_bit_for_bit(self, x86, join_app):
@@ -419,7 +419,7 @@ class TestControllerReplay:
             SparkSQLSimulator(x86, noise=noise), get_application("join"),
             rng=7, replay_eval="race", **TINY_TUNER,
         )
-        controller = OnlineController(locat, datasize_margin=0.3, **controller_kwargs)
+        controller = OnlineController(locat, **controller_kwargs)
         return controller, locat
 
     def test_observe_captures_trace(self, x86):
@@ -443,7 +443,7 @@ class TestControllerReplay:
 
     def test_shadow_prefill_resolves_without_extra_steps(self, x86):
         """Replay pairs alone reach a shadow verdict at the retune step."""
-        controller, locat = self.make_controller(x86, shadow_runs=3, ab_alpha=0.05)
+        controller, locat = self.make_controller(x86, shadow_runs=3)
         first = controller.observe(100.0)  # initial deployment
         normal_s = first.result.best_duration_s
         decision = None
@@ -465,43 +465,34 @@ class TestControllerReplay:
 class TestServiceReplay:
     def test_tenant_keys_validated_before_store_write(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path), rehydrate=False)
-        for tuner in (
-            {"replay_eval": "sometimes"},
-            {"replay_eval": 1},
-            {"replay_capacity": 0},
-            {"n_replays": 0},
-            {"n_replays": True},
-        ):
-            with pytest.raises(ValueError):
+        # Replay settings come from the service, never from a tenant.
+        for tuner in ({"replay_eval": "race"}, {"replay_capacity": 16}, {"n_replays": 6}):
+            with pytest.raises(ValueError, match="unknown tuner settings"):
                 registry.register("app", benchmark="join", tuner=tuner)
             assert not registry.store.has_app("app")
-        registry.register(
-            "app", benchmark="join",
-            tuner={**TINY_TUNER, "replay_eval": "race", "n_replays": 6},
-        )
+        registry.register("app", benchmark="join", tuner=TINY_TUNER)
         assert registry.store.has_app("app")
 
     def test_default_replay_eval_applies(self, tmp_path):
         registry = TuningRegistry(
-            HistoryStore(tmp_path), rehydrate=False, default_replay_eval="race"
+            HistoryStore(tmp_path), rehydrate=False, replay_eval="race"
         )
         session = registry.register("app", benchmark="join", tuner=TINY_TUNER)
         assert session.locat.replay_eval == "race"
-        explicit = registry.register(
-            "app2", benchmark="join",
-            tuner={**TINY_TUNER, "replay_eval": "off"},
-        )
-        assert explicit.locat.replay_eval == "off"
         with pytest.raises(ValueError):
             TuningRegistry(
                 HistoryStore(tmp_path), rehydrate=False,
-                default_replay_eval="nope",
+                replay_eval="nope",
             )
 
-    def test_trace_survives_restart(self, tmp_path):
+    def test_trace_survives_restart(self, tmp_path, monkeypatch):
         """A ring that wrapped, across retunes, is rebuilt field for field."""
+        # A 16-step ring wraps within the 50 runs below.
+        monkeypatch.setattr(
+            locat_module, "ReplayTrace", functools.partial(ReplayTrace, capacity=16)
+        )
         store = HistoryStore(tmp_path)
-        registry = race_registry(store, capacity=16)
+        registry = race_registry(store)
         # Alternate two datasizes far apart in runs of ten: each jump
         # retunes, and the durations are the deployed config's own.
         for block in range(5):
@@ -518,7 +509,7 @@ class TestServiceReplay:
             "mode": "race", "trace_steps": 16, "trace_next_index": live.next_index,
         }
 
-        restarted = TuningRegistry(store, default_replay_eval="race")
+        restarted = TuningRegistry(store, replay_eval="race")
         again = restarted.get("app")
         assert again.locat.replay_trace.steps == live.steps
         assert again.status()["replay"] == status
@@ -546,11 +537,11 @@ class TestServiceReplay:
         registry = race_registry(store)
         for i in range(3):
             registry.observe("app", 100.0, duration_s=60.0 + i)
-        clean = TuningRegistry(store, default_replay_eval="race").get("app")
+        clean = TuningRegistry(store, replay_eval="race").get("app")
         for name in ("trace.jsonl", "fingerprint.json"):
             (tmp_path / "app" / name).write_bytes(b"garbage\n")
 
-        restarted = TuningRegistry(store, default_replay_eval="race")
+        restarted = TuningRegistry(store, replay_eval="race")
         assert restarted.quarantined == {}
         session = restarted.get("app")
         assert session.status() == clean.status()

@@ -11,7 +11,9 @@ import pytest
 from timing_helpers import wait_until
 from repro.core.iicp import CPSResult
 from repro.core.locat import MIN_RESTORE_OBSERVATIONS
+from repro.core.tuner import DEFAULT_EI_THRESHOLD
 from repro.core.qcsa import QCSAResult
+from repro.replay import DEFAULT_N_REPLAYS, DEFAULT_TRACE_CAPACITY
 from repro.service import (
     HistoryStore,
     JobScheduler,
@@ -482,39 +484,20 @@ class TestTuningRegistry:
             registry.register("app", benchmark="ycsb")
         with pytest.raises(ValueError):
             registry.register("app", benchmark="join", tuner={"not_a_knob": 1})
-        with pytest.raises(ValueError):
-            registry.register("app", benchmark="join", controller={"bogus": 1})
         registry.register("app", benchmark="join", tuner=TINY_TUNER)
         with pytest.raises(ValueError):
             registry.register("app", benchmark="join")
 
     def test_eval_workers_wiring(self, tmp_path):
         store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store, default_eval_workers=2)
-        defaulted = registry.register("app-default", "scan", seed=1)
-        overridden = registry.register(
-            "app-override", "scan", seed=1, tuner={"n_workers": 4}
-        )
-        assert defaulted.locat.n_workers == 2
-        assert overridden.locat.n_workers == 4
-        assert defaulted.status()["eval_workers"] == 2
-        assert overridden.status()["eval_workers"] == 4
-        # n_workers is a persisted tuner key: a rehydrated registry with a
-        # different service default keeps the tenant's explicit choice.
-        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"))
-        assert rehydrated.get("app-override").locat.n_workers == 4
-
-    def test_tenant_n_workers_clamped_and_validated(self, tmp_path):
-        store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store, max_eval_workers=4)
-        greedy = registry.register("greedy", "scan", tuner={"n_workers": 64})
-        assert greedy.locat.n_workers == 4  # clamped to the operator ceiling
-        for bad in (0, -1, 2.5, True, "many"):
-            with pytest.raises(ValueError, match="n_workers"):
-                registry.register(f"bad-{bad}", "scan", tuner={"n_workers": bad})
-        # A rejected registration must not leave a half-registered app.
-        assert "bad-0" not in registry
-        assert not store.has_app("bad-0")
+        registry = TuningRegistry(store, eval_workers=2)
+        session = registry.register("app", "scan", seed=1)
+        assert session.locat.n_workers == 2
+        assert session.status()["eval_workers"] == 2
+        # The service's setting, not the tenant's: a registry restarted
+        # with another value re-homes every tenant.
+        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"), eval_workers=3)
+        assert rehydrated.get("app").locat.n_workers == 3
 
     def test_invalid_surrogate_mode_rejected_before_persisting(self, tmp_path):
         """The retired surrogate_mode key is rejected, whatever its value,
@@ -532,11 +515,8 @@ class TestTuningRegistry:
         TuningRegistry(HistoryStore(tmp_path / "store"))
 
     def test_planned_slots_reserve_parallelism_only_for_tuning(self, tmp_path):
-        registry = TuningRegistry(HistoryStore(tmp_path / "store"))
-        session = registry.register(
-            "app", "scan", seed=1,
-            tuner={**TINY_TUNER, "n_workers": 4},
-        )
+        registry = TuningRegistry(HistoryStore(tmp_path / "store"), eval_workers=4)
+        session = registry.register("app", "scan", seed=1, tuner=TINY_TUNER)
         # Before the first deployment every observe pays a tuning session.
         assert session.planned_slots(100.0) == 4
         registry.observe("app", 100.0)
@@ -646,19 +626,21 @@ class TestDriftDetectionService:
     """The drift-aware controller through the service stack."""
 
     def test_retired_drift_keys_rejected_at_registration(self, tmp_path):
-        store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store)
-        for key, value in (
-            ("detector", "ph"), ("detector", "ratio"),
-            ("drift_factor", 1.3), ("drift_patience", 3),
-        ):
-            with pytest.raises(ValueError, match=key):
-                registry.register("bad", "scan", controller={key: value})
-        assert "bad" not in registry and not store.has_app("bad")
-        # partial_retunes is retired too: drift retunes always run on the
-        # reduced budget.
-        with pytest.raises(ValueError, match="unknown controller settings.*partial_retunes"):
-            registry.register("bad2", "scan", controller={"partial_retunes": True})
+        """The whole controller section is retired: a registration that
+        still carries one is refused, not silently stripped."""
+        with TuningService(str(tmp_path / "store"), port=0, n_workers=1).start() as service:
+            client = TuningClient(service.url)
+            for key, value in (
+                ("detector", "ph"), ("drift_factor", 1.3), ("partial_retunes", True),
+            ):
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request(
+                        "POST", "/apps",
+                        {"app_id": "bad", "benchmark": "scan", "controller": {key: value}},
+                    )
+                assert excinfo.value.status == 400
+                assert "controller" in excinfo.value.message
+            assert not service.store.has_app("bad")
 
     def test_status_exposes_drift_diagnostics(self, tmp_path):
         registry = TuningRegistry(HistoryStore(tmp_path))
@@ -828,30 +810,53 @@ class TestDriftDetectionService:
         assert decision.retuned and decision.trigger == "drift"
 
 
-#: Tuner keys retired with the IICP knobs and the QCSA switch.
-RETIRED_IICP_SETTINGS = {
-    "explained_variance": 0.95, "scc_threshold": 0.2, "kernel": "gaussian", "use_qcsa": False,
+#: Retired tenant settings by ``section.key``, each at a value earlier
+#: versions accepted: the IICP knobs and the QCSA switch, and the tuner
+#: and controller settings no caller set to a non-default value (each
+#: at the value that is now its constant, so the tenant runs as before).
+RETIRED_SETTINGS = {
+    "tuner.explained_variance": 0.95, "tuner.scc_threshold": 0.2,
+    "tuner.kernel": "gaussian", "tuner.use_qcsa": False,
+    "tuner.ei_threshold": DEFAULT_EI_THRESHOLD, "tuner.use_iicp": True,
+    "tuner.use_dagp": True, "tuner.n_workers": 1, "tuner.n_adapt_iterations": 2,
+    "tuner.replay_eval": "off", "tuner.replay_capacity": DEFAULT_TRACE_CAPACITY,
+    "tuner.n_replays": DEFAULT_N_REPLAYS, "controller.datasize_margin": 0.3,
+    "controller.shadow_runs": 6, "controller.ab_alpha": 0.05,
 }
+
+
+def retired(section: str) -> dict:
+    return {
+        setting.split(".")[1]: value
+        for setting, value in RETIRED_SETTINGS.items()
+        if setting.startswith(section + ".")
+    }
 
 
 class TestRetiredSettings:
     """Stores written before the detector, surrogate-mode, backend,
-    promotion, IICP and QCSA settings were retired still rehydrate."""
+    promotion, IICP, QCSA and constant settings were retired still
+    rehydrate."""
 
     def write_parent_format_store(self, store_dir):
         """A tenant whose app.json and deployed.json carry every retired
-        setting, in the format earlier versions wrote."""
+        setting, in the format earlier versions wrote.  Also returns the
+        tenant's status as rehydrated before the rewrite."""
         store = HistoryStore(store_dir)
         registry = TuningRegistry(store)
         registry.register("app", "join", seed=7, tuner=TINY_TUNER)
         first = registry.observe("app", 100.0)
         registry.observe("app", 100.0, duration_s=first.result.best_duration_s * 1.2)
+        status = TuningRegistry(HistoryStore(store_dir)).get("app").status()
         meta_path = store_dir / "app" / "app.json"
         meta = json.loads(meta_path.read_text())
         meta["tuner"].update(
-            surrogate_mode="full", surrogate_backend="windowed", **RETIRED_IICP_SETTINGS
+            surrogate_mode="full", surrogate_backend="windowed", **retired("tuner")
         )
-        meta["controller"].update(detector="ratio", drift_factor=1.3, drift_patience=2)
+        meta["controller"] = {
+            "detector": "ratio", "drift_factor": 1.3, "drift_patience": 2,
+            **retired("controller"),
+        }
         meta_path.write_text(json.dumps(meta))
         deployment = store.load_deployment("app")
         deployment.update(
@@ -860,11 +865,11 @@ class TestRetiredSettings:
             detector_state={"recent_ratios": [1.2]},
         )
         store.save_deployment("app", deployment)
-        return first, deployment
+        return first, deployment, status
 
     def test_parent_format_store_keeps_deployment_and_calibration(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
-        first, deployment = self.write_parent_format_store(store_dir)
+        first, deployment, status = self.write_parent_format_store(store_dir)
         capsys.readouterr()
 
         rehydrated = TuningRegistry(HistoryStore(store_dir))
@@ -879,20 +884,31 @@ class TestRetiredSettings:
             line for line in capsys.readouterr().err.splitlines()
             if "retired setting" in line
         ]
-        assert len(warnings) == 5 + len(RETIRED_IICP_SETTINGS)
+        assert len(warnings) == 5 + len(RETIRED_SETTINGS)
         for setting in (
             "tuner.surrogate_mode", "tuner.surrogate_backend",
             "controller.detector", "controller.drift_factor",
-            "controller.drift_patience",
-            *(f"tuner.{key}" for key in RETIRED_IICP_SETTINGS),
+            "controller.drift_patience", *RETIRED_SETTINGS,
         ):
             assert sum(setting + "=" in line for line in warnings) == 1, setting
         # The ratio window does not translate: the detector starts fresh.
         assert session.controller.detector_state()["n"] == 0
-        # Registration keeps rejecting them.
-        for key, value in RETIRED_IICP_SETTINGS.items():
+        # Apart from that fresh detector, the tenant reports as before.
+        assert {**session.status(), "drift": None} == {**status, "drift": None}
+        # Registration keeps rejecting them: tuner keys one by one, the
+        # controller section as a whole.
+        for key, value in retired("tuner").items():
             with pytest.raises(ValueError, match=f"unknown tuner settings.*{key}"):
                 rehydrated.register("new", "join", tuner={key: value})
+        with TuningService(str(tmp_path / "fresh"), port=0, n_workers=1).start() as service:
+            client = TuningClient(service.url)
+            for key, value in retired("controller").items():
+                with pytest.raises(ServiceError, match="controller") as excinfo:
+                    client._request(
+                        "POST", "/apps",
+                        {"app_id": "new", "benchmark": "join", "controller": {key: value}},
+                    )
+                assert excinfo.value.status == 400
 
     def test_parent_promotion_and_backend_settings_rehydrate(self, tmp_path, capsys):
         """Stores written while promotion, surrogate backend, refit
@@ -904,9 +920,7 @@ class TestRetiredSettings:
         registry = TuningRegistry(store)
         registry.register("plain", "join", seed=7, tuner=TINY_TUNER)
         plain = registry.observe("plain", 100.0)
-        registry.register(
-            "shadowed", "join", seed=7, tuner=TINY_TUNER, controller={"shadow_runs": 4}
-        )
+        registry.register("shadowed", "join", seed=7, tuner=TINY_TUNER)
         base = registry.observe("shadowed", 100.0).result.best_duration_s
         opened = registry.observe("shadowed", 100.0, duration_s=base * 3.0)
         assert opened.promotion["phase"] == "shadow_started"
@@ -917,7 +931,7 @@ class TestRetiredSettings:
             path = store_dir / app_id / "app.json"
             meta = json.loads(path.read_text())
             meta["tuner"].update(tuner)
-            meta["controller"].update(controller)
+            meta["controller"] = controller
             path.write_text(json.dumps(meta))
 
         rewrite_meta(

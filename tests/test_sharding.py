@@ -147,6 +147,48 @@ class TestReshard:
         assert plan_reshard(tmp_path, 2, 2).moves == []
 
 
+class TestStoreLayout:
+    """A service refuses to start on a store whose tenants it would not
+    find, instead of serving without them."""
+
+    @staticmethod
+    def register(directory, app_id):
+        HistoryStore(directory).register_app(app_id, {"benchmark": "join", "cluster": "x86"})
+
+    def test_mismatched_worker_count_refuses_to_start(self, tmp_path):
+        from repro.service.sharding import check_store_layout
+
+        # A store the plain service wrote, served by two shards.
+        plain = tmp_path / "plain"
+        self.register(plain, "solo")
+        with pytest.raises(ValueError, match="solo"):
+            ShardedTuningService(str(plain), port=0, workers=2)
+        check_store_layout(plain, None)
+
+        # A store two shards wrote, served by four shards or by the
+        # plain service: every tenant whose directory is elsewhere is
+        # named, and only those.
+        two, four = ShardMap(2), ShardMap(4)
+        ids = [f"t{i}" for i in range(40)]
+        for app_id in ids:
+            self.register(two.shard_dir(tmp_path / "two", two.shard_of(app_id)), app_id)
+        stray = [a for a in ids if four.shard_of(a) != two.shard_of(a)]
+        assert 0 < len(stray) < len(ids)
+        with pytest.raises(ValueError) as excinfo:
+            ShardedTuningService(str(tmp_path / "two"), port=0, workers=4)
+        message = str(excinfo.value)
+        assert "apply_reshard" in message
+        listed = message.split("misplaced tenants: ")[1].split(".  ")[0].split(", ")
+        assert sorted(listed) == sorted(f"shard-{two.shard_of(a):02d}/{a}" for a in stray)
+        with pytest.raises(ValueError, match="plain layout"):
+            TuningService(str(tmp_path / "two"), port=0)
+        check_store_layout(tmp_path / "two", two)
+
+        # After the offline move the store matches four shards.
+        apply_reshard(plan_reshard(tmp_path / "two", 2, 4))
+        check_store_layout(tmp_path / "two", four)
+
+
 # ----------------------------------------------------------------------
 # The sharded stack end to end
 # ----------------------------------------------------------------------
@@ -432,20 +474,14 @@ class TestShardedBatchEquivalence:
         (10.0, None),        # bootstrap tune
         (10.0, 1.0e6),       # far-slow run -> drift alarm -> retune -> shadow opens
         (10.0, 1.0e6),       # CRN shadow pairs until the gate rules
-        (10.0, 55.0),
-        (10.0, 55.0),
-        (10.0, 55.0),
+        *[(10.0, 55.0)] * 18,
     ]
-    CONTROLLER = {"shadow_runs": 2}
 
     def _register(self, client):
         # seed=5 pinned: its drift retune yields a *different* winner,
         # so the trajectory walks the full shadow lifecycle instead of
         # reconfirming the incumbent.
-        client.register_app(
-            "gated", benchmark="join", seed=5, tuner=TINY_TUNER,
-            controller=self.CONTROLLER,
-        )
+        client.register_app("gated", benchmark="join", seed=5, tuner=TINY_TUNER)
 
     def test_batch_matches_sequential_observes(self, tmp_path):
         seq = ShardedTuningService(str(tmp_path / "seq"), port=0, workers=2).start()

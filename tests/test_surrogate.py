@@ -897,7 +897,9 @@ class TestPinnedTrajectories:
         assert durations == PINNED_LOCAT_DURATIONS
         assert float(result.best_duration_s) == PINNED_LOCAT_BEST
 
-    def test_drift_retune_bit_for_bit(self):
+    def test_drift_retune_bit_for_bit(self, monkeypatch):
+        # Pinned with a drift-retune budget of the full 6 iterations.
+        monkeypatch.setattr(LOCAT, "n_adapt_iterations", 6)
         cluster = get_cluster("x86")
         app = get_application("join")
         locat = LOCAT(
@@ -908,7 +910,6 @@ class TestPinnedTrajectories:
             max_iterations=6,
             min_iterations=3,
             n_mcmc=4,
-            n_adapt_iterations=6,
             replay_eval="race",
             rng=3,
         )
