@@ -20,10 +20,7 @@ once per mode and scores:
 * **wall-clock per retune** — end-to-end time of the retuning observe;
   a full run repeats the suite :data:`N_WALL_RUNS` times and reports
   the median and range of the per-run means, since one run's three
-  retunes spread too widely to compare modes.  Pin BLAS to one thread
-  (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1``, as
-  ``perfbench`` does): on a 2-vCPU host, BLAS threads contending with
-  each other doubled the wall figures and widened their range;
+  retunes spread too widely to compare modes;
 * **variance-reduction factor** — Var of independent-draw log-deltas
   over Var of CRN paired log-deltas for a fixed config pair, measured
   directly on the simulator (the statistical reason racing can discard
@@ -36,10 +33,17 @@ reduces comparison variance by well over 2x.
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import sys
 import time
+
+# One BLAS thread, set before numpy is imported: on a small host BLAS
+# threads contend with each other and inflate the wall figures.  A value
+# the caller sets explicitly still wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 

@@ -19,12 +19,11 @@ retunes is an ``error`` too, because steady durations must not move
 the drift detector.  Requests started in the warm-up are dropped, and
 latency percentiles are nearest-rank over the ``ok`` requests.
 
-Like ``bench_parallel_speedup`` — which emulates cluster
-sample-collection latency because the simulator answers in
-microseconds — this benchmark emulates *production durable-commit
-latency*.  On a laptop-class ext4 mount an fsync costs ~0.3 ms, so a
-single process would already sustain thousands of appends per second
-and a worker sweep would measure nothing but Python overhead.  A
+The simulator answers in microseconds, so this benchmark emulates
+*production durable-commit latency*.  On a laptop-class ext4 mount an
+fsync costs ~0.3 ms, so a single process would already sustain
+thousands of appends per second and a worker sweep would measure
+nothing but Python overhead.  A
 production history store commits through a replicated WAL — tens of
 milliseconds per quorum-acknowledged batch; the
 ``DurableCommitStore`` below charges that cost under the store lock,
@@ -53,6 +52,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import tempfile
 import threading
@@ -60,6 +60,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+# One BLAS thread, set before numpy is imported: on a small host BLAS
+# threads contend with each other and inflate the wall figures.  A value
+# the caller sets explicitly still wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from repro.service import HistoryStore, ServiceError, TuningClient, TuningService
 from repro.service.sharding import ShardedTuningService, stable_slot
@@ -100,7 +106,6 @@ def durable_service(spec) -> TuningService:
         host="127.0.0.1",
         port=0,
         n_workers=spec.tuning_threads,
-        eval_workers=spec.eval_workers,
         default_warm_start=spec.default_warm_start,
         max_pending=spec.max_pending,
         log_requests=spec.log_requests,

@@ -2,10 +2,9 @@
 
 The paper's headline claim is *low-overhead* tuning, and PR after PR the
 histories the surrogate trains on get longer: the persistent service
-accumulates observations across sessions, transfer warm-starting
-transplants donor rows, and batch evaluation multiplies proposals per
-refit.  Two generations of fixes live in this repository and this
-benchmark measures both:
+accumulates observations across sessions, and transfer warm-starting
+transplants donor rows.  Two generations of fixes live in this
+repository and this benchmark measures both:
 
 * **Section A — engine** (fresh fit vs extend).  A fresh DAGP fit per
   BO iteration pays an O(n^3) factorization, ~36 slice-sampling steps
@@ -52,9 +51,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread, set before numpy is imported: on a small host BLAS
+# threads contend with each other and inflate the wall figures.  A value
+# the caller sets explicitly still wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 

@@ -8,7 +8,7 @@ arms under common random numbers.  A stdlib ``random`` draw or a naked
 * importing the stdlib ``random`` module in library code is flagged;
 * calling anything under ``np.random`` / ``numpy.random`` directly is
   flagged (``stats/sampling.py`` is the one blessed call site — that is
-  where ``ensure_rng``/``spawn`` live);
+  where ``ensure_rng`` lives);
 * module-level ``*_SALT`` integer constants must be unique across the
   whole tree, guarding the ``REPLAY_SEED_SALT`` / ``SHADOW_SEED_SALT``
   disjointness that keeps the two subsystems' streams independent.

@@ -360,23 +360,3 @@ class GaussianProcess:
         gp.set_theta(np.asarray(theta, dtype=float))
         return gp
 
-    def shallow_copy(self) -> "GaussianProcess":
-        """A cheap copy sharing training arrays but with independent state.
-
-        The copy can be :meth:`extend`-ed without touching this model:
-        ``extend`` rebinds (never mutates) the training arrays, the
-        kernel is cloned, and the copy gets its own LML cache.  This is
-        what constant-liar batch proposals build their "pretend"
-        surrogates from — one exact rank-1 extend per lie instead of a
-        from-scratch refit per pending point.
-        """
-        copy = GaussianProcess(self.kernel.clone(), self.noise_variance)
-        copy._x = self._x
-        copy._y_raw = self._y_raw
-        copy._y = self._y
-        copy._y_mean = self._y_mean
-        copy._y_std = self._y_std
-        copy._extra_noise = self._extra_noise
-        copy._chol_lower = self._chol_lower
-        copy._alpha = self._alpha
-        return copy

@@ -55,37 +55,3 @@ def maximize_acquisition(
     best_index = int(np.argmax(values))
     return candidates[best_index].copy(), float(values[best_index])
 
-
-def propose_batch(
-    score_for: Callable[[list[np.ndarray]], Callable[[np.ndarray], np.ndarray]],
-    dim: int,
-    q: int,
-    n_candidates: int = 512,
-    anchors: np.ndarray | None = None,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedily propose ``q`` points for one concurrent evaluation batch.
-
-    ``score_for(pending)`` must return the acquisition function to
-    maximize given the unit points already chosen for this batch —
-    typically a constant-liar surrogate refit (see
-    :meth:`repro.core.tuner.BOLoop._liar_score_factory`).  With an empty
-    ``pending`` it must be the true acquisition, so the first returned
-    value is the exact single-point EI maximum and batch callers can
-    apply their stop rule to it unchanged.
-
-    Returns ``(points, values)``: a ``(q, dim)`` array of unit points
-    and the acquisition value each maximization achieved.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    batch: list[np.ndarray] = []
-    values: list[float] = []
-    for _ in range(q):
-        score = score_for(list(batch))
-        point, value = maximize_acquisition(
-            score, dim, n_candidates=n_candidates, anchors=anchors, rng=rng
-        )
-        batch.append(point)
-        values.append(float(value))
-    return np.stack(batch), np.asarray(values)

@@ -62,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(tune)
     tune.add_argument("--iterations", type=int, default=25, help="max BO iterations")
     tune.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel evaluation workers: each BO refit proposes that many "
-        "configurations (constant-liar q-EI) and runs them concurrently; "
-        "1 (default) reproduces the serial trajectory exactly",
-    )
-    tune.add_argument(
         "--shadow-runs", type=int, default=6, metavar="N",
         help="paired measurements of the tuned configuration against the "
         "cluster defaults under common random numbers before it is written "
@@ -124,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tuning-threads", type=int, default=4,
         help="tuning worker threads per process, shared across that "
         "process's applications (default: 4)",
-    )
-    serve.add_argument(
-        "--eval-workers", type=int, default=1,
-        help="per-session parallel evaluation workers of every tenant "
-        "(default: 1, fully serial sessions)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
@@ -233,8 +222,7 @@ def cmd_tune(args) -> int:
             return 2
     print(f"Tuning {app.name} at {args.datasize:.0f} GB on the {args.cluster} cluster...")
     locat = LOCAT(
-        simulator, app, rng=args.seed, max_iterations=args.iterations,
-        n_workers=args.workers, transfer_from=plan,
+        simulator, app, rng=args.seed, max_iterations=args.iterations, transfer_from=plan
     )
     result = locat.tune(args.datasize)
     if plan is not None:
@@ -383,7 +371,7 @@ def cmd_serve(args) -> int:
     if args.workers == 1:
         service = TuningService(
             args.store, host=args.host, port=args.port,
-            n_workers=args.tuning_threads, eval_workers=args.eval_workers,
+            n_workers=args.tuning_threads,
             default_warm_start=args.warm_start,
             replay_eval=args.replay_eval,
             max_pending=args.max_pending, log_requests=args.log_requests,
@@ -395,7 +383,7 @@ def cmd_serve(args) -> int:
     else:
         service = ShardedTuningService(
             args.store, host=args.host, port=args.port, workers=args.workers,
-            tuning_threads=args.tuning_threads, eval_workers=args.eval_workers,
+            tuning_threads=args.tuning_threads,
             default_warm_start=args.warm_start,
             replay_eval=args.replay_eval,
             max_pending=args.max_pending, log_requests=args.log_requests,

@@ -16,7 +16,6 @@ from repro.core.drift import DriftDetector, DurationPrediction, PageHinkleyDetec
 from repro.core.iicp import CPEResult, CPSResult, IICPResult
 from repro.core.locat import LOCAT
 from repro.core.objective import SparkSQLObjective, Trial
-from repro.core.parallel import EvalRequest, ParallelEvaluator
 from repro.core.qcsa import QCSA, QCSAResult
 from repro.core.result import TuningResult
 
@@ -26,11 +25,9 @@ __all__ = [
     "DatasizeAwareGP",
     "DriftDetector",
     "DurationPrediction",
-    "EvalRequest",
     "IICPResult",
     "LOCAT",
     "PageHinkleyDetector",
-    "ParallelEvaluator",
     "QCSA",
     "QCSAResult",
     "SparkSQLObjective",

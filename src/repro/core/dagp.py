@@ -400,34 +400,6 @@ class DatasizeAwareGP:
     def n_observations(self) -> int:
         return 0 if self._x is None else self._x.shape[0]
 
-    def point_estimate_copy(self) -> "DatasizeAwareGP":
-        """A cheap ``n_mcmc=0`` copy sharing this model's fitted state.
-
-        The copy can be :meth:`extend`-ed freely without touching this
-        model (the GP copy rebinds, never mutates, its arrays), which is
-        what the constant-liar batch path builds its "pretend"
-        surrogates from: one exact rank-1 extend per lie.
-        """
-        copy = DatasizeAwareGP(
-            self.config_dim,
-            n_mcmc=0,
-            noise_variance=self.noise_variance,
-            transfer_noise_variance=self.transfer_noise_variance,
-            # Forced to the *resolved* backend: a liar copy's few
-            # rank-1 lies must never trigger a policy refit mid-batch.
-            backend_policy=BackendPolicy.forced(
-                self._active_backend, self.backend_policy.n_inducing
-            ),
-        )
-        copy._active_backend = self._active_backend
-        copy.gp = self.gp.shallow_copy()
-        copy._x = self._x
-        copy._log_t = self._log_t
-        copy._datasizes_gb = self._datasizes_gb
-        copy._fidelities = self._fidelities
-        copy._with_fidelity = self._with_fidelity
-        return copy
-
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------

@@ -14,13 +14,15 @@ same history key if and only if their normalized floats are equal.
 
 The boundary contract: a layer normalizes exactly once, where a
 datasize *enters* it, and may compare with ``==`` afterwards.  The
-boundaries that normalize today are ``execute_trial`` and
-``EvalRequest`` (objective/parallel), ``BOLoop.minimize`` and
-``BOTrace.best`` (tuner), ``LOCAT.tune``/``bootstrap``/``restore``
-(orchestrator, including transplanted donor observations),
+boundaries that normalize today are ``SparkSQLObjective.execute``
+(objective), ``BOLoop.minimize`` and ``BOTrace.best`` (tuner),
+``LOCAT.tune``/``bootstrap``/``restore`` (orchestrator, including
+transplanted donor observations),
 ``OnlineController.observe``/``would_retune``/``restore_state``
-(online), and ``ObservationRecord`` (the service store, so JSON round
-trips through ``runs.jsonl`` cannot fork a history).  Everything
+(online), the HTTP observe handlers (the service server, so a bad
+datasize is a 400 before anything is queued), and ``ObservationRecord``
+(the service store, so JSON round trips through ``runs.jsonl`` cannot
+fork a history).  Everything
 in between passes already-normalized floats.  Note the distinction
 from :func:`repro.core.dagp.datasize_coordinate`, which is the GP's
 *feature scaling* of an already-normalized datasize, not its identity.

@@ -91,20 +91,6 @@ class IICPResult:
         point = self.cpe.kpca.inverse_transform(latent[None, :])[0]
         return self.space.decode_subset(point, list(self.selected), base=self.base_config)
 
-    def decode_batch(self, latents: np.ndarray) -> list[Configuration]:
-        """Decode many latent vectors at once.
-
-        The KPCA pre-image solves all rows in one batched coordinate
-        descent, so decoding a q-point evaluation batch costs little
-        more than decoding one point.
-        """
-        latents = np.atleast_2d(np.asarray(latents, dtype=float))
-        points = self.cpe.kpca.inverse_transform(latents)
-        return [
-            self.space.decode_subset(point, list(self.selected), base=self.base_config)
-            for point in points
-        ]
-
     def latent_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned search box for BO in the latent space."""
         return self.cpe.kpca.latent_bounds()

@@ -60,7 +60,6 @@ from repro.core.iicp import (
     run_cps,
 )
 from repro.core.objective import SparkSQLObjective, Trial
-from repro.core.parallel import EvalRequest, ParallelEvaluator
 from repro.core.qcsa import DEFAULT_N_QCSA, QCSAResult, analyze_samples
 from repro.core.result import TuningResult
 from repro.core.tuner import BOLoop, DEFAULT_MIN_ITERATIONS
@@ -113,7 +112,6 @@ class LOCAT:
         use_iicp: bool = True,
         use_dagp: bool = True,
         use_polish: bool = True,
-        n_workers: int = 1,
         transfer_from: TransferPlan | None = None,
         replay_eval: str = "off",
         rng: int | np.random.Generator | None = None,
@@ -128,7 +126,6 @@ class LOCAT:
         self.use_iicp = use_iicp
         self.use_dagp = use_dagp
         self.use_polish = use_polish
-        self.n_workers = int(n_workers)
         self.transfer_from = transfer_from
         if replay_eval not in REPLAY_EVAL_MODES:
             raise ValueError(
@@ -174,10 +171,6 @@ class LOCAT:
         self.rng = ensure_rng(rng)
 
         self.objective = SparkSQLObjective(simulator, app, rng=self.rng)
-        # n_workers=1 delegates to the plain serial objective calls, so
-        # seeded single-worker sessions reproduce the serial trajectory
-        # exactly; n_workers>1 runs each BO batch concurrently.
-        self.evaluator = ParallelEvaluator(self.objective, n_workers=self.n_workers)
         self.qcsa_result: QCSAResult | None = None
         self.iicp_result: IICPResult | None = None
         #: How many observations :attr:`iicp_result` was fit on.
@@ -222,11 +215,6 @@ class LOCAT:
         def evaluate(point: np.ndarray, ds: float) -> float:
             return self.objective.run(space.decode(point), ds).duration_s
 
-        def evaluate_batch(points: np.ndarray, ds: float) -> np.ndarray:
-            requests = [EvalRequest(space.decode(p), ds) for p in np.atleast_2d(points)]
-            trials = self.evaluator.run_batch(requests)
-            return np.array([t.duration_s for t in trials])
-
         warm_kwargs = {}
         if warm_trials:
             warm_kwargs = dict(
@@ -242,15 +230,9 @@ class LOCAT:
             ei_threshold=0.0,
             n_mcmc=min(self.n_mcmc, 4),
             n_candidates=192,
-            batch_size=self.n_workers,
             rng=self.rng,
         )
-        loop.minimize(
-            evaluate,
-            datasize_gb,
-            evaluate_batch=evaluate_batch if self.n_workers > 1 else None,
-            **warm_kwargs,
-        )
+        loop.minimize(evaluate, datasize_gb, **warm_kwargs)
         return list(self.objective.history)
 
     @staticmethod
@@ -787,14 +769,7 @@ class LOCAT:
     # ------------------------------------------------------------------
     def tune(self, datasize_gb: float) -> TuningResult:
         """Tune for ``datasize_gb``; later calls reuse all prior knowledge."""
-        try:
-            return self._tune(datasize_gb)
-        finally:
-            # Sessions are rare (bootstrap, then occasional adaptation);
-            # keeping n_workers pool threads alive between them — per
-            # tenant, for the service's lifetime — is a leak, and the
-            # next session lazily recreates the pool anyway.
-            self.evaluator.close()
+        return self._tune(datasize_gb)
 
     def adapt(self, datasize_gb: float, max_iterations: int | None = None) -> TuningResult:
         """A *partial* tuning session for drift-triggered retunes.
@@ -815,10 +790,7 @@ class LOCAT:
         if max_iterations is not None and int(max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
         budget = self.n_adapt_iterations if max_iterations is None else int(max_iterations)
-        try:
-            return self._tune(datasize_gb, partial=True, budget=budget)
-        finally:
-            self.evaluator.close()
+        return self._tune(datasize_gb, partial=True, budget=budget)
 
     def _tune(
         self, datasize_gb: float, partial: bool = False, budget: int | None = None
@@ -950,8 +922,6 @@ class LOCAT:
                         _Observation(config=config, datasize_gb=ds, rqa_duration_s=duration)
                     )
                     return duration
-
-                evaluate_batch = None
             else:
                 def evaluate(latent: np.ndarray, ds: float) -> float:
                     config = iicp.decode(latent)
@@ -960,19 +930,6 @@ class LOCAT:
                         _Observation(config=config, datasize_gb=ds, rqa_duration_s=trial.duration_s)
                     )
                     return trial.duration_s
-
-                def evaluate_batch(latents: np.ndarray, ds: float) -> np.ndarray:
-                    configs = iicp.decode_batch(np.atleast_2d(latents))
-                    trials = self.evaluator.run_batch(
-                        [EvalRequest(config, ds, tuple(csq)) for config in configs]
-                    )
-                    for config, trial in zip(configs, trials):
-                        self._observations.append(
-                            _Observation(
-                                config=config, datasize_gb=ds, rqa_duration_s=trial.duration_s
-                            )
-                        )
-                    return np.array([t.duration_s for t in trials])
 
             if self.use_dagp:
                 warm_own = list(self._observations[quarantine:])
@@ -1004,7 +961,6 @@ class LOCAT:
                 min_iterations=max(0, session_min - iterations_done),
                 max_iterations=chunk,
                 n_mcmc=self.n_mcmc,
-                batch_size=self.n_workers,
                 rng=self.rng,
             )
             trace = loop.minimize(
@@ -1014,7 +970,6 @@ class LOCAT:
                 warm_datasizes=np.array([o.datasize_gb for o in warm]) if warm else None,
                 warm_durations=np.array([o.rqa_duration_s for o in warm]) if warm else None,
                 warm_fidelities=warm_fidelities,
-                evaluate_batch=evaluate_batch if self.n_workers > 1 else None,
             )
             iterations_done += trace.n_evaluations - n_warm
             stopped_by_ei = trace.stopped_by_ei

@@ -32,32 +32,6 @@ class Trial:
     reduced: bool  # True when only the RQA (CSQ subset) was executed
 
 
-def execute_trial(
-    simulator: SparkSQLSimulator,
-    app: Application,
-    config: Configuration,
-    datasize_gb: float,
-    queries: list[str] | tuple[str, ...] | None = None,
-    rng: np.random.Generator | None = None,
-) -> Trial:
-    """Run one configuration and build its :class:`Trial` (no recording).
-
-    Free of objective state on purpose: a process-pool worker only needs
-    the simulator and the application shipped to it — not a whole
-    objective whose trial history grows with the session.
-    """
-    generator = ensure_rng(rng)
-    target = app if queries is None else app.subset(list(queries))
-    metrics = simulator.run(target, config, datasize_gb, rng=generator)
-    return Trial(
-        config=config,
-        datasize_gb=normalize_datasize(datasize_gb),
-        duration_s=metrics.duration_s,
-        metrics=metrics,
-        reduced=queries is not None,
-    )
-
-
 class SparkSQLObjective:
     """Callable objective with overhead accounting and trial history.
 
@@ -95,20 +69,21 @@ class SparkSQLObjective:
         config: Configuration,
         datasize_gb: float,
         queries: list[str] | tuple[str, ...] | None = None,
-        rng: np.random.Generator | None = None,
     ) -> Trial:
         """Execute a configuration WITHOUT recording it.
 
         ``queries=None`` runs the full application; otherwise only the
-        named queries (the RQA path).  ``rng`` defaults to the shared
-        objective generator; a parallel evaluator passes per-request
-        child generators instead so concurrent executions never race on
-        shared RNG state (see :mod:`repro.core.parallel`).  Pair with
-        :meth:`record` to append the trial and account its overhead.
+        named queries (the RQA path).  Pair with :meth:`record` to
+        append the trial and account its overhead.
         """
-        generator = self.rng if rng is None else rng
-        return execute_trial(
-            self.simulator, self.app, config, datasize_gb, queries, rng=generator
+        target = self.app if queries is None else self.app.subset(list(queries))
+        metrics = self.simulator.run(target, config, datasize_gb, rng=self.rng)
+        return Trial(
+            config=config,
+            datasize_gb=normalize_datasize(datasize_gb),
+            duration_s=metrics.duration_s,
+            metrics=metrics,
+            reduced=queries is not None,
         )
 
     def record(self, trial: Trial) -> Trial:

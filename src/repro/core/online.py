@@ -282,9 +282,7 @@ class OnlineController:
         """Whether an observe at this datasize *deterministically* starts
         a tuning session: nothing deployed yet, or the size is beyond
         :data:`DATASIZE_MARGIN` from everything tuned.  Drift-triggered
-        retunes depend on the measured duration and are not predicted.
-        The scheduler uses this to size a job's slot reservation before
-        running it."""
+        retunes depend on the measured duration and are not predicted."""
         datasize_gb = normalize_datasize(datasize_gb)
         if self._state is None:
             return True

@@ -11,17 +11,6 @@ iterations, then stop once the maximal expected improvement drops below
 below 0.1 literally means "under ~10% expected improvement", matching
 the paper's "EI drops below 10%" rule.
 
-With ``batch_size=q > 1`` (and a caller-provided ``evaluate_batch``),
-each iteration proposes ``q`` points via greedy constant-liar
-q-EI and hands them to the caller as one batch — the parallel
-evaluation pipeline runs them concurrently.  ``batch_size=1`` follows
-the exact serial code path, so seeded serial trajectories are
-unchanged.  The liar surrogates are built by *extending* a point-
-estimate copy of the iteration's fitted model with the pending lies
-(one exact rank-1 Cholesky update per lie, see
-:meth:`repro.core.dagp.DatasizeAwareGP.point_estimate_copy`) instead of
-refitting a fresh model per pending point.
-
 Each :meth:`BOLoop.minimize` call grows one surrogate
 (:mod:`repro.surrogate`): the first iteration fits a
 :class:`DatasizeAwareGP` on everything observed so far, and every later
@@ -45,9 +34,8 @@ low-fidelity prior data transplanted from another application (see
 gains a fidelity input column — but are quarantined from every decision
 that must reflect the target application alone: the EI incumbent, the
 acquisition search's exploitation anchors, the "covered at this
-datasize" checks, the constant-liar lie, and the returned
-:meth:`BOTrace.best` all consider fidelity-0 rows only
-(:meth:`BOTrace.own_indices`).
+datasize" checks, and the returned :meth:`BOTrace.best` all consider
+fidelity-0 rows only (:meth:`BOTrace.own_indices`).
 Omitting ``warm_fidelities`` (or passing zeros) is bit-for-bit the
 pre-transfer loop.
 """
@@ -60,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bo.lhs import latin_hypercube
-from repro.bo.optimize import maximize_acquisition, propose_batch
+from repro.bo.optimize import maximize_acquisition
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
 from repro.stats.sampling import ensure_rng
@@ -157,14 +145,11 @@ class BOLoop:
         ei_threshold: float = DEFAULT_EI_THRESHOLD,
         n_mcmc: int = 8,
         n_candidates: int = 384,
-        batch_size: int = 1,
         backend_policy: BackendPolicy | None = None,
         rng: int | np.random.Generator | None = None,
     ):
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         n_init = min(n_init, max_iterations)  # small budgets shrink the design
         self.dim = dim
         if bounds is None:
@@ -183,7 +168,6 @@ class BOLoop:
         self.ei_threshold = ei_threshold
         self.n_mcmc = n_mcmc
         self.n_candidates = n_candidates
-        self.batch_size = batch_size
         self.backend_policy = backend_policy
         self.rng = ensure_rng(rng)
 
@@ -203,7 +187,6 @@ class BOLoop:
         warm_datasizes: np.ndarray | None = None,
         warm_durations: np.ndarray | None = None,
         warm_fidelities: np.ndarray | None = None,
-        evaluate_batch: Callable[[np.ndarray, float], np.ndarray] | None = None,
     ) -> BOTrace:
         """Run BO at ``datasize_gb``; warm data seeds the surrogate.
 
@@ -215,14 +198,8 @@ class BOLoop:
         application with values > 0: those rows inform the surrogate
         only and never the incumbent, the stop rule, or the datasize
         coverage checks.
-
-        ``evaluate_batch(points, datasize)`` must return one duration
-        per row of ``points`` and may run the rows concurrently; it is
-        only used when ``batch_size > 1`` — the serial path is
-        bit-for-bit the same with or without it.
         """
         datasize_gb = normalize_datasize(datasize_gb)
-        batched = self.batch_size > 1 and evaluate_batch is not None
 
         trace = BOTrace()
 
@@ -255,19 +232,11 @@ class BOLoop:
 
         # Initial design: LHS over the box (skipped when own warm data at
         # the target datasize already covers it — donor rows don't count).
-        # In batch mode the whole design is one concurrent batch.
         n_init = max(0, self.n_init - len(trace.own_indices(datasize_gb)))
         if n_init:
-            init_units = latin_hypercube(n_init, self.dim, self.rng)
-            if batched:
-                init_points = self._from_unit(init_units)
-                durations = np.asarray(evaluate_batch(init_points, datasize_gb), dtype=float)
-                for point, duration in zip(init_points, durations, strict=True):
-                    observe(point, duration)
-            else:
-                for unit in init_units:
-                    point = self._from_unit(unit)
-                    observe(point, float(evaluate(point, datasize_gb)))
+            for unit in latin_hypercube(n_init, self.dim, self.rng):
+                point = self._from_unit(unit)
+                observe(point, float(evaluate(point, datasize_gb)))
 
         # The EI incumbent must live at the target datasize.  Without an
         # own observation there (warm data entirely at other sizes or
@@ -317,92 +286,19 @@ class BOLoop:
             # durations are on other scales.
             own = np.asarray(trace.own_indices(datasize_gb))
             anchors = unit_points[own[np.argsort(np.asarray(trace.durations)[own])[:3]]]
-            if batched:
-                remaining = self.max_iterations - (trace.n_evaluations - n_warm)
-                q = min(self.batch_size, remaining)
-                unit_batch, eis = propose_batch(
-                    self._liar_score_factory(
-                        trace, score, datasize_gb, best_duration, model
-                    ),
-                    self.dim,
-                    q,
-                    n_candidates=self.n_candidates,
-                    anchors=anchors,
-                    rng=self.rng,
-                )
-                ei = float(eis[0])  # the exact single-point EI maximum
-            else:
-                unit_point, ei = maximize_acquisition(
-                    score,
-                    self.dim,
-                    n_candidates=self.n_candidates,
-                    anchors=anchors,
-                    rng=self.rng,
-                )
+            unit_point, ei = maximize_acquisition(
+                score,
+                self.dim,
+                n_candidates=self.n_candidates,
+                anchors=anchors,
+                rng=self.rng,
+            )
             trace.ei_values.append(float(ei))
             iterations += 1
             if iterations >= self.min_iterations and ei < self.ei_threshold:
                 trace.stopped_by_ei = True
                 break
 
-            if batched:
-                iterations += q - 1  # every proposal of the batch counts
-                points = self._from_unit(unit_batch)
-                durations = np.asarray(evaluate_batch(points, datasize_gb), dtype=float)
-                for point, duration in zip(points, durations, strict=True):
-                    observe(point, duration)
-            else:
-                point = self._from_unit(unit_point)
-                observe(point, float(evaluate(point, datasize_gb)))
+            point = self._from_unit(unit_point)
+            observe(point, float(evaluate(point, datasize_gb)))
         return trace
-
-    def _liar_score_factory(
-        self,
-        trace: BOTrace,
-        score: Callable[[np.ndarray], np.ndarray],
-        datasize_gb: float,
-        best_duration: float,
-        model: DatasizeAwareGP,
-    ) -> Callable[[list[np.ndarray]], Callable[[np.ndarray], np.ndarray]]:
-        """Constant-liar surrogates for greedy q-EI proposals.
-
-        The first point of a batch is scored by the real EI-MCMC model;
-        each later point sees a point-estimate surrogate where the
-        pending proposals are pretended to have returned the incumbent
-        duration (CL-min), which collapses EI around them and pushes the
-        batch apart.
-
-        The liar surrogate is a cheap point-estimate copy of the
-        iteration's fitted ``model``, *extended* with each pending lie —
-        an exact rank-1 Cholesky update per lie — rather than a
-        from-scratch refit of all n observations per pending point.
-        Greedy q-EI grows ``pending`` monotonically within a batch, so
-        one copy serves the whole round.
-        """
-        # The lie is the minimum of the *own* durations observed at the
-        # target datasize (donor rows are another application's scale).
-        lie = float(np.min([trace.durations[i] for i in trace.own_indices(datasize_gb)]))
-        state: dict = {"model": None, "applied": 0}
-
-        def score_for(pending: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-            if not pending:
-                return score
-            if state["model"] is None or state["applied"] > len(pending):
-                state["model"] = model.point_estimate_copy()
-                state["applied"] = 0
-            liar_model: DatasizeAwareGP = state["model"]
-            new = pending[state["applied"] :]
-            if new:
-                liar_model.extend(
-                    np.stack(new),
-                    np.full(len(new), datasize_gb),
-                    np.full(len(new), lie),
-                )
-                state["applied"] = len(pending)
-
-            def liar_score(unit_candidates: np.ndarray) -> np.ndarray:
-                return liar_model.acquisition(unit_candidates, datasize_gb, best_duration)
-
-            return liar_score
-
-        return score_for

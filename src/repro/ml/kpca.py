@@ -170,8 +170,7 @@ class KernelPCA:
         inversion is exact for training latents and encode/decode
         round-trips preserve observed configurations — essential for
         BO, where conflicting pre-images of the same latent would
-        corrupt the surrogate.  Batched BO decodes a whole proposal
-        batch for roughly the cost of one row.
+        corrupt the surrogate.
         """
         if self._x is None or self._alphas is None or self._train_latents is None:
             raise RuntimeError("inverse_transform() called before fit()")

@@ -15,9 +15,7 @@ story needs and the in-process classes leave out:
   similar tenant's history via :mod:`repro.transfer`);
 * :mod:`repro.service.scheduler` — a thread-pool job scheduler running
   tuning sessions concurrently across tenants while serializing jobs
-  within each application, with a *slot* budget so tenants running
-  parallel evaluations (``tuner.n_workers``) cannot oversubscribe the
-  machine;
+  within each application, oldest submission first;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only JSON-over-HTTP API and its keep-alive Python client
   (persistent connections, one transparent retry on idempotent

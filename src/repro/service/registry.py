@@ -53,8 +53,7 @@ from repro.transfer import (
 #: LOCAT keyword arguments a tenant may override at registration time:
 #: the session budgets, the only settings callers set to different
 #: values.  Everything else is a constant or comes from the service
-#: (``n_workers`` from ``--eval-workers``, ``replay_eval`` from
-#: ``--replay-eval``).
+#: (``replay_eval`` from ``--replay-eval``).
 TUNER_KEYS = frozenset(
     {"n_qcsa", "n_iicp", "min_iterations", "max_iterations", "n_mcmc", "use_polish"}
 )
@@ -177,23 +176,6 @@ class AppSession:
         return {"state": locat.transfer_state, "donor": None,
                 "similarity": None, "refined_similarity": None, "agreement": None}
 
-    def planned_slots(self, datasize_gb: float) -> int:
-        """Scheduler-slot footprint of an observe at this datasize.
-
-        Reserve the session's full evaluation parallelism only when the
-        controller predicts a tuning session
-        (:meth:`~repro.core.online.OnlineController.would_retune`).
-        Routine steady-state observes record a run and check drift
-        without any evaluations, so they take one slot — reserving
-        ``n_workers`` for them would serialize cross-tenant throughput
-        on work with zero parallelism.  A *drift*-triggered retune is
-        not predictable here and transiently exceeds its 1-slot
-        reservation, bounded by ``n_workers - 1`` extra threads.
-        """
-        if self.controller.would_retune(datasize_gb):
-            return self.locat.n_workers
-        return 1
-
     def status(self) -> dict:
         """JSON-safe snapshot served by ``GET /apps/<id>``."""
         locat = self.locat
@@ -206,7 +188,6 @@ class AppSession:
             "restored": self.restored,
             "warm_start": self.warm_start,
             "transfer": self._transfer_status(),
-            "eval_workers": locat.n_workers,
             "evaluations": locat.objective.n_evaluations,
             "overhead_hours": locat.objective.overhead_hours,
             "observations_persisted": self.persisted_observations,
@@ -230,12 +211,9 @@ class TuningRegistry:
         self,
         store: HistoryStore,
         rehydrate: bool = True,
-        eval_workers: int = 1,
         default_warm_start: str = "cold",
         replay_eval: str = "off",
     ):
-        if eval_workers < 1:
-            raise ValueError("eval_workers must be at least 1")
         if default_warm_start not in WARM_START_MODES:
             raise ValueError(
                 f"default_warm_start must be one of {WARM_START_MODES}, "
@@ -252,8 +230,6 @@ class TuningRegistry:
         #: construction, not persisted, so changing it re-homes existing
         #: tenants on the next restart.
         self.replay_eval = replay_eval
-        #: Evaluation parallelism of every tenant's sessions.
-        self.eval_workers = int(eval_workers)
         self._sessions: dict[str, AppSession] = {}  # guarded-by: _lock
         #: Tenants whose persisted state could not be rehydrated
         #: (app_id -> error message).  They are excluded from
@@ -353,7 +329,7 @@ class TuningRegistry:
             plan = self._transfer_plan(app_id, meta["benchmark"])
         locat = LOCAT(
             simulator, app, rng=int(meta.get("seed", 1)), transfer_from=plan,
-            n_workers=self.eval_workers, replay_eval=self.replay_eval,
+            replay_eval=self.replay_eval,
             **meta.get("tuner", {}),
         )
         online = OnlineController(locat)

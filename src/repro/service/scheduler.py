@@ -11,14 +11,9 @@ job gets a trackable :class:`Job` with the usual lifecycle:
 ``GET /jobs/<id>`` serves :meth:`Job.to_json`; a killed scheduler fails
 its queued jobs instead of leaving clients waiting forever.
 
-Beyond worker-count concurrency the scheduler enforces a **slot**
-budget: a job declares the evaluation parallelism it will use
-(``slots``, typically the session's ``n_workers``) and admission blocks
-until that many slots are free, so concurrent tenants running parallel
-evaluation pipelines cannot oversubscribe the machine.  Waiting heavy
-jobs cannot be starved by a stream of small ones (admission is ordered
-by submission number), and a job larger than the whole budget runs
-alone rather than deadlocking.
+A free worker takes the oldest runnable job across tenants (admission
+is ordered by submission number), so no tenant's queue can starve
+another's.
 
 Two service-level controls ride on top: ``max_pending`` bounds the
 queued backlog (:class:`SchedulerSaturatedError` -> HTTP 429 with a
@@ -68,19 +63,12 @@ class SchedulerSaturatedError(RuntimeError):
 
 @dataclass
 class Job:
-    """One unit of work bound to an application.
-
-    ``slots`` is the job's evaluation-parallelism footprint: a tuning
-    session running with ``n_workers`` parallel evaluators occupies that
-    many of the scheduler's slots while it runs, so concurrent tenants
-    cannot oversubscribe the machine.
-    """
+    """One unit of work bound to an application."""
 
     job_id: str
     app_id: str
     kind: str
     fn: Callable[[], Any] | None  # cleared on completion to free the closure
-    slots: int = 1
     seq: int = 0  # monotone submission number (admission ordering)
     status: str = STATUS_QUEUED
     submitted_at: float = field(default_factory=time.time)
@@ -116,7 +104,6 @@ class Job:
             "job_id": self.job_id,
             "app_id": self.app_id,
             "kind": self.kind,
-            "slots": self.slots,
             "status": self.status,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -138,7 +125,6 @@ class JobScheduler:
         self,
         n_workers: int = 4,
         max_finished: int = 1000,
-        total_slots: int | None = None,
         max_pending: int | None = None,
         job_id_prefix: str = "",
     ):
@@ -146,8 +132,6 @@ class JobScheduler:
             raise ValueError("n_workers must be at least 1")
         if max_finished < 1:
             raise ValueError("max_finished must be at least 1")
-        if total_slots is not None and total_slots < 1:
-            raise ValueError("total_slots must be at least 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         self.max_finished = max_finished
@@ -164,15 +148,6 @@ class JobScheduler:
         self.job_id_prefix = str(job_id_prefix)
         #: EWMA of job service times, feeding the Retry-After hint.
         self._avg_service_s = 1.0  # guarded-by: _lock, _cond
-        #: Evaluation-thread budget shared by all running jobs.  A job
-        #: declaring ``slots=k`` (a tuning session with k parallel
-        #: evaluators) is only admitted while the budget holds, except
-        #: when nothing runs at all — an oversized job then runs alone
-        #: rather than deadlocking.  Defaults to ``n_workers``, which
-        #: with the default 1-slot jobs reproduces plain worker-count
-        #: admission.
-        self.total_slots = int(total_slots) if total_slots is not None else int(n_workers)
-        self._slots_used = 0  # guarded-by: _lock, _cond
         self._lock = threading.Lock()
         #: The condition wraps ``_lock``: entering either acquires the
         #: same mutex, so both names are listed as valid guards below.
@@ -194,17 +169,8 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def submit(
-        self, app_id: str, fn: Callable[[], Any], kind: str = "job", slots: int = 1
-    ) -> Job:
-        """Queue ``fn`` behind any earlier jobs of the same application.
-
-        ``slots`` declares the job's evaluation-parallelism footprint
-        (see :class:`Job`); heavier jobs wait until enough of the slot
-        budget is free.
-        """
-        if slots < 1:
-            raise ValueError("slots must be at least 1")
+    def submit(self, app_id: str, fn: Callable[[], Any], kind: str = "job") -> Job:
+        """Queue ``fn`` behind any earlier jobs of the same application."""
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("scheduler is shut down")
@@ -225,7 +191,6 @@ class JobScheduler:
                 app_id=app_id,
                 kind=kind,
                 fn=fn,
-                slots=int(slots),
                 seq=number,
                 scheduler_lock=self._lock,
             )
@@ -306,12 +271,8 @@ class JobScheduler:
             self._jobs.pop(self._finished.popleft(), None)
 
     def _next_job_locked(self) -> Job | None:
-        # Runnable queue heads, oldest submission first.  Admission stops
-        # at the first head that does not fit the slot budget: younger
-        # jobs may not overtake it, so a heavy job waiting for slots is
-        # guaranteed to get them once running work drains — a steady
-        # stream of 1-slot jobs cannot starve it.  An oversized head
-        # still runs once nothing else does, rather than deadlocking.
+        # The oldest runnable queue head across tenants; a tenant with a
+        # job already running waits, keeping its own jobs in FIFO order.
         heads = [
             queue[0] for app_id, queue in self._queues.items()
             if queue and app_id not in self._busy
@@ -319,11 +280,7 @@ class JobScheduler:
         if not heads:
             return None
         job = min(heads, key=lambda j: j.seq)
-        fits = self._slots_used + job.slots <= self.total_slots
-        if not fits and self._slots_used > 0:
-            return None  # reserve: drain before admitting younger jobs
         self._busy.add(job.app_id)
-        self._slots_used += job.slots
         self._queues[job.app_id].popleft()
         return job
 
@@ -355,6 +312,5 @@ class JobScheduler:
                     service_s = max(job.finished_at - job.started_at, 1e-4)
                     self._avg_service_s += 0.2 * (service_s - self._avg_service_s)
                 self._busy.discard(job.app_id)
-                self._slots_used -= job.slots
                 self._finish_locked(job)
                 self._cond.notify_all()

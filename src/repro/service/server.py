@@ -47,6 +47,7 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.core.datasize import normalize_datasize
 from repro.core.export import to_spark_defaults_conf, to_spark_properties
 from repro.core.online import OnlineDecision
 from repro.service.registry import QuarantinedApplicationError, TuningRegistry
@@ -114,7 +115,6 @@ class TuningService:
         host: str = "127.0.0.1",
         port: int = 8080,
         n_workers: int = 4,
-        eval_workers: int = 1,
         rehydrate: bool = True,
         default_warm_start: str = "cold",
         replay_eval: str = "off",
@@ -124,9 +124,7 @@ class TuningService:
         job_id_prefix: str = "",
         store_factory=None,
     ):
-        """``n_workers`` bounds concurrent tuning jobs across tenants;
-        ``eval_workers`` is every session's evaluation parallelism, so
-        the scheduler's slot budget is ``n_workers * eval_workers``.
+        """``n_workers`` bounds concurrent tuning jobs across tenants.
         ``default_warm_start`` applies to registrations that do not pick
         a mode themselves ("cold" or "transfer"); ``replay_eval`` is
         every tenant's trace-replay candidate evaluation mode ("off" or
@@ -148,18 +146,15 @@ class TuningService:
         from repro.service.sharding.shard import check_store_layout
 
         check_store_layout(store_dir, None)
-        total_slots = n_workers * max(int(eval_workers), 1)
         self.store = (store_factory or HistoryStore)(store_dir)
         self.registry = TuningRegistry(
             self.store,
             rehydrate=rehydrate,
-            eval_workers=eval_workers,
             default_warm_start=default_warm_start,
             replay_eval=replay_eval,
         )
         self.scheduler = JobScheduler(
             n_workers=n_workers,
-            total_slots=total_slots,
             max_pending=max_pending,
             job_id_prefix=job_id_prefix,
         )
@@ -394,17 +389,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _observe(self, app_id: str, body: dict) -> None:
         registry = self.service.registry
-        session = registry.get(app_id)  # 404 before queueing anything
+        registry.get(app_id)  # 404 before queueing anything
         if "datasize_gb" not in body:
             raise _HTTPError(400, "missing required field 'datasize_gb'")
         try:
-            datasize_gb = float(body["datasize_gb"])
+            datasize_gb = normalize_datasize(body["datasize_gb"])
             duration_s = body.get("duration_s")
             duration_s = None if duration_s is None else float(duration_s)
         except (TypeError, ValueError) as exc:
-            # null/array/object JSON values raise TypeError; reject them
-            # up front like any other bad input instead of failing a job.
-            raise _HTTPError(400, f"datasize_gb/duration_s must be numbers: {exc}") from None
+            # null/array/object JSON values and non-positive datasizes are
+            # rejected up front like any other bad input, not by a failed job.
+            raise _HTTPError(400, f"bad datasize_gb/duration_s: {exc}") from None
         if _bad_duration(duration_s):
             raise _HTTPError(
                 400, f"duration_s must be a finite positive number, got {duration_s!r}"
@@ -413,7 +408,6 @@ class _Handler(BaseHTTPRequestHandler):
             app_id,
             lambda: registry.observe(app_id, datasize_gb, duration_s),
             kind="observe",
-            slots=session.planned_slots(datasize_gb),
         )
         if not body.get("wait", True):
             self._send_json({**job.to_json()}, status=202)
@@ -427,7 +421,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _observe_batch(self, app_id: str, body: dict) -> None:
         registry = self.service.registry
-        session = registry.get(app_id)  # 404 before queueing anything
+        registry.get(app_id)  # 404 before queueing anything
         observations = body.get("observations")
         if not isinstance(observations, list) or not observations:
             raise _HTTPError(400, "'observations' must be a non-empty list")
@@ -442,13 +436,13 @@ class _Handler(BaseHTTPRequestHandler):
                     400, f"observations[{i}] must be an object with 'datasize_gb'"
                 )
             try:
-                datasize_gb = float(item["datasize_gb"])
+                datasize_gb = normalize_datasize(item["datasize_gb"])
                 duration_s = item.get("duration_s")
                 duration_s = None if duration_s is None else float(duration_s)
             except (TypeError, ValueError) as exc:
                 raise _HTTPError(
                     400,
-                    f"observations[{i}] datasize_gb/duration_s must be numbers: {exc}",
+                    f"observations[{i}] bad datasize_gb/duration_s: {exc}",
                 ) from None
             if _bad_duration(duration_s):
                 raise _HTTPError(
@@ -461,7 +455,6 @@ class _Handler(BaseHTTPRequestHandler):
             app_id,
             lambda: registry.observe_batch(app_id, parsed),
             kind="observe_batch",
-            slots=session.planned_slots(parsed[0][0]),
         )
         if not body.get("wait", True):
             self._send_json({**job.to_json()}, status=202)

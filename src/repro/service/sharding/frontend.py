@@ -64,7 +64,6 @@ class ShardedTuningService:
         port: int = 0,
         workers: int = 2,
         tuning_threads: int = 4,
-        eval_workers: int = 1,
         default_warm_start: str = "cold",
         replay_eval: str = "off",
         max_pending: int | None = None,
@@ -92,7 +91,6 @@ class ShardedTuningService:
                     shard=shard,
                     store_dir=str(shard_dir),
                     tuning_threads=tuning_threads,
-                    eval_workers=eval_workers,
                     default_warm_start=default_warm_start,
                     replay_eval=replay_eval,
                     max_pending=max_pending,

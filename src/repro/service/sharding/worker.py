@@ -43,7 +43,6 @@ class WorkerSpec:
     shard: int
     store_dir: str
     tuning_threads: int = 4
-    eval_workers: int = 1
     default_warm_start: str = "cold"
     replay_eval: str = "off"
     max_pending: int | None = None
@@ -65,7 +64,6 @@ def default_service(spec: WorkerSpec) -> TuningService:
         host="127.0.0.1",
         port=0,
         n_workers=spec.tuning_threads,
-        eval_workers=spec.eval_workers,
         rehydrate=True,
         default_warm_start=spec.default_warm_start,
         replay_eval=spec.replay_eval,

@@ -37,14 +37,3 @@ def ensure_rng(
         f"rng must be None, an int seed, a seed sequence, or a Generator, got {type(rng)!r}"
     )
 
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    Used when an experiment fans out into parallel sub-experiments that must
-    each be individually reproducible.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    seeds = rng.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]

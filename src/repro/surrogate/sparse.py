@@ -178,11 +178,7 @@ class SparseGP:
         return self
 
     def extend(self, x, y, extra_noise=None) -> "SparseGP":
-        """Absorb observations at flat O(m^2 k) — never grows with n.
-
-        All updates rebind arrays (copy-on-write), so shallow copies can
-        extend independently.
-        """
+        """Absorb observations at flat O(m^2 k) — never grows with n."""
         if not self.is_fitted:
             return self.fit(x, y, extra_noise=extra_noise)
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -234,24 +230,3 @@ class SparseGP:
         mean, std = self.predict(x_star)
         return expected_improvement(mean, std, best, xi=xi)
 
-    def shallow_copy(self) -> "SparseGP":
-        """A cheap copy safe to extend independently (liar surrogates)."""
-        copy = SparseGP(
-            self.kernel.clone(),
-            self.noise_variance,
-            n_inducing=self.n_inducing,
-            reselect_factor=self.reselect_factor,
-        )
-        copy._hist_x = self._hist_x
-        copy._hist_y = self._hist_y
-        copy._hist_extra = self._hist_extra
-        copy._z = self._z
-        copy._n_at_select = self._n_at_select
-        copy._a = self._a
-        copy._b_y = self._b_y
-        copy._b_1 = self._b_1
-        copy._kzz_chol = self._kzz_chol
-        copy._post_chol = self._post_chol
-        copy._y_mean = self._y_mean
-        copy._y_std = self._y_std
-        return copy

@@ -13,7 +13,7 @@ from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import RBFKernel
 from repro.bo.lhs import latin_hypercube
 from repro.bo.mcmc import slice_sample_chain
-from repro.bo.optimize import maximize_acquisition, propose_batch
+from repro.bo.optimize import maximize_acquisition
 
 
 class TestLatinHypercube:
@@ -162,21 +162,6 @@ class TestMaximizeAcquisition:
         np.testing.assert_array_equal(best, pool[np.argmax(values)])
         assert value == float(values.max())
 
-    def test_propose_batch_scores_once_per_proposal(self):
-        pendings = []
-
-        def score_for(pending):
-            pendings.append(len(pending))
-            return lambda points: -np.sum((points - 0.5) ** 2, axis=1)
-
-        points, values = propose_batch(score_for, dim=2, q=3, n_candidates=32, rng=0)
-        assert pendings == [0, 1, 2]
-        assert points.shape == (3, 2) and values.shape == (3,)
-
     def test_refine_steps_is_gone(self):
         with pytest.raises(TypeError):
             maximize_acquisition(lambda p: p[:, 0], dim=2, refine_steps=5)
-        with pytest.raises(TypeError):
-            propose_batch(
-                lambda pending: (lambda p: p[:, 0]), dim=2, q=1, refine_steps=5
-            )

@@ -339,71 +339,24 @@ class TestJobScheduler:
         assert after.status == "done" and after.result == "recovered"
         scheduler.shutdown()
 
-    def test_slots_bound_concurrent_evaluation_footprint(self):
-        scheduler = JobScheduler(n_workers=4, total_slots=4)
-        lock = threading.Lock()
-        running: set[str] = set()
-        overlapped = [False]
-        release = threading.Event()
-
-        def make(app):
-            def fn():
-                with lock:
-                    running.add(app)
-                    overlapped[0] = overlapped[0] or len(running) > 1
-                release.wait(5.0)
-                with lock:
-                    running.discard(app)
-            return fn
-
-        # Two 3-slot jobs (tenants tuning with n_workers=3) exceed the
-        # 4-slot budget together, so they must run one after the other.
-        first = scheduler.submit("a", make("a"), slots=3)
-        second = scheduler.submit("b", make("b"), slots=3)
-        wait_until(lambda: first.status == "running")
-        assert second.status == "queued"
-        release.set()
-        scheduler.wait(first.job_id, timeout=10.0)
-        scheduler.wait(second.job_id, timeout=10.0)
-        assert not overlapped[0]
-        scheduler.shutdown()
-
-    def test_small_jobs_cannot_starve_a_waiting_heavy_job(self):
-        """Admission is oldest-first with reservation: a 1-slot job
-        submitted after a non-fitting 3-slot job must wait behind it."""
-        scheduler = JobScheduler(n_workers=4, total_slots=4)
-        release = threading.Event()
-
-        heavy_running = scheduler.submit("a", lambda: release.wait(5.0), slots=3)
-        wait_until(lambda: heavy_running.status == "running")
-        heavy_waiting = scheduler.submit("b", lambda: "b", slots=3)
-        light = scheduler.submit("c", lambda: "c", slots=1)
-        # 3+1 <= 4 would fit, but the older 3-slot job reserves the
-        # budget.  The small settle window is the chance for a *broken*
-        # scheduler to wrongly admit the light job; the positive
-        # conditions above are deadline-polled, so only a genuine
-        # starvation bug can move these asserts.
-        time.sleep(0.05)
-        assert heavy_running.status == "running"
-        assert heavy_waiting.status == "queued"
-        assert light.status == "queued"
-        release.set()
-        for job in (heavy_running, heavy_waiting, light):
-            scheduler.wait(job.job_id, timeout=10.0)
-        scheduler.shutdown()
-
-    def test_oversized_job_runs_alone_instead_of_deadlocking(self):
-        scheduler = JobScheduler(n_workers=2, total_slots=2)
-        job = scheduler.submit("a", lambda: "done", slots=16)
-        scheduler.wait(job.job_id, timeout=10.0)
-        assert job.result == "done"
-        assert job.to_json()["slots"] == 16
-        scheduler.shutdown()
-
-    def test_invalid_slots_rejected(self):
+    def test_oldest_job_first_across_tenants(self):
+        """A free worker takes the oldest queued job of any tenant, so
+        jobs queued behind a busy worker run in submission order."""
         scheduler = JobScheduler(n_workers=1)
-        with pytest.raises(ValueError):
-            scheduler.submit("a", lambda: None, slots=0)
+        release = threading.Event()
+        order: list[str] = []
+
+        blocker = scheduler.submit("a", lambda: release.wait(5.0))
+        wait_until(lambda: blocker.status == "running")
+        submitted = ["c0", "b0", "a0", "b1", "c1", "a1"]
+        jobs = [
+            scheduler.submit(name[0], lambda name=name: order.append(name))
+            for name in submitted
+        ]
+        release.set()
+        for job in jobs:
+            scheduler.wait(job.job_id, timeout=10.0)
+        assert order == submitted
         scheduler.shutdown()
 
     def test_wait_timeout(self):
@@ -488,17 +441,6 @@ class TestTuningRegistry:
         with pytest.raises(ValueError):
             registry.register("app", benchmark="join")
 
-    def test_eval_workers_wiring(self, tmp_path):
-        store = HistoryStore(tmp_path / "store")
-        registry = TuningRegistry(store, eval_workers=2)
-        session = registry.register("app", "scan", seed=1)
-        assert session.locat.n_workers == 2
-        assert session.status()["eval_workers"] == 2
-        # The service's setting, not the tenant's: a registry restarted
-        # with another value re-homes every tenant.
-        rehydrated = TuningRegistry(HistoryStore(tmp_path / "store"), eval_workers=3)
-        assert rehydrated.get("app").locat.n_workers == 3
-
     def test_invalid_surrogate_mode_rejected_before_persisting(self, tmp_path):
         """The retired surrogate_mode key is rejected, whatever its value,
         and before the store write: a rejected registration that left
@@ -513,18 +455,6 @@ class TestTuningRegistry:
         assert not store.has_app("bad")
         # The store stays rehydratable.
         TuningRegistry(HistoryStore(tmp_path / "store"))
-
-    def test_planned_slots_reserve_parallelism_only_for_tuning(self, tmp_path):
-        registry = TuningRegistry(HistoryStore(tmp_path / "store"), eval_workers=4)
-        session = registry.register("app", "scan", seed=1, tuner=TINY_TUNER)
-        # Before the first deployment every observe pays a tuning session.
-        assert session.planned_slots(100.0) == 4
-        registry.observe("app", 100.0)
-        # Steady state: a nearby datasize records a run, no evaluations.
-        assert session.planned_slots(100.0) == 1
-        assert session.planned_slots(110) == 1  # int within margin, same key
-        # Beyond the controller margin the observe deterministically retunes.
-        assert session.planned_slots(1000.0) == 4
 
     def test_observe_persists_run_table_and_artifacts(self, tmp_path):
         store = HistoryStore(tmp_path)
@@ -1074,7 +1004,7 @@ class TestServiceIntegration:
             with pytest.raises(ServiceError) as excinfo:
                 client.config("app")  # nothing deployed yet
             assert excinfo.value.status == 404
-            # A bad datasize is rejected up front (slot sizing normalizes
+            # A bad datasize is rejected up front (the handler normalizes
             # it before anything is queued) — a 400, not a failed job.
             with pytest.raises(ServiceError) as excinfo:
                 client.observe("app", -5.0)
@@ -1230,6 +1160,7 @@ class TestObserveBatch:
                 {},
                 {"observations": [{"duration_s": 5.0}]},
                 {"observations": [{"datasize_gb": "wat"}]},
+                {"observations": [{"datasize_gb": 1.0}, {"datasize_gb": -5.0}]},
                 *(
                     {"observations": [{"datasize_gb": 1.0}, {"datasize_gb": 1.0, "duration_s": d}]}
                     for d in (math.nan, math.inf, -math.inf, 0.0, -3.0)

@@ -542,7 +542,7 @@ class TestShardedBackpressure:
         def factory(spec):
             return _TS(
                 spec.store_dir, host="127.0.0.1", port=0,
-                n_workers=1, eval_workers=1, max_pending=1, admin=True,
+                n_workers=1, max_pending=1, admin=True,
                 job_id_prefix=spec.job_id_prefix, store_factory=GatedStore,
             )
 
@@ -592,7 +592,7 @@ class TestShardedBackpressure:
         def factory(spec):
             return _TS(
                 spec.store_dir, host="127.0.0.1", port=0,
-                n_workers=1, eval_workers=1, max_pending=1, admin=True,
+                n_workers=1, max_pending=1, admin=True,
                 job_id_prefix=spec.job_id_prefix, store_factory=GatedStore,
             )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.sampling import ensure_rng, spawn
+from repro.stats.sampling import ensure_rng
 
 
 class TestEnsureRng:
@@ -27,21 +27,3 @@ class TestEnsureRng:
         with pytest.raises(TypeError):
             ensure_rng("seed")
 
-
-class TestSpawn:
-    def test_children_are_independent(self):
-        children = spawn(np.random.default_rng(1), 3)
-        draws = [c.random(4).tolist() for c in children]
-        assert draws[0] != draws[1] != draws[2]
-
-    def test_reproducible_from_parent_seed(self):
-        a = [c.random(3).tolist() for c in spawn(np.random.default_rng(9), 2)]
-        b = [c.random(3).tolist() for c in spawn(np.random.default_rng(9), 2)]
-        assert a == b
-
-    def test_zero_children(self):
-        assert spawn(np.random.default_rng(0), 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn(np.random.default_rng(0), -1)

@@ -263,20 +263,6 @@ class TestGPExtend:
         with pytest.raises(ValueError):
             gp.extend(np.zeros((2, 3)), np.array([1.0, np.nan]))
 
-    def test_shallow_copy_is_isolated(self):
-        gp, x, y = make_gp(n=15, dim=3, seed=9)
-        gp.fit(x[:10], y[:10])
-        before = gp.n_samples
-        copy = gp.shallow_copy()
-        copy.extend(x[10:], y[10:])
-        assert gp.n_samples == before
-        assert copy.n_samples == 15
-        # The original's posterior is untouched.
-        xs = x[:3]
-        ref, _, _ = make_gp(n=15, dim=3, seed=9)
-        ref.fit(x[:10], y[:10])
-        np.testing.assert_array_equal(gp.predict(xs)[0], ref.predict(xs)[0])
-
     def test_memoized_lml_matches_mutating_path(self):
         gp, x, y = make_gp(n=18, dim=3, seed=10)
         gp.fit(x, y)
@@ -696,18 +682,6 @@ class TestDAGPEngine:
             model.predict(xs, 300.0)[0], ref.predict(xs, 300.0)[0], rtol=1e-9
         )
 
-    def test_point_estimate_copy_is_isolated(self):
-        points, datasizes, durations = synthetic_observations(seed=28)
-        model = DatasizeAwareGP(config_dim=2, n_mcmc=4)
-        model.fit(points, datasizes, durations, rng=2)
-        copy = model.point_estimate_copy()
-        copy.extend(points[:2], datasizes[:2], np.array([40.0, 41.0]))
-        assert copy.n_observations == 32
-        assert model.n_observations == 30
-        assert copy.n_mcmc == 0 and copy._stack is None
-        # Original's MCMC machinery still intact.
-        assert len(model._theta_samples) == 4
-
     def test_surrogate_protocol(self):
         gp, x, y = make_gp()
         dagp = DatasizeAwareGP(config_dim=2)
@@ -728,18 +702,6 @@ class TestIncrementalBOLoop:
                       n_mcmc=2, ei_threshold=0.0, rng=1)
         trace = loop.minimize(quadratic, 100.0)
         assert trace.n_evaluations == 8
-
-    def test_batch_proposals_distinct_with_incremental_liar(self):
-        def evaluate_batch(batch_points, ds):
-            return np.array([quadratic(p, ds) for p in np.atleast_2d(batch_points)])
-
-        loop = BOLoop(dim=2, n_init=4, min_iterations=4, max_iterations=12,
-                      n_mcmc=0, ei_threshold=0.0, batch_size=4, rng=11)
-        trace = loop.minimize(quadratic, 100.0, evaluate_batch=evaluate_batch)
-        batch = np.stack(trace.points[4:8])
-        for i in range(len(batch)):
-            for j in range(i + 1, len(batch)):
-                assert not np.allclose(batch[i], batch[j])
 
     def test_invalid_mode_rejected(self):
         """The surrogate lifecycle is no longer a setting: passing the

@@ -155,11 +155,6 @@ class TestDAGPBackends:
         model.extend(*batch(20))  # later extends stay sparse
         assert model.active_backend == "sparse"
         assert model.n_observations == 41
-        # A constant-liar copy keeps the resolved backend it was cut from.
-        liar = model.point_estimate_copy()
-        assert liar.backend_policy == BackendPolicy.forced("sparse", n_inducing=8)
-        liar.extend(*batch(1))
-        assert liar.active_backend == "sparse" and isinstance(liar.gp, SparseGP)
         # The model keeps producing usable predictions across transitions.
         mean = model.predict(rng.random((5, 3)), 100.0)[0]
         assert np.all(np.isfinite(mean))

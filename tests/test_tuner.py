@@ -166,55 +166,6 @@ class TestBOLoop:
         with pytest.raises(ValueError):
             BOLoop(dim=2, bounds=(np.zeros(2), np.zeros(2)))
 
-    def test_batch_mode_respects_budget_exactly(self):
-        batches = []
-
-        def evaluate_batch(points, ds):
-            points = np.atleast_2d(points)
-            batches.append(len(points))
-            return np.array([quadratic(p, ds) for p in points])
-
-        loop = BOLoop(dim=2, n_init=3, min_iterations=8, max_iterations=8,
-                      n_mcmc=0, ei_threshold=0.0, batch_size=3, rng=9)
-        trace = loop.minimize(quadratic, 100.0, evaluate_batch=evaluate_batch)
-        assert trace.n_evaluations == 8
-        # LHS design as one batch, then q-EI batches capped to the budget.
-        assert batches == [3, 3, 2]
-
-    def test_batch_mode_converges_on_quadratic(self):
-        def evaluate_batch(points, ds):
-            return np.array([quadratic(p, ds) for p in np.atleast_2d(points)])
-
-        loop = BOLoop(dim=2, n_init=3, min_iterations=6, max_iterations=21,
-                      n_mcmc=0, ei_threshold=0.0, batch_size=4, rng=10)
-        trace = loop.minimize(quadratic, 100.0, evaluate_batch=evaluate_batch)
-        _, duration = trace.best(100.0)
-        assert duration < 12.0  # optimum is 10
-        # One EI check per surrogate refit, several evaluations per refit.
-        assert len(trace.ei_values) < trace.n_evaluations
-
-    def test_batch_proposals_are_distinct(self):
-        """Constant-liar must push the points of one batch apart."""
-        def evaluate_batch(points, ds):
-            return np.array([quadratic(p, ds) for p in np.atleast_2d(points)])
-
-        loop = BOLoop(dim=2, n_init=4, min_iterations=4, max_iterations=12,
-                      n_mcmc=0, ei_threshold=0.0, batch_size=4, rng=11)
-        trace = loop.minimize(quadratic, 100.0, evaluate_batch=evaluate_batch)
-        batch = np.stack(trace.points[4:8])  # the first q-EI batch
-        for i in range(len(batch)):
-            for j in range(i + 1, len(batch)):
-                assert not np.allclose(batch[i], batch[j])
-
-    def test_batch_size_one_ignores_evaluate_batch(self):
-        def never(points, ds):
-            raise AssertionError("batch_size=1 must stay on the serial path")
-
-        loop = BOLoop(dim=2, n_init=3, min_iterations=3, max_iterations=5,
-                      n_mcmc=0, ei_threshold=0.0, rng=12)
-        trace = loop.minimize(quadratic, 100.0, evaluate_batch=never)
-        assert trace.n_evaluations == 5
-
     def test_small_budget_shrinks_initial_design(self):
         loop = BOLoop(dim=2, n_init=3, min_iterations=1, max_iterations=1,
                       ei_threshold=0.0, n_mcmc=0, rng=6)
