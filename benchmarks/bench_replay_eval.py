@@ -107,6 +107,7 @@ def drive(
 
     controller.observe(scenario.steps[0].datasize_gb)  # initial deployment
     initial_evals = locat.objective.n_evaluations
+    initial_overhead_s = locat.objective.overhead_s
     drift_retunes: list[dict] = []
     post_onset: list[float] = []
     for step in scenario.steps:
@@ -136,6 +137,7 @@ def drive(
         "drift_retunes": drift_retunes,
         "initial_evals": initial_evals,
         "adaptation_evals": locat.objective.n_evaluations - initial_evals,
+        "adaptation_overhead_s": locat.objective.overhead_s - initial_overhead_s,
         "deployed_regret_s": statistics.mean(post_onset) if post_onset else None,
     }
 

@@ -64,7 +64,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from repro.bo.optimize import maximize_acquisition
+from repro.bo.optimize import LATENT_POOL, maximize_acquisition
 from repro.core.dagp import DatasizeAwareGP
 from repro.surrogate.policy import BackendPolicy
 
@@ -113,7 +113,7 @@ def _suggest(model: DatasizeAwareGP, best: float, rng: np.random.Generator) -> n
     def score(candidates: np.ndarray) -> np.ndarray:
         return model.acquisition(candidates, DATASIZE_GB, best)
 
-    point, _ = maximize_acquisition(score, DIM, n_candidates=384, rng=rng)
+    point, _ = maximize_acquisition(score, DIM, pool=LATENT_POOL, rng=rng)
     return point
 
 

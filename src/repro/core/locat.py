@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.bo.optimize import BOOTSTRAP_POOL
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
 from repro.core.iicp import (
@@ -229,7 +230,7 @@ class LOCAT:
             max_iterations=n_iterations,
             ei_threshold=0.0,
             n_mcmc=min(self.n_mcmc, 4),
-            n_candidates=192,
+            pool=BOOTSTRAP_POOL,
             rng=self.rng,
         )
         loop.minimize(evaluate, datasize_gb, **warm_kwargs)
@@ -582,7 +583,7 @@ class LOCAT:
             if count > self._predictor_count:
                 new = self._observations[self._predictor_count:]
                 self._predictor.extend(
-                    np.stack([iicp.encode(o.config) for o in new]),
+                    iicp.encode_many([o.config for o in new]),
                     np.array([o.datasize_gb for o in new]),
                     np.array([o.rqa_duration_s for o in new]),
                 )
@@ -595,7 +596,7 @@ class LOCAT:
         # with history.
         predictor = DatasizeAwareGP(iicp.n_components, n_mcmc=0)
         predictor.fit(
-            np.stack([iicp.encode(o.config) for o in self._observations]),
+            iicp.encode_many([o.config for o in self._observations]),
             np.array([o.datasize_gb for o in self._observations]),
             np.array([o.rqa_duration_s for o in self._observations]),
             fidelities=(
@@ -945,9 +946,7 @@ class LOCAT:
                 transfer = []
             warm = transfer + warm_own
             n_warm = len(warm)
-            warm_points = (
-                np.stack([iicp.encode(o.config) for o in warm]) if warm else None
-            )
+            warm_points = iicp.encode_many([o.config for o in warm]) if warm else None
             warm_fidelities = (
                 np.array([1.0] * len(transfer) + [0.0] * len(warm_own))
                 if transfer
@@ -1128,8 +1127,9 @@ def _identity_iicp(space) -> IICPResult:
         def transform(self, x):
             return np.atleast_2d(np.asarray(x, dtype=float))
 
-        def inverse_transform(self, z, n_iterations: int = 0):
-            del n_iterations
+        latents_of = transform
+
+        def inverse_transform(self, z):
             return np.clip(np.atleast_2d(np.asarray(z, dtype=float)), 0.0, 1.0)
 
         def latent_bounds(self):

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bo.lhs import latin_hypercube
-from repro.bo.optimize import maximize_acquisition
+from repro.bo.optimize import LATENT_POOL, AcquisitionPool, maximize_acquisition
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
 from repro.stats.sampling import ensure_rng
@@ -132,7 +132,9 @@ class BOLoop:
 
     ``bounds`` is a (low, high) pair of arrays; omit it for the unit
     hypercube.  ``n_mcmc=0`` disables hyper-parameter marginalization
-    (the plain-EI ablation).
+    (the plain-EI ablation).  ``pool`` sizes the acquisition search
+    (:data:`~repro.bo.optimize.LATENT_POOL` when omitted, read when the
+    loop is built).
     """
 
     def __init__(
@@ -144,7 +146,7 @@ class BOLoop:
         max_iterations: int = 40,
         ei_threshold: float = DEFAULT_EI_THRESHOLD,
         n_mcmc: int = 8,
-        n_candidates: int = 384,
+        pool: AcquisitionPool | None = None,
         backend_policy: BackendPolicy | None = None,
         rng: int | np.random.Generator | None = None,
     ):
@@ -167,7 +169,7 @@ class BOLoop:
         self.max_iterations = max_iterations
         self.ei_threshold = ei_threshold
         self.n_mcmc = n_mcmc
-        self.n_candidates = n_candidates
+        self.pool = LATENT_POOL if pool is None else pool
         self.backend_policy = backend_policy
         self.rng = ensure_rng(rng)
 
@@ -289,7 +291,7 @@ class BOLoop:
             unit_point, ei = maximize_acquisition(
                 score,
                 self.dim,
-                n_candidates=self.n_candidates,
+                pool=self.pool,
                 anchors=anchors,
                 rng=self.rng,
             )

@@ -13,7 +13,7 @@ from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import RBFKernel
 from repro.bo.lhs import latin_hypercube
 from repro.bo.mcmc import slice_sample_chain
-from repro.bo.optimize import maximize_acquisition
+from repro.bo.optimize import AcquisitionPool, maximize_acquisition
 
 
 class TestLatinHypercube:
@@ -114,7 +114,7 @@ class TestMaximizeAcquisition:
         def score(points):
             return -np.sum((points - target) ** 2, axis=1)
 
-        best, value = maximize_acquisition(score, dim=2, n_candidates=256, rng=0)
+        best, value = maximize_acquisition(score, dim=2, pool=AcquisitionPool(256, 0), rng=0)
         np.testing.assert_allclose(best, target, atol=0.05)
 
     def test_respects_unit_cube(self):
@@ -133,7 +133,7 @@ class TestMaximizeAcquisition:
             return -np.linalg.norm(points - needle, axis=1)
 
         best_with, _ = maximize_acquisition(
-            score, dim=8, n_candidates=16, anchors=needle[None, :] + 0.02, rng=2
+            score, dim=8, pool=AcquisitionPool(16, 4), anchors=needle[None, :] + 0.02, rng=2
         )
         assert np.linalg.norm(best_with - needle) < 0.2
 
@@ -142,9 +142,9 @@ class TestMaximizeAcquisition:
             maximize_acquisition(lambda p: p[:, 0], dim=0)
 
     def test_one_score_call_over_pool_and_jitter(self):
-        # The search is one vectorized pass: n_candidates random rows plus
-        # n_candidates // (4k) jitter rows per anchor, scored together,
-        # and the result is exactly that call's argmax row and value.
+        # The search is one vectorized pass: pool.uniform random rows,
+        # then pool.jitter // k jitter rows per anchor, in anchor order,
+        # scored together; the result is exactly that call's argmax row.
         calls = []
 
         def score(points):
@@ -153,14 +153,51 @@ class TestMaximizeAcquisition:
 
         anchors = np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5]])
         best, value = maximize_acquisition(
-            score, dim=3, n_candidates=64, anchors=anchors, rng=5
+            score, dim=3, pool=AcquisitionPool(uniform=40, jitter=24), anchors=anchors, rng=5
         )
         assert len(calls) == 1
         pool = calls[0]
-        assert pool.shape == (64 + 2 * (64 // (4 * 2)), 3)
+        assert pool.shape == (40 + 24, 3)
+        for k, anchor in enumerate(anchors):
+            rows = pool[40 + 12 * k : 40 + 12 * (k + 1)]
+            assert np.all(np.abs(rows - anchor) < 0.5)
         values = np.sin(7.0 * pool).sum(axis=1)
         np.testing.assert_array_equal(best, pool[np.argmax(values)])
         assert value == float(values.max())
+
+    def test_zero_uniform_rows_scores_only_jitter(self):
+        calls = []
+
+        def score(points):
+            calls.append(points.copy())
+            return -points.sum(axis=1)
+
+        anchors = np.array([[0.5, 0.5], [0.7, 0.3], [0.3, 0.7]])
+        maximize_acquisition(
+            score, dim=2, pool=AcquisitionPool(uniform=0, jitter=48), anchors=anchors, rng=3
+        )
+        (pool,) = calls
+        assert pool.shape == (48, 2)
+        for k, anchor in enumerate(anchors):
+            assert np.all(np.abs(pool[16 * k : 16 * (k + 1)] - anchor) < 0.5)
+
+    @pytest.mark.parametrize("anchors", [None, np.empty((0, 2))])
+    def test_empty_pool_raises_before_scoring(self, anchors):
+        calls = []
+
+        def score(points):
+            calls.append(points)
+            return points[:, 0]
+
+        with pytest.raises(ValueError, match="pool is empty"):
+            maximize_acquisition(
+                score, dim=2, pool=AcquisitionPool(uniform=0, jitter=48), anchors=anchors
+            )
+        assert calls == []
+
+    def test_n_candidates_is_gone(self):
+        with pytest.raises(TypeError):
+            maximize_acquisition(lambda p: p[:, 0], dim=2, n_candidates=64)
 
     def test_refine_steps_is_gone(self):
         with pytest.raises(TypeError):

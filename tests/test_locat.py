@@ -260,13 +260,13 @@ TINY_TUNER = {"n_qcsa": 10, "n_iicp": 8, "max_iterations": 6, "min_iterations": 
 #: captured before the bootstrap paths were merged into one.  Any change
 #: to a sampled, observed or selected value moves the digest.
 PINNED_PATH_DIGESTS = {
-    "transfer_accepted": "e95c842c6e2f280e71f4fdb951ff5d2208c85e4ebf2a1324b5bf0b4940f33edb",
-    "transfer_rejected": "f0b2abeac116ff82c383fb9cddc7394d3c26a7372092d6ad12e9127efb8ed735",
-    "restore_predict_tune": "50dff14870b329b596ebd6628844d457a216eac037da01d198ec77c3450897f3",
+    "transfer_accepted": "fd6c5103932fb3db818d9fc52d2f809326b91d59ac7d8510d833a79de611d071",
+    "transfer_rejected": "d707050a29f7f459893f5fc884b6943b38fcdcca6ae6346329ec7eee44ad993f",
+    "restore_predict_tune": "ea89babc2b4dc0ee32c6259a97cfd3dd25a39c7385292dd441cb75c145d7eb7f",
     "restore_predict_tune_predict": (
-        "69d93be6d7d9fdda7a8fd17f30f79c0d7f8b4bcd7ea80eed4f3dee78915052aa"
+        "284c868316feeb9b50c6bddf4eaa37080f0e318b3f27e480dcf78ff506376c5a"
     ),
-    "all_parameters": "d08695c8e83f21252cf2316a00aa3f93cf34aa10e6c53388dc678abd20aa2303",
+    "all_parameters": "339757fdd75f6210357037f3d502fe3f0b7303f53b9aec1743737129a674f640",
 }
 
 

@@ -118,3 +118,42 @@ class TestValidation:
     def test_invalid_n_components(self):
         with pytest.raises(ValueError):
             KernelPCA(n_components=0)
+
+
+class TestBatchedEncode:
+    """One KPCA pass for many rows (``latents_of``, ``IICPResult.encode_many``)."""
+
+    @pytest.fixture()
+    def iicp(self):
+        from repro.core.iicp import CPSResult, IICPResult, run_cpe
+        from repro.sparksim.configspace import ConfigSpace
+
+        space = ConfigSpace("x86")
+        rng = np.random.default_rng(4)
+        configs = [space.sample(rng) for _ in range(24)]
+        names = tuple(space.names[:12])
+        cps = CPSResult(scc={n: 1.0 for n in names}, selected=names, threshold=0.2)
+        cpe = run_cpe(space, configs, cps, n_components=5)
+        donors = [space.sample(rng) for _ in range(7)]
+        result = IICPResult(cps=cps, cpe=cpe, space=space, base_config=configs[0])
+        return result, configs, donors
+
+    def test_encode_many_matches_rowwise_encode(self, iicp):
+        result, configs, donors = iicp
+        mixed = donors[:3] + configs + donors[3:]
+        rowwise = np.stack([result.encode(c) for c in mixed])
+        np.testing.assert_allclose(result.encode_many(mixed), rowwise, rtol=0, atol=1e-12)
+
+    def test_training_rows_get_the_training_latents_bit_for_bit(self, iicp):
+        result, configs, donors = iicp
+        mixed = donors[:3] + configs + donors[3:]
+        latents = result.encode_many(mixed)
+        np.testing.assert_array_equal(latents[3 : 3 + len(configs)],
+                                      result.cpe.kpca._train_latents)
+        # A lone training row too, which a one-row projection misses.
+        np.testing.assert_array_equal(result.encode_many(configs[5:6])[0],
+                                      result.cpe.kpca._train_latents[5])
+
+    def test_latents_of_requires_fit(self):
+        with pytest.raises(RuntimeError):
+            KernelPCA(n_components=2).latents_of(np.zeros((1, 2)))

@@ -722,26 +722,26 @@ PINNED_BO_LOOP = {
         [0.8789872291071514, 0.27109007973342414],
         [0.08992890458795677, 0.9709185257592405],
         [0.3469911746453982, 0.5355452585890599],
-        [0.22279143552845215, 0.28182810633472577],
-        [0.2745676578042237, 0.3232826456095444],
-        [0.46551460344090934, 0.4395869134482585],
-        [0.5672629011845808, 0.2892206846885119],
+        [0.2698828361868243, 0.28703831448639655],
+        [0.07551903556109762, 0.009390369621182337],
+        [0.3710027506956368, 0.04603747135147218],
+        [0.8472714475500778, 0.9705133415909647],
     ],
     "durations": [
         13.36061994958997,
         14.942615333345683,
         10.576897393383414,
-        10.062913801471392,
-        10.011888856161427,
-        10.46879590358213,
-        10.715456519881833,
+        10.010750488475033,
+        11.348456606643326,
+        10.695383565639013,
+        17.49094178555039,
     ],
     "ei_values": [
-        0.02821184417355568,
-        0.07445831781966677,
-        0.06436010140487733,
-        0.06526810504681008,
-        0.07186186136348562,
+        0.028177604765429208,
+        0.043688607593251855,
+        0.03879804487408175,
+        0.012521041352289548,
+        0.05164685594184172,
     ],
     "stopped_by_ei": True,
 }
@@ -753,20 +753,20 @@ PINNED_LOCAT_DURATIONS = [
     100.92531795465439,
     345.1488918823474,
     1990.9731010956084,
-    80.04118290146772,
-    74.87506764615252,
-    71.85471556872619,
-    73.54082552973142,
-    79.91522137824101,
-    71.84318488008265,
-    72.29482117887312,
-    74.40417963768779,
-    79.56183770035993,
-    70.28704762225328,
-    73.91424942319844,
+    81.30319632064051,
+    175.4952554014912,
+    87.6556121052262,
+    77.10506744487522,
+    82.69077429485453,
+    79.1643250458407,
+    77.56740506691295,
+    77.10442360952135,
+    80.02646615025114,
+    75.77855841390561,
+    75.26186893851505,
 ]
 
-PINNED_LOCAT_BEST = 73.91424942319844
+PINNED_LOCAT_BEST = 75.26186893851505
 
 #: A deployed small-budget tenant (``n_mcmc=4``, ``replay_eval="race"``)
 #: fed an abrupt-skew stream until its first drift retune completes: the
@@ -777,53 +777,53 @@ PINNED_LOCAT_BEST = 73.91424942319844
 #: low-fidelity prior, the promotion gate), which the two pins above do
 #: not reach; both its sessions also run ``ModelStack.extend``.
 PINNED_DRIFT_DURATIONS = [
-    49.46093558187738,
-    51.052497079856494,
-    48.8329689718956,
-    50.05385127694253,
-    48.99863060929082,
-    46.40805004865463,
-    49.502009770488044,
-    47.586491559292845,
-    171.33147380425171,
+    46.17269977026013,
+    47.65845191682933,
+    45.58648130497375,
+    46.7261975570539,
+    45.74112951283543,
+    43.32277456160491,
+    46.211043286344406,
+    44.42287154576803,
+    74.2843734956938,
 ]
 PINNED_DRIFT_DECISIONS = [(False, "none", None)] * 8 + [(True, "drift", "promoted")]
-PINNED_DRIFT_RETUNE = (2, 53.07548187105478)
+PINNED_DRIFT_RETUNE = (2, 56.58272527285551)
 PINNED_DRIFT_DEPLOYED = {
-    "broadcast.blockSize": 3,
-    "default.parallelism": 100,
-    "driver.cores": 16,
-    "driver.memory": 27,
-    "executor.cores": 10,
+    "broadcast.blockSize": 5,
+    "default.parallelism": 165,
+    "driver.cores": 15,
+    "driver.memory": 22,
+    "executor.cores": 9,
     "executor.instances": 9,
     "executor.memory": 48,
     "executor.memoryOverhead": 1820,
-    "io.compression.zstd.bufferSize": 63,
-    "io.compression.zstd.level": 3,
-    "kryoserializer.buffer": 64,
-    "kryoserializer.buffer.max": 70,
+    "io.compression.zstd.bufferSize": 73,
+    "io.compression.zstd.level": 4,
+    "kryoserializer.buffer": 70,
+    "kryoserializer.buffer.max": 60,
     "locality.wait": 1,
-    "memory.fraction": 0.5529398163855587,
-    "memory.storageFraction": 0.7232386487016782,
+    "memory.fraction": 0.6026759361084638,
+    "memory.storageFraction": 0.7986698764970799,
     "memory.offHeap.size": 0,
-    "reducer.maxSizeInFlight": 38,
+    "reducer.maxSizeInFlight": 43,
     "scheduler.revive.interval": 2,
-    "shuffle.file.buffer": 89,
-    "shuffle.io.numConnectionsPerPeer": 2,
-    "shuffle.sort.bypassMergeThreshold": 400,
-    "sql.autoBroadcastJoinThreshold": 1024,
-    "sql.cartesianProductExec.buffer.in.memory.threshold": 3428,
-    "sql.codegen.maxFields": 168,
-    "sql.inMemoryColumnarStorage.batchSize": 11817,
-    "sql.shuffle.partitions": 679,
-    "storage.memoryMapThreshold": 6,
+    "shuffle.file.buffer": 94,
+    "shuffle.io.numConnectionsPerPeer": 1,
+    "shuffle.sort.bypassMergeThreshold": 367,
+    "sql.autoBroadcastJoinThreshold": 4729,
+    "sql.cartesianProductExec.buffer.in.memory.threshold": 2717,
+    "sql.codegen.maxFields": 153,
+    "sql.inMemoryColumnarStorage.batchSize": 11050,
+    "sql.shuffle.partitions": 618,
+    "storage.memoryMapThreshold": 5,
     "broadcast.compress": True,
     "memory.offHeap.enabled": False,
     "rdd.compress": True,
     "shuffle.compress": True,
-    "shuffle.spill.compress": True,
+    "shuffle.spill.compress": False,
     "sql.codegen.aggregate.map.twolevel.enable": True,
-    "sql.inMemoryColumnarStorage.compressed": True,
+    "sql.inMemoryColumnarStorage.compressed": False,
     "sql.inMemoryColumnarStorage.partitionPruning": True,
     "sql.join.preferSortMergeJoin": False,
     "sql.retainGroupColumns": False,
