@@ -53,9 +53,14 @@ Run from the repository root (about 80 minutes on one core, about
 35 seconds with ``--sessions 1``; ``--stage`` runs one kind, and only a
 full run names the choice)::
 
-    PYTHONPATH=src python benchmarks/sweep_acquisition_pool.py --output sweep.json
+    PYTHONPATH=src python benchmarks/sweep_acquisition_pool.py \\
+        --output BENCH_acquisition_pool_sweep.json
 
-``--sessions 1`` gives a smoke run.
+``--sessions 1`` gives a smoke run.  The committed
+``BENCH_acquisition_pool_sweep.json`` is the output of the full run
+that chose the pool.  The sweep runs LOCAT alone; Tuneful's and
+GBO-RL's loops pass their own pool (``BASELINE_POOL``), which it does
+not patch.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import BaselineTuner
+from repro.bo.optimize import BASELINE_POOL
 from repro.core.tuner import BOLoop
 from repro.sparksim.configspace import Configuration, PARAMETER_INDEX
 
@@ -96,6 +97,7 @@ class GBORL(BaselineTuner):
             max_iterations=bo_budget,
             ei_threshold=0.0,
             n_mcmc=0,
+            pool=BASELINE_POOL,
             rng=self.rng,
         )
         loop.minimize(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import BaselineTuner
+from repro.bo.optimize import BASELINE_POOL
 from repro.core.tuner import BOLoop
 from repro.sparksim.configspace import Configuration, PARAMETERS, PARAMETER_INDEX
 
@@ -82,6 +83,7 @@ class Tuneful(BaselineTuner):
             max_iterations=self.bo_iterations,
             ei_threshold=0.0,
             n_mcmc=0,  # Tuneful uses point-estimate GP hyper-parameters
+            pool=BASELINE_POOL,
             rng=self.rng,
         )
         trace = loop.minimize(evaluate, datasize_gb)

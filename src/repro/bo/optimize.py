@@ -4,9 +4,11 @@ One pass: uniform rows of the box plus Gaussian jitter around the
 anchors (the best configurations seen), scored in a single vectorized
 call; the argmax row wins.  An :class:`AcquisitionPool` sizes the two
 parts.  LOCAT's bootstrap search in the full 38-dim space scores jitter
-alone (:data:`BOOTSTRAP_POOL`: 0 uniform, 48 jitter rows); every other
-search, LOCAT's latent search among them, scores 96 uniform and 96
-jitter rows (:data:`LATENT_POOL`).
+alone (:data:`BOOTSTRAP_POOL`: 0 uniform, 48 jitter rows); its latent
+search, and any ``BOLoop`` built without a pool, scores 96 uniform and
+96 jitter rows (:data:`LATENT_POOL`).  Tuneful's and GBO-RL's loops keep
+the 384 + 96 rows from before the sweep (:data:`BASELINE_POOL`): the
+sweep ran LOCAT alone, so the baselines search exactly as they did.
 
 The sizes come from ``benchmarks/sweep_acquisition_pool.py``: 12
 variants of uniform rows, bootstrap {192, 48, 0} x latent {384, 192,
@@ -50,8 +52,11 @@ class AcquisitionPool(NamedTuple):
 
 #: The full-space search of LOCAT's bootstrap (38 dims on TPC-DS).
 BOOTSTRAP_POOL = AcquisitionPool(uniform=0, jitter=48)
-#: Every other search: LOCAT's latent search and the baselines' loops.
+#: LOCAT's latent search, and any ``BOLoop`` built without a pool.
 LATENT_POOL = AcquisitionPool(uniform=96, jitter=96)
+#: Tuneful's and GBO-RL's loops keep the pool from before the sweep,
+#: which ran LOCAT's searches only.
+BASELINE_POOL = AcquisitionPool(uniform=384, jitter=96)
 
 
 def maximize_acquisition(

@@ -83,13 +83,11 @@ class IICPResult:
     def encode_many(self, configs: list[Configuration]) -> np.ndarray:
         """Configurations -> latent rows, in one KPCA pass.
 
-        Agrees with :meth:`encode` row by row up to rounding; a
-        configuration the KPCA was fitted on gets its training latent
-        bit for bit (:meth:`~repro.ml.kpca.KernelPCA.latents_of`).
+        Agrees with :meth:`encode` row by row up to rounding.
         """
         names = list(self.selected)
         subset = np.stack([self.space.encode_subset(c, names) for c in configs])
-        return self.cpe.kpca.latents_of(subset)
+        return self.cpe.kpca.transform(subset)
 
     def decode(self, latent: np.ndarray) -> Configuration:
         """Latent vector -> concrete configuration (KPCA pre-image).

@@ -1127,8 +1127,6 @@ def _identity_iicp(space) -> IICPResult:
         def transform(self, x):
             return np.atleast_2d(np.asarray(x, dtype=float))
 
-        latents_of = transform
-
         def inverse_transform(self, z):
             return np.clip(np.atleast_2d(np.asarray(z, dtype=float)), 0.0, 1.0)
 

@@ -65,7 +65,6 @@ class KernelPCA:
         self._alphas: np.ndarray | None = None  # (n_train, n_components)
         self._lambdas: np.ndarray | None = None
         self._train_latents: np.ndarray | None = None  # cached transform(self._x)
-        self._train_rows: dict[bytes, int] = {}  # training row bytes -> index
         self._k_row_means: np.ndarray | None = None
         self._k_mean = 0.0
         self._gamma_value = 1.0
@@ -128,7 +127,6 @@ class KernelPCA:
         # pre-image call need them, and recomputing transform(self._x)
         # per call dominated inverse_transform profiles.
         self._train_latents = self.transform(x)
-        self._train_rows = {row.tobytes(): i for i, row in enumerate(x)}
         return self
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -144,25 +142,6 @@ class KernelPCA:
             + self._k_mean
         )
         return k_centered @ self._alphas
-
-    def latents_of(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`transform` in one pass, reusing the training latents.
-
-        A row equal to a training row gets the latent cached at fit
-        time, bit for bit (the floats :meth:`latent_bounds` and the
-        pre-image seeds use); the other rows are transformed together.
-        """
-        if self._train_latents is None:
-            raise RuntimeError("latents_of() called before fit()")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        index = np.array([self._train_rows.get(row.tobytes(), -1) for row in x], dtype=int)
-        known = index >= 0
-        if known.all():
-            return self._train_latents[index]
-        latents = np.empty((len(x), self.n_components_))
-        latents[known] = self._train_latents[index[known]]
-        latents[~known] = self.transform(x[~known])
-        return latents
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)

@@ -36,6 +36,23 @@ class TestCommonContract:
         default_time = sim_x86.run(join_app, sim_x86.space.default(), 300.0, rng=1).duration_s
         assert result.best_duration_s < default_time
 
+    @pytest.mark.parametrize("cls", [Tuneful, GBORL])
+    def test_bo_baselines_search_the_baseline_pool(self, cls, sim_x86, join_app, monkeypatch):
+        # The pool sweep ran LOCAT alone; the baselines keep their pool.
+        import repro.core.tuner as tuner_module
+        from repro.bo.optimize import BASELINE_POOL
+
+        pools = []
+        maximize = tuner_module.maximize_acquisition
+
+        def recording(score, dim, pool, **kwargs):
+            pools.append(pool)
+            return maximize(score, dim, pool, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "maximize_acquisition", recording)
+        tune_small(cls, sim_x86, join_app)
+        assert pools and set(pools) == {BASELINE_POOL}
+
     def test_overhead_equals_sum_of_runs(self, sim_x86, join_app):
         tuner = RandomSearch(sim_x86, join_app, rng=0, n_samples=5)
         result = tuner.tune(100.0)

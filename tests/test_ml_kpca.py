@@ -121,7 +121,7 @@ class TestValidation:
 
 
 class TestBatchedEncode:
-    """One KPCA pass for many rows (``latents_of``, ``IICPResult.encode_many``)."""
+    """One KPCA pass for many rows (``IICPResult.encode_many``)."""
 
     @pytest.fixture()
     def iicp(self):
@@ -143,17 +143,3 @@ class TestBatchedEncode:
         mixed = donors[:3] + configs + donors[3:]
         rowwise = np.stack([result.encode(c) for c in mixed])
         np.testing.assert_allclose(result.encode_many(mixed), rowwise, rtol=0, atol=1e-12)
-
-    def test_training_rows_get_the_training_latents_bit_for_bit(self, iicp):
-        result, configs, donors = iicp
-        mixed = donors[:3] + configs + donors[3:]
-        latents = result.encode_many(mixed)
-        np.testing.assert_array_equal(latents[3 : 3 + len(configs)],
-                                      result.cpe.kpca._train_latents)
-        # A lone training row too, which a one-row projection misses.
-        np.testing.assert_array_equal(result.encode_many(configs[5:6])[0],
-                                      result.cpe.kpca._train_latents[5])
-
-    def test_latents_of_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            KernelPCA(n_components=2).latents_of(np.zeros((1, 2)))
