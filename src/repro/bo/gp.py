@@ -5,8 +5,7 @@ covariance kernel plus observation noise.  Prediction follows equation
 (10): posterior mean ``K*^T (K + s^2 I)^-1 y`` and covariance
 ``K** - K*^T (K + s^2 I)^-1 K*`` computed via Cholesky factorization.
 
-The class implements the surrogate-engine lifecycle
-(:class:`repro.surrogate.protocol.Surrogate`): besides ``fit`` /
+The class implements the surrogate-engine lifecycle: besides ``fit`` /
 ``predict`` it supports ``extend`` — an algebraically exact O(n^2 k)
 rank-k append of new observations (the covariance factor grows by the
 block-Cholesky formula, targets are re-standardized, and only the

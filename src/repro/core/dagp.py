@@ -23,8 +23,7 @@ fidelity 0, so the target's own observations dominate wherever they
 exist.  With no fidelities (or all zeros) the model is bit-for-bit the
 pre-transfer DAGP.
 
-The class implements the surrogate-engine lifecycle
-(:class:`repro.surrogate.protocol.Surrogate`):
+The class implements the surrogate-engine lifecycle:
 
 * ``fit`` trains from scratch — full factorization, a cold slice-
   sampling chain, and one :class:`~repro.surrogate.stack.ModelStack`
@@ -49,8 +48,6 @@ from repro.bo.gp import GaussianProcess
 from repro.bo.kernels import Matern52Kernel
 from repro.bo.mcmc import slice_sample_chain
 from repro.stats.sampling import ensure_rng
-from repro.surrogate.policy import BackendPolicy
-from repro.surrogate.sparse import SparseGP
 from repro.surrogate.stack import ModelStack
 
 #: Datasize normalization reference: 1 TB, the largest size the paper uses.
@@ -111,12 +108,7 @@ class DatasizeAwareGP:
     ``n_mcmc`` controls the EI-MCMC marginalization: acquisition values
     are averaged over that many posterior hyper-parameter samples (0
     disables marginalization and uses the current point estimate).
-
-    ``backend_policy`` picks the GP implementation underneath by
-    history size: the exact GP up to its ``n_exact`` rows,
-    :class:`~repro.surrogate.sparse.SparseGP` (O(m^2) per decision,
-    point-estimate EI only) above, refitting into the sparse backend
-    when an extend crosses the threshold.
+    The GP underneath is exact at every history size.
     """
 
     def __init__(
@@ -125,7 +117,6 @@ class DatasizeAwareGP:
         n_mcmc: int = 8,
         noise_variance: float = 1e-3,
         transfer_noise_variance: float = TRANSFER_NOISE_VARIANCE,
-        backend_policy: BackendPolicy | None = None,
     ):
         if config_dim <= 0:
             raise ValueError("config_dim must be positive")
@@ -135,12 +126,8 @@ class DatasizeAwareGP:
         self.n_mcmc = n_mcmc
         self.noise_variance = float(noise_variance)
         self.transfer_noise_variance = float(transfer_noise_variance)
-        self.backend_policy = backend_policy if backend_policy is not None else BackendPolicy()
-        #: The concrete backend currently in force (resolved at
-        #: fit/extend time; starts exact, where every history starts).
-        self._active_backend = "exact"
         kernel = Matern52Kernel(dim=config_dim + 1, lengthscale=0.5)
-        self.gp = self._new_gp(kernel, noise_variance)
+        self.gp = GaussianProcess(kernel, noise_variance=noise_variance)
         self._x: np.ndarray | None = None
         self._log_t: np.ndarray | None = None
         self._datasizes_gb: np.ndarray | None = None
@@ -165,21 +152,6 @@ class DatasizeAwareGP:
             raise ValueError("config_points and datasizes must have equal length")
         return np.hstack([config_points, ds[:, None]])
 
-    def _new_gp(self, kernel, noise_variance: float):
-        """Build the GP implementation for the active backend."""
-        if self._active_backend == "sparse":
-            return SparseGP(
-                kernel,
-                noise_variance=noise_variance,
-                n_inducing=self.backend_policy.n_inducing,
-            )
-        return GaussianProcess(kernel, noise_variance=noise_variance)
-
-    @property
-    def active_backend(self) -> str:
-        """The concrete backend in force, as the policy last resolved it."""
-        return self._active_backend
-
     def _rebuild_kernel(self, with_fidelity: bool) -> None:
         """Swap the fidelity column in or out, carrying learned theta over.
 
@@ -195,7 +167,7 @@ class DatasizeAwareGP:
         kernel.signal_variance = old_kernel.signal_variance
         shared = min(self.config_dim + 1, old_kernel.dim, dim)
         kernel.lengthscales[:shared] = old_kernel.lengthscales[:shared]
-        self.gp = self._new_gp(kernel, self.gp.noise_variance)
+        self.gp = GaussianProcess(kernel, noise_variance=self.gp.noise_variance)
         self._with_fidelity = with_fidelity
 
     @staticmethod
@@ -265,11 +237,6 @@ class DatasizeAwareGP:
         if x.shape[1] != self.config_dim + 1:
             raise ValueError(f"expected config dim {self.config_dim}, got {x.shape[1] - 1}")
 
-        resolved = self.backend_policy.select(x.shape[0])
-        if resolved != self._active_backend:
-            self._active_backend = resolved
-            self.gp = self._new_gp(self.gp.kernel, self.gp.noise_variance)
-
         fidelities = self._validate_fidelities(fidelities, x.shape[0])
         with_fidelity = fidelities is not None and bool(np.any(fidelities > 0))
         if with_fidelity != self._with_fidelity:
@@ -287,11 +254,7 @@ class DatasizeAwareGP:
         )
         self.gp.fit(x, self._log_t, extra_noise=extra_noise)
         self._mcmc_state = None
-        if (
-            self.n_mcmc > 0
-            and x.shape[0] >= 4
-            and getattr(self.gp, "supports_mcmc", True)
-        ):
+        if self.n_mcmc > 0 and x.shape[0] >= 4:
             self._sample_hyperparameters(rng, resume=False)
         else:
             self._theta_samples = []
@@ -308,8 +271,12 @@ class DatasizeAwareGP:
     ) -> "DatasizeAwareGP":
         """Append observations incrementally (exact rank-k updates).
 
-        The base GP and every stacked per-sample model grow by a rank-k
-        update — O(n^2 k) per model instead of a refit — and the
+        ``extend`` is algebraically exact: the posterior afterwards
+        equals that of a from-scratch :meth:`fit` on the concatenated
+        data, up to floating-point round-off (see
+        :func:`~repro.surrogate.incremental.cholesky_append`).  The base
+        GP and every stacked per-sample model grow by a rank-k update —
+        O(n^2 k) per model instead of a refit — and the
         hyper-parameters are re-sampled, resuming the previous chain,
         once :data:`MCMC_REFRESH_ROWS` rows have arrived since the last
         draw; in between, the existing posterior samples are reused.
@@ -333,18 +300,9 @@ class DatasizeAwareGP:
         fidelities = self._validate_fidelities(fidelities, x.shape[0])
         new_fid = fidelities if fidelities is not None else np.zeros(x.shape[0])
 
-        crosses_backend_threshold = (
-            self.backend_policy.select(self.n_observations + x.shape[0])
-            != self._active_backend
-        )
-        if crosses_backend_threshold or (
-            bool(np.any(new_fid > 0)) and not self._with_fidelity
-        ):
-            # Dimensionality change (fidelity column toggles on) or a
-            # policy threshold crossing (the new backend needs its own
-            # data structures): replay everything through fit().  For a
-            # threshold crossing this is the one-time refit the policy
-            # amortizes — the new backend's fit is itself bounded.
+        if bool(np.any(new_fid > 0)) and not self._with_fidelity:
+            # Dimensionality change (fidelity column toggles on):
+            # replay everything through fit().
             all_configs = np.vstack([self._x[:, : self.config_dim], x[:, : self.config_dim]])
             return self.fit(
                 all_configs,
@@ -367,11 +325,7 @@ class DatasizeAwareGP:
         )
         self._fidelities = np.concatenate([self._fidelities, new_fid])
 
-        if (
-            self.n_mcmc > 0
-            and self._x.shape[0] >= 4
-            and getattr(self.gp, "supports_mcmc", True)
-        ):
+        if self.n_mcmc > 0 and self._x.shape[0] >= 4:
             # The samples are drawn again every MCMC_REFRESH_ROWS rows;
             # in between, the stacked models are extended in place.
             grown = self.n_observations - self._rows_at_draw

@@ -589,11 +589,9 @@ class LOCAT:
                 )
                 self._predictor_count = count
             return self._predictor
-        # The monitoring predictor picks its backend by history size
-        # like every surrogate: it grows with every tuning observation
-        # and is queried on every production run (production runs never
-        # enter it), so an aging tenant's drift checks must not grow
-        # with history.
+        # The monitoring predictor grows with every tuning observation
+        # and is queried on every production run; production runs never
+        # enter it.
         predictor = DatasizeAwareGP(iicp.n_components, n_mcmc=0)
         predictor.fit(
             iicp.encode_many([o.config for o in self._observations]),

@@ -19,13 +19,9 @@ updates and re-samples the hyper-parameters only every few iterations.
 Per-iteration surrogate cost is O(n^2) amortized instead of a
 from-scratch O(n^3) refit with an MCMC chain.
 
-The GP implementation underneath is picked by history size
-(:mod:`repro.surrogate.policy`): exact up to the policy's ``n_exact``
-rows, sparse (bounded per-decision cost) above.  A tuning session's few
-dozen evaluations stay far below that threshold, so a session runs on
-the exact GP; the sparse side serves long-lived service tenants whose
-warm histories reach thousands of rows.  ``backend_policy`` overrides
-the default threshold.
+The surrogate is the exact GP at every history size, as in the paper: a
+cold TPC-DS session holds a few dozen rows and six adaptation sessions
+on one tenant a few hundred (``docs/architecture.md``, "History sizes").
 
 Warm observations may carry a *fidelity* (``warm_fidelities``): rows at
 fidelity 0 are the caller's own observations, rows at fidelity > 0 are
@@ -52,7 +48,6 @@ from repro.bo.optimize import LATENT_POOL, AcquisitionPool, maximize_acquisition
 from repro.core.dagp import DatasizeAwareGP
 from repro.core.datasize import normalize_datasize
 from repro.stats.sampling import ensure_rng
-from repro.surrogate.policy import BackendPolicy
 
 #: Paper defaults (section 3.4).
 DEFAULT_N_INIT = 3
@@ -147,7 +142,6 @@ class BOLoop:
         ei_threshold: float = DEFAULT_EI_THRESHOLD,
         n_mcmc: int = 8,
         pool: AcquisitionPool | None = None,
-        backend_policy: BackendPolicy | None = None,
         rng: int | np.random.Generator | None = None,
     ):
         if dim <= 0:
@@ -170,7 +164,6 @@ class BOLoop:
         self.ei_threshold = ei_threshold
         self.n_mcmc = n_mcmc
         self.pool = LATENT_POOL if pool is None else pool
-        self.backend_policy = backend_policy
         self.rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
@@ -254,9 +247,7 @@ class BOLoop:
             observe(best_warm, float(evaluate(best_warm, datasize_gb)))
 
         iterations = 0
-        model = DatasizeAwareGP(
-            self.dim, n_mcmc=self.n_mcmc, backend_policy=self.backend_policy
-        )
+        model = DatasizeAwareGP(self.dim, n_mcmc=self.n_mcmc)
         n_modeled = 0
         while trace.n_evaluations - n_warm < self.max_iterations:
             unit_points = self._to_unit(np.stack(trace.points))

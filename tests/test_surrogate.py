@@ -31,7 +31,7 @@ from repro.sparksim import SparkSQLSimulator, get_application
 from repro.sparksim.cluster import get_cluster
 from repro.sparksim.scenarios import DriftingSimulator, ScenarioStream, build_scenario
 from repro.sparksim.serialize import config_to_dict
-from repro.surrogate import LMLCache, ModelStack, Surrogate, cholesky_append
+from repro.surrogate import LMLCache, ModelStack, cholesky_append
 from repro.surrogate.incremental import JITTER, add_noise, chol_lower, chol_solve, solve_lower
 
 
@@ -117,38 +117,6 @@ class TestDirectLapack:
                 )
                 assert np.array_equal(b, before)
 
-    def test_sparse_gp_matches_scipy_bit_for_bit(self, monkeypatch):
-        import scipy.linalg
-
-        import repro.surrogate.sparse as sparse_module
-
-        rng = np.random.default_rng(7)
-        x, x_star = rng.random((40, 3)), rng.random((15, 3))
-        y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1]
-
-        def predict():
-            gp = sparse_module.SparseGP(
-                Matern52Kernel(dim=3, lengthscale=0.4), noise_variance=1e-3, n_inducing=12
-            )
-            return gp.fit(x[:30], y[:30]).extend(x[30:], y[30:]).predict(x_star)
-
-        direct = predict()
-        monkeypatch.setattr(
-            sparse_module, "chol_lower",
-            lambda a: scipy.linalg.cholesky(a, lower=True, check_finite=False),
-        )
-        monkeypatch.setattr(
-            sparse_module, "chol_solve",
-            lambda c, b: scipy.linalg.cho_solve((c, True), b, check_finite=False),
-        )
-        monkeypatch.setattr(
-            sparse_module, "solve_lower",
-            lambda c, b: scipy.linalg.solve_triangular(c, b, lower=True, check_finite=False),
-        )
-        reference = predict()
-        for got, want in zip(direct, reference):
-            assert np.array_equal(got, want)
-
     def test_not_positive_definite_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
             chol_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -214,6 +182,37 @@ class TestLMLCache:
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
             LMLCache(maxsize=0)
+
+    def test_evicts_least_recently_used(self):
+        cache = LMLCache(maxsize=2)
+        a, b, c = (np.array([float(i)]) for i in range(3))
+        cache.put(a, 1.0)
+        cache.put(b, 2.0)
+        assert cache.get(a) == 1.0  # refresh a: b is now the LRU entry
+        cache.put(c, 3.0)
+        assert cache.get(b) is None
+        assert cache.get(a) == 1.0 and cache.get(c) == 3.0
+        assert cache.evictions == 1
+
+    def test_overwrite_does_not_evict(self):
+        cache = LMLCache(maxsize=2)
+        a, b = np.array([0.0]), np.array([1.0])
+        cache.put(a, 1.0)
+        cache.put(b, 2.0)
+        cache.put(a, 1.5)
+        assert cache.evictions == 0
+        assert cache.get(a) == 1.5 and cache.get(b) == 2.0
+
+    def test_stats_and_counters_survive_clear(self):
+        cache = LMLCache(maxsize=1)
+        theta = np.array([0.5])
+        assert cache.get(theta) is None
+        cache.put(theta, -1.0)
+        assert cache.get(theta) == -1.0
+        cache.put(np.array([0.7]), -2.0)
+        cache.clear()
+        stats = cache.stats()
+        assert stats == {"hits": 1, "misses": 1, "evictions": 1, "size": 0, "maxsize": 1}
 
 
 class TestGPExtend:
@@ -682,11 +681,31 @@ class TestDAGPEngine:
             model.predict(xs, 300.0)[0], ref.predict(xs, 300.0)[0], rtol=1e-9
         )
 
-    def test_surrogate_protocol(self):
-        gp, x, y = make_gp()
-        dagp = DatasizeAwareGP(config_dim=2)
-        assert isinstance(gp, Surrogate)
-        assert isinstance(dagp, Surrogate)
+    def test_extend_past_512_rows_keeps_exact_ei_mcmc(self):
+        """A history of any size stays on the exact GP with EI-MCMC: an
+        extend past 512 rows keeps the stacked posterior samples, and
+        both the point estimate and the stack match a fresh fit."""
+        points, datasizes, durations = synthetic_observations(seed=28, n=514)
+        model = DatasizeAwareGP(config_dim=2, n_mcmc=2)
+        model.fit(points[:512], datasizes[:512], durations[:512], rng=0)
+        for row in (512, 513):  # rank-1 extends of the stacked models
+            model.extend(points[row:row + 1], datasizes[row:row + 1], durations[row:row + 1],
+                         rng=0)
+        assert isinstance(model.gp, GaussianProcess)
+        assert model._stack is not None and model._stack.n_models == 2
+        assert model._stack.n_samples == model.n_observations == 514
+        ref = DatasizeAwareGP(config_dim=2, n_mcmc=0).fit(points, datasizes, durations)
+        xs = np.random.default_rng(29).random((8, 2))
+        np.testing.assert_allclose(
+            model.predict(xs, 300.0)[0], ref.predict(xs, 300.0)[0], rtol=1e-7, atol=1e-9
+        )
+        x_query = model._query_inputs(xs, 300.0)
+        best = float(np.log(durations.min()))
+        np.testing.assert_allclose(
+            model._stack.acquisition(x_query, best),
+            ModelStack.from_gp(ref.gp, model._theta_samples).acquisition(x_query, best),
+            rtol=1e-6, atol=1e-9,
+        )
 
 
 class TestIncrementalBOLoop:
