@@ -18,7 +18,7 @@ TINY_TUNER = {"n_qcsa": 10, "n_iicp": 8, "max_iterations": 6, "min_iterations": 
 
 class TestDAGPBackends:
     def test_invalid_backend_rejected(self):
-        # The backend is no longer named: the history size picks it.
+        # There is one surrogate, the exact GP: no backend to name.
         with pytest.raises(TypeError, match="backend"):
             DatasizeAwareGP(3, backend="exact")
         with pytest.raises(TypeError, match="surrogate_backend"):
